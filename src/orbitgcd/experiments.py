@@ -23,8 +23,8 @@ from .exact import DEFAULT_ARCH_PREC, factor
 from .heights import PlaceSet, canonical_height, discrepancy_bound
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius,
                    ProjPoint, RationalMap, compose, conjugate, digit_count,
-                   evaluate, iterate)
-from .polys import max_multiplicity
+                   evaluate, fiber_polynomial, iterate)
+from .polys import max_multiplicity, modp_multiplicity_bound
 from .classify import is_exceptional
 
 
@@ -248,51 +248,6 @@ _MULTIPLICITY_PRIMES = (2305843009213693951, 4611686018427387847,
 _EXACT_YUN_DEGREE = 64
 
 
-def _modp_trim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _modp_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        top = r[-1] * inv % p
-        k = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[k + i] = (r[k + i] - top * c) % p
-        _modp_trim(r)
-        if not r:
-            break
-    return r
-
-
-def _modp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _modp_trim([c % p for c in a]), _modp_trim([c % p for c in b])
-    while b:
-        a, b = b, _modp_rem(a, b, p)
-    return a
-
-
-def _modp_mult_tower(coeffs: list[int], p: int) -> int | None:
-    # max root multiplicity of the reduction mod p: an upper bound for the
-    # true max multiplicity whenever p keeps the degree (multiplicities can
-    # merge under reduction, never split).  None when p is unusable.
-    cs = _modp_trim([c % p for c in coeffs])
-    if len(cs) != len(coeffs):
-        return None     # leading coefficient vanished: degree dropped
-    level = 0
-    while len(cs) - 1 > 0:
-        deriv = _modp_trim([i * c % p for i, c in enumerate(cs)][1:])
-        if not deriv:
-            return None  # wild derivative (cannot happen for p > degree)
-        cs = _modp_gcd(cs, deriv, p)
-        level += 1
-    return level
-
-
 def _fiber_max_multiplicity(f_deep: RationalMap, target: Fraction) -> int:
     """Max multiplicity over the fiber of ``target`` (including infinity).
 
@@ -300,20 +255,14 @@ def _fiber_max_multiplicity(f_deep: RationalMap, target: Fraction) -> int:
     upper bound from mod-p multiplicity towers (minimum over several
     primes), which is the safe direction for the depth inequality.
     """
-    poly = f_deep.num - f_deep.den.scale(target)
-    if poly.is_zero:
-        raise DomainError("degenerate fiber")
-    poly = poly.primitive()
-    inf_mult = f_deep.degree - poly.degree
+    poly, inf_mult = fiber_polynomial(f_deep, target)
     if poly.degree <= 0:
         return max(inf_mult, 1)
-    if poly.degree <= _EXACT_YUN_DEGREE:
+    affine = None
+    if poly.degree > _EXACT_YUN_DEGREE:
+        affine = modp_multiplicity_bound(poly.int_coeffs(), _MULTIPLICITY_PRIMES)
+    if affine is None:
         affine = max_multiplicity(poly)
-    else:
-        coeffs = poly.int_coeffs()
-        bounds = [m for p in _MULTIPLICITY_PRIMES
-                  if (m := _modp_mult_tower(coeffs, p)) is not None]
-        affine = min(bounds) if bounds else max_multiplicity(poly)
     return max(affine, inf_mult, 1)
 
 

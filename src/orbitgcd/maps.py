@@ -7,7 +7,9 @@ lowest-terms representation unique.  Evaluation is projective via the
 degree-d homogenizations, so the point at infinity needs no special
 cases.  Orbits are always computed point-wise; symbolic self-composition
 exists only for the small depths the depth selector produces, since the
-symbolic degree grows like d^D.
+symbolic degree grows like d^D.  Composition works on the integer
+coefficients by Kronecker substitution: polynomials are packed into big
+integers, so each product is one big-integer multiplication.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError
-from .polys import Polynomial, poly_gcd
+from .polys import Polynomial, kronecker_pack, kronecker_unpack, poly_gcd, trim
 
 DEFAULT_ORBIT_DIGIT_BUDGET = 10**7
 DEFAULT_DEGREE_BUDGET = 4096
@@ -97,17 +100,14 @@ class RationalMap:
                 num = num // g
                 den = den // g
         # clear fraction denominators jointly, then strip joint content
-        scale = 1
-        for c in list(num.coeffs) + list(den.coeffs):
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        ni = [c * scale for c in num.coeffs]
-        di = [c * scale for c in den.coeffs]
-        g = 0
-        for c in ni + di:
-            g = math.gcd(g, abs(c.numerator))
-        sign = 1 if di[-1] > 0 else -1
-        self.num = Polynomial([c * sign / g for c in ni])
-        self.den = Polynomial([c * sign / g for c in di])
+        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        ni = [c.numerator * (scale // c.denominator) for c in num.coeffs]
+        di = [c.numerator * (scale // c.denominator) for c in den.coeffs]
+        g = math.gcd(*ni, *di)
+        if di[-1] < 0:
+            g = -g
+        self.num = Polynomial([c // g for c in ni])
+        self.den = Polynomial([c // g for c in di])
         if self.degree < 1:
             raise DomainError("rational map must have degree >= 1")
 
@@ -222,26 +222,37 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     (a common projective root of the composed pair would be a common root
     of the outer pair at a well-defined image point), so only integer
     content needs stripping.
+
+    With outer = A/B of degree d and inner = p/q, the result is
+    sum a_i p^i q^(d-i) over sum b_i p^i q^(d-i).  Both sums are formed by
+    Kronecker substitution: p and q are packed into integers at x = 2^w,
+    the sums become big-integer products, and the signed coefficients are
+    unpacked once.  The slot width w holds the bound
+    sum |a_i| |p|_1^i |q|_1^(d-i) (and the same for B) plus a sign bit.
     """
-    do = outer.degree
-    p, q = inner.num, inner.den
-    # powers of p and q up to do
-    ppow = [Polynomial.constant(1)]
-    qpow = [Polynomial.constant(1)]
-    for _ in range(do):
-        ppow.append(ppow[-1] * p)
-        qpow.append(qpow[-1] * q)
-    num = Polynomial.zero()
-    den = Polynomial.zero()
-    for i in range(do + 1):
-        w = ppow[i] * qpow[do - i]
-        ai = outer.num.coeff(i)
-        bi = outer.den.coeff(i)
-        if ai != 0:
-            num = num + w.scale(ai)
-        if bi != 0:
-            den = den + w.scale(bi)
-    return RationalMap(num, den, assume_coprime=True)
+    d = outer.degree
+    p, q = inner.num.int_coeffs(), inner.den.int_coeffs()
+    a = outer.num.int_coeffs() + [0] * (d + 1 - len(outer.num.coeffs))
+    b = outer.den.int_coeffs() + [0] * (d + 1 - len(outer.den.coeffs))
+    norm_p, norm_q = sum(map(abs, p)), sum(map(abs, q))
+    weights = [norm_p**i * norm_q ** (d - i) for i in range(d + 1)]
+    bound = max(sum(abs(c) * w for c, w in zip(a, weights)),
+                sum(abs(c) * w for c, w in zip(b, weights)))
+    width = (bound.bit_length() + 8) // 8 * 8
+    big_p, big_q = kronecker_pack(p, width), kronecker_pack(q, width)
+    ppow, qpow = [1], [1]
+    for _ in range(d):
+        ppow.append(ppow[-1] * big_p)
+        qpow.append(qpow[-1] * big_q)
+    num = den = 0
+    for i in range(d + 1):
+        if a[i] or b[i]:
+            term = ppow[i] * qpow[d - i]
+            num += a[i] * term
+            den += b[i] * term
+    slots = d * (max(len(p), len(q)) - 1) + 1
+    return RationalMap(kronecker_unpack(num, width, slots),
+                       kronecker_unpack(den, width, slots), assume_coprime=True)
 
 
 def self_compose(f: RationalMap, depth: int,
@@ -340,11 +351,14 @@ def fiber_polynomial(f: RationalMap, target) -> tuple[Polynomial, int]:
     ``target`` may be a rational or ``INFINITY``.
     """
     target = ProjPoint.of(target)
-    d = f.degree
     if target.is_infinity:
-        poly = f.den
+        coeffs = f.den.int_coeffs()
     else:
-        poly = f.num - f.den.scale(target.value)
-    if poly.is_zero:
+        # v num - u den for target = u/v
+        u, v = target.pair()
+        coeffs = trim([v * a - u * b for a, b in zip_longest(
+            f.num.int_coeffs(), f.den.int_coeffs(), fillvalue=0)])
+    if not coeffs:
         raise DomainError("fiber polynomial vanished; map is constant?")
-    return poly.primitive(), d - poly.degree
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs]), f.degree - (len(coeffs) - 1)

@@ -294,3 +294,106 @@ def max_multiplicity(p: Polynomial) -> int:
     0 for constants)."""
     decomp = squarefree_decomposition(p)
     return max((i for _, i in decomp), default=0)
+
+
+# --- integer coefficient lists: Kronecker substitution and mod-p arithmetic ---
+
+
+def trim(cs: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; returns ``cs``."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _kronecker_offset(n: int, width: int) -> int:
+    # 2^(width-1) in each of n slots, built from bytes in linear time
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+
+
+def kronecker_pack(coeffs: list[int], width: int) -> int:
+    """The value at x = 2^width of the integer polynomial with ascending
+    ``coeffs``.  ``width`` is a multiple of 8 and every |c| < 2^(width-1),
+    so each signed slot is stored as c + 2^(width-1) without borrows."""
+    size = width // 8
+    half = 1 << (width - 1)
+    raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _kronecker_offset(len(coeffs), width)
+
+
+def kronecker_unpack(value: int, width: int, n: int) -> list[int]:
+    """Inverse of :func:`kronecker_pack` for ``n`` slots whose coefficients
+    satisfy |c| < 2^(width-1); linear time (one bytes conversion, then
+    slicing).  A value outside the ``n`` slots raises OverflowError."""
+    size = width // 8
+    half = 1 << (width - 1)
+    raw = (value + _kronecker_offset(n, width)).to_bytes(n * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, n * size, size)]
+
+
+def modp_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by b modulo p; a and b are reduced mod p, b is
+    trimmed and nonzero.
+
+    ``p`` may be composite; a leading coefficient of b that is not a unit
+    modulo p makes ``pow`` raise ValueError."""
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    db = len(b) - 1
+    body = b[:-1]
+    while len(r) - 1 >= db:
+        top = r.pop() * inv % p
+        k = len(r) - db
+        r[k:] = [(x - top * c) % p for x, c in zip(r[k:], body)]
+        trim(r)
+    return r
+
+
+def modp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b modulo p by the Euclidean algorithm (not monic)."""
+    a, b = trim([c % p for c in a]), trim([c % p for c in b])
+    while b:
+        a, b = b, modp_rem(a, b, p)
+    return a
+
+
+def modp_mult_tower(coeffs: list[int], p: int) -> int | None:
+    """Max root multiplicity of the reduction of ``coeffs`` mod a prime p:
+    the number of steps c -> gcd(c, c') until a constant is left.
+
+    It is an upper bound for the true max multiplicity whenever p keeps
+    the degree (multiplicities can merge under reduction, never split);
+    None when p is unusable.  For a product of primes see
+    :func:`modp_multiplicity_bound`."""
+    cs = trim([c % p for c in coeffs])
+    if len(cs) != len(coeffs):
+        return None     # leading coefficient vanished: degree dropped
+    level = 0
+    while len(cs) - 1 > 0:
+        deriv = trim([i * c % p for i, c in enumerate(cs)][1:])
+        if not deriv:
+            return None  # wild derivative (cannot happen for p > degree)
+        cs = modp_gcd(cs, deriv, p)
+        level += 1
+    return level
+
+
+def modp_multiplicity_bound(coeffs: list[int], primes) -> int | None:
+    """The minimum of :func:`modp_mult_tower` over ``primes`` (None when no
+    prime keeps the degree).
+
+    One tower runs modulo the product of the primes.  When every divisor
+    its Euclid sequences meet has a leading coefficient that is a unit
+    modulo the product, it projects (by CRT) onto the tower modulo each
+    prime with the same degrees, so all per-prime towers agree with it.
+    Every divisor is inverted, the first derivative included (whose
+    leading coefficient is deg * lc(coeffs)), so a leading coefficient
+    that is not a unit makes ``pow`` raise ValueError, and the towers then
+    run one prime at a time.
+    """
+    try:
+        return modp_mult_tower(coeffs, math.prod(primes))
+    except ValueError:
+        bounds = [m for p in primes if (m := modp_mult_tower(coeffs, p)) is not None]
+        return min(bounds, default=None)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitgcd import experiments
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
@@ -173,6 +174,28 @@ def test_choose_depth_ramified_fiber_m_prime():
     assert max_multiplicity(fiber) == 2
     easy = choose_depth(f, f, 2, 3, Fraction(-1, 4), 1, 100.0)
     assert easy.depth <= cert.depth
+
+
+@pytest.mark.parametrize("f, g, epsilon, expected", [
+    (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 0.1, (6, 3)),
+    (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 0.1, (9, 1)),
+])
+def test_choose_depth_pinned_through_the_tower(monkeypatch, f, g, epsilon, expected):
+    # x^3 + 1, x^3 + x - 1 and (x^2 - 3)/2x, (x^2 + 2)/x; a = 1, b = 2,
+    # alpha = beta = 1: the deep fibers (degree 729 and 512) take the
+    # mod-p multiplicity tower
+    tower_degrees = []
+    real = experiments.modp_multiplicity_bound
+
+    def spy(coeffs, primes):
+        tower_degrees.append(len(coeffs) - 1)
+        return real(coeffs, primes)
+
+    monkeypatch.setattr(experiments, "modp_multiplicity_bound", spy)
+    cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
+    assert (cert.depth, cert.m_prime) == expected
+    assert cert.replay()
+    assert max(tower_degrees) > experiments._EXACT_YUN_DEGREE
 
 
 def test_large_index_set_examples():

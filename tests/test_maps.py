@@ -1,13 +1,16 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, compose,
                            conjugate, digit_count, evaluate, fiber_polynomial,
                            iterate, self_compose)
-from orbitgcd.polys import Polynomial
+from orbitgcd.polys import Polynomial, kronecker_pack, kronecker_unpack
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -154,3 +157,91 @@ def test_digit_count_exact():
     assert digit_count(10**5000) == 5001
     assert digit_count(10**5000 - 1) == 5000
     assert digit_count(-(10**100)) == 101
+
+
+def reference_compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
+    """Schoolbook composition over Fraction coefficients: the reference the
+    Kronecker-substitution ``compose`` must match."""
+    do = outer.degree
+    p, q = inner.num, inner.den
+    ppow = [Polynomial.constant(1)]
+    qpow = [Polynomial.constant(1)]
+    for _ in range(do):
+        ppow.append(ppow[-1] * p)
+        qpow.append(qpow[-1] * q)
+    num = Polynomial.zero()
+    den = Polynomial.zero()
+    for i in range(do + 1):
+        w = ppow[i] * qpow[do - i]
+        ai = outer.num.coeff(i)
+        bi = outer.den.coeff(i)
+        if ai != 0:
+            num = num + w.scale(ai)
+        if bi != 0:
+            den = den + w.scale(bi)
+    return RationalMap(num, den, assume_coprime=True)
+
+
+# zero, small of either sign, and huge (>= 2^200) of either sign
+COEFF = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(operator.mul, st.sampled_from((-1, 1)), st.integers(2**200, 2**210)),
+)
+
+
+@st.composite
+def maps(draw, max_degree, polynomial):
+    num = draw(st.lists(COEFF, min_size=2, max_size=max_degree + 1))
+    if polynomial:
+        den = [draw(COEFF.filter(bool))]
+    else:
+        den = draw(st.lists(COEFF, min_size=1, max_size=max_degree + 1))
+    try:
+        return RationalMap(num, den)
+    except DomainError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(outer=st.booleans().flatmap(lambda poly: maps(3, poly)),
+       inner=st.booleans().flatmap(lambda poly: maps(27, poly)))
+def test_compose_matches_fraction_reference(outer, inner):
+    # degrees up to 3 * 27 = 3^4
+    out = compose(outer, inner)
+    assert out == reference_compose(outer, inner)
+    assert out.degree == outer.degree * inner.degree
+
+
+def test_compose_matches_fraction_reference_at_degree_81():
+    f = RationalMap([2**200 + 1, -(2**201), 0, 3], [-7, 0, 2**205])
+    deep = self_compose(f, 3)
+    assert deep == reference_compose(f, reference_compose(f, f))
+    assert compose(f, deep) == reference_compose(f, deep)
+    assert compose(f, deep).degree == 81
+
+
+@pytest.mark.parametrize("width", [8, 16, 64, 208])
+def test_kronecker_pack_roundtrip_at_slot_edges(width):
+    edge = 2 ** (width - 1) - 1
+    for cs in ([edge], [-edge], [edge, -edge, 0, -edge, edge], [-edge, 0, 0, -edge],
+               [0, 1, -1, edge], [0]):
+        value = kronecker_pack(cs, width)
+        assert value == sum(c << (width * i) for i, c in enumerate(cs))
+        assert kronecker_unpack(value, width, len(cs)) == cs
+    # a product of packed values unpacks to the product polynomial
+    product = kronecker_pack([3, -2], width) * kronecker_pack([-1, 5], width)
+    assert kronecker_unpack(product, width, 3) == [-3, 17, -10]
+    with pytest.raises(OverflowError):
+        kronecker_pack([edge + 1], width)
+    with pytest.raises(OverflowError):
+        kronecker_unpack(kronecker_pack([0, 1], width), width, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((8, 16, 24, 64, 256)).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(-(2 ** (w - 1)) + 1, 2 ** (w - 1) - 1),
+                                             min_size=1, max_size=20))))
+def test_kronecker_pack_roundtrip(case):
+    width, cs = case
+    assert kronecker_unpack(kronecker_pack(cs, width), width, len(cs)) == cs
