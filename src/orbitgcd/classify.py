@@ -22,9 +22,8 @@ from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import factor, next_prime
 from .heights import canonical_height, discrepancy_bound, weil_height
 from .linalg import kernel_modp, rational_reconstruct
-from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius, ProjPoint,
-                   RationalMap, evaluate, fiber_polynomial, form_values_mod,
-                   iterate, self_compose)
+from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint, RationalMap,
+                   evaluate, fiber_polynomial, iterate, self_compose)
 from .polys import Polynomial, multiplicity_at, radical
 
 POWER_CONJUGATE = "power"
@@ -315,8 +314,8 @@ def _modp_orbit_rows(f, g, a, b, monomials, deg_max, skip, n_rows, p):
     yr, ys = (c % p for c in b.pair())
     rows = []
     for n in range(1, n_rows + 1):
-        xr, xs = form_values_mod(f, xr, xs, p)
-        yr, ys = form_values_mod(g, yr, ys, p)
+        xr, xs = (c % p for c in f.form_values(xr, xs))
+        yr, ys = (c % p for c in g.form_values(yr, ys))
         if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
             return None
         if n in skip:

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .classify import (commutes, is_exceptional, is_preperiodic, mult_indep,
@@ -28,12 +29,11 @@ from .experiments import (GcdSeriesConfig, ap_structure, choose_depth,
                           gcd_series, large_index_set)
 from .heights import (PlaceSet, canonical_height, hgcd, hgcd_excluding,
                       hgcd_fin, weil_height)
-from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius,
-                   ProjPoint, RationalMap, iterate)
+from .maps import DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, iterate
 from .serialize import (build_manifest, config_echo, load_map, load_poly,
                         map_to_json, plot_data, point_from_str, point_to_str,
                         poly_to_json, rational_from_str, rational_to_str,
-                        report_to_csv, report_to_dict, report_to_json)
+                        report_to_csv, report_to_json)
 from .surface import (BlowupSurface, DivisorClass, intersect, is_ample_lemmaAG,
                       perturbed_ample)
 
@@ -87,8 +87,10 @@ def _logvalue_dict(lv) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None = None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(result: dict | str, out: str | None = None) -> None:
+    """The one output path: a JSON payload, or already formatted report text,
+    to ``out`` when given, else to stdout."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -190,7 +192,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gcd_series(args) -> int:
+def _cmd_gcd_series(args) -> str:
     config = GcdSeriesConfig(
         f=load_map(args.f), g=load_map(args.g),
         a=point_from_str(args.a), b=point_from_str(args.b),
@@ -200,29 +202,35 @@ def _cmd_gcd_series(args) -> int:
         seed=args.seed, digit_budget=_digit_budget(),
     )
     report = gcd_series(config)
+    if args.plot_data:
+        _emit(plot_data(report), args.plot_data)
+    if args.format == "csv":
+        return report_to_csv(report)
     manifest = build_manifest("gcd-series", config_echo(config), seed=args.seed,
                               budgets={"digit_budget": config.digit_budget})
-    if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write(plot_data(report))
-    if args.format == "csv":
-        text = report_to_csv(report)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        text = report_to_json(report, manifest)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    return EXIT_OK
+    return report_to_json(report, manifest)
 
 
-def _cmd_hgcd(args) -> int:
+def _cmd_height(args) -> dict:
+    return {"height": float(weil_height(point_from_str(args.x))),
+            "manifest": build_manifest("height", {"x": args.x})}
+
+
+def _cmd_canonical_height(args) -> dict:
+    f = load_map(args.map)
+    est = canonical_height(f, point_from_str(args.point), args.tol)
+    return {
+        "value": float(est.value),
+        "error_bound": float(est.error_bound),
+        "iterations_used": est.iterations_used,
+        "exact_zero": est.is_exact_zero,
+        "manifest": build_manifest("canonical-height", {
+            "map": map_to_json(f), "point": args.point, "tol": args.tol,
+        }),
+    }
+
+
+def _cmd_hgcd(args) -> dict:
     x = rational_from_str(args.x)
     y = rational_from_str(args.y)
     places = _parse_places(args.exclude)
@@ -236,11 +244,22 @@ def _cmd_hgcd(args) -> int:
         "x": rational_to_str(x), "y": rational_to_str(y),
         "fin": bool(args.fin), "exclude": sorted(places.primes),
     })
-    _emit({"hgcd": _logvalue_dict(value), "manifest": manifest})
-    return EXIT_OK
+    return {"hgcd": _logvalue_dict(value), "manifest": manifest}
 
 
-def _cmd_classify(args) -> int:
+def _cmd_iterate(args) -> dict:
+    f = load_map(args.map)
+    orbit = iterate(f, point_from_str(args.start), args.steps,
+                    digit_budget=_digit_budget())
+    return {
+        "orbit": [point_to_str(p) for p in orbit],
+        "manifest": build_manifest("iterate", {
+            "map": map_to_json(f), "start": args.start, "steps": args.steps,
+        }, budgets={"digit_budget": _digit_budget()}),
+    }
+
+
+def _cmd_classify(args) -> dict:
     if args.classify_command == "exceptional":
         f = load_map(args.map)
         payload = {"exceptional": is_exceptional(f, point_from_str(args.point))}
@@ -276,11 +295,10 @@ def _cmd_classify(args) -> int:
         config = {"h": poly_to_json(h), "f": poly_to_json(f),
                   "k_max": args.k_max}
     manifest = build_manifest(f"classify {args.classify_command}", config)
-    _emit({**payload, "manifest": manifest})
-    return EXIT_OK
+    return {**payload, "manifest": manifest}
 
 
-def _cmd_surface(args) -> int:
+def _cmd_surface(args) -> dict:
     if args.surface_command == "ample":
         surface = BlowupSurface(args.s)
         report = is_ample_lemmaAG(surface, args.N)
@@ -300,26 +318,67 @@ def _cmd_surface(args) -> int:
         payload = {"intersection": rational_to_str(intersect(surface, d1, d2))}
         config = {"s": args.s, "d1": args.d1, "d2": args.d2}
     manifest = build_manifest(f"surface {args.surface_command}", config)
-    _emit({**payload, "manifest": manifest})
-    return EXIT_OK
+    return {**payload, "manifest": manifest}
 
 
-def _cmd_ap_structure(args) -> int:
+def _cmd_probe_genericity(args) -> dict:
+    f, g = load_map(args.f), load_map(args.g)
+    relation = probe_genericity(
+        f, g, point_from_str(args.a), point_from_str(args.b),
+        args.deg_max, args.points, seed=args.seed,
+        digit_budget=_digit_budget(),
+    )
+    payload = {"relation": None}
+    if relation is not None:
+        payload["relation"] = {
+            "monomials": {f"{i},{j}": rational_to_str(c)
+                          for (i, j), c in
+                          sorted(relation.polynomial.terms.items())},
+            "degree_bound": relation.degree_bound,
+            "points_tested": relation.points_tested,
+        }
+    payload["manifest"] = build_manifest("probe-genericity", {
+        "f": map_to_json(f), "g": map_to_json(g), "a": args.a,
+        "b": args.b, "deg_max": args.deg_max, "points": args.points,
+    }, seed=args.seed)
+    return payload
+
+
+def _cmd_choose_depth(args) -> dict:
+    cert = choose_depth(
+        load_map(args.f), load_map(args.g),
+        point_from_str(args.a), point_from_str(args.b),
+        rational_from_str(args.alpha), rational_from_str(args.beta),
+        args.epsilon, degree_budget=_degree_budget(),
+    )
+    return {
+        "depth": cert.depth,
+        "m_prime": cert.m_prime,
+        "lhs": cert.lhs,
+        "bound": cert.bound,
+        "certificate": dataclasses.asdict(cert) | {"replays": cert.replay()},
+        "manifest": build_manifest("choose-depth", {
+            "f": args.f, "g": args.g, "a": args.a, "b": args.b,
+            "alpha": args.alpha, "beta": args.beta,
+            "epsilon": args.epsilon,
+        }),
+    }
+
+
+def _cmd_ap_structure(args) -> dict:
     with open(args.report, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    degree = data["degree"]
-    rows = data["rows"]
-    picked = [row["n"] for row in rows
-              if row.get("log_gcd") is not None
-              and row["log_gcd"] >= args.eta * degree ** row["n"]]
-    from .experiments import IndexSet
-
-    index_set = IndexSet(picked, data["last_n"])
+    # large_index_set reads only these fields of a gcd-series report
+    report = SimpleNamespace(
+        degree=data["degree"], last_n=data["last_n"],
+        rows=[SimpleNamespace(n=row["n"], log_gcd=row.get("log_gcd"))
+              for row in data["rows"]])
+    index_set = large_index_set(report, args.eta)
     structure = ap_structure(index_set)
     manifest = build_manifest("ap-structure", {
         "report": args.report, "eta": args.eta,
     })
-    _emit({
+    return {
         "indices": list(index_set.entries),
         "window": structure.window,
         "label": structure.label,
@@ -327,97 +386,29 @@ def _cmd_ap_structure(args) -> int:
                          for a0, d0 in structure.progressions],
         "residual": list(structure.residual),
         "manifest": manifest,
-    })
-    return EXIT_OK
+    }
+
+
+_COMMANDS = {
+    "gcd-series": _cmd_gcd_series,
+    "height": _cmd_height,
+    "canonical-height": _cmd_canonical_height,
+    "hgcd": _cmd_hgcd,
+    "iterate": _cmd_iterate,
+    "classify": _cmd_classify,
+    "probe-genericity": _cmd_probe_genericity,
+    "surface": _cmd_surface,
+    "choose-depth": _cmd_choose_depth,
+    "ap-structure": _cmd_ap_structure,
+}
 
 
 def dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gcd-series":
-            return _cmd_gcd_series(args)
-        if args.command == "height":
-            x = point_from_str(args.x)
-            _emit({"height": float(weil_height(x)),
-                   "manifest": build_manifest("height", {"x": args.x})})
-            return EXIT_OK
-        if args.command == "canonical-height":
-            f = load_map(args.map)
-            est = canonical_height(f, point_from_str(args.point), args.tol)
-            _emit({
-                "value": float(est.value),
-                "error_bound": float(est.error_bound),
-                "iterations_used": est.iterations_used,
-                "exact_zero": est.is_exact_zero,
-                "manifest": build_manifest("canonical-height", {
-                    "map": map_to_json(f), "point": args.point, "tol": args.tol,
-                }),
-            })
-            return EXIT_OK
-        if args.command == "hgcd":
-            return _cmd_hgcd(args)
-        if args.command == "iterate":
-            f = load_map(args.map)
-            orbit = iterate(f, point_from_str(args.start), args.steps,
-                            digit_budget=_digit_budget())
-            _emit({
-                "orbit": [point_to_str(p) for p in orbit],
-                "manifest": build_manifest("iterate", {
-                    "map": map_to_json(f), "start": args.start,
-                    "steps": args.steps,
-                }, budgets={"digit_budget": _digit_budget()}),
-            })
-            return EXIT_OK
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "probe-genericity":
-            f, g = load_map(args.f), load_map(args.g)
-            relation = probe_genericity(
-                f, g, point_from_str(args.a), point_from_str(args.b),
-                args.deg_max, args.points, seed=args.seed,
-                digit_budget=_digit_budget(),
-            )
-            payload = {"relation": None}
-            if relation is not None:
-                payload["relation"] = {
-                    "monomials": {f"{i},{j}": rational_to_str(c)
-                                  for (i, j), c in
-                                  sorted(relation.polynomial.terms.items())},
-                    "degree_bound": relation.degree_bound,
-                    "points_tested": relation.points_tested,
-                }
-            payload["manifest"] = build_manifest("probe-genericity", {
-                "f": map_to_json(f), "g": map_to_json(g), "a": args.a,
-                "b": args.b, "deg_max": args.deg_max, "points": args.points,
-            }, seed=args.seed)
-            _emit(payload)
-            return EXIT_OK
-        if args.command == "surface":
-            return _cmd_surface(args)
-        if args.command == "choose-depth":
-            cert = choose_depth(
-                load_map(args.f), load_map(args.g),
-                point_from_str(args.a), point_from_str(args.b),
-                rational_from_str(args.alpha), rational_from_str(args.beta),
-                args.epsilon, degree_budget=_degree_budget(),
-            )
-            _emit({
-                "depth": cert.depth,
-                "m_prime": cert.m_prime,
-                "lhs": cert.lhs,
-                "bound": cert.bound,
-                "certificate": dataclasses.asdict(cert) | {"replays": cert.replay()},
-                "manifest": build_manifest("choose-depth", {
-                    "f": args.f, "g": args.g, "a": args.a, "b": args.b,
-                    "alpha": args.alpha, "beta": args.beta,
-                    "epsilon": args.epsilon,
-                }),
-            })
-            return EXIT_OK
-        if args.command == "ap-structure":
-            return _cmd_ap_structure(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        _emit(_COMMANDS[args.command](args), getattr(args, "out", None))
+        return EXIT_OK
     except HypothesisViolationError as err:
         json.dump({"error": "hypothesis-violation", "message": str(err)},
                   sys.stderr)

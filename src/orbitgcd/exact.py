@@ -362,10 +362,18 @@ def valuation(p: int, x) -> int:
 # --- symbolic log values ---
 
 
-def _log_mpf(value: Fraction, prec: int) -> mpmath.mpf:
+def log_abs(x, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
+    """log|x| for a nonzero rational x, carried at ``prec`` bits.
+
+    >>> mpmath.nstr(log_abs(Fraction(-1, 8)), 10)
+    '-2.079441542'
+    """
+    x = Fraction(x)
+    if x == 0:
+        raise DomainError("log|0| is -infinity; handle upstream")
     with mpmath.workprec(prec):
-        return mpmath.log(mpmath.mpf(value.numerator)) - mpmath.log(
-            mpmath.mpf(value.denominator)
+        return mpmath.log(mpmath.mpf(abs(x.numerator))) - mpmath.log(
+            mpmath.mpf(x.denominator)
         )
 
 
@@ -463,8 +471,7 @@ def v_plus(place: Place, x, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
         v = valuation(place.prime, x)
         return LogValue.from_finite({place.prime: max(0, v)}, prec)
     with mpmath.workprec(prec):
-        val = -_log_mpf(abs(x), prec)
-        return LogValue({}, val if val > 0 else mpmath.mpf(0), prec)
+        return LogValue({}, max(0, -log_abs(x, prec)), prec)
 
 
 def log_gcd_places(a: int, b: int, prec: int = DEFAULT_ARCH_PREC) -> LogValue:

@@ -16,10 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import DEFAULT_ARCH_PREC, factor
+from .exact import DEFAULT_ARCH_PREC, factor, log_abs, valuation
 from .heights import PlaceSet, canonical_height, discrepancy_bound
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius,
                    ProjPoint, RationalMap, compose, conjugate, digit_count,
@@ -64,7 +62,7 @@ class GcdSeriesConfig:
     @property
     def is_integral(self) -> bool:
         return (self.f.is_polynomial and self.g.is_polynomial
-                and self.f.den.coeff(0) == 1 and self.g.den.coeff(0) == 1
+                and self.f.forms[1][0] == 1 and self.g.forms[1][0] == 1
                 and not self.a.is_infinity and not self.b.is_infinity
                 and self.a.value.denominator == 1 and self.b.value.denominator == 1
                 and self.alpha.denominator == 1 and self.beta.denominator == 1)
@@ -96,36 +94,24 @@ class GcdSeriesReport:
         return self.config.degree
 
 
-def _log_big(n: int, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
-    with mpmath.workprec(prec):
-        return mpmath.log(mpmath.mpf(n))
-
-
-def _arch_vplus_float(x: Fraction) -> float:
-    val = -float(_log_big(abs(x.numerator)) - _log_big(x.denominator))
-    return max(0.0, val)
+def _finite_part(x: Fraction, y: Fraction) -> tuple[int, float]:
+    """(g, log g) for g the gcd of the numerators of x and y, not both zero:
+    the finite part of hgcd(x, y), with v+(0) = +infinity everywhere."""
+    g = math.gcd(x.numerator, y.numerator)
+    return g, float(log_abs(g))
 
 
 def _excluded_sum(x: Fraction, y: Fraction, places: PlaceSet) -> float:
     total = 0.0
     for p in places:
-        vx = _vp_nonneg(x, p)
+        vx = max(0, valuation(p, x))
         if vx == 0:
             continue
-        vy = _vp_nonneg(y, p)
+        vy = max(0, valuation(p, y))
         m = min(vx, vy)
         if m:
             total += m * math.log(p)
     return total
-
-
-def _vp_nonneg(x: Fraction, p: int) -> int:
-    n = x.numerator
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
@@ -140,26 +126,19 @@ def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
         # gcd(0,0) = 0 by convention; excluded from ratio statistics
         return GcdSeriesRow(n, 1, 1, 0, None, None, None, None,
                             ("both_zero",))
+    integral = config.is_integral
     if u == 0 or v == 0:
         flags.append("one_zero")
+    elif not integral:
+        flags.append("rational_data")
     digits_u = digit_count(u.numerator) if u != 0 else 1
     digits_v = digit_count(v.numerator) if v != 0 else 1
-    integral = config.is_integral
-
-    if u == 0 or v == 0:
-        z = v if u == 0 else u
-        fin = float(_log_big(abs(z.numerator)))
-        log_gcd = fin + _arch_vplus_float(z)
-        excl = fin - _excluded_sum(z, z, config.place_exclusions)
-        gcd_val = abs(z.numerator) if integral else None
-    else:
-        g = math.gcd(abs(u.numerator), abs(v.numerator))
-        fin = float(_log_big(g))
-        log_gcd = fin + min(_arch_vplus_float(u), _arch_vplus_float(v))
-        excl = fin - _excluded_sum(u, v, config.place_exclusions)
-        gcd_val = g if integral else None
-        if not integral:
-            flags.append("rational_data")
+    g, fin = _finite_part(u, v)
+    # a zero argument has v+ = +infinity at every place: only the other counts
+    nonzero = [w for w in (u, v) if w]
+    log_gcd = fin + min(max(0.0, -float(log_abs(w))) for w in nonzero)
+    excl = fin - _excluded_sum(nonzero[0], nonzero[-1], config.place_exclusions)
+    gcd_val = g if integral else None
     ratio = None
     if "one_zero" not in flags:
         ratio = log_gcd / d**n
@@ -477,18 +456,10 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
             if (u == 0 and v == 0) or (us == 0 and vs == 0):
                 skipped += 1
                 continue
-            dev = abs(_hgcd_fin_float(us, vs) - _hgcd_fin_float(u, v))
+            dev = abs(_finite_part(us, vs)[1] - _finite_part(u, v)[1])
             if dev > best:
                 best = dev
                 attained = (sample, n)
     if used == 0 or best < 0:
         raise DomainError("no usable samples for the Mobius probe")
     return MobiusProbeResult(best, attained[0], attained[1], used, skipped)
-
-
-def _hgcd_fin_float(x: Fraction, y: Fraction) -> float:
-    if x == 0 or y == 0:
-        z = y if x == 0 else x
-        return float(_log_big(abs(z.numerator)))
-    g = math.gcd(abs(x.numerator), abs(y.numerator))
-    return float(_log_big(g))

@@ -22,9 +22,10 @@ from fractions import Fraction
 import mpmath
 
 from .errors import BudgetExceededError, DomainError
-from .exact import DEFAULT_ARCH_PREC, LogValue, Place, factor, is_prime
+from .exact import (DEFAULT_ARCH_PREC, LogValue, Place, factor, is_prime,
+                    v_plus, valuation)
 from .linalg import det_fraction, solve_fraction
-from .maps import ProjPoint, RationalMap, evaluate, form_values_mod
+from .maps import ProjPoint, RationalMap, evaluate
 
 DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
 _PREPERIODIC_SCAN_LIMIT = 500
@@ -90,14 +91,7 @@ def weil_height(point, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
 
 
-def _form_coeffs(f: RationalMap) -> tuple[list[int], list[int]]:
-    d = f.degree
-    a = [f.num.coeff(i).numerator for i in range(d + 1)]
-    b = [f.den.coeff(i).numerator for i in range(d + 1)]
-    return a, b
-
-
-def _sylvester_rows(a: list[int], b: list[int]) -> list[list[int]]:
+def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
     # rows indexed by X^k Y^(2d-1-k); unknowns: u_0..u_{d-1}, v_0..v_{d-1}
     d = len(a) - 1
     rows = []
@@ -114,8 +108,7 @@ def _sylvester_rows(a: list[int], b: list[int]) -> list[list[int]]:
 def map_resultant(f: RationalMap) -> int:
     """Resultant of the degree-d homogenizations of (num, den); nonzero
     because the representation is coprime."""
-    a, b = _form_coeffs(f)
-    det = det_fraction(_sylvester_rows(a, b))
+    det = det_fraction(_sylvester_rows(*f.forms))
     assert det.denominator == 1
     res = det.numerator
     if res == 0:
@@ -126,8 +119,7 @@ def map_resultant(f: RationalMap) -> int:
 def _cofactor_height(f: RationalMap) -> tuple[int, int]:
     """(|resultant|, max |coefficient| among the Bezout cofactors expressing
     R*X^(2d-1) and R*Y^(2d-1) through the homogenized pair)."""
-    a, b = _form_coeffs(f)
-    rows = _sylvester_rows(a, b)
+    rows = _sylvester_rows(*f.forms)
     det = det_fraction(rows)
     res = det.numerator
     if res == 0:
@@ -155,8 +147,7 @@ def discrepancy_bound(f: RationalMap, prec: int = DEFAULT_ARCH_PREC) -> mpmath.m
     d = f.degree
     if d < 2:
         raise DomainError("discrepancy bound needs degree >= 2")
-    a, b = _form_coeffs(f)
-    height_f = max(max(abs(c) for c in a), max(abs(c) for c in b))
+    height_f = max(abs(c) for form in f.forms for c in form)
     _, h_u = _cofactor_height(f)
     with mpmath.workprec(prec):
         upper = mpmath.log((d + 1) * height_f)
@@ -171,7 +162,6 @@ def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, prec: int):
     # log max(|p_N|, |q_N|) of the un-reduced orbit pair, by renormalized
     # floating iteration: p_{n+1} = F(p_n, q_n), homogeneous of degree d.
     d = f.degree
-    a, b = _form_coeffs(f)
     with mpmath.workprec(prec):
         x = mpmath.mpf(r0)
         y = mpmath.mpf(s0)
@@ -179,32 +169,11 @@ def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, prec: int):
         slog = mpmath.log(m)
         x, y = x / m, y / m
         for _ in range(n_steps):
-            xa = ya = mpmath.mpf(0)
-            xp = [mpmath.mpf(1)]
-            yp = [mpmath.mpf(1)]
-            for i in range(1, d + 1):
-                xp.append(xp[-1] * x)
-                yp.append(yp[-1] * y)
-            for i in range(d + 1):
-                w = xp[i] * yp[d - i]
-                if a[i]:
-                    xa += a[i] * w
-                if b[i]:
-                    ya += b[i] * w
+            xa, ya = f.form_values(x, y)
             m = max(abs(xa), abs(ya))
             slog = d * slog + mpmath.log(m)
             x, y = xa / m, ya / m
         return slog
-
-
-def _vp_capped(n: int, p: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
@@ -217,8 +186,9 @@ def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
     a, b = r0 % mod, s0 % mod
     gamma = 0
     for _ in range(n_steps):
-        va_, vb_ = form_values_mod(f, a, b, mod)
-        m = min(_vp_capped(va_, p, K), _vp_capped(vb_, p, K))
+        va_, vb_ = (v % mod for v in f.form_values(a, b))
+        # residues below p^K: a nonzero one has v_p < K, a zero one counts K
+        m = min(K if v == 0 else valuation(p, v) for v in (va_, vb_))
         gamma = d * gamma + m
         pm = p**m
         a, b = va_ // pm, vb_ // pm
@@ -291,17 +261,6 @@ def canonical_height(f: RationalMap, point, tol,
 # --- generalized gcd heights ---
 
 
-def _arch_vplus(x: Fraction, prec: int) -> mpmath.mpf:
-    with mpmath.workprec(prec):
-        val = -(mpmath.log(abs(x.numerator)) - mpmath.log(x.denominator))
-        return val if val > 0 else mpmath.mpf(0)
-
-
-def _finite_vplus_exponents(x: Fraction) -> dict[int, int]:
-    n = abs(x.numerator)
-    return factor(n).exponents() if n > 1 else {}
-
-
 def hgcd(x, y, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
     """Generalized gcd height: sum over all places of min(v+(x), v+(y)).
 
@@ -316,15 +275,10 @@ def hgcd(x, y, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
     x, y = Fraction(x), Fraction(y)
     if x == 0 and y == 0:
         raise DomainError("hgcd(0, 0) excluded; callers apply the gcd(0,0)=0 convention")
-    if x == 0 or y == 0:
-        z = y if x == 0 else x
-        return LogValue(
-            {p: Fraction(e) for p, e in _finite_vplus_exponents(z).items()},
-            _arch_vplus(z, prec), prec,
-        )
-    g = math.gcd(abs(x.numerator), abs(y.numerator))
+    g = math.gcd(x.numerator, y.numerator)    # gcd(0, n) = |n|
     finite = factor(g).exponents() if g > 1 else {}
-    arch = min(_arch_vplus(x, prec), _arch_vplus(y, prec))
+    # v+(0) = +infinity drops out of the min
+    arch = min(v_plus(Place.arch(), z, prec).arch for z in (x, y) if z)
     return LogValue({p: Fraction(e) for p, e in finite.items()}, arch, prec)
 
 

@@ -3,8 +3,10 @@
 A :class:`RationalMap` is a pair of integer-coefficient polynomials,
 coprime in Q[x], jointly primitive (the gcd of all coefficients of both
 is 1) and with positive leading denominator coefficient, which makes the
-lowest-terms representation unique.  Evaluation is projective via the
-degree-d homogenizations, so the point at infinity needs no special
+lowest-terms representation unique.  It is stored once, as the integer
+coefficients of its degree-d homogenizations (F, G), and
+:meth:`RationalMap.form_values` is the one evaluator of that pair, so
+evaluation is projective and the point at infinity needs no special
 cases.  Orbits are always computed point-wise; symbolic self-composition
 exists only for the small depths the depth selector produces, since the
 symbolic degree grows like d^D.  Composition works on the integer
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError
 from .polys import Polynomial, kronecker_pack, kronecker_unpack, poly_gcd, trim
@@ -83,7 +84,12 @@ INFINITY = ProjPoint.infinity()
 
 
 class RationalMap:
-    __slots__ = ("num", "den")
+    """A rational map stored once, as its homogeneous pair (F, G):
+    ``forms`` holds two integer tuples (a_0..a_d), (b_0..b_d) with
+    F = sum a_i X^i Y^(d-i) and G = sum b_i X^i Y^(d-i); ``num``/``den``
+    are read-only polynomial views of the same coefficients."""
+
+    __slots__ = ("forms",)
 
     def __init__(self, num, den=None, *, assume_coprime=False):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -106,70 +112,58 @@ class RationalMap:
         g = math.gcd(*ni, *di)
         if di[-1] < 0:
             g = -g
-        self.num = Polynomial([c // g for c in ni])
-        self.den = Polynomial([c // g for c in di])
-        if self.degree < 1:
+        d = max(len(ni), len(di)) - 1
+        if d < 1:
             raise DomainError("rational map must have degree >= 1")
+        self.forms = tuple(tuple(c // g for c in cs) + (0,) * (d + 1 - len(cs))
+                           for cs in (ni, di))
+
+    @property
+    def num(self) -> Polynomial:
+        return Polynomial(self.forms[0])
+
+    @property
+    def den(self) -> Polynomial:
+        return Polynomial(self.forms[1])
 
     @property
     def degree(self) -> int:
-        return max(self.num.degree, self.den.degree)
+        return len(self.forms[0]) - 1
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return not any(self.forms[1][1:])
 
     def __eq__(self, other):
-        return (isinstance(other, RationalMap)
-                and self.num == other.num and self.den == other.den)
+        return isinstance(other, RationalMap) and self.forms == other.forms
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.forms)
 
     def __repr__(self):
         return f"RationalMap({self.num!r} / {self.den!r})"
 
-    def form_values(self, r: int, s: int) -> tuple[int, int]:
-        """Evaluate the degree-d homogenizations of (num, den) at (r, s)."""
-        d = self.degree
-        a = b = 0
+    def form_values(self, r, s) -> tuple:
+        """(F(r, s), G(r, s)): exact for integers; the height code passes
+        mpmath floats and the orbit screens reduce the result mod m."""
+        a, b = self.forms
+        d = len(a) - 1
         rp = [1] * (d + 1)
-        spow = [1] * (d + 1)
+        sp = [1] * (d + 1)
         for i in range(1, d + 1):
             rp[i] = rp[i - 1] * r
-            spow[i] = spow[i - 1] * s
+            sp[i] = sp[i - 1] * s
+        x = y = 0
         for i in range(d + 1):
-            w = rp[i] * spow[d - i]
-            ai = self.num.coeff(i)
-            bi = self.den.coeff(i)
-            if ai:
-                a += ai.numerator * w
-            if bi:
-                b += bi.numerator * w
-        return a, b
+            w = rp[i] * sp[d - i]
+            if a[i]:
+                x += a[i] * w
+            if b[i]:
+                y += b[i] * w
+        return x, y
 
     def __call__(self, point) -> ProjPoint:
         return evaluate(self, point)
-
-
-def form_values_mod(f: RationalMap, r: int, s: int, mod: int) -> tuple[int, int]:
-    """Degree-d homogenized (num, den) values at (r, s), reduced mod ``mod``."""
-    d = f.degree
-    rp = [1] * (d + 1)
-    sp = [1] * (d + 1)
-    for i in range(1, d + 1):
-        rp[i] = rp[i - 1] * r % mod
-        sp[i] = sp[i - 1] * s % mod
-    a = b = 0
-    for i in range(d + 1):
-        w = rp[i] * sp[d - i] % mod
-        ai = f.num.coeff(i)
-        bi = f.den.coeff(i)
-        if ai:
-            a = (a + ai.numerator * w) % mod
-        if bi:
-            b = (b + bi.numerator * w) % mod
-    return a, b
 
 
 def evaluate(f: RationalMap, point) -> ProjPoint:
@@ -231,9 +225,8 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     sum |a_i| |p|_1^i |q|_1^(d-i) (and the same for B) plus a sign bit.
     """
     d = outer.degree
-    p, q = inner.num.int_coeffs(), inner.den.int_coeffs()
-    a = outer.num.int_coeffs() + [0] * (d + 1 - len(outer.num.coeffs))
-    b = outer.den.int_coeffs() + [0] * (d + 1 - len(outer.den.coeffs))
+    a, b = outer.forms
+    p, q = inner.forms
     norm_p, norm_q = sum(map(abs, p)), sum(map(abs, q))
     weights = [norm_p**i * norm_q ** (d - i) for i in range(d + 1)]
     bound = max(sum(abs(c) * w for c, w in zip(a, weights)),
@@ -250,7 +243,7 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
             term = ppow[i] * qpow[d - i]
             num += a[i] * term
             den += b[i] * term
-    slots = d * (max(len(p), len(q)) - 1) + 1
+    slots = d * inner.degree + 1
     return RationalMap(kronecker_unpack(num, width, slots),
                        kronecker_unpack(den, width, slots), assume_coprime=True)
 
@@ -351,13 +344,13 @@ def fiber_polynomial(f: RationalMap, target) -> tuple[Polynomial, int]:
     ``target`` may be a rational or ``INFINITY``.
     """
     target = ProjPoint.of(target)
+    a, b = f.forms
     if target.is_infinity:
-        coeffs = f.den.int_coeffs()
+        coeffs = trim(list(b))
     else:
         # v num - u den for target = u/v
         u, v = target.pair()
-        coeffs = trim([v * a - u * b for a, b in zip_longest(
-            f.num.int_coeffs(), f.den.int_coeffs(), fillvalue=0)])
+        coeffs = trim([v * x - u * y for x, y in zip(a, b)])
     if not coeffs:
         raise DomainError("fiber polynomial vanished; map is constant?")
     g = math.gcd(*coeffs)

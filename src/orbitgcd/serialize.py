@@ -15,7 +15,6 @@ import datetime
 import io
 import json
 import os
-import sys
 from fractions import Fraction
 
 from . import __version__
@@ -28,12 +27,45 @@ from .polys import Polynomial
 JSON_ELIDE_DIGITS = 10**6
 CSV_ELIDE_DIGITS = 10**4
 
+# str() stops at 4300 digits by default (sys.int_max_str_digits); larger
+# integers are split by powers of ten into chunks below that limit
+_CHUNK_DIGITS = 3600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_to_str(n: int) -> str:
+    """Decimal digits of an integer of any size: ``str(n)`` below about
+    3600 digits, divide and conquer by divmod against 10^(3600 * 2^j) above
+    (no interpreter limit and no process-wide setting involved).
+
+    >>> int_to_str(-10**5000) == "-1" + "0" * 5000
+    True
+    """
+    if n < 0:
+        return "-" + int_to_str(-n)
+    if n < _CHUNK:
+        return str(n)
+    powers = [_CHUNK]                 # powers[j] = 10**(3600 * 2**j) <= n
+    while powers[-1] ** 2 <= n:
+        powers.append(powers[-1] ** 2)
+
+    def digits(m: int, j: int, pad: bool) -> str:
+        # m < powers[j]**2; with pad, zero-filled to 3600 * 2**(j+1) digits
+        if j < 0:
+            return str(m).zfill(_CHUNK_DIGITS) if pad else str(m)
+        if not pad and m < powers[j]:
+            return digits(m, j - 1, False)
+        high, low = divmod(m, powers[j])
+        return digits(high, j - 1, pad) + digits(low, j - 1, True)
+
+    return digits(n, len(powers) - 1, False)
+
 
 def rational_to_str(x) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_to_str(x.numerator)
+    return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -141,14 +173,7 @@ def _int_field(value: int | None, threshold: int) -> object:
     digits = digit_count(value)
     if digits >= threshold:
         return {"elided": True, "digits": digits}
-    cap = sys.get_int_max_str_digits()
-    if cap < digits + 10:
-        sys.set_int_max_str_digits(digits + 100)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(cap)
-    return str(value)
+    return int_to_str(value)
 
 
 def report_to_dict(report: GcdSeriesReport, manifest: dict,

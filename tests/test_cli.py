@@ -1,17 +1,19 @@
+import contextlib
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from orbitgcd.cli import dispatch
 from orbitgcd.experiments import GcdSeriesConfig, gcd_series
-from orbitgcd.maps import ProjPoint, RationalMap
+from orbitgcd.maps import ProjPoint, RationalMap, digit_count
 from orbitgcd.polys import Polynomial
 from orbitgcd.serialize import (build_manifest, map_from_json, map_to_json,
                                 point_from_str, point_to_str, poly_from_json,
-                                poly_to_json, rational_from_str,
+                                int_to_str, poly_to_json, rational_from_str,
                                 rational_to_str, report_to_csv, report_to_dict,
                                 report_to_json)
 
@@ -43,6 +45,25 @@ def test_rational_and_point_strings_roundtrip():
         assert rational_to_str(rational_from_str(text)) == text
     assert point_to_str(point_from_str("oo")) == "oo"
     assert point_from_str("5/3") == ProjPoint(Fraction(5, 3))
+
+
+@contextlib.contextmanager
+def unlimited_str_digits():
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_int_to_str_matches_str():
+    edge = 10**3600
+    values = [0, 7, -7, edge - 1, edge, edge + 1, -edge, edge**2 - 1, edge**2,
+              3 * edge**3 + 1, 10**100000 - 1, -(10**100000 + 12345)]
+    got = [int_to_str(n) for n in values]
+    with unlimited_str_digits():
+        assert got == [str(n) for n in values]
 
 
 def test_poly_and_map_json_roundtrip():
@@ -170,6 +191,20 @@ def test_cli_iterate_and_heights(capsys, map_file):
     assert payload["error_bound"] <= 1e-9
 
 
+def test_cli_iterate_past_the_int_str_limit(capsys, map_file):
+    # x^2 + 1/3 from 1/2: the 13th value has more than 4300 digits
+    third = map_file("third.json", {"coeffs": ["1/3", "0", "1"]})
+    code, out, err = run_cli(capsys, ["iterate", "--map", third,
+                                      "--start", "1/2", "--steps", "13"])
+    assert code == 0, err
+    orbit = [Fraction(1, 2)]
+    for _ in range(13):
+        orbit.append(orbit[-1] ** 2 + Fraction(1, 3))
+    assert digit_count(orbit[-1].denominator) > sys.get_int_max_str_digits()
+    with unlimited_str_digits():
+        assert [Fraction(p) for p in json.loads(out)["orbit"]] == orbit
+
+
 def test_cli_classify_subcommands(capsys, map_file):
     x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
     x3x = map_file("x3x.json", {"coeffs": ["0", "1", "0", "1"]})
@@ -259,3 +294,9 @@ def test_cli_ap_structure_pipeline(capsys, map_file, tmp_path):
     assert payload["label"] == "window-consistent"
     assert {"start": 1, "step": 1} in payload["progressions"] or \
         payload["progressions"][0]["step"] == 1
+    # the selection rule's eta > 0 check applies to the CLI too
+    for eta in ("0", "-1"):
+        code, out, err = run_cli(capsys, ["ap-structure", "--report", report,
+                                          "--eta", eta])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-input"
