@@ -12,7 +12,6 @@ candidate relation exactly on the rational orbit points.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +22,9 @@ from .exact import factor, next_prime
 from .heights import canonical_height, discrepancy_bound, weil_height
 from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint, RationalMap,
-                   evaluate, fiber_polynomial, iterate, self_compose)
-from .polys import Polynomial, multiplicity_at, radical
+                   compose, conjugate, evaluate, fiber_polynomial, iterate,
+                   self_compose)
+from .polys import Polynomial, multiplicity_at, primitive, radical
 
 POWER_CONJUGATE = "power"
 CHEBYSHEV_CONJUGATE = "chebyshev"
@@ -159,13 +159,16 @@ def chebyshev_polynomial(d: int) -> Polynomial:
     T_2 = x^2 - 2, T_3 = x^3 - 3x."""
     if d < 0:
         raise DomainError("Chebyshev index must be >= 0")
-    t0, t1 = Polynomial.constant(2), Polynomial.x()
+    t0, t1 = [2], [0, 1]
     if d == 0:
-        return t0
-    x = Polynomial.x()
+        return Polynomial(t0)
     for _ in range(d - 1):
-        t0, t1 = t1, x * t1 - t0
-    return t1
+        # T_(k+1) = x T_k - T_(k-1)
+        nxt = [0] + t1
+        for i, c in enumerate(t0):
+            nxt[i] -= c
+        t0, t1 = t1, nxt
+    return Polynomial(t1)
 
 
 def _rational_nth_root(c: Fraction, k: int) -> Fraction | None:
@@ -187,10 +190,8 @@ def _rational_nth_root(c: Fraction, k: int) -> Fraction | None:
     return None
 
 
-def _verify_conjugation(poly: Polynomial, sigma: Mobius, target: Polynomial) -> bool:
-    from .maps import conjugate
-
-    return conjugate(RationalMap(poly), sigma) == RationalMap(target)
+def _verify_conjugation(f: RationalMap, sigma: Mobius, target) -> bool:
+    return conjugate(f, sigma) == RationalMap(target)
 
 
 def special_form(poly: Polynomial) -> SpecialForm:
@@ -210,18 +211,20 @@ def special_form(poly: Polynomial) -> SpecialForm:
     d = poly.degree
     if d < 2:
         raise DomainError("special-form test needs degree >= 2")
-    cd = poly.leading
-    v = poly.coeff(d - 1) / (d * cd)
-    dep = poly.compose(Polynomial([-v, 1])) + Polynomial.constant(v)
+    f = RationalMap(poly)
+    v = poly.coeff(d - 1) / (d * poly.leading)
+    # the depressed form poly(x - v) + v is the conjugate by x -> x + v,
+    # stored as integers (a_0..a_d) over the constant b_0
+    num, den = conjugate(f, Mobius.translation(v)).forms
+    dep = [Fraction(a, den[0]) for a in num]
 
     # power family: depressed form must be a pure monomial c * x^d, with the
     # scaling u solving u^(d-1) = c
-    if all(dep.coeff(k) == 0 for k in range(d)):
-        u = _rational_nth_root(dep.leading, d - 1)
+    if not any(dep[:d]):
+        u = _rational_nth_root(dep[d], d - 1)
         if u is not None:
             sigma = Mobius.affine(u, u * v)
-            target = Polynomial.monomial(d)
-            if _verify_conjugation(poly, sigma, target):
+            if _verify_conjugation(f, sigma, [0] * d + [1]):
                 return SpecialForm(POWER_CONJUGATE, sigma)
         return SpecialForm(NOT_SPECIAL, None, caveat=True)
 
@@ -230,11 +233,11 @@ def special_form(poly: Polynomial) -> SpecialForm:
     candidates: list[Fraction] = []
     caveat = False
     if d == 2:
-        candidates.append(dep.leading)
+        candidates.append(dep[d])
     else:
-        c_sub = dep.coeff(d - 2)
+        c_sub = dep[d - 2]
         if c_sub != 0:
-            u_sq = Fraction(-d) * dep.leading / c_sub
+            u_sq = Fraction(-d) * dep[d] / c_sub
             u = _rational_nth_root(u_sq, 2)
             if u is not None:
                 candidates.extend([u, -u])
@@ -243,10 +246,10 @@ def special_form(poly: Polynomial) -> SpecialForm:
                 # about u^2 alone; a match here means the conjugation exists
                 # but only with an irrational scale
                 ok = all(
-                    dep.coeff(k)
+                    dep[k]
                     == cheb.coeff(k) * u_sq ** ((k - 1) // 2)
                     if k % 2 == 1
-                    else dep.coeff(k) == 0
+                    else dep[k] == 0
                     for k in range(d + 1)
                 )
                 caveat = bool(ok)
@@ -254,13 +257,13 @@ def special_form(poly: Polynomial) -> SpecialForm:
                 # d even: u = c_d / (u^2)^((d-2)/2) is forced rational
                 denom = u_sq ** ((d - 2) // 2)
                 if denom != 0:
-                    candidates.append(dep.leading / denom)
+                    candidates.append(dep[d] / denom)
     for u in candidates:
         if u == 0:
             continue
-        if all(dep.coeff(k) == cheb.coeff(k) * u ** (k - 1) for k in range(d + 1)):
+        if all(dep[k] == cheb.coeff(k) * u ** (k - 1) for k in range(d + 1)):
             sigma = Mobius.affine(u, u * v)
-            if _verify_conjugation(poly, sigma, cheb):
+            if _verify_conjugation(f, sigma, cheb):
                 return SpecialForm(CHEBYSHEV_CONJUGATE, sigma)
     return SpecialForm(NOT_SPECIAL, None, caveat=caveat)
 
@@ -268,7 +271,8 @@ def special_form(poly: Polynomial) -> SpecialForm:
 def commutes(h: Polynomial, f: Polynomial, k_max: int,
              degree_budget: int = 4096) -> int | None:
     """Least 1 <= k <= k_max with h o f^k = f^k o h as an exact polynomial
-    identity, or None.
+    identity, or None.  Both sides are compared as maps in lowest terms,
+    which are unique.
 
     >>> commutes(Polynomial([0, -1]), Polynomial([0, 1, 0, 1]), 1)  # -x, x^3+x
     1
@@ -277,16 +281,17 @@ def commutes(h: Polynomial, f: Polynomial, k_max: int,
         raise DomainError("need deg h >= 1 and deg f >= 2")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
+    h, f = RationalMap(h), RationalMap(f)
     fk = f
     for k in range(1, k_max + 1):
         if fk.degree * h.degree > degree_budget:
             raise BudgetExceededError(
                 f"symbolic degree {fk.degree * h.degree} exceeds budget at k={k}"
             )
-        if h.compose(fk) == fk.compose(h):
+        if compose(h, fk) == compose(fk, h):
             return k
         if k < k_max:
-            fk = fk.compose(f)
+            fk = compose(fk, f)
     return None
 
 
@@ -407,16 +412,7 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
             lifted = [rational_reconstruct(v, p) for v in vec]
             if any(c is None for c in lifted):
                 continue
-            # clear denominators to a primitive integer vector
-            den = 1
-            for c in lifted:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            ints = [int(c * den) for c in lifted]
-            gc = 0
-            for c in ints:
-                gc = math.gcd(gc, abs(c))
-            if gc:
-                ints = [c // gc for c in ints]
+            ints = primitive(lifted)
             poly = BivariatePolynomial({
                 m: c for m, c in zip(monomials, ints) if c
             })

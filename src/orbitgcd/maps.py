@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
-from .polys import Polynomial, kronecker_pack, kronecker_unpack, poly_gcd, trim
+from .polys import (Polynomial, exact_div, kronecker_pack, kronecker_unpack, primitive,
+                    primitive_gcd, trim)
 
 DEFAULT_ORBIT_DIGIT_BUDGET = 10**7
 DEFAULT_DEGREE_BUDGET = 4096
@@ -92,31 +93,28 @@ class RationalMap:
     __slots__ = ("forms",)
 
     def __init__(self, num, den=None, *, assume_coprime=False):
-        num = num if isinstance(num, Polynomial) else Polynomial(num)
-        den = Polynomial.constant(1) if den is None else (
-            den if isinstance(den, Polynomial) else Polynomial(den)
-        )
-        if den.is_zero:
-            raise DomainError("denominator polynomial is zero")
-        if num.is_zero:
-            raise DomainError("numerator polynomial is zero (constant map)")
-        if not assume_coprime:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+        """``num``/``den`` are polynomials or ascending coefficient lists of
+        ints or Fractions (``den`` defaults to 1); common factors cancel
+        unless ``assume_coprime``."""
+        num = list(num.coeffs if isinstance(num, Polynomial) else num)
+        den = [1] if den is None else list(den.coeffs if isinstance(den, Polynomial) else den)
         # clear fraction denominators jointly, then strip joint content
-        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        ni = [c.numerator * (scale // c.denominator) for c in num.coeffs]
-        di = [c.numerator * (scale // c.denominator) for c in den.coeffs]
-        g = math.gcd(*ni, *di)
+        cs = primitive(num + den)
+        ni, di = trim(cs[:len(num)]), trim(cs[len(num):])
+        if not di:
+            raise DomainError("denominator polynomial is zero")
+        if not ni:
+            raise DomainError("numerator polynomial is zero (constant map)")
+        if not assume_coprime and len(ni) > 1 and len(di) > 1:
+            g = primitive_gcd(ni, di)
+            if len(g) > 1:
+                ni, di = exact_div(ni, g), exact_div(di, g)
         if di[-1] < 0:
-            g = -g
+            ni, di = [-c for c in ni], [-c for c in di]
         d = max(len(ni), len(di)) - 1
         if d < 1:
             raise DomainError("rational map must have degree >= 1")
-        self.forms = tuple(tuple(c // g for c in cs) + (0,) * (d + 1 - len(cs))
-                           for cs in (ni, di))
+        self.forms = tuple(tuple(cs) + (0,) * (d + 1 - len(cs)) for cs in (ni, di))
 
     @property
     def num(self) -> Polynomial:
@@ -324,7 +322,7 @@ class Mobius:
         return ProjPoint(a / b)
 
     def to_map(self) -> RationalMap:
-        return RationalMap(Polynomial([self.q, self.p]), Polynomial([self.s, self.r]))
+        return RationalMap([self.q, self.p], [self.s, self.r])
 
 
 def conjugate(f: RationalMap, m: Mobius) -> RationalMap:
@@ -353,5 +351,4 @@ def fiber_polynomial(f: RationalMap, target) -> tuple[Polynomial, int]:
         coeffs = trim([v * x - u * y for x, y in zip(a, b)])
     if not coeffs:
         raise DomainError("fiber polynomial vanished; map is constant?")
-    g = math.gcd(*coeffs)
-    return Polynomial([c // g for c in coeffs]), f.degree - (len(coeffs) - 1)
+    return Polynomial(primitive(coeffs)), f.degree - (len(coeffs) - 1)

@@ -1,10 +1,15 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Univariate polynomials over Q: a value type at the API edge, integer
+algebra inside.
 
-Coefficients are stored ascending; the zero polynomial has degree -1 (a
-sentinel, never a valid exponent).  Gcds run over a primitive
-pseudo-remainder sequence on integer coefficients to dodge Fraction
-blowup, and squarefree structure comes from Yun's algorithm, which is all
-the factorization this package ever needs.
+:class:`Polynomial` holds exact rational coefficients, ascending; the zero
+polynomial has degree -1 (a sentinel, never a valid exponent).  It carries
+no arithmetic.  Every computation runs on integer coefficient lists:
+:func:`primitive` takes coefficients to Z, :func:`exact_div` divides in
+Z[x], gcds follow a primitive pseudo-remainder sequence, and squarefree
+structure comes from Yun's algorithm, which is all the factorization this
+package ever needs.  Results come back as monic polynomials, which are
+unique.  The same lists carry Kronecker substitution and the mod-p
+multiplicity towers below.
 """
 
 from __future__ import annotations
@@ -23,22 +28,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls([])
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Polynomial":
-        return cls([0] * k + [c])
 
     @property
     def degree(self) -> int:
@@ -64,114 +53,12 @@ class Polynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, k) -> "Polynomial":
-        k = Fraction(k)
-        return Polynomial([c * k for c in self.coeffs])
-
-    def __pow__(self, n: int) -> "Polynomial":
-        out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other) -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise DomainError("division by the zero polynomial")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise DomainError("zero polynomial cannot be made monic")
-        return self.scale(1 / self.leading)
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
-
-    def shift(self, t) -> "Polynomial":
-        """p(x + t)."""
-        return self.compose(Polynomial([t, 1]))
-
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * (primitive integer polynomial)."""
-        if self.is_zero:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
-
-    def primitive(self) -> "Polynomial":
-        """Integer-coefficient primitive part (sign of leading term kept)."""
-        c = self.content()
-        if c == 0:
-            return Polynomial.zero()
-        return self.scale(1 / c)
 
     def int_coeffs(self) -> list[int]:
         if any(c.denominator != 1 for c in self.coeffs):
@@ -194,6 +81,47 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
+# --- integer coefficient lists: content, exact division, gcd, Yun ---
+
+
+def primitive(cs) -> list[int]:
+    """Integer primitive part of rational coefficients (ints or Fractions):
+    denominators cleared, then divided by the positive content, so signs
+    are kept.  Same length as ``cs`` (no trimming); all zeros stay zeros.
+
+    >>> primitive([Fraction(2, 3), 0, Fraction(-4, 3)])
+    [1, 0, -2]
+    """
+    scale = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (scale // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def exact_div(a: list[int], b: list[int]) -> list[int] | None:
+    """The quotient a / b in Z[x] (ascending, trimmed inputs, b nonzero),
+    or None when b does not divide a in Z[x].  For primitive b that is the
+    same as dividing in Q[x] (Gauss's lemma).
+
+    >>> exact_div([-1, 0, 1], [1, 1]), exact_div([1, 0, 1], [1, 1])
+    ([-1, 1], None)
+    """
+    db, lc = len(b) - 1, b[-1]
+    if len(a) <= db:
+        return [] if not a else None
+    r = list(a)
+    q = [0] * (len(a) - db)
+    body = b[:-1]
+    for k in range(len(q) - 1, -1, -1):
+        top, rest = divmod(r.pop(), lc)
+        if rest:
+            return None
+        q[k] = top
+        if top:
+            r[k:] = [x - top * c for x, c in zip(r[k:], body)]
+    return None if any(r) else q
+
+
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     # remainder of a by b over Z up to a power of lc(b); ascending coeffs
     db = len(b) - 1
@@ -205,36 +133,56 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         r = [c * lc for c in r]
         for i, c in enumerate(b):
             r[k + i] -= top * c
-        while r and r[-1] == 0:
-            r.pop()
+        trim(r)
     return r
 
 
-def _strip_int_content(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-    if g in (0, 1):
-        return list(a)
-    return [c // g for c in a]
+def _derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd in Z[x] (sign not fixed) of two trimmed coefficient
+    sequences (ints or Fractions, not both zero), by a primitive
+    pseudo-remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(_pseudo_rem(a, b))
+    return a
+
+
+def _monic(cs: list[int]) -> Polynomial:
+    lc = cs[-1]
+    return Polynomial([Fraction(c, lc) for c in cs])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over Q via a primitive pseudo-remainder sequence."""
     if a.is_zero and b.is_zero:
-        return Polynomial.zero()
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    fa = _strip_int_content(a.primitive().int_coeffs())
-    fb = _strip_int_content(b.primitive().int_coeffs())
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        r = _pseudo_rem(fa, fb)
-        fa, fb = fb, _strip_int_content(r)
-    return Polynomial(fa).monic()
+        return Polynomial([])
+    return _monic(primitive_gcd(a.coeffs, b.coeffs))
+
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    # f trimmed, degree >= 1.  v and w are divided by the same primitive
+    # divisors throughout, so they keep one common scalar and stay in Z[x];
+    # deg w < deg v all along, so w is padded to the length of v'
+    df = _derivative(f)
+    u = primitive_gcd(f, df)
+    v, w = exact_div(f, u), exact_div(df, u)
+    out = []
+    i = 1
+    while len(v) > 1:
+        dv = _derivative(v)
+        y = trim([x - c for x, c in zip(w + [0] * len(dv), dv)])
+        h = primitive_gcd(v, y)
+        if len(h) > 1:
+            out.append((h, i))
+        v, w = exact_div(v, h), exact_div(y, h)
+        i += 1
+    return out
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -244,36 +192,21 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         raise DomainError("squarefree decomposition of 0")
     if p.degree == 0:
         return []
-    f = p.monic()
-    df = f.derivative()
-    u = poly_gcd(f, df)
-    v = (f // u).monic()
-    w = df // u
-    out = []
-    i = 1
-    while v.degree > 0:
-        h = poly_gcd(v, w - v.derivative())
-        if h.degree > 0:
-            out.append((h, i))
-        v2 = (v // h).monic()
-        w = (w - v.derivative()) // h
-        v = v2
-        i += 1
-    return out
+    return [(_monic(h), i) for h, i in _yun(primitive(p.coeffs))]
 
 
 def radical(p: Polynomial) -> Polynomial:
     """Monic squarefree part: p / gcd(p, p'), normalized monic.
 
-    >>> radical(Polynomial([1, 0, 1]) * Polynomial([1, 0, 1]))  # (x^2+1)^2
+    >>> radical(Polynomial([1, 0, 2, 0, 1]))  # (x^2+1)^2
     Polynomial(1 + x^2)
     """
     if p.is_zero:
         raise DomainError("radical of the zero polynomial")
     if p.degree == 0:
-        return Polynomial.constant(1)
-    g = poly_gcd(p, p.derivative())
-    return (p // g).monic()
+        return Polynomial([1])
+    f = primitive(p.coeffs)
+    return _monic(exact_div(f, primitive_gcd(f, _derivative(f))))
 
 
 def multiplicity_at(p: Polynomial, q) -> int:
@@ -281,10 +214,10 @@ def multiplicity_at(p: Polynomial, q) -> int:
     if p.is_zero:
         raise DomainError("multiplicity in the zero polynomial")
     q = Fraction(q)
+    root = [-q.numerator, q.denominator]       # v x - u for q = u/v, primitive
+    cur = primitive(p.coeffs)
     m = 0
-    cur = p
-    while not cur.is_zero and cur.evaluate(q) == 0:
-        cur = cur // Polynomial([-q, 1])
+    while (cur := exact_div(cur, root)) is not None:
         m += 1
     return m
 

@@ -15,6 +15,7 @@ import datetime
 import io
 import json
 import os
+import re
 from fractions import Fraction
 
 from . import __version__
@@ -68,11 +69,56 @@ def rational_to_str(x) -> str:
     return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
 
 
+def int_from_digits(digits: str) -> int:
+    """The integer of a string of ASCII decimal digits of any length, the
+    mirror of :func:`int_to_str`: ``int`` up to 3600 digits, above that
+    high * 10^(3600 * 2^j) + low, divide and conquer (no interpreter limit
+    and no process-wide setting involved).
+
+    >>> int_from_digits("1" * 5000) == (10**5000 - 1) // 9
+    True
+    """
+    powers = [_CHUNK]                 # powers[j] = 10**(3600 * 2**j)
+    while _CHUNK_DIGITS << len(powers) < len(digits):
+        powers.append(powers[-1] ** 2)
+
+    def value(s: str, j: int) -> int:
+        # len(s) <= 3600 * 2**(j+1)
+        if j < 0:
+            return int(s)
+        k = _CHUNK_DIGITS << j
+        if len(s) <= k:
+            return value(s, j - 1)
+        return value(s[:-k], j - 1) * powers[j] + value(s[-k:], j - 1)
+
+    return value(digits, len(powers) - 1)
+
+
+_INT_OR_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _clip(text: str, limit: int) -> str:
+    """``text`` cut to ``limit`` characters, with its length when cut."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def rational_from_str(text: str) -> Fraction:
+    """A rational from "p", "p/q" (digit strings of any length), or any
+    other form ``Fraction`` reads (decimals, exponents)."""
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        m = _INT_OR_RATIO.fullmatch(text)
+        if m is None:
+            return Fraction(text)
+        num = int_from_digits(m[2])
+        num = -num if m[1] == "-" else num
+        return Fraction(num, int_from_digits(m[3])) if m[3] else Fraction(num)
     except (ValueError, ZeroDivisionError) as err:
-        raise DomainError(f"cannot parse rational from {text!r}: {err}") from err
+        raise DomainError(
+            f"cannot parse rational from {_clip(text, 60)!r}: {_clip(str(err), 120)}"
+        ) from err
 
 
 def point_to_str(point: ProjPoint) -> str:
@@ -110,9 +156,8 @@ def map_from_json(obj: dict) -> RationalMap:
         return RationalMap(poly_from_json(obj))
     if "num" not in obj:
         raise DomainError("map JSON needs 'num' (and optionally 'den')")
-    num = poly_from_json(obj["num"])
-    den = poly_from_json(obj["den"]) if "den" in obj else Polynomial.constant(1)
-    return RationalMap(num, den)
+    den = poly_from_json(obj["den"]) if "den" in obj else None
+    return RationalMap(poly_from_json(obj["num"]), den)
 
 
 def load_map(path: str) -> RationalMap:

@@ -2,12 +2,14 @@ import contextlib
 import json
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from orbitgcd.cli import dispatch
+from orbitgcd.errors import DomainError
 from orbitgcd.experiments import GcdSeriesConfig, gcd_series
 from orbitgcd.maps import ProjPoint, RationalMap, digit_count
 from orbitgcd.polys import Polynomial
@@ -64,6 +66,29 @@ def test_int_to_str_matches_str():
     got = [int_to_str(n) for n in values]
     with unlimited_str_digits():
         assert got == [str(n) for n in values]
+
+
+def test_rational_from_str_past_the_int_str_limit():
+    rng = random.Random(5)
+    num = rng.randrange(10**99999, 10**100000)
+    den = rng.randrange(10**99999, 10**100000) | 1
+    x = Fraction(num, den)
+    text = rational_to_str(x)
+    assert len(text) > 100000
+    assert rational_from_str(text) == x
+    assert rational_from_str("-" + "1" * 5000) == -(10**5000 - 1) // 9
+    # decimal and exponent forms still go through Fraction
+    assert rational_from_str(" 1.25e2 ") == 125
+    assert rational_from_str("-0.5") == Fraction(-1, 2)
+    with pytest.raises(DomainError, match="Fraction"):
+        rational_from_str("1/0")
+
+
+def test_rational_from_str_error_does_not_echo_long_input():
+    with pytest.raises(DomainError) as err:
+        rational_from_str("1" * 5000 + "x")
+    assert len(str(err.value)) < 300
+    assert "5001 characters" in str(err.value)
 
 
 def test_poly_and_map_json_roundtrip():
@@ -203,6 +228,16 @@ def test_cli_iterate_past_the_int_str_limit(capsys, map_file):
     assert digit_count(orbit[-1].denominator) > sys.get_int_max_str_digits()
     with unlimited_str_digits():
         assert [Fraction(p) for p in json.loads(out)["orbit"]] == orbit
+
+
+def test_cli_iterate_from_a_rational_past_the_int_str_limit(capsys, map_file):
+    x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
+    start = Fraction(10**5000 + 1, 3 * 10**4999 + 1)
+    code, out, err = run_cli(capsys, ["iterate", "--map", x2, "--start",
+                                      rational_to_str(start), "--steps", "1"])
+    assert code == 0, err
+    orbit = json.loads(out)["orbit"]
+    assert [rational_from_str(p) for p in orbit] == [start, start**2]
 
 
 def test_cli_classify_subcommands(capsys, map_file):

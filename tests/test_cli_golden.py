@@ -34,6 +34,10 @@ FILES = {
     "x3x.json": {"coeffs": ["0", "1", "0", "1"]},
     "cubic_f.json": {"coeffs": ["1", "0", "0", "1"]},
     "cubic_g.json": {"coeffs": ["-1", "1", "0", "1"]},
+    "neg_x.json": {"coeffs": ["0", "-1"]},
+    "x_plus_1.json": {"coeffs": ["1", "1"]},
+    # x^3 conjugated by x -> 2x/3 + 1/2: 3/2 ((2x/3 + 1/2)^3 - 1/2)
+    "cube_conj.json": {"coeffs": ["-9/16", "3/4", "1", "4/9"]},
 }
 
 CASES = {
@@ -54,6 +58,11 @@ CASES = {
     "canonical-height": ["canonical-height", "--map", "newton.json",
                          "--point", "3", "--tol", "1e-50"],
     "classify-special": ["classify", "special", "--poly", "cheb.json"],
+    "classify-special-power": ["classify", "special", "--poly", "cube_conj.json"],
+    "classify-commutes": ["classify", "commutes", "--h", "neg_x.json",
+                          "--f", "x3x.json", "--k-max", "2"],
+    "classify-commutes-none": ["classify", "commutes", "--h", "x_plus_1.json",
+                               "--f", "x3x.json", "--k-max", "2"],
     "classify-exceptional": ["classify", "exceptional", "--map", "x2.json",
                              "--point", "0"],
     "probe-genericity": ["probe-genericity", "--f", "x3x.json", "--g", "x3x.json",

@@ -169,8 +169,8 @@ def test_choose_depth_ramified_fiber_m_prime():
     cert = choose_depth(f, f, 2, 3, Fraction(-1, 4), 1, 1.0)
     assert cert.replay()
     assert cert.m_prime >= 2
-    from orbitgcd.polys import max_multiplicity
-    fiber = f.num - f.den.scale(Fraction(-1, 4))
+    from orbitgcd.polys import Polynomial, max_multiplicity
+    fiber = Polynomial([Fraction(1, 4), 1, 1])      # x^2 + x + 1/4 = (x + 1/2)^2
     assert max_multiplicity(fiber) == 2
     easy = choose_depth(f, f, 2, 3, Fraction(-1, 4), 1, 100.0)
     assert easy.depth <= cert.depth

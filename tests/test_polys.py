@@ -8,16 +8,51 @@ from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
 from orbitgcd.experiments import _MULTIPLICITY_PRIMES as PRIMES
-from orbitgcd.polys import (Polynomial, max_multiplicity, modp_mult_tower,
+from orbitgcd.polys import (Polynomial, exact_div, max_multiplicity, modp_mult_tower,
                             modp_multiplicity_bound, multiplicity_at, poly_gcd,
-                            radical, squarefree_decomposition)
+                            primitive, radical, squarefree_decomposition)
+
+# --- plain coefficient-list arithmetic (ascending), the tests' own oracle ---
+
+
+def mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def power(a, n):
+    out = [1]
+    for _ in range(n):
+        out = mul(out, a)
+    return out
+
+
+def rem(a, b):
+    """Remainder of a by b over Q."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        k = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def monic(cs):
+    return [Fraction(c) / cs[-1] for c in cs]
 
 
 def rand_poly(rng, deg, bound=9):
     coeffs = [Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
               for _ in range(deg)]
     coeffs.append(Fraction(rng.randint(1, bound)))
-    return Polynomial(coeffs)
+    return coeffs
 
 
 def test_canonical_form_and_degree_sentinel():
@@ -29,69 +64,60 @@ def test_canonical_form_and_degree_sentinel():
         Polynomial([]).leading
 
 
-def test_divmod_roundtrip_random():
-    rng = random.Random(3)
-    for _ in range(100):
-        a = rand_poly(rng, rng.randint(0, 6))
-        b = rand_poly(rng, rng.randint(0, 4))
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
-
-
 def test_gcd_of_known_products():
     rng = random.Random(17)
     for _ in range(50):
         common = rand_poly(rng, rng.randint(1, 3))
-        a = common * rand_poly(rng, rng.randint(0, 3))
-        b = common * rand_poly(rng, rng.randint(0, 3))
-        g = poly_gcd(a, b)
-        assert (a % g).is_zero and (b % g).is_zero
-        assert g.degree >= common.degree
+        a = mul(common, rand_poly(rng, rng.randint(0, 3)))
+        b = mul(common, rand_poly(rng, rng.randint(0, 3)))
+        g = poly_gcd(Polynomial(a), Polynomial(b))
+        assert not rem(a, g.coeffs) and not rem(b, g.coeffs)
+        assert g.degree >= len(common) - 1
         assert g.leading == 1
 
 
 def test_radical_examples():
-    x = Polynomial.x()
     # x^2 (x - 1) -> x (x - 1)
-    assert radical(x * x * (x - Polynomial.constant(1))) == x * (x - Polynomial.constant(1))
+    assert radical(Polynomial([0, 0, -1, 1])) == Polynomial([0, -1, 1])
     # x^4 + 2x^2 + 1 = (x^2+1)^2 -> x^2 + 1
     assert radical(Polynomial([1, 0, 2, 0, 1])) == Polynomial([1, 0, 1])
     # squarefree input comes back monic
-    p = Polynomial([2, 0, 4])          # 4x^2 + 2
-    assert radical(p) == p.monic()
+    assert radical(Polynomial([2, 0, 4])) == Polynomial([Fraction(1, 2), 0, 1])
     with pytest.raises(DomainError):
-        radical(Polynomial.zero())
+        radical(Polynomial([]))
 
 
 def test_radical_idempotent_and_same_rootset():
     rng = random.Random(23)
     for _ in range(40):
         p = rand_poly(rng, rng.randint(1, 4))
-        r = radical(p * p)
+        square = mul(p, p)
+        r = radical(Polynomial(square))
         assert radical(r) == r
         # same root set: each divides a power of the other
-        assert (p * p % r).is_zero or poly_gcd(p * p, r ** (p.degree * 2)).degree == r.degree
+        assert not rem(square, r.coeffs) or poly_gcd(
+            Polynomial(square), Polynomial(power(r.coeffs, 2 * (len(p) - 1)))
+        ).degree == r.degree
 
 
 def test_multiplicity_examples():
     assert multiplicity_at(Polynomial([0, 0, 1]), 0) == 2
-    cube = Polynomial([-1, 1]) ** 3 * Polynomial([2, 1])
-    assert multiplicity_at(cube, 1) == 3
+    cube = mul(power([-1, 1], 3), [2, 1])
+    assert multiplicity_at(Polynomial(cube), 1) == 3
     assert multiplicity_at(Polynomial([0, 0, 0, 0, 1]), 0) == 4
     assert multiplicity_at(Polynomial([1, 1]), 5) == 0
     with pytest.raises(DomainError):
-        multiplicity_at(Polynomial.zero(), 1)
+        multiplicity_at(Polynomial([]), 1)
 
 
 def test_multiplicity_sums_to_degree_on_split_products():
     rng = random.Random(31)
     for _ in range(40):
         roots = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
-        p = Polynomial.constant(rng.randint(1, 4))
+        p = [rng.randint(1, 4)]
         for r in roots:
-            p = p * Polynomial([-r, 1])
-        assert sum(multiplicity_at(p, r) for r in set(roots)) == p.degree
+            p = mul(p, [-r, 1])
+        assert sum(multiplicity_at(Polynomial(p), r) for r in set(roots)) == len(p) - 1
 
 
 def test_yun_decomposition_reconstructs():
@@ -99,38 +125,124 @@ def test_yun_decomposition_reconstructs():
     for _ in range(30):
         f1 = rand_poly(rng, rng.randint(1, 2))
         f2 = rand_poly(rng, rng.randint(1, 2))
-        p = f1 * f2 * f2 * f2
-        decomp = squarefree_decomposition(p)
-        rebuilt = Polynomial.constant(1)
+        p = mul(f1, power(f2, 3))
+        decomp = squarefree_decomposition(Polynomial(p))
+        rebuilt = [1]
         for h, i in decomp:
-            rebuilt = rebuilt * h**i
-        assert rebuilt.monic() == p.monic()
-        assert max_multiplicity(p) >= 3
+            rebuilt = mul(rebuilt, power(h.coeffs, i))
+        assert monic(rebuilt) == monic(p)
+        assert max_multiplicity(Polynomial(p)) >= 3
 
 
-def test_compose_evaluate_consistency():
-    rng = random.Random(53)
-    for _ in range(50):
-        outer = rand_poly(rng, rng.randint(0, 3))
-        inner = rand_poly(rng, rng.randint(0, 3))
-        x = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-        assert outer.compose(inner).evaluate(x) == outer.evaluate(inner.evaluate(x))
+def test_primitive_clears_denominators_and_content():
+    assert primitive([Fraction(2, 3), 0, Fraction(4, 3)]) == [1, 0, 2]
+    assert primitive([Fraction(-2, 3), 0, Fraction(4, 3)]) == [-1, 0, 2]
+    assert primitive([6, -9, 0]) == [2, -3, 0]          # sign kept, no trimming
+    assert primitive([0, 0]) == [0, 0]
+    assert primitive([]) == []
 
 
-def test_shift_and_content():
-    p = Polynomial([Fraction(2, 3), 0, Fraction(4, 3)])
-    assert p.content() == Fraction(2, 3)
-    prim = p.primitive()
-    assert prim.int_coeffs() == [1, 0, 2]
-    q = Polynomial([1, 1]).shift(3)     # (x + 3) + 1
-    assert q == Polynomial([4, 1])
+def test_exact_div_examples():
+    assert exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert exact_div([1, 0, 1], [1, 1]) is None
+    assert exact_div([], [1, 1]) == []
+    assert exact_div([3], [1, 1]) is None
+    # divisible over Q but not over Z: b is not primitive
+    assert exact_div([1, 1], [2, 2]) is None
+    assert exact_div([4, 6], [2, 3]) == [2]
+
+
+# --- independent oracle: sympy on non-monic, non-primitive rational input ---
+
+RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+NONZERO = RATIONAL.filter(bool)
+FACTOR_Q = st.builds(lambda low, lead: low + [lead],
+                     st.lists(RATIONAL, min_size=1, max_size=3), NONZERO)
+ROOT = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 7)).filter(
+    lambda q: q.denominator > 1)
+
+
+@st.composite
+def rational_polys(draw):
+    """scale * prod f_i^e_i * prod (x - q_j)^m_j, roots q_j = u/v with v > 1."""
+    p = [draw(NONZERO)]
+    for f, e in draw(st.lists(st.tuples(FACTOR_Q, st.integers(1, 3)), max_size=3)):
+        p = mul(p, power(f, e))
+    for q, m in draw(st.lists(st.tuples(ROOT, st.integers(1, 4)), max_size=2)):
+        p = mul(p, power([-q, 1], m))
+    return p
+
+
+def sympy_poly(sympy, cs):
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed([Fraction(c) for c in cs])], x, domain="QQ")
+
+
+def from_sympy(poly):
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+def sympy_sqf(sympy, cs):
+    _, factors = sympy.sqf_list(sympy_poly(sympy, cs))
+    return [(monic(from_sympy(f)), e) for f, e in factors if f.degree() > 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(common=rational_polys(), a=rational_polys(), b=rational_polys())
+def test_poly_gcd_matches_sympy(common, a, b):
+    sympy = pytest.importorskip("sympy")
+    a, b = mul(common, a), mul(common, b)
+    expected = sympy_poly(sympy, a).gcd(sympy_poly(sympy, b))
+    assert poly_gcd(Polynomial(a), Polynomial(b)).coeffs == tuple(monic(from_sympy(expected)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=rational_polys())
+def test_squarefree_structure_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy_sqf(sympy, p)
+    got = squarefree_decomposition(Polynomial(p))
+    assert sorted((list(h.coeffs), i) for h, i in got) == sorted(expected)
+    assert max_multiplicity(Polynomial(p)) == max((e for _, e in expected), default=0)
+    rad = [1]
+    for f, _ in expected:
+        rad = mul(rad, f)
+    assert radical(Polynomial(p)).coeffs == tuple(monic(rad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=rational_polys(), extra=ROOT)
+def test_multiplicity_at_matches_sympy_roots(p, extra):
+    sympy = pytest.importorskip("sympy")
+    rational_roots = sympy.roots(sympy_poly(sympy, p), filter="Q")
+    for q, m in rational_roots.items():
+        assert multiplicity_at(Polynomial(p), Fraction(int(q.p), int(q.q))) == m
+    expected = rational_roots.get(sympy.Rational(extra.numerator, extra.denominator), 0)
+    assert multiplicity_at(Polynomial(p), extra) == expected
+
+
+INT_POLY = st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=INT_POLY, b=INT_POLY, r=st.lists(st.integers(-50, 50), max_size=5))
+def test_exact_div_inverts_multiplication(a, b, r):
+    assert exact_div(mul(a, b), b) == a
+    # a * b + r with 0 != deg r < deg b: b divides it in neither Z[x] nor Q[x]
+    r = r[:len(b) - 1]
+    while r and r[-1] == 0:
+        r.pop()
+    if r:
+        ab = mul(a, b)
+        assert exact_div([x + (r[i] if i < len(r) else 0) for i, x in enumerate(ab)], b) is None
 
 
 def int_product(factors):
-    out = Polynomial.constant(1)
-    for coeffs, power in factors:
-        out = out * Polynomial(coeffs) ** power
-    return out.int_coeffs()
+    out = [1]
+    for coeffs, exponent in factors:
+        out = mul(out, power(coeffs, exponent))
+    return out
 
 
 def per_prime_minimum(coeffs):
