@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bivariate import BivariatePolynomial
 from .errors import BudgetExceededError, DomainError, IndeterminateError
-from .exact import factor, next_prime
+from .exact import _context, factor, next_prime
 from .heights import canonical_height, discrepancy_bound, weil_height
 from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint, RationalMap,
@@ -76,7 +76,7 @@ def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:
     if budget < 1:
         raise DomainError("budget must be >= 1")
     point = ProjPoint.of(point)
-    escape = discrepancy_bound(f) / (f.degree - 1)
+    escape = _context(53).fdiv(discrepancy_bound(f), f.degree - 1)  # float precision
     seen = set()
     cur = point
     for _ in range(budget):

@@ -25,6 +25,7 @@ from .classify import (commutes, is_exceptional, is_preperiodic, mult_indep,
                        probe_genericity, special_form)
 from .errors import (BudgetExceededError, DomainError, HypothesisViolationError,
                      IndeterminateError, OrbitgcdError)
+from .exact import ARCH_PREC
 from .experiments import (GcdSeriesConfig, ap_structure, choose_depth,
                           gcd_series, large_index_set)
 from .heights import (PlaceSet, canonical_height, hgcd, hgcd_excluding,
@@ -83,7 +84,7 @@ def _logvalue_dict(lv) -> dict:
         ) or "0",
         "arch": float(lv.arch),
         "total": float(lv.total()),
-        "precision_bits": lv.prec,
+        "precision_bits": ARCH_PREC,
     }
 
 

@@ -16,10 +16,15 @@ power of p), and zero when p divides the denominator.  At the archimedean
 place it is max(0, -log|x|).  Summing min(v_plus(a), v_plus(b)) over the
 finite places of two integers recovers log gcd(|a|, |b|) exactly, which is
 the identity the symbolic :class:`LogValue` type exists to make testable.
+
+Logs are rounded in a private mpmath context at ARCH_PREC = 128 bits and
+returned as ordinary mpmath.mpf values; nothing here reads or sets
+mpmath's process-wide precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import threading
@@ -32,7 +37,7 @@ from .errors import DomainError, PartialFactorizationError
 
 Rational = Fraction
 
-DEFAULT_ARCH_PREC = 128           # bits carried by archimedean parts
+ARCH_PREC = 128                   # bits carried by archimedean parts
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 1 << 22   # total rho iterations allowed per factor() call
 
@@ -361,9 +366,25 @@ def valuation(p: int, x) -> int:
 
 # --- symbolic log values ---
 
+@functools.lru_cache(maxsize=64)
+def _context(prec: int) -> mpmath.MPContext:
+    """The private mpmath context rounding to ``prec`` bits; never changed."""
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    return ctx
 
-def log_abs(x, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
-    """log|x| for a nonzero rational x, carried at ``prec`` bits.
+
+_ARCH = _context(ARCH_PREC)
+
+
+def _plain(x) -> mpmath.mpf:
+    """x as an ordinary (picklable) mpmath.mpf with the same bits; code here
+    does arithmetic on such values only after lifting them into _ARCH."""
+    return mpmath.mp.make_mpf(x._mpf_)
+
+
+def log_abs(x) -> mpmath.mpf:
+    """log|x| for a nonzero rational x, carried at ARCH_PREC bits.
 
     >>> mpmath.nstr(log_abs(Fraction(-1, 8)), 10)
     '-2.079441542'
@@ -371,88 +392,69 @@ def log_abs(x, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
     x = Fraction(x)
     if x == 0:
         raise DomainError("log|0| is -infinity; handle upstream")
-    with mpmath.workprec(prec):
-        return mpmath.log(mpmath.mpf(abs(x.numerator))) - mpmath.log(
-            mpmath.mpf(x.denominator)
-        )
+    num, den = _ARCH.mpf(abs(x.numerator)), _ARCH.mpf(x.denominator)
+    return _plain(_ARCH.log(num) - _ARCH.log(den))
 
 
 @dataclass(frozen=True)
 class LogValue:
     """A formal sum sum_p c_p * log p with exact rational coefficients,
-    plus a floating archimedean term carried at a stated precision.
+    plus a floating archimedean term.
 
     The finite part never stores zero coefficients, so identities like
     Eq.-of-gcd decompositions can be asserted as dict equality with zero
-    tolerance.  Arithmetic on the archimedean parts is done at the larger
-    of the two operands' precisions.
+    tolerance.  The archimedean part is rounded to ARCH_PREC bits, and so
+    is every LogValue operation on it.
     """
 
     finite: dict[int, Fraction]
     arch: mpmath.mpf
-    prec: int = DEFAULT_ARCH_PREC
 
     def __post_init__(self):
-        if self.prec < DEFAULT_ARCH_PREC:
-            raise DomainError(f"archimedean precision {self.prec} below minimum")
         cleaned = {p: Fraction(c) for p, c in self.finite.items() if c != 0}
         object.__setattr__(self, "finite", cleaned)
-        with mpmath.workprec(self.prec):
-            object.__setattr__(self, "arch", mpmath.mpf(self.arch))
+        object.__setattr__(self, "arch", _plain(_ARCH.mpf(self.arch)))
 
     @classmethod
-    def zero(cls, prec: int = DEFAULT_ARCH_PREC) -> "LogValue":
-        return cls({}, mpmath.mpf(0), prec)
-
-    @classmethod
-    def from_finite(cls, coeffs: dict[int, int | Fraction],
-                    prec: int = DEFAULT_ARCH_PREC) -> "LogValue":
-        return cls({p: Fraction(c) for p, c in coeffs.items()}, mpmath.mpf(0), prec)
+    def from_finite(cls, coeffs: dict[int, int | Fraction]) -> "LogValue":
+        return cls(coeffs, 0)
 
     def __add__(self, other: "LogValue") -> "LogValue":
         coeffs = dict(self.finite)
         for p, c in other.finite.items():
             coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        prec = max(self.prec, other.prec)
-        with mpmath.workprec(prec):
-            return LogValue(coeffs, self.arch + other.arch, prec)
+        return LogValue(coeffs, _ARCH.mpf(self.arch) + other.arch)
 
     def __neg__(self) -> "LogValue":
-        return LogValue({p: -c for p, c in self.finite.items()}, -self.arch, self.prec)
+        return LogValue({p: -c for p, c in self.finite.items()}, -_ARCH.mpf(self.arch))
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)
 
     def scale(self, k) -> "LogValue":
         k = Fraction(k)
-        with mpmath.workprec(self.prec):
-            arch = self.arch * mpmath.mpf(k.numerator) / mpmath.mpf(k.denominator)
-        return LogValue({p: c * k for p, c in self.finite.items()}, arch, self.prec)
-
-    def finite_total(self) -> mpmath.mpf:
-        with mpmath.workprec(self.prec):
-            return mpmath.fsum(
-                mpmath.log(p) * mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                for p, c in self.finite.items()
-            )
+        arch = _ARCH.mpf(self.arch) * _ARCH.mpf(k.numerator) / _ARCH.mpf(k.denominator)
+        return LogValue({p: c * k for p, c in self.finite.items()}, arch)
 
     def total(self) -> mpmath.mpf:
-        with mpmath.workprec(self.prec):
-            return self.finite_total() + self.arch
+        return _plain(_ARCH.fsum(
+            _ARCH.log(p) * _ARCH.mpf(c.numerator) / _ARCH.mpf(c.denominator)
+            for p, c in self.finite.items()
+        ) + self.arch)
 
     def drop_arch(self) -> "LogValue":
-        return LogValue(dict(self.finite), mpmath.mpf(0), self.prec)
+        return LogValue(self.finite, 0)
 
     def close_to(self, other: "LogValue") -> bool:
         """Exact equality on the finite part, archimedean parts within
-        2^(-prec/2) of each other."""
+        2^(-ARCH_PREC/2) of each other."""
         if self.finite != other.finite:
             return False
-        prec = min(self.prec, other.prec)
-        return abs(self.arch - other.arch) <= mpmath.mpf(2) ** (-(prec // 2))
+        diff = _ARCH.mpf(self.arch) - other.arch
+        return abs(diff) <= _ARCH.mpf(2) ** (-(ARCH_PREC // 2))
 
 
-def v_plus(place: Place, x, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
+def v_plus(place: Place, x) -> LogValue:
     """Local size of a nonzero rational at a place.
 
     Finite p: coefficient max(0, v_p(x)) on log p (so large exactly when x
@@ -468,13 +470,11 @@ def v_plus(place: Place, x, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
     if x == 0:
         raise DomainError("v_plus(0) is +infinity; handle upstream")
     if place.is_finite:
-        v = valuation(place.prime, x)
-        return LogValue.from_finite({place.prime: max(0, v)}, prec)
-    with mpmath.workprec(prec):
-        return LogValue({}, max(0, -log_abs(x, prec)), prec)
+        return LogValue.from_finite({place.prime: max(0, valuation(place.prime, x))})
+    return LogValue({}, max(0, -_ARCH.mpf(log_abs(x))))
 
 
-def log_gcd_places(a: int, b: int, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
+def log_gcd_places(a: int, b: int) -> LogValue:
     """log gcd(|a|, |b|) as an exact sum over finite places: the finite
     coefficients are the prime exponents of the Euclidean gcd.
 
@@ -484,4 +484,4 @@ def log_gcd_places(a: int, b: int, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
     if a == 0 or b == 0:
         raise DomainError("log_gcd_places needs nonzero integers")
     g = math.gcd(abs(a), abs(b))
-    return LogValue.from_finite(factor(g).exponents() if g > 1 else {}, prec)
+    return LogValue.from_finite(factor(g).exponents() if g > 1 else {})

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import DEFAULT_ARCH_PREC, factor, log_abs, valuation
+from .exact import _context, factor, log_abs, valuation
 from .heights import PlaceSet, canonical_height, discrepancy_bound
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius,
                    ProjPoint, RationalMap, compose, conjugate, digit_count,
@@ -276,11 +276,12 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     tol = min(1e-8, epsilon / 100)
     ha = canonical_height(f, a, tol)
     hb = canonical_height(g, b, tol)
+    fl = _context(53)                 # the sums round once, to float precision
     c_aggregate = float(
-        2 * (discrepancy_bound(f) + discrepancy_bound(g)) / (d - 1)
+        2 * fl.fadd(discrepancy_bound(f), discrepancy_bound(g)) / (d - 1)
     )
-    factor_heights = (4 * float(ha.value + ha.error_bound)
-                      + 4 * float(hb.value + hb.error_bound) + c_aggregate)
+    factor_heights = (4 * float(fl.fadd(ha.value, ha.error_bound))
+                      + 4 * float(fl.fadd(hb.value, hb.error_bound)) + c_aggregate)
     f_deep, g_deep = f, g
     depth = 1
     while depth <= depth_max and d**depth <= degree_budget:
@@ -392,7 +393,7 @@ class MobiusProbeResult:
     rows_skipped: int
 
 
-def inversion_deviation_bound(alpha, beta, prec: int = DEFAULT_ARCH_PREC) -> float:
+def inversion_deviation_bound(alpha, beta) -> float:
     """Explicit constant bounding the finite gcd-height deviation under
     x -> 1/x on both coordinates: sum over primes of
     max(v_p(a1^2 a2^2), v_p(b1^2 b2^2)) log p for alpha = a1/a2, beta = b1/b2."""

@@ -11,6 +11,11 @@ in renormalized form (log-scale archimedean part plus p-adic gcd
 corrections at the primes dividing the resultant), so no doubly
 exponential integers are ever materialized; the returned value is still
 exactly h(f^N(P)) / d^N up to the stated floating error.
+
+Floating work rounds in private mpmath contexts, one per precision and
+never changed: ARCH_PREC bits, or for canonical heights a precision
+derived from the tolerance.  Results are ordinary mpmath.mpf values;
+mpmath's global precision is neither read nor set.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import BudgetExceededError, DomainError
-from .exact import (DEFAULT_ARCH_PREC, LogValue, Place, factor, is_prime,
-                    v_plus, valuation)
+from .exact import (ARCH_PREC, LogValue, Place, _context, _plain, factor,
+                    is_prime, v_plus, valuation)
 from .linalg import det_fraction, solve_fraction
 from .maps import ProjPoint, RationalMap, evaluate
 
@@ -65,27 +70,22 @@ class PlaceSet:
     def __iter__(self):
         return iter(sorted(self.primes))
 
-    def __le__(self, other) -> bool:
-        return self.primes <= other.primes
-
-    def union(self, other) -> "PlaceSet":
-        return PlaceSet(self.primes | other.primes)
-
     def __repr__(self):
         return f"PlaceSet({sorted(self.primes)})"
 
 
-def weil_height(point, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
+def weil_height(point) -> mpmath.mpf:
     """log max(|p|, |q|) for p/q in lowest terms; h(oo) = h(0) = 0.
 
     >>> weil_height(Fraction(3, 2))  # doctest: +ELLIPSIS
     mpf('1.09861...')
     """
-    point = ProjPoint.of(point)
+    return _plain(_weil_height(ProjPoint.of(point), _context(ARCH_PREC)))
+
+
+def _weil_height(point: ProjPoint, ctx) -> mpmath.mpf:
     r, s = point.pair()
-    m = max(abs(r), abs(s))
-    with mpmath.workprec(prec):
-        return mpmath.log(mpmath.mpf(m))
+    return ctx.log(ctx.mpf(max(abs(r), abs(s))))
 
 
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
@@ -94,15 +94,8 @@ def weil_height(point, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
 def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
     # rows indexed by X^k Y^(2d-1-k); unknowns: u_0..u_{d-1}, v_0..v_{d-1}
     d = len(a) - 1
-    rows = []
-    for k in range(2 * d):
-        row = []
-        for j in range(d):
-            row.append(a[k - j] if 0 <= k - j <= d else 0)
-        for j in range(d):
-            row.append(b[k - j] if 0 <= k - j <= d else 0)
-        rows.append(row)
-    return rows
+    return [[c[k - j] if 0 <= k - j <= d else 0 for c in (a, b) for j in range(d)]
+            for k in range(2 * d)]
 
 
 def map_resultant(f: RationalMap) -> int:
@@ -116,64 +109,59 @@ def map_resultant(f: RationalMap) -> int:
     return res
 
 
-def _cofactor_height(f: RationalMap) -> tuple[int, int]:
-    """(|resultant|, max |coefficient| among the Bezout cofactors expressing
-    R*X^(2d-1) and R*Y^(2d-1) through the homogenized pair)."""
+def _cofactor_height(f: RationalMap) -> int:
+    """Max |coefficient| among the Bezout cofactors expressing R*X^(2d-1)
+    and R*Y^(2d-1) through the homogenized pair."""
+    res = map_resultant(f)
     rows = _sylvester_rows(*f.forms)
-    det = det_fraction(rows)
-    res = det.numerator
-    if res == 0:
-        raise DomainError("vanishing resultant: map representation not coprime")
     n = len(rows)
     hmax = 1
     for target_index in (n - 1, 0):
-        rhs = [det if k == target_index else Fraction(0) for k in range(n)]
+        rhs = [res if k == target_index else 0 for k in range(n)]
         sol = solve_fraction(rows, rhs)
         assert sol is not None
         for c in sol:
             hmax = max(hmax, math.ceil(abs(c)))
-    return abs(res), hmax
+    return hmax
 
 
-def discrepancy_bound(f: RationalMap, prec: int = DEFAULT_ARCH_PREC) -> mpmath.mpf:
+def discrepancy_bound(f: RationalMap) -> mpmath.mpf:
     """A constant C_f with |h(f(x)) - d*h(x)| <= C_f on all of P^1(Q).
 
     Upper side: coefficient count times height of the coefficients.  Lower
     side: the Bezout identities u*F + v*G = R*X^(2d-1) (and Y^(2d-1)) give
     max(|F|,|G|) >= |R| M^d / (2 d H_u) and bound the gcd of the value
     pair by |R|.  Any finite valid constant is acceptable; tightness is not
-    a goal.
+    a goal.  Rounded to ARCH_PREC bits.
     """
-    d = f.degree
-    if d < 2:
+    if f.degree < 2:
         raise DomainError("discrepancy bound needs degree >= 2")
+    return _plain(_discrepancy(f, _context(ARCH_PREC)))
+
+
+def _discrepancy(f: RationalMap, ctx) -> mpmath.mpf:
+    d = f.degree
     height_f = max(abs(c) for form in f.forms for c in form)
-    _, h_u = _cofactor_height(f)
-    with mpmath.workprec(prec):
-        upper = mpmath.log((d + 1) * height_f)
-        lower = mpmath.log(2 * d * h_u)
-        return max(upper, lower)
+    return max(ctx.log((d + 1) * height_f), ctx.log(2 * d * _cofactor_height(f)))
 
 
 # --- canonical height ---
 
 
-def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, prec: int):
+def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, ctx):
     # log max(|p_N|, |q_N|) of the un-reduced orbit pair, by renormalized
     # floating iteration: p_{n+1} = F(p_n, q_n), homogeneous of degree d.
     d = f.degree
-    with mpmath.workprec(prec):
-        x = mpmath.mpf(r0)
-        y = mpmath.mpf(s0)
-        m = max(abs(x), abs(y))
-        slog = mpmath.log(m)
-        x, y = x / m, y / m
-        for _ in range(n_steps):
-            xa, ya = f.form_values(x, y)
-            m = max(abs(xa), abs(ya))
-            slog = d * slog + mpmath.log(m)
-            x, y = xa / m, ya / m
-        return slog
+    x, y = ctx.mpf(r0), ctx.mpf(s0)
+    m = max(abs(x), abs(y))
+    slog = ctx.log(m)
+    x, y = x / m, y / m
+    for _ in range(n_steps):
+        xa, ya = f.form_values(x, y)
+        m = max(abs(xa), abs(ya))
+        slog = d * slog + ctx.log(m)
+        x, y = xa / m, ya / m
+    return slog
 
 
 def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
@@ -196,7 +184,6 @@ def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
 
 
 def canonical_height(f: RationalMap, point, tol,
-                     prec: int = DEFAULT_ARCH_PREC,
                      max_iterations: int = DEFAULT_MAX_HEIGHT_ITERATIONS,
                      ) -> HeightEstimate:
     """Canonical height of a point under a degree >= 2 rational map.
@@ -205,6 +192,9 @@ def canonical_height(f: RationalMap, point, tol,
     below tol (with headroom d+1, so functional-equation comparisons at
     tolerance 2*tol hold); error_bound <= tol.  Preperiodic points found
     by the exact orbit pre-scan return value 0 with error_bound 0.
+
+    The work runs in private contexts: the orbit at prec + 64 bits and
+    everything else at prec = max(ARCH_PREC, log2(1/tol) + 64) bits.
 
     >>> canonical_height(RationalMap([0, 0, 1]), 1, 1e-9).is_exact_zero
     True
@@ -216,52 +206,52 @@ def canonical_height(f: RationalMap, point, tol,
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     point = ProjPoint.of(point)
-    prec = max(prec, int(-math.log2(tol)) + 64)
+    prec = max(ARCH_PREC, int(-math.log2(tol)) + 64)
+    lo, hi = _context(prec), _context(prec + 64)
 
-    c_f = discrepancy_bound(f, prec)
-    with mpmath.workprec(prec):
-        h_preperiodic = c_f / (d - 1)
-        # exact pre-scan: cycles mean canonical height exactly 0; any orbit
-        # value of height above C/(d-1) certifies a wandering point
-        seen = set()
-        cur = point
-        for step in range(_PREPERIODIC_SCAN_LIMIT):
-            if cur in seen:
-                return HeightEstimate(mpmath.mpf(0), mpmath.mpf(0), step)
-            seen.add(cur)
-            if weil_height(cur, prec) > h_preperiodic:
-                break
-            cur = evaluate(f, cur)
+    c_f = _discrepancy(f, lo)
+    h_preperiodic = c_f / (d - 1)
+    # exact pre-scan: cycles mean canonical height exactly 0; any orbit
+    # value of height above C/(d-1) certifies a wandering point
+    seen = set()
+    cur = point
+    for step in range(_PREPERIODIC_SCAN_LIMIT):
+        if cur in seen:
+            return HeightEstimate(_plain(lo.zero), _plain(lo.zero), step)
+        seen.add(cur)
+        if _weil_height(cur, lo) > h_preperiodic:
+            break
+        cur = evaluate(f, cur)
 
-        target = mpmath.mpf(tol) / (d + 1)
-        n_steps = 0
-        while c_f / (mpmath.mpf(d) ** n_steps * (d - 1)) > target:
-            n_steps += 1
-            if n_steps > max_iterations:
-                raise BudgetExceededError(
-                    f"needed more than {max_iterations} iterations to reach "
-                    f"tolerance {tol}", steps=max_iterations,
-                )
+    target = lo.mpf(tol) / (d + 1)
+    n_steps = 0
+    while c_f / (lo.mpf(d) ** n_steps * (d - 1)) > target:
+        n_steps += 1
+        if n_steps > max_iterations:
+            raise BudgetExceededError(
+                f"needed more than {max_iterations} iterations to reach "
+                f"tolerance {tol}", steps=max_iterations,
+            )
 
-        r0, s0 = point.pair()
-        work = prec + 64
-        slog = _arch_green_log(f, r0, s0, n_steps, work)
-        correction = mpmath.mpf(0)
-        res = map_resultant(f)
-        if abs(res) > 1:
-            for p, e in factor(abs(res)).factors:
-                gamma = _padic_gcd_exponent(f, r0, s0, p, e, n_steps)
-                if gamma:
-                    correction += gamma * mpmath.log(mpmath.mpf(p))
-        value = (slog - correction) / mpmath.mpf(d) ** n_steps
-        err = target + mpmath.mpf(2) ** (-(prec // 2))
-        return HeightEstimate(value, err, n_steps)
+    r0, s0 = point.pair()
+    slog = _arch_green_log(f, r0, s0, n_steps, hi)
+    correction = lo.zero
+    res = map_resultant(f)
+    if abs(res) > 1:
+        for p, e in factor(abs(res)).factors:
+            gamma = _padic_gcd_exponent(f, r0, s0, p, e, n_steps)
+            if gamma:
+                correction += gamma * lo.log(lo.mpf(p))
+    # fsub rounds once at prec; slog - correction would round at prec + 64
+    value = lo.fsub(slog, correction) / lo.mpf(d) ** n_steps
+    err = target + lo.mpf(2) ** (-(prec // 2))
+    return HeightEstimate(_plain(value), _plain(err), n_steps)
 
 
 # --- generalized gcd heights ---
 
 
-def hgcd(x, y, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
+def hgcd(x, y) -> LogValue:
     """Generalized gcd height: sum over all places of min(v+(x), v+(y)).
 
     For integers it equals log gcd(|x|, |y|).  A zero argument has
@@ -278,24 +268,23 @@ def hgcd(x, y, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
     g = math.gcd(x.numerator, y.numerator)    # gcd(0, n) = |n|
     finite = factor(g).exponents() if g > 1 else {}
     # v+(0) = +infinity drops out of the min
-    arch = min(v_plus(Place.arch(), z, prec).arch for z in (x, y) if z)
-    return LogValue({p: Fraction(e) for p, e in finite.items()}, arch, prec)
+    arch = min(v_plus(Place.arch(), z).arch for z in (x, y) if z)
+    return LogValue(finite, arch)
 
 
-def hgcd_fin(x, y, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
+def hgcd_fin(x, y) -> LogValue:
     """hgcd without the archimedean term."""
-    return hgcd(x, y, prec).drop_arch()
+    return hgcd(x, y).drop_arch()
 
 
-def hgcd_excluding(places: PlaceSet, x, y, prec: int = DEFAULT_ARCH_PREC) -> LogValue:
+def hgcd_excluding(places: PlaceSet, x, y) -> LogValue:
     """hgcd restricted to finite places outside ``places``.
 
     >>> hgcd_excluding(PlaceSet([2, 3]), 12, 18).finite
     {}
     """
-    base = hgcd_fin(x, y, prec)
-    kept = {p: c for p, c in base.finite.items() if p not in places}
-    return LogValue(kept, mpmath.mpf(0), prec)
+    base = hgcd_fin(x, y)
+    return LogValue.from_finite({p: c for p, c in base.finite.items() if p not in places})
 
 
 def bad_places(f_deep: RationalMap, g_deep: RationalMap) -> PlaceSet:

@@ -94,7 +94,9 @@ def int_from_digits(digits: str) -> int:
     return value(digits, len(powers) - 1)
 
 
-_INT_OR_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+# sign, integer digits, then a denominator, or a fraction part and exponent
+_RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)"
+                       r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
 
 
 def _clip(text: str, limit: int) -> str:
@@ -105,16 +107,20 @@ def _clip(text: str, limit: int) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """A rational from "p", "p/q" (digit strings of any length), or any
-    other form ``Fraction`` reads (decimals, exponents)."""
+    """A rational from "p", "p/q" or "p.q" with an optional exponent
+    ("-1.25e-3"; digit strings of any length), or any other form
+    ``Fraction`` reads (digits grouped with underscores)."""
     text = text.strip()
     try:
-        m = _INT_OR_RATIO.fullmatch(text)
+        m = _RATIONAL.fullmatch(text)
         if m is None:
             return Fraction(text)
-        num = int_from_digits(m[2])
-        num = -num if m[1] == "-" else num
-        return Fraction(num, int_from_digits(m[3])) if m[3] else Fraction(num)
+        sign, whole, den, frac, exp = m.groups(default="")
+        num = int_from_digits(whole + frac or "0")    # value: num * 10^shift / den
+        shift = int(exp or "0") - len(frac)
+        den = int_from_digits(den) if den else 1
+        return Fraction((-num if sign == "-" else num) * 10**max(shift, 0),
+                        den * 10**max(-shift, 0))
     except (ValueError, ZeroDivisionError) as err:
         raise DomainError(
             f"cannot parse rational from {_clip(text, 60)!r}: {_clip(str(err), 120)}"

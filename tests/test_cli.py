@@ -77,11 +77,34 @@ def test_rational_from_str_past_the_int_str_limit():
     assert len(text) > 100000
     assert rational_from_str(text) == x
     assert rational_from_str("-" + "1" * 5000) == -(10**5000 - 1) // 9
-    # decimal and exponent forms still go through Fraction
     assert rational_from_str(" 1.25e2 ") == 125
     assert rational_from_str("-0.5") == Fraction(-1, 2)
     with pytest.raises(DomainError, match="Fraction"):
         rational_from_str("1/0")
+
+
+def test_rational_from_str_long_decimal_and_exponent_forms():
+    assert rational_from_str("1." + "1" * 5000) == Fraction((10**5001 - 1) // 9, 10**5000)
+    assert rational_from_str("1" + "0" * 4400 + "e-3") == 10**4397
+    assert rational_from_str("-" + "3" * 4500 + ".5e+2") == -((10**4501 - 1) // 3 + 2) * 10
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "-0.25", "+3e2", "1E-3", ".5", "5.", "-.5e+2", "0.000", "-0", "007",
+    "+.0", "3.e1", "12.34e-5", "0e5", "-1.25E-3", "1/3", "-4/6", "+10/4",
+    "1_000", "1_0.5", "2e1_0", "9" * 30 + "." + "1" * 40 + "e-17",
+])
+def test_rational_from_str_matches_fraction(text):
+    assert rational_from_str(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["", ".", "e5", "1e", "/3", "1/", "1.2/3", "--1",
+                                  "1e5/3", ".e1", "1.5.2", "0x10"])
+def test_rational_from_str_rejects_what_fraction_rejects(text):
+    with pytest.raises(ValueError):
+        Fraction(text)
+    with pytest.raises(DomainError):
+        rational_from_str(text)
 
 
 def test_rational_from_str_error_does_not_echo_long_input():

@@ -107,8 +107,9 @@ def test_v_plus_adopted_convention():
     assert v_plus(Place.finite(5), 25).finite == {5: Fraction(2)}
     assert v_plus(Place.finite(5), Fraction(1, 25)).finite == {}
     arch = v_plus(Place.arch(), Fraction(1, 2))
-    with mpmath.workprec(128):
-        assert abs(arch.arch - mpmath.log(2)) < mpmath.mpf(2) ** -100
+    ref = mpmath.MPContext()
+    ref.prec = 200
+    assert abs(ref.mpf(arch.arch) - ref.log(2)) < ref.mpf(2) ** -100
     assert v_plus(Place.arch(), 2).arch == 0
     with pytest.raises(DomainError):
         v_plus(Place.finite(3), 0)
@@ -176,6 +177,12 @@ def test_logvalue_arithmetic_and_equality():
     assert abs(total - (3 * math.log(2) + math.log(3))) < 1e-12
 
 
-def test_logvalue_minimum_precision_enforced():
-    with pytest.raises(DomainError):
-        LogValue({}, mpmath.mpf(0), prec=32)
+def test_logvalue_arch_arithmetic_keeps_full_precision():
+    # negation and subtraction round at 128 bits like addition, so a value
+    # minus itself is exactly zero
+    a = v_plus(Place.arch(), Fraction(2, 3)) + LogValue.from_finite({2: 1})
+    assert (a - a).arch == 0 and (a - a).finite == {}
+    assert (-a).arch + a.arch == 0
+    assert (-a).arch._mpf_[1].bit_length() > 100
+    assert a.close_to(a + LogValue({}, mpmath.mpf(2) ** -70))
+    assert not a.close_to(a + LogValue({}, mpmath.mpf(2) ** -60))

@@ -1,9 +1,12 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import factor
@@ -146,6 +149,53 @@ def test_canonical_height_green_vs_oracle_random_maps():
 def test_canonical_height_budget_error():
     with pytest.raises(BudgetExceededError):
         canonical_height(X2P1, 5, 1e-12, max_iterations=3)
+
+
+def test_results_are_plain_mpf_and_pickle():
+    # values computed in private contexts come back as ordinary mpmath.mpf
+    # with every bit kept
+    est = canonical_height(X2P1, Fraction(1, 2), 1e-60)
+    lv = hgcd(Fraction(5, 3), Fraction(10, 7))
+    values = [est.value, est.error_bound, lv.arch, lv.total(), weil_height(7),
+              discrepancy_bound(X2P1)]
+    assert all(type(v) is mpmath.mpf for v in values)
+    assert est.value._mpf_[1].bit_length() > 200
+    assert pickle.loads(pickle.dumps((est, lv))) == (est, lv)
+
+
+_REF = mpmath.MPContext()
+_REF.prec = 1200
+_ESCAPED = _REF.exp(5000)
+_REF_ERROR = _REF.mpf(2) ** -500
+
+
+def quadratic_height_reference(c: int, start: Fraction):
+    """The canonical height of u/v under x^2 + c (integer c): log v plus
+    the real Green function, taken as log+|x_n| / 2^n in 1200-bit floats.
+
+    The n-th iterate has denominator v^(2^n), so the finite places give
+    log v.  The loop stops once |x_n| > e^5000, where the rest of the limit
+    is below |c| e^-10000 / 2^n, or after 1200 steps for an orbit that
+    stays small, where log+|x_n| / 2^n is below 2^-1190.  Rounding in a
+    bounded chaotic orbit can push it out of its interval late; the height
+    that adds is below 2^-500 (_REF_ERROR)."""
+    x = _REF.mpf(start.numerator) / start.denominator
+    n = 0
+    while abs(x) <= _ESCAPED and n < _REF.prec:
+        x = x * x + c
+        n += 1
+    tail = _REF.log(abs(x)) if abs(x) > 1 else 0
+    return _REF.log(start.denominator) + tail / _REF.mpf(2) ** n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(c=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       start=st.fractions(min_value=-10, max_value=10, max_denominator=12),
+       tol=st.sampled_from([1e-10, 1e-30, 1e-60]))
+def test_canonical_height_bracket_holds(c, start, tol):
+    est = canonical_height(RationalMap([c, 0, 1]), start, tol)
+    reference = quadratic_height_reference(c, start)
+    assert abs(reference - est.value) <= _REF_ERROR + est.error_bound
 
 
 def test_map_resultants():
