@@ -314,7 +314,7 @@ def _monomials(deg_max: int) -> list[tuple[int, int]]:
     )
 
 
-def _modp_orbit_rows(f, g, a, b, monomials, deg_max, skip, n_rows, p):
+def _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, p):
     xr, xs = (c % p for c in a.pair())
     yr, ys = (c % p for c in b.pair())
     rows = []
@@ -393,7 +393,7 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         while len(collected) < n_primes and attempts < 8 * n_primes:
             attempts += 1
             p = next_prime(rng.randrange(1 << 60, 1 << 61))
-            rows = _modp_orbit_rows(f, g, a, b, monomials, deg_max, skip, window, p)
+            rows = _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, window, p)
             if rows is None or not rows:
                 continue
             basis = kernel_modp(rows, p)

@@ -5,9 +5,10 @@ via --out) and embeds a run manifest.  Errors are emitted as JSON objects
 on stderr with exit codes: 0 success, 2 usage or malformed input,
 3 hypothesis violation, 4 budget exhaustion.
 
-Environment overrides (optional): ORBITGCD_DIGIT_BUDGET,
-ORBITGCD_DEGREE_BUDGET, ORBITGCD_TEST_MODE (normalizes manifest
-timestamps for byte-identical reruns).
+Environment overrides (optional): ORBITGCD_DIGIT_BUDGET (orbits),
+ORBITGCD_DEGREE_BUDGET (symbolic composition in ``classify commutes``),
+ORBITGCD_TEST_MODE (normalizes manifest timestamps for byte-identical
+reruns).
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def _cmd_choose_depth(args) -> dict:
         load_map(args.f), load_map(args.g),
         point_from_str(args.a), point_from_str(args.b),
         rational_from_str(args.alpha), rational_from_str(args.beta),
-        args.epsilon, degree_budget=_degree_budget(),
+        args.epsilon,
     )
     return {
         "depth": cert.depth,

@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
 from .exact import _context, factor, log_abs, valuation
 from .heights import PlaceSet, canonical_height, discrepancy_bound
-from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius,
-                   ProjPoint, RationalMap, compose, conjugate, digit_count,
-                   evaluate, fiber_polynomial, iterate)
-from .polys import max_multiplicity, modp_multiplicity_bound
+from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint,
+                   RationalMap, conjugate, digit_count, evaluate, iterate)
+from .polys import _derivative, _pseudo_rem, _yun, exact_div, primitive_gcd, trim
 from .classify import is_exceptional
 
 
@@ -222,47 +222,106 @@ class DepthCertificate:
         return lhs < self.bound
 
 
-_MULTIPLICITY_PRIMES = (2305843009213693951, 4611686018427387847,
-                        9223372036854775783)
-_EXACT_YUN_DEGREE = 64
+# Cap on the decimal digits of the two critical portraits.  Their
+# coordinates grow by a factor of about d per depth, and one more step
+# costs about d^2 times the last, so the cap bounds the next step too.
+_PORTRAIT_DIGIT_CAP = 100_000
 
 
-def _fiber_max_multiplicity(f_deep: RationalMap, target: Fraction) -> int:
-    """Max multiplicity over the fiber of ``target`` (including infinity).
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    Exact Yun decomposition for small degrees; above that, a certified
-    upper bound from mod-p multiplicity towers (minimum over several
-    primes), which is the safe direction for the depth inequality.
+
+def _form_at(cs, x: list[int], y: list[int]) -> list[int]:
+    # sum cs[i] x^i y^(k-i) in Z[t], k = len(cs) - 1, by Horner's rule
+    acc, ypow = [cs[-1]], [1]
+    for c in reversed(cs[:-1]):
+        ypow = _mul(ypow, y)
+        acc = [p + c * q for p, q in zip_longest(_mul(acc, x), ypow, fillvalue=0)]
+    return trim(acc)
+
+
+def _critical_walk(f: RationalMap, target: Fraction):
+    """Yield (M'_D, bits) for D = 1, 2, ...: the largest ramification index
+    over the fiber f^-D(target), and the total bit length of the critical
+    portrait's coordinates at depth D.
+
+    Ramification indices multiply along orbits and only critical points
+    have e > 1 (Silverman, The Arithmetic of Dynamical Systems), so M'_D is
+    the largest product e_f(c) e_f(f(c)) ... e_f(f^(m-1)(c)) over critical
+    c with f^m(c) = target, m <= D.  The critical points are grouped in
+    classes: the k-fold factors of the Wronskian F'G - FG' (e = k + 1), and
+    infinity when its degree drops.  A class P is made monic in t = lc x,
+    and its point walks as the homogeneous pair (X, Y) in Z[t]/(P).  When
+    only some roots of P meet a test, gcds split P (dynamic evaluation,
+    Della Dora, Dicrescenzo and Duval 1985), so no factorization and no
+    polynomial of degree d^D is needed.
+
+    >>> walk = _critical_walk(RationalMap([-1, 0, 1]), Fraction(0))
+    >>> [m for m, _ in (next(walk) for _ in range(6))]     # x^2 - 1 at 0
+    [1, 2, 2, 4, 4, 8]
     """
-    poly, inf_mult = fiber_polynomial(f_deep, target)
-    if poly.degree <= 0:
-        return max(inf_mult, 1)
-    affine = None
-    if poly.degree > _EXACT_YUN_DEGREE:
-        affine = modp_multiplicity_bound(poly.int_coeffs(), _MULTIPLICITY_PRIMES)
-    if affine is None:
-        affine = max_multiplicity(poly)
-    return max(affine, inf_mult, 1)
+    a, b = f.forms
+    wronskian = trim([p - q for p, q in zip(_mul(_derivative(a), b),
+                                            _mul(a, _derivative(b)))])
+    critical = [(q, k + 1) for q, k in _yun(wronskian)]
+    classes = []
+    for q, e in critical:
+        # monic, so that reducing mod P never scales X and Y apart
+        n, lc = len(q) - 1, q[-1]
+        monic = [c * lc ** (n - 1 - i) for i, c in enumerate(q[:-1])] + [1]
+        classes.append((monic, _pseudo_rem([0, 1], monic), [lc], e))
+    e_inf = 2 * f.degree - len(wronskian)      # 2d - 1 - deg W
+    if e_inf > 1:
+        critical.append(((1, 0), e_inf))        # the form Y vanishes at infinity
+        classes.append(([0, 1], [1], [], e_inf))
+    hit_form = (-target.numerator, target.denominator)     # v X - u Y for u/v
+    best = 1
+    while True:
+        stepped = []
+        for p, x, y, prod in classes:
+            x, y = _pseudo_rem(_form_at(a, x, y), p), _pseudo_rem(_form_at(b, x, y), p)
+            g = math.gcd(*x, *y)
+            x, y = [c // g for c in x], [c // g for c in y]
+            if len(primitive_gcd(p, _form_at(hit_form, x, y))) > 1:
+                best = max(best, prod)
+            rest = p
+            for q, e in critical:
+                h = primitive_gcd(rest, _form_at(q, x, y))
+                if len(h) > 1:
+                    h = h if h[-1] > 0 else [-c for c in h]
+                    rest = exact_div(rest, h)
+                    stepped.append((h, _pseudo_rem(x, h), _pseudo_rem(y, h), prod * e))
+            if len(rest) > 1:
+                stepped.append((rest, _pseudo_rem(x, rest), _pseudo_rem(y, rest), prod))
+        classes = stepped
+        yield best, sum(c.bit_length() for _, x, y, _ in classes for c in x + y)
 
 
 def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
-                 epsilon: float, depth_max: int = 16,
-                 degree_budget: int = DEFAULT_DEGREE_BUDGET,
-                 ) -> DepthCertificate:
+                 epsilon: float, depth_max: int = 16) -> DepthCertificate:
     """Least depth D whose fiber multiplicities make
     M'/d^D * (4 hhat_f(a) + 4 hhat_g(b) + C) < epsilon/2.
 
-    M' is the maximal multiplicity over the D-th fibers of alpha and beta
-    (squarefree decomposition degrees plus the infinity deficit), the
-    canonical heights enter through certified upper bounds, and C is the
-    computable discrepancy aggregate 2 (C_f + C_g)/(d - 1).  Exceptional
-    alpha or beta violate the hypothesis that makes the selector converge
-    and are rejected up front.
+    M' is the largest ramification index over the D-th fibers of alpha and
+    beta, read exactly from the forward orbits of the critical points
+    (:func:`_critical_walk`), the canonical heights enter through certified
+    upper bounds, and C is the computable discrepancy aggregate
+    2 (C_f + C_g)/(d - 1).  Exceptional alpha or beta violate the
+    hypothesis that makes the selector converge and are rejected up front.
+    The search stops with :class:`BudgetExceededError` at ``depth_max`` or
+    when the critical portraits pass a fixed digit cap.
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("need equal degrees >= 2")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise DomainError("epsilon must be finite and positive")
+    if depth_max < 1:
+        raise DomainError("depth_max must be >= 1")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if is_exceptional(f, alpha):
         raise HypothesisViolationError(
@@ -282,11 +341,9 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     )
     factor_heights = (4 * float(fl.fadd(ha.value, ha.error_bound))
                       + 4 * float(fl.fadd(hb.value, hb.error_bound)) + c_aggregate)
-    f_deep, g_deep = f, g
-    depth = 1
-    while depth <= depth_max and d**depth <= degree_budget:
-        m_prime = max(_fiber_max_multiplicity(f_deep, alpha),
-                      _fiber_max_multiplicity(g_deep, beta))
+    walks = zip(_critical_walk(f, alpha), _critical_walk(g, beta))
+    for depth, ((m_f, bits_f), (m_g, bits_g)) in zip(range(1, depth_max + 1), walks):
+        m_prime = max(m_f, m_g)
         lhs = m_prime / d**depth * factor_heights
         if lhs < epsilon / 2:
             return DepthCertificate(
@@ -295,13 +352,14 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
                 hhat_g_b=float(hb.value), hhat_g_b_error=float(hb.error_bound),
                 constant=c_aggregate, lhs=lhs,
             )
-        depth += 1
-        if d**depth <= degree_budget:
-            f_deep = compose(f, f_deep)
-            g_deep = compose(g, g_deep)
+        digits = int((bits_f + bits_g) * _LOG10_2) + 1
+        if digits > _PORTRAIT_DIGIT_CAP:
+            break
     raise BudgetExceededError(
-        f"no depth within depth_max={depth_max} / degree budget "
-        f"{degree_budget} satisfies the inequality"
+        f"no depth up to {depth} satisfies the inequality: M' = {m_prime} gives "
+        f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; the critical portraits reached "
+        f"{digits} digits (cap {_PORTRAIT_DIGIT_CAP}, depth_max {depth_max})",
+        digits=digits, steps=depth,
     )
 
 

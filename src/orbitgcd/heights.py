@@ -203,8 +203,8 @@ def canonical_height(f: RationalMap, point, tol,
     if d < 2:
         raise DomainError("canonical height needs degree >= 2")
     tol = float(tol)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tolerance must be finite and positive")
     point = ProjPoint.of(point)
     prec = max(ARCH_PREC, int(-math.log2(tol)) + 64)
     lo, hi = _context(prec), _context(prec + 64)

@@ -8,8 +8,9 @@ coefficients of its degree-d homogenizations (F, G), and
 :meth:`RationalMap.form_values` is the one evaluator of that pair, so
 evaluation is projective and the point at infinity needs no special
 cases.  Orbits are always computed point-wise; symbolic self-composition
-exists only for the small depths the depth selector produces, since the
-symbolic degree grows like d^D.  Composition works on the integer
+sits behind a degree budget, since the symbolic degree grows like d^D,
+and serves conjugation and the classification tests (the depth selector
+walks critical orbits instead).  Composition works on the integer
 coefficients by Kronecker substitution: polynomials are packed into big
 integers, so each product is one big-integer multiplication.
 """

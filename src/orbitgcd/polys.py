@@ -8,8 +8,8 @@ no arithmetic.  Every computation runs on integer coefficient lists:
 Z[x], gcds follow a primitive pseudo-remainder sequence, and squarefree
 structure comes from Yun's algorithm, which is all the factorization this
 package ever needs.  Results come back as monic polynomials, which are
-unique.  The same lists carry Kronecker substitution and the mod-p
-multiplicity towers below.
+unique.  The same lists carry the Kronecker substitution that composes
+maps, and the critical-orbit walk of the depth selector.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def max_multiplicity(p: Polynomial) -> int:
     return max((i for _, i in decomp), default=0)
 
 
-# --- integer coefficient lists: Kronecker substitution and mod-p arithmetic ---
+# --- integer coefficient lists: trimming and Kronecker substitution ---
 
 
 def trim(cs: list[int]) -> list[int]:
@@ -263,70 +263,3 @@ def kronecker_unpack(value: int, width: int, n: int) -> list[int]:
     raw = (value + _kronecker_offset(n, width)).to_bytes(n * size, "little")
     return [int.from_bytes(raw[i:i + size], "little") - half
             for i in range(0, n * size, size)]
-
-
-def modp_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b modulo p; a and b are reduced mod p, b is
-    trimmed and nonzero.
-
-    ``p`` may be composite; a leading coefficient of b that is not a unit
-    modulo p makes ``pow`` raise ValueError."""
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    db = len(b) - 1
-    body = b[:-1]
-    while len(r) - 1 >= db:
-        top = r.pop() * inv % p
-        k = len(r) - db
-        r[k:] = [(x - top * c) % p for x, c in zip(r[k:], body)]
-        trim(r)
-    return r
-
-
-def modp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """A gcd of a and b modulo p by the Euclidean algorithm (not monic)."""
-    a, b = trim([c % p for c in a]), trim([c % p for c in b])
-    while b:
-        a, b = b, modp_rem(a, b, p)
-    return a
-
-
-def modp_mult_tower(coeffs: list[int], p: int) -> int | None:
-    """Max root multiplicity of the reduction of ``coeffs`` mod a prime p:
-    the number of steps c -> gcd(c, c') until a constant is left.
-
-    It is an upper bound for the true max multiplicity whenever p keeps
-    the degree (multiplicities can merge under reduction, never split);
-    None when p is unusable.  For a product of primes see
-    :func:`modp_multiplicity_bound`."""
-    cs = trim([c % p for c in coeffs])
-    if len(cs) != len(coeffs):
-        return None     # leading coefficient vanished: degree dropped
-    level = 0
-    while len(cs) - 1 > 0:
-        deriv = trim([i * c % p for i, c in enumerate(cs)][1:])
-        if not deriv:
-            return None  # wild derivative (cannot happen for p > degree)
-        cs = modp_gcd(cs, deriv, p)
-        level += 1
-    return level
-
-
-def modp_multiplicity_bound(coeffs: list[int], primes) -> int | None:
-    """The minimum of :func:`modp_mult_tower` over ``primes`` (None when no
-    prime keeps the degree).
-
-    One tower runs modulo the product of the primes.  When every divisor
-    its Euclid sequences meet has a leading coefficient that is a unit
-    modulo the product, it projects (by CRT) onto the tower modulo each
-    prime with the same degrees, so all per-prime towers agree with it.
-    Every divisor is inverted, the first derivative included (whose
-    leading coefficient is deg * lc(coeffs)), so a leading coefficient
-    that is not a unit makes ``pow`` raise ValueError, and the towers then
-    run one prime at a time.
-    """
-    try:
-        return modp_mult_tower(coeffs, math.prod(primes))
-    except ValueError:
-        bounds = [m for p in primes if (m := modp_mult_tower(coeffs, p)) is not None]
-        return min(bounds, default=None)

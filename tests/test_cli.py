@@ -313,6 +313,17 @@ def test_cli_choose_depth_and_exit_codes(capsys, map_file):
     assert json.loads(err)["error"] == "hypothesis-violation"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_epsilon_and_tol_exit_2(capsys, map_file, value):
+    x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
+    for argv in (["choose-depth", "--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2",
+                  "--alpha", "1", "--beta", "1", "--epsilon", value],
+                 ["canonical-height", "--map", x2p1, "--point", "3", "--tol", value]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
+
 def test_cli_usage_and_budget_exit_codes(capsys, map_file, tmp_path):
     x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
     # invalid input -> 2

@@ -1,19 +1,24 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitgcd import experiments
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
-                                  ap_structure, choose_depth, gcd_series,
-                                  inversion_deviation_bound,
+                                  _critical_walk, ap_structure, choose_depth,
+                                  gcd_series, inversion_deviation_bound,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
 from orbitgcd.heights import PlaceSet
-from orbitgcd.maps import Mobius, ProjPoint, RationalMap, evaluate
+from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, evaluate, fiber_polynomial,
+                           self_compose)
+from orbitgcd.polys import max_multiplicity
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -157,8 +162,29 @@ def test_choose_depth_m_prime_at_depth_one():
 
 
 def test_choose_depth_budget_error():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         choose_depth(X2, X2, 3, 2, 1, 1, 0.1, depth_max=2)
+    assert info.value.steps == 2 and "depth_max 2" in str(info.value)
+
+
+def test_choose_depth_budget_error_says_what_was_spent():
+    # x^3 + 1, x^3 + x - 1 at epsilon 1e-6 needs D >= 17; the critical
+    # portraits pass the digit cap first
+    with pytest.raises(BudgetExceededError) as info:
+        choose_depth(RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]),
+                     1, 2, 1, 1, 1e-6)
+    err = info.value
+    assert 1 <= err.steps < 16 and err.digits > experiments._PORTRAIT_DIGIT_CAP
+    message = str(err)
+    assert f"no depth up to {err.steps} " in message
+    assert "M' = 3" in message and "epsilon/2 = 5e-07" in message
+    assert f"{err.digits} digits" in message
+
+
+@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan])
+def test_choose_depth_rejects_epsilon_not_finite_and_positive(epsilon):
+    with pytest.raises(DomainError):
+        choose_depth(X2, X2, 3, 2, 1, 1, epsilon)
 
 
 def test_choose_depth_ramified_fiber_m_prime():
@@ -180,22 +206,129 @@ def test_choose_depth_ramified_fiber_m_prime():
     (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 0.1, (6, 3)),
     (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 0.1, (9, 1)),
 ])
-def test_choose_depth_pinned_through_the_tower(monkeypatch, f, g, epsilon, expected):
+def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
     # x^3 + 1, x^3 + x - 1 and (x^2 - 3)/2x, (x^2 + 2)/x; a = 1, b = 2,
-    # alpha = beta = 1: the deep fibers (degree 729 and 512) take the
-    # mod-p multiplicity tower
-    tower_degrees = []
-    real = experiments.modp_multiplicity_bound
-
-    def spy(coeffs, primes):
-        tower_degrees.append(len(coeffs) - 1)
-        return real(coeffs, primes)
-
-    monkeypatch.setattr(experiments, "modp_multiplicity_bound", spy)
+    # alpha = beta = 1: fibers of degree 729 and 512, which a mod-p
+    # multiplicity tower could only bound from above
     cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
     assert (cert.depth, cert.m_prime) == expected
     assert cert.replay()
-    assert max(tower_degrees) > experiments._EXACT_YUN_DEGREE
+
+
+@pytest.mark.parametrize("g, a, epsilon, expected", [
+    (RationalMap([3, 1, 1]), 3, 0.01, (13, 2)),     # x^2 + x + 3
+    (X2M1, 1, 0.001, (16, 2)),
+])
+def test_choose_depth_beyond_degree_4096(g, a, epsilon, expected):
+    # x^2 + 1 against g with b = 2, alpha = beta = 1: the fibers of f^D
+    # have degree 2^13 and 2^16
+    cert = choose_depth(X2P1, g, a, 2, 1, 1, epsilon)
+    assert (cert.depth, cert.m_prime) == expected
+    assert cert.replay()
+
+
+# --- the critical-orbit walk against the fibers of f^D ---
+
+
+def reference_m_prime(f, alpha, depth):
+    """M'_D read from the fiber of f^D itself: Yun's algorithm on the affine
+    part, and the degree deficit at infinity."""
+    poly, inf_mult = fiber_polynomial(self_compose(f, depth), alpha)
+    return max(max_multiplicity(poly), inf_mult, 1)
+
+
+def walk_m_primes(f, alpha, depth):
+    walk = _critical_walk(f, Fraction(alpha))
+    return [next(walk)[0] for _ in range(depth)]
+
+
+def oracle_depth(f):
+    return max(D for D in range(1, 7) if f.degree**D <= 64)
+
+
+@pytest.mark.parametrize("f, alpha, expected", [
+    (X2M1, 0, [2 ** (D // 2) for D in range(1, 17)]),    # 0 -> -1 -> 0
+    (RationalMap([1, 0, 1], [0, 2]), 1, [2 ** D for D in range(1, 9)]),
+    (RationalMap([0, 0, -4, 0, 1]), -4, [2] * 6),          # class x^2 - 2
+    (RationalMap([0, -3, 0, 1]), 2, [2] * 6),              # f(-1) = 2, f(1) = -2
+    (RationalMap([2, 0, -3, 1]), -2, [2, 4, 4, 4, 4]),     # 0 -> 2 -> -2
+    (RationalMap([1, 0, 1], [0, 0, 1]), 1, [2, 4, 4, 4, 4, 4]),  # 0 -> oo -> 1
+])
+def test_critical_walk_pinned_sequences(f, alpha, expected):
+    # x^2 - 1 at 0: a periodic critical point hits every other depth;
+    # (x^2 + 1)/2x at 1: a fixed critical point, 2^D; x^4 - 4x^2 at -4:
+    # an irreducible class; x^3 - 3x at 2: only -1 of the class {1, -1}
+    # hits; x^3 - 3x^2 + 2 at -2: the class {0, 2} splits, because f(0) = 2
+    # is critical and f(2) = -2 is not; (x^2 + 1)/x^2 at 1: the critical
+    # point at infinity, reached from the critical point 0
+    assert walk_m_primes(f, alpha, len(expected)) == expected
+    for depth in range(1, oracle_depth(f) + 1):
+        assert reference_m_prime(f, alpha, depth) == expected[depth - 1]
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def planted_targets(draw):
+    """(f, alpha) for f = s + (x - c)^2 A(x) / Q(x) of degree 2 or 3, whose
+    point c is critical when Q(c) != 0, and alpha = f^m(c), m = 1 or 2."""
+    c, s = draw(st.integers(-2, 2)), draw(SMALL)
+    a = draw(st.lists(SMALL, min_size=1, max_size=2).filter(any))
+    q = draw(st.lists(SMALL, min_size=1, max_size=4).filter(any))
+    top = poly_mul(poly_mul([-c, 1], [-c, 1]), a)
+    num = [x + s * y for x, y in zip_longest(top, q, fillvalue=0)]
+    try:
+        f = RationalMap(num, q)
+    except DomainError:         # a constant map after cancellation
+        assume(False)
+    assume(f.degree in (2, 3))
+    point = ProjPoint(c)
+    for _ in range(draw(st.integers(1, 2))):
+        point = evaluate(f, point)
+    assume(not point.is_infinity)
+    return f, point.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_targets())
+def test_critical_walk_matches_the_fibers_of_f_iterates(case):
+    f, alpha = case
+    depth = oracle_depth(f)
+    assert walk_m_primes(f, alpha, depth) == [
+        reference_m_prime(f, alpha, D) for D in range(1, depth + 1)]
+
+
+@pytest.mark.parametrize("num, den, alpha, depth", [
+    ([-1, 1, 0, 1], [1], 1, 3),            # x^3 + x - 1
+    ([-3, 0, 1], [0, 2], 1, 5),            # (x^2 - 3)/2x
+    ([0, 1, 1], [1], Fraction(-1, 4), 5),  # x^2 + x at its critical value
+    ([2, 0, -3, 1], [1], -2, 3),           # x^3 - 3x^2 + 2
+])
+def test_critical_walk_matches_sympy_sqf_list(num, den, alpha, depth):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = RationalMap(num, den)
+    rational = (sum(c * x**i for i, c in enumerate(num))
+                / sum(c * x**i for i, c in enumerate(den)))
+    deep = x
+    expected = []
+    for D in range(1, depth + 1):
+        deep = sympy.cancel(rational.subs(x, deep))
+        top, _ = sympy.fraction(sympy.cancel(deep - sympy.Rational(
+            Fraction(alpha).numerator, Fraction(alpha).denominator)))
+        _, factors = sympy.sqf_list(sympy.Poly(top, x))
+        affine = max((e for h, e in factors if h.degree() > 0), default=1)
+        expected.append(max(affine, f.degree**D - sympy.degree(top, x)))
+    assert walk_m_primes(f, alpha, depth) == expected
 
 
 def test_large_index_set_examples():

@@ -151,6 +151,12 @@ def test_canonical_height_budget_error():
         canonical_height(X2P1, 5, 1e-12, max_iterations=3)
 
 
+@pytest.mark.parametrize("tol", [0, -1e-8, math.inf, math.nan])
+def test_canonical_height_rejects_tol_not_finite_and_positive(tol):
+    with pytest.raises(DomainError):
+        canonical_height(X2P1, 5, tol)
+
+
 def test_results_are_plain_mpf_and_pickle():
     # values computed in private contexts come back as ordinary mpmath.mpf
     # with every bit kept

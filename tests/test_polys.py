@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -7,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
-from orbitgcd.experiments import _MULTIPLICITY_PRIMES as PRIMES
-from orbitgcd.polys import (Polynomial, exact_div, max_multiplicity, modp_mult_tower,
-                            modp_multiplicity_bound, multiplicity_at, poly_gcd,
-                            primitive, radical, squarefree_decomposition)
+from orbitgcd.polys import (Polynomial, exact_div, max_multiplicity, multiplicity_at,
+                            poly_gcd, primitive, radical, squarefree_decomposition)
 
 # --- plain coefficient-list arithmetic (ascending), the tests' own oracle ---
 
@@ -236,64 +233,3 @@ def test_exact_div_inverts_multiplication(a, b, r):
     if r:
         ab = mul(a, b)
         assert exact_div([x + (r[i] if i < len(r) else 0) for i, x in enumerate(ab)], b) is None
-
-
-def int_product(factors):
-    out = [1]
-    for coeffs, exponent in factors:
-        out = mul(out, power(coeffs, exponent))
-    return out
-
-
-def per_prime_minimum(coeffs):
-    return min((m for p in PRIMES if (m := modp_mult_tower(coeffs, p)) is not None),
-               default=None)
-
-
-def test_joint_tower_falls_back_when_roots_meet_modulo_one_prime():
-    p1, p2, p3 = PRIMES
-    for p in PRIMES:
-        # (x - 5)^2 (x - 5 - p) (x + 1): the roots 5 and 5 + p merge mod p only
-        coeffs = int_product([([-5, 1], 2), ([-5 - p, 1], 1), ([1, 1], 1)])
-        towers = [modp_mult_tower(coeffs, q) for q in PRIMES]
-        assert towers == [3 if q == p else 2 for q in PRIMES]
-        with pytest.raises(ValueError):
-            modp_mult_tower(coeffs, p1 * p2 * p3)
-        assert modp_multiplicity_bound(coeffs, PRIMES) == per_prime_minimum(coeffs) == 2
-        assert max_multiplicity(Polynomial(coeffs)) == 2
-
-
-def test_joint_tower_falls_back_when_leading_coefficient_meets_one_prime():
-    for p in PRIMES:
-        # (p x + 1) (x - 2)^3 (x + 3): the degree drops mod p only
-        coeffs = int_product([([1, p], 1), ([-2, 1], 3), ([3, 1], 1)])
-        towers = [modp_mult_tower(coeffs, q) for q in PRIMES]
-        assert towers == [None if q == p else 3 for q in PRIMES]
-        with pytest.raises(ValueError):
-            modp_mult_tower(coeffs, math.prod(PRIMES))
-        assert modp_multiplicity_bound(coeffs, PRIMES) == per_prime_minimum(coeffs) == 3
-
-
-def test_joint_tower_none_when_every_prime_drops_the_degree():
-    coeffs = int_product([([1, math.prod(PRIMES)], 1), ([-2, 1], 2)])
-    assert modp_multiplicity_bound(coeffs, PRIMES) is None
-    assert per_prime_minimum(coeffs) is None
-
-
-FACTOR = st.lists(st.integers(-20, 20), min_size=2, max_size=5).filter(lambda cs: cs[-1] != 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(planted=st.tuples(FACTOR, st.integers(2, 4)),
-       rest=st.lists(st.tuples(FACTOR, st.integers(1, 3)), max_size=5))
-def test_joint_tower_matches_exact_multiplicity(planted, rest):
-    sympy = pytest.importorskip("sympy")
-    factors = [planted]
-    for cs, e in rest:     # keep the degree <= 40
-        if sum((len(c) - 1) * k for c, k in factors) + (len(cs) - 1) * e <= 40:
-            factors.append((cs, e))
-    coeffs = int_product(factors)
-    x = sympy.Symbol("x")
-    _, sqf = sympy.sqf_list(sympy.Poly(list(reversed(coeffs)), x))
-    exact = max(e for _, e in sqf)
-    assert modp_multiplicity_bound(coeffs, PRIMES) == per_prime_minimum(coeffs) == exact
