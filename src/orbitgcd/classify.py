@@ -3,11 +3,11 @@ targets, preperiodic starting points, multiplicative independence, power
 and Chebyshev normal forms, commuting polynomials, and a desk-scale probe
 for polynomial relations along a pair of orbits.
 
-None of these touch algebraic numbers: exceptionality reduces to an exact
-multiplicity statement about the two-step fiber, special forms are decided
-in depressed normal form with rational affine conjugations, and the
-genericity probe screens kernels modulo large primes before verifying any
-candidate relation exactly on the rational orbit points.
+None of these touch algebraic numbers: exceptionality reduces to two exact
+one-point tests on one-step fibers, special forms are decided in depressed
+normal form with rational affine conjugations, and the genericity probe
+screens kernels modulo large primes before verifying any candidate
+relation exactly on the rational orbit points.
 """
 
 from __future__ import annotations
@@ -21,25 +21,36 @@ from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import _context, factor, next_prime
 from .heights import canonical_height, discrepancy_bound, weil_height
 from .linalg import kernel_modp, rational_reconstruct
-from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint, RationalMap,
-                   compose, conjugate, evaluate, fiber_polynomial, iterate,
-                   self_compose)
-from .polys import Polynomial, multiplicity_at, primitive, radical
+from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius, ProjPoint,
+                   RationalMap, compose, conjugate, evaluate, fiber_polynomial,
+                   iterate)
+from .polys import Polynomial, multiplicity_at, primitive
 
 POWER_CONJUGATE = "power"
 CHEBYSHEV_CONJUGATE = "chebyshev"
 NOT_SPECIAL = "not-special"
 
 
+def _sole_preimage(f: RationalMap, target: ProjPoint) -> ProjPoint | None:
+    """The one point of f^{-1}(target), or None: all d preimages at
+    infinity, or the fiber is (x - r)^d with r = -c_{d-1}/(d c_d)."""
+    fib, at_infinity = fiber_polynomial(f, target)
+    d = f.degree
+    if at_infinity:
+        return INFINITY if at_infinity == d else None
+    r = -fib.coeffs[d - 1] / (d * fib.coeffs[d])
+    return ProjPoint(r) if multiplicity_at(fib, r) == d else None
+
+
 def is_exceptional(f: RationalMap, target) -> bool:
     """Whether the backward orbit of ``target`` is finite.
 
-    For degree >= 2 the backward orbit is finite exactly when the two-step
-    preimage set f^{-2}(target) is the singleton {target}: the fiber
-    polynomial of the second iterate must then be a perfect power of
-    (x - target) of full degree d^2 (all multiplicity concentrated in one
-    rational point), with the infinity deficit accounting for the point at
-    infinity.  One pullback step serves as a cheap reject.
+    For degree >= 2 the backward orbit is finite exactly when
+    f^{-2}(target) = {target}, that is when target has a single preimage
+    beta and beta has the single preimage target (beta = target for a
+    totally ramified fixed point, or the two swap).  So two one-step fibers
+    decide it; a single point f^{-2}(target) elsewhere is not enough
+    (6/(3 - x^2) pulls 2 back to 0 and 0 back to infinity).
 
     >>> is_exceptional(RationalMap([0, 0, 1]), 0)
     True
@@ -49,17 +60,8 @@ def is_exceptional(f: RationalMap, target) -> bool:
     if f.degree < 2:
         raise DomainError("exceptionality needs degree >= 2")
     target = ProjPoint.of(target)
-    fib1, inf1 = fiber_polynomial(f, target)
-    distinct1 = (radical(fib1).degree if fib1.degree > 0 else 0) + (1 if inf1 > 0 else 0)
-    if distinct1 > 1:
-        return False
-    f2 = self_compose(f, 2)
-    fib2, inf2 = fiber_polynomial(f2, target)
-    if target.is_infinity:
-        return fib2.degree == 0
-    if inf2 > 0:
-        return False
-    return multiplicity_at(fib2, target.value) == f.degree**2
+    pre = _sole_preimage(f, target)
+    return pre is not None and _sole_preimage(f, pre) == target
 
 
 def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:

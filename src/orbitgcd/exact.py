@@ -28,6 +28,7 @@ import functools
 import math
 import random
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,7 +67,7 @@ def small_primes(limit: int) -> list[int]:
                     flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
             _sieve_primes = [i for i, f in enumerate(flags) if f]
             _sieve_limit = size
-        return [p for p in _sieve_primes if p < limit]
+        return _sieve_primes[:bisect_left(_sieve_primes, limit)]
 
 
 def _mr_witness(a: int, n: int) -> bool:

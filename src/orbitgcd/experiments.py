@@ -47,8 +47,8 @@ class GcdSeriesConfig:
         object.__setattr__(self, "beta", Fraction(self.beta))
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be finite and positive")
         if self.f.degree != self.g.degree or self.f.degree < 2:
             raise HypothesisViolationError(
                 "the two maps must have equal degree >= 2 "
@@ -382,8 +382,8 @@ class IndexSet:
 def large_index_set(report: GcdSeriesReport, eta: float) -> IndexSet:
     """Indices with log_gcd >= eta * d^n (rows whose gcd vanished entirely
     are excluded; the gcd(0,0) = 0 convention makes them no-data rows)."""
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise DomainError("eta must be finite and positive")
     d = report.degree
     picked = [
         row.n for row in report.rows

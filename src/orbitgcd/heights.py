@@ -20,6 +20,7 @@ mpmath's global precision is neither read nor set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,6 +91,8 @@ def _weil_height(point: ProjPoint, ctx) -> mpmath.mpf:
 
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
 
+_MAP_CACHE_SIZE = 256   # maps whose resultant and cofactor height are kept
+
 
 def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
     # rows indexed by X^k Y^(2d-1-k); unknowns: u_0..u_{d-1}, v_0..v_{d-1}
@@ -98,9 +101,10 @@ def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
             for k in range(2 * d)]
 
 
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
 def map_resultant(f: RationalMap) -> int:
     """Resultant of the degree-d homogenizations of (num, den); nonzero
-    because the representation is coprime."""
+    because the representation is coprime.  Cached per (immutable) map."""
     det = det_fraction(_sylvester_rows(*f.forms))
     assert det.denominator == 1
     res = det.numerator
@@ -109,9 +113,10 @@ def map_resultant(f: RationalMap) -> int:
     return res
 
 
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _cofactor_height(f: RationalMap) -> int:
     """Max |coefficient| among the Bezout cofactors expressing R*X^(2d-1)
-    and R*Y^(2d-1) through the homogenized pair."""
+    and R*Y^(2d-1) through the homogenized pair; cached per map."""
     res = map_resultant(f)
     rows = _sylvester_rows(*f.forms)
     n = len(rows)

@@ -7,12 +7,13 @@ lowest-terms representation unique.  It is stored once, as the integer
 coefficients of its degree-d homogenizations (F, G), and
 :meth:`RationalMap.form_values` is the one evaluator of that pair, so
 evaluation is projective and the point at infinity needs no special
-cases.  Orbits are always computed point-wise; symbolic self-composition
-sits behind a degree budget, since the symbolic degree grows like d^D,
-and serves conjugation and the classification tests (the depth selector
-walks critical orbits instead).  Composition works on the integer
-coefficients by Kronecker substitution: polynomials are packed into big
-integers, so each product is one big-integer multiplication.
+cases; composition and Mobius maps evaluate through it too.  Orbits are
+computed point-wise, and classification never composes (it reads
+one-step fibers and critical orbits).  Composition serves conjugation and
+the commuting test; it packs polynomials into big integers (Kronecker
+substitution), so each product is one big-integer multiplication, and
+self-composition sits behind a degree budget, since the degree grows
+like d^D.
 """
 
 from __future__ import annotations
@@ -154,11 +155,12 @@ class RationalMap:
             sp[i] = sp[i - 1] * s
         x = y = 0
         for i in range(d + 1):
-            w = rp[i] * sp[d - i]
-            if a[i]:
-                x += a[i] * w
-            if b[i]:
-                y += b[i] * w
+            if a[i] or b[i]:
+                w = rp[i] * sp[d - i]
+                if a[i]:
+                    x += a[i] * w
+                if b[i]:
+                    y += b[i] * w
         return x, y
 
     def __call__(self, point) -> ProjPoint:
@@ -219,9 +221,10 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     With outer = A/B of degree d and inner = p/q, the result is
     sum a_i p^i q^(d-i) over sum b_i p^i q^(d-i).  Both sums are formed by
     Kronecker substitution: p and q are packed into integers at x = 2^w,
-    the sums become big-integer products, and the signed coefficients are
-    unpacked once.  The slot width w holds the bound
-    sum |a_i| |p|_1^i |q|_1^(d-i) (and the same for B) plus a sign bit.
+    :meth:`RationalMap.form_values` evaluates the outer pair there with
+    big-integer products, and the signed coefficients are unpacked once.
+    The slot width w holds the bound sum |a_i| |p|_1^i |q|_1^(d-i) (and
+    the same for B) plus a sign bit.
     """
     d = outer.degree
     a, b = outer.forms
@@ -231,17 +234,7 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     bound = max(sum(abs(c) * w for c, w in zip(a, weights)),
                 sum(abs(c) * w for c, w in zip(b, weights)))
     width = (bound.bit_length() + 8) // 8 * 8
-    big_p, big_q = kronecker_pack(p, width), kronecker_pack(q, width)
-    ppow, qpow = [1], [1]
-    for _ in range(d):
-        ppow.append(ppow[-1] * big_p)
-        qpow.append(qpow[-1] * big_q)
-    num = den = 0
-    for i in range(d + 1):
-        if a[i] or b[i]:
-            term = ppow[i] * qpow[d - i]
-            num += a[i] * term
-            den += b[i] * term
+    num, den = outer.form_values(kronecker_pack(p, width), kronecker_pack(q, width))
     slots = d * inner.degree + 1
     return RationalMap(kronecker_unpack(num, width, slots),
                        kronecker_unpack(den, width, slots), assume_coprime=True)
@@ -314,13 +307,7 @@ class Mobius:
         )
 
     def apply(self, point) -> ProjPoint:
-        point = ProjPoint.of(point)
-        r, s = point.pair()
-        a = self.p * r + self.q * s
-        b = self.r * r + self.s * s
-        if b == 0:
-            return INFINITY
-        return ProjPoint(a / b)
+        return evaluate(self.to_map(), point)
 
     def to_map(self) -> RationalMap:
         return RationalMap([self.q, self.p], [self.s, self.r])

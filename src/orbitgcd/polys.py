@@ -60,11 +60,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def int_coeffs(self) -> list[int]:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise DomainError("polynomial does not have integer coefficients")
-        return [c.numerator for c in self.coeffs]
-
     def __repr__(self):
         if self.is_zero:
             return "Polynomial(0)"

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
                                POWER_CONJUGATE, chebyshev_polynomial, commutes,
@@ -9,8 +12,8 @@ from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
                                probe_genericity, special_form)
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, conjugate,
-                           iterate)
-from orbitgcd.polys import Polynomial
+                           evaluate, fiber_polynomial, iterate, self_compose)
+from orbitgcd.polys import Polynomial, multiplicity_at
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -59,6 +62,85 @@ def test_exceptional_mobius_invariance():
                 m = Mobius.inversion()
             image = m.apply(alpha)
             assert is_exceptional(conjugate(f, m), image) == base
+
+
+# --- is_exceptional against the fiber of f o f ---
+
+
+def reference_exceptional(f, alpha):
+    """f^{-2}(alpha) = {alpha}, read from the fiber of f o f itself: it is
+    (x - alpha)^(d^2) with nothing at infinity, or, for alpha = infinity,
+    lies wholly at infinity (a constant fiber polynomial)."""
+    fib, at_infinity = fiber_polynomial(self_compose(f, 2), alpha)
+    if alpha.is_infinity:
+        return fib.degree == 0
+    return at_infinity == 0 and multiplicity_at(fib, alpha.value) == f.degree**2
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+SMALL = st.integers(-3, 3)
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+MOBIUS = (st.tuples(SMALL, SMALL, SMALL, SMALL)
+          .filter(lambda m: m[0] * m[3] != m[1] * m[2])
+          .map(lambda m: Mobius(*m)))
+
+
+@st.composite
+def exceptional_cases(draw):
+    """(f, targets, planted) for f of degree 2 or 3.
+
+    - Mobius conjugates of x^d and 1/x^d: the images of 0 and infinity are
+      planted exceptional points (fixed, or swapped).
+    - f = alpha + k (x - beta)^d / Q: alpha has the single preimage beta
+      (infinity when the top is the constant k), and is planted when
+      beta = alpha.
+    - random num/den with small coefficients."""
+    d = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["conjugate", "single-preimage", "random"]))
+    targets = [INFINITY, ProjPoint(draw(RATIONALS))]
+    if kind == "conjugate":
+        m = draw(MOBIUS)
+        base = RationalMap([0] * d + [1]) if draw(st.booleans()) else \
+            RationalMap([1], [0] * d + [1])
+        planted = [m.apply(0), m.apply(INFINITY)]
+        return conjugate(base, m), targets + planted, planted
+    den = draw(st.lists(SMALL, min_size=1, max_size=d + 1).filter(any))
+    planted = []
+    if kind == "single-preimage":
+        alpha = draw(RATIONALS)
+        beta = draw(st.one_of(st.just(alpha), RATIONALS, st.none()))
+        top = [draw(SMALL.filter(bool))]
+        if beta is not None:
+            for _ in range(d):
+                top = poly_mul(top, [-beta, 1])
+        num = [t + alpha * c for t, c in zip_longest(top, den, fillvalue=0)]
+        targets += [ProjPoint(alpha), ProjPoint(beta)]       # beta None is infinity
+        if beta == alpha:
+            planted.append(ProjPoint(alpha))
+    else:
+        num = draw(st.lists(SMALL, min_size=1, max_size=d + 1))
+    try:
+        f = RationalMap(num, den)
+    except DomainError:
+        assume(False)
+    assume(f.degree == d)
+    return f, targets + [evaluate(f, targets[1])], planted
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(exceptional_cases())
+def test_is_exceptional_matches_the_fiber_of_f_squared(case):
+    f, targets, planted = case
+    for alpha in targets:
+        assert is_exceptional(f, alpha) == reference_exceptional(f, alpha)
+    assert all(is_exceptional(f, alpha) for alpha in planted)
 
 
 def test_preperiodic_examples():

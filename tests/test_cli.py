@@ -314,10 +314,17 @@ def test_cli_choose_depth_and_exit_codes(capsys, map_file):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-def test_cli_non_finite_epsilon_and_tol_exit_2(capsys, map_file, value):
+def test_cli_non_finite_epsilon_and_tol_exit_2(capsys, map_file, tmp_path, value):
     x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
-    for argv in (["choose-depth", "--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2",
-                  "--alpha", "1", "--beta", "1", "--epsilon", value],
+    report = str(tmp_path / "rep.json")
+    code, _, _ = run_cli(capsys, ["gcd-series", "--f", x2p1, "--g", x2p1, "-a", "1",
+                                  "-b", "2", "--alpha", "0", "--beta", "0",
+                                  "--max-n", "3", "--out", report])
+    assert code == 0
+    pair = ["--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2", "--alpha", "1", "--beta", "1"]
+    for argv in (["choose-depth", *pair, "--epsilon", value],
+                 ["gcd-series", *pair, "--max-n", "3", "--epsilon", value],
+                 ["ap-structure", "--report", report, "--eta", value],
                  ["canonical-height", "--map", x2p1, "--point", "3", "--tol", value]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import experiments
+from orbitgcd import experiments, heights
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
@@ -16,6 +16,7 @@ from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
 from orbitgcd.heights import PlaceSet
+from orbitgcd.linalg import solve_fraction
 from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, evaluate, fiber_polynomial,
                            self_compose)
 from orbitgcd.polys import max_multiplicity
@@ -213,6 +214,26 @@ def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
     cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
     assert (cert.depth, cert.m_prime) == expected
     assert cert.replay()
+
+
+def test_choose_depth_solves_each_maps_bezout_systems_once(monkeypatch):
+    # the discrepancy constant enters through both canonical heights and
+    # discrepancy_bound; the cofactor height behind it is cached per map
+    calls = []
+
+    def counting_solve(rows, rhs):
+        calls.append(len(rows))
+        return solve_fraction(rows, rhs)
+    monkeypatch.setattr(heights, "solve_fraction", counting_solve)
+    f, g = RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1])
+    for pair, distinct in (((f, g), 2), ((f, f), 1)):
+        heights._cofactor_height.cache_clear()
+        heights.map_resultant.cache_clear()
+        calls.clear()
+        cold = choose_depth(*pair, 1, 2, 1, 1, 0.1)
+        assert len(calls) == 2 * distinct
+        assert choose_depth(*pair, 1, 2, 1, 1, 0.1) == cold
+        assert len(calls) == 2 * distinct
 
 
 @pytest.mark.parametrize("g, a, epsilon, expected", [
