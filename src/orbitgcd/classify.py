@@ -18,12 +18,11 @@ from fractions import Fraction
 
 from .bivariate import BivariatePolynomial
 from .errors import BudgetExceededError, DomainError, IndeterminateError
-from .exact import _context, factor, next_prime
-from .heights import canonical_height, discrepancy_bound, weil_height
+from .exact import _ARCH, _context, _iroot, factor, next_prime
+from .heights import _orbit_scan, canonical_height, discrepancy_bound
 from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius, ProjPoint,
-                   RationalMap, compose, conjugate, evaluate, fiber_polynomial,
-                   iterate)
+                   RationalMap, compose, conjugate, fiber_polynomial, iterate)
 from .polys import Polynomial, multiplicity_at, primitive
 
 POWER_CONJUGATE = "power"
@@ -67,8 +66,9 @@ def is_exceptional(f: RationalMap, target) -> bool:
 def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:
     """Whether the forward orbit is finite.
 
-    Decides by exact orbit scan (a revisit is a proof; a Weil height above
-    C_f/(d-1) certifies positive canonical height, hence wandering) and
+    Decides by the exact orbit scan that :func:`canonical_height` runs,
+    over ``budget`` steps (a revisit is a proof; a Weil height above
+    C_f/(d-1) certifies positive canonical height, hence wandering), and
     falls back to the certified canonical-height sign test.  Raises
     :class:`IndeterminateError` when neither side can be certified within
     budget; never returns a silent False.
@@ -79,17 +79,9 @@ def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:
         raise DomainError("budget must be >= 1")
     point = ProjPoint.of(point)
     escape = _context(53).fdiv(discrepancy_bound(f), f.degree - 1)  # float precision
-    seen = set()
-    cur = point
-    for _ in range(budget):
-        if cur in seen:
-            return True
-        seen.add(cur)
-        if weil_height(cur) > escape:
-            return False
-        cur = evaluate(f, cur)
-    if cur in seen:
-        return True
+    scan = _orbit_scan(f, point, budget, escape, _ARCH)
+    if scan is not None:
+        return scan[0] == "cycle"
     est = canonical_height(f, point, 1e-12)
     if est.is_exact_zero:
         return True
@@ -174,22 +166,13 @@ def chebyshev_polynomial(d: int) -> Polynomial:
 
 
 def _rational_nth_root(c: Fraction, k: int) -> Fraction | None:
-    if k <= 0:
-        raise DomainError("root index must be positive")
-    if c == 0:
-        return Fraction(0)
     if c < 0 and k % 2 == 0:
         return None
-    sign = -1 if c < 0 else 1
     num, den = abs(c.numerator), c.denominator
-    rn = round(num ** (1.0 / k))
-    rd = round(den ** (1.0 / k))
-    for cand_n in (rn - 1, rn, rn + 1):
-        if cand_n > 0 and cand_n**k == num:
-            for cand_d in (rd - 1, rd, rd + 1):
-                if cand_d > 0 and cand_d**k == den:
-                    return Fraction(sign * cand_n, cand_d)
-    return None
+    rn, rd = _iroot(num, k), _iroot(den, k)
+    if rn**k != num or rd**k != den:
+        return None
+    return Fraction(-rn if c < 0 else rn, rd)
 
 
 def _verify_conjugation(f: RationalMap, sigma: Mobius, target) -> bool:
@@ -340,21 +323,25 @@ def _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, p):
     return rows
 
 
+_SCREEN_MARGIN = 8   # mod-p window rows beyond the monomial count
+_SCREEN_PRIMES = 3   # random 61-bit primes whose kernels are screened
+
+
 def probe_genericity(f: RationalMap, g: RationalMap, a, b,
                      deg_max: int, n_points: int, seed: int = 0,
-                     *, screen_margin: int = 8, n_primes: int = 3,
-                     digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET,
+                     *, digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET,
                      ) -> CurveRelation | None:
     """Search for a polynomial relation (box degrees <= deg_max) along the
     paired orbits of a and b.
 
-    Kernels of the monomial matrix are screened modulo ``n_primes`` random
-    61-bit primes, iterating the orbits in modular arithmetic from scratch
-    over a window extended past the monomial count (so interpolation
-    artifacts on short windows die); an empty mod-p kernel certifies there
-    is no relation.  Surviving kernel vectors are lifted by rational
-    reconstruction and verified exactly at the first ``n_points`` exact
-    orbit points; only a verified relation is ever returned.
+    Kernels of the monomial matrix are screened modulo _SCREEN_PRIMES
+    random 61-bit primes drawn from ``seed``, iterating the orbits in
+    modular arithmetic from scratch over a window _SCREEN_MARGIN rows past
+    the monomial count (so interpolation artifacts on short windows die);
+    an empty mod-p kernel certifies there is no relation.  Surviving
+    kernel vectors are lifted by rational reconstruction and verified
+    exactly at the first ``n_points`` exact orbit points; only a verified
+    relation is ever returned.
     """
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
@@ -362,7 +349,7 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         raise DomainError("n_points must be >= 1")
     a, b = ProjPoint.of(a), ProjPoint.of(b)
     monomials = _monomials(deg_max)
-    n_screen = max(n_points, len(monomials) + screen_margin)
+    n_screen = max(n_points, len(monomials) + _SCREEN_MARGIN)
 
     # on budget exhaustion, degrade to the points actually collected
     def _orbit_with_budget(h, start):
@@ -392,7 +379,8 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     collected: list[tuple[int, list[list[int]]]] = []
     for window in (n_screen, n_usable):
         attempts = 0
-        while len(collected) < n_primes and attempts < 8 * n_primes:
+        while (len(collected) < _SCREEN_PRIMES
+               and attempts < 8 * _SCREEN_PRIMES):
             attempts += 1
             p = next_prime(rng.randrange(1 << 60, 1 << 61))
             rows = _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, window, p)

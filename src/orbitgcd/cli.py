@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints one JSON object to stdout (or writes report files
-via --out) and embeds a run manifest.  Errors are emitted as JSON objects
-on stderr with exit codes: 0 success, 2 usage or malformed input,
+via --out) and embeds a run manifest; its seed is null except under
+probe-genericity, the one command that draws random numbers.  Only
+choose-depth takes --epsilon.  Errors are emitted as JSON objects on
+stderr with exit codes: 0 success, 2 usage or malformed input,
 3 hypothesis violation, 4 budget exhaustion.
 
 Environment overrides (optional): ORBITGCD_DIGIT_BUDGET (orbits),
@@ -114,9 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--exclude", default="", help="comma separated primes")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--plot-data", default=None, metavar="PATH")
@@ -199,16 +199,15 @@ def _cmd_gcd_series(args) -> str:
         f=load_map(args.f), g=load_map(args.g),
         a=point_from_str(args.a), b=point_from_str(args.b),
         alpha=rational_from_str(args.alpha), beta=rational_from_str(args.beta),
-        n_max=args.max_n, epsilon=args.epsilon,
-        place_exclusions=_parse_places(args.exclude),
-        seed=args.seed, digit_budget=_digit_budget(),
+        n_max=args.max_n, place_exclusions=_parse_places(args.exclude),
+        digit_budget=_digit_budget(),
     )
     report = gcd_series(config)
     if args.plot_data:
         _emit(plot_data(report), args.plot_data)
     if args.format == "csv":
         return report_to_csv(report)
-    manifest = build_manifest("gcd-series", config_echo(config), seed=args.seed,
+    manifest = build_manifest("gcd-series", config_echo(config),
                               budgets={"digit_budget": config.digit_budget})
     return report_to_json(report, manifest)
 

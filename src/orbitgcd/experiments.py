@@ -28,6 +28,10 @@ from .classify import is_exceptional
 
 @dataclass(frozen=True)
 class GcdSeriesConfig:
+    """One gcd series: maps, starting points, targets, last index, primes
+    dropped from hgcd_excluded, orbit digit budget.  It draws no random
+    numbers and has no epsilon; only :func:`choose_depth` reads one."""
+
     f: RationalMap
     g: RationalMap
     a: ProjPoint
@@ -35,9 +39,7 @@ class GcdSeriesConfig:
     alpha: Fraction
     beta: Fraction
     n_max: int
-    epsilon: float = 0.1
     place_exclusions: PlaceSet = field(default_factory=PlaceSet)
-    seed: int = 0
     digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET
 
     def __post_init__(self):
@@ -47,8 +49,6 @@ class GcdSeriesConfig:
         object.__setattr__(self, "beta", Fraction(self.beta))
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if not 0 < self.epsilon < math.inf:
-            raise DomainError("epsilon must be finite and positive")
         if self.f.degree != self.g.degree or self.f.degree < 2:
             raise HypothesisViolationError(
                 "the two maps must have equal degree >= 2 "
@@ -410,12 +410,15 @@ class APStructure:
         return out
 
 
-def ap_structure(index_set: IndexSet, min_length: int = 3) -> APStructure:
+_AP_MIN_LENGTH = 3   # fewest members of an admissible progression
+
+
+def ap_structure(index_set: IndexSet) -> APStructure:
     """Greedy minimal-modulus-first fit of eventual arithmetic progressions.
 
     A progression (start, step) is admissible when its whole trace
     {start + k*step} inside the window stays inside the set (no
-    overcount), runs to the window's end, and has at least ``min_length``
+    overcount), runs to the window's end, and has at least _AP_MIN_LENGTH
     members; moduli are scanned up to sqrt(window).  Leftovers land in the
     finite residual, so the reconstruction always reproduces the set
     exactly within the window.
@@ -429,7 +432,7 @@ def ap_structure(index_set: IndexSet, min_length: int = 3) -> APStructure:
             if start not in todo:
                 continue
             trace = range(start, window + 1, step)
-            if len(trace) < min_length:
+            if len(trace) < _AP_MIN_LENGTH:
                 continue
             if all(t in member for t in trace):
                 progressions.append((start, step))

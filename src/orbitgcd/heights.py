@@ -188,6 +188,24 @@ def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
     return gamma
 
 
+def _orbit_scan(f: RationalMap, point: ProjPoint, limit: int, ceiling,
+                ctx) -> tuple[str, int] | None:
+    """Exact scan of point, f(point), ..., f^limit(point): ("cycle", n) when
+    f^n(point) repeats an earlier point, ("escape", n) when f^n(point),
+    n < limit, has Weil height in ctx above ``ceiling`` (for C_f/(d-1) a
+    certified wanderer, as |hhat - h| <= C_f/(d-1)), else None."""
+    seen = set()
+    cur = point
+    for step in range(limit):
+        if cur in seen:
+            return "cycle", step
+        seen.add(cur)
+        if _weil_height(cur, ctx) > ceiling:
+            return "escape", step
+        cur = evaluate(f, cur)
+    return ("cycle", limit) if cur in seen else None
+
+
 def canonical_height(f: RationalMap, point, tol,
                      max_iterations: int = DEFAULT_MAX_HEIGHT_ITERATIONS,
                      ) -> HeightEstimate:
@@ -215,18 +233,10 @@ def canonical_height(f: RationalMap, point, tol,
     lo, hi = _context(prec), _context(prec + 64)
 
     c_f = _discrepancy(f, lo)
-    h_preperiodic = c_f / (d - 1)
-    # exact pre-scan: cycles mean canonical height exactly 0; any orbit
-    # value of height above C/(d-1) certifies a wandering point
-    seen = set()
-    cur = point
-    for step in range(_PREPERIODIC_SCAN_LIMIT):
-        if cur in seen:
-            return HeightEstimate(_plain(lo.zero), _plain(lo.zero), step)
-        seen.add(cur)
-        if _weil_height(cur, lo) > h_preperiodic:
-            break
-        cur = evaluate(f, cur)
+    # a cycle makes the height exactly 0; an escape or nothing goes on below
+    scan = _orbit_scan(f, point, _PREPERIODIC_SCAN_LIMIT, c_f / (d - 1), lo)
+    if scan is not None and scan[0] == "cycle":
+        return HeightEstimate(_plain(lo.zero), _plain(lo.zero), scan[1])
 
     target = lo.mpf(tol) / (d + 1)
     n_steps = 0

@@ -208,9 +208,7 @@ def config_echo(config: GcdSeriesConfig) -> dict:
         "alpha": rational_to_str(config.alpha),
         "beta": rational_to_str(config.beta),
         "n_max": config.n_max,
-        "epsilon": config.epsilon,
         "exclude": sorted(config.place_exclusions.primes),
-        "seed": config.seed,
         "digit_budget": config.digit_budget,
     }
 

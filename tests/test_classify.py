@@ -149,6 +149,10 @@ def test_preperiodic_examples():
     assert is_preperiodic(X2, 3) is False
     assert is_preperiodic(X2, Fraction(1, 2)) is False
     assert is_preperiodic(X2, INFINITY) is True
+    # budget 1 settles neither: the canonical-height fallback decides, by
+    # its exact zero (-1 -> 1 -> 1) and by its numeric sign test
+    assert is_preperiodic(X2, -1, budget=1) is True
+    assert is_preperiodic(X2, 3, budget=1) is False
 
 
 def test_mult_indep_examples_and_invariances():
@@ -198,6 +202,36 @@ def test_special_form_recognizes_hidden_conjugates():
                 # witness verified by exact conjugation
                 back = conjugate(RationalMap(poly), got.witness)
                 assert back == RationalMap(target)
+
+
+@pytest.mark.parametrize("poly, tag, target", [
+    # c x^2 ~ x^2 by x -> c x; c = 10^17 + 7 has no exact float root
+    (Polynomial([0, 0, 10**17 + 7]), POWER_CONJUGATE, Polynomial([0, 0, 1])),
+    # u^2 x^3 - 3x = T_3(u x) / u with u = 10^20 + 3
+    (Polynomial([0, -3, 0, (10**20 + 3) ** 2]), CHEBYSHEV_CONJUGATE,
+     chebyshev_polynomial(3)),
+])
+def test_special_form_large_scale(poly, tag, target):
+    got = special_form(poly)
+    assert got.tag == tag and not got.caveat
+    assert conjugate(RationalMap(poly), got.witness) == RationalMap(target)
+
+
+def test_special_form_recognizes_hidden_conjugates_at_large_scales():
+    rng = random.Random(47)
+    for d in (2, 3, 4, 5):
+        for _ in range(6):
+            u = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**30),
+                         rng.randint(1, 10**12))
+            v = Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**9))
+            m = Mobius.affine(u, v)
+            for target, tag in ((Polynomial([0] * d + [1]), POWER_CONJUGATE),
+                                (chebyshev_polynomial(d), CHEBYSHEV_CONJUGATE)):
+                conj = conjugate(RationalMap(target), m.inverse())
+                poly = Polynomial([c / conj.den.coeff(0) for c in conj.num.coeffs])
+                got = special_form(poly)
+                assert got.tag == tag, (d, u, v, tag)
+                assert conjugate(RationalMap(poly), got.witness) == RationalMap(target)
 
 
 def test_special_form_caveat_cases():

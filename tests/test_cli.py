@@ -11,7 +11,8 @@ import pytest
 from orbitgcd.cli import dispatch
 from orbitgcd.errors import DomainError
 from orbitgcd.experiments import GcdSeriesConfig, gcd_series
-from orbitgcd.maps import ProjPoint, RationalMap, digit_count
+from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, conjugate,
+                           digit_count)
 from orbitgcd.polys import Polynomial
 from orbitgcd.serialize import (build_manifest, map_from_json, map_to_json,
                                 point_from_str, point_to_str, poly_from_json,
@@ -323,12 +324,44 @@ def test_cli_non_finite_epsilon_and_tol_exit_2(capsys, map_file, tmp_path, value
     assert code == 0
     pair = ["--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2", "--alpha", "1", "--beta", "1"]
     for argv in (["choose-depth", *pair, "--epsilon", value],
-                 ["gcd-series", *pair, "--max-n", "3", "--epsilon", value],
                  ["ap-structure", "--report", report, "--eta", value],
                  ["canonical-height", "--map", x2p1, "--point", "3", "--tol", value]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-input"
+    # gcd-series takes no epsilon at all
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["gcd-series", *pair, "--max-n", "3", "--epsilon", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "0.1"], ["--seed", "1"]])
+def test_cli_gcd_series_has_no_epsilon_or_seed(capsys, map_file, flag):
+    x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
+    argv = ["gcd-series", "--f", x2, "--g", x2, "-a", "125", "-b", "25",
+            "--alpha", "1", "--beta", "1", "--max-n", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    manifest = json.loads(out)["manifest"]
+    assert code == 0 and manifest["seed"] is None
+    assert not {"epsilon", "seed"} & set(manifest["config"])
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + flag)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
+def test_cli_special_form_huge_coefficient(capsys, map_file):
+    # 10^400 x^2: a float root estimate overflows; x -> 10^400 x is the witness
+    poly = map_file("big.json", {"coeffs": ["0", "0", str(10**400)]})
+    code, out, _ = run_cli(capsys, ["classify", "special", "--poly", poly])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tag"] == "power" and payload["caveat"] is False
+    sigma = Mobius(*(rational_from_str(payload["witness"][k]) for k in "pqrs"))
+    assert conjugate(RationalMap([0, 0, 10**400]), sigma) == X2
 
 
 def test_cli_usage_and_budget_exit_codes(capsys, map_file, tmp_path):
