@@ -17,10 +17,10 @@ from .polys import (Polynomial, max_multiplicity, multiplicity_at, poly_gcd,
                     radical, squarefree_decomposition)
 from .maps import (INFINITY, Mobius, ProjPoint, RationalMap, compose, conjugate,
                    digit_count, evaluate, fiber_polynomial, iterate,
-                   self_compose)
+                   map_resultant, self_compose)
 from .heights import (HeightEstimate, PlaceSet, bad_places, canonical_height,
                       discrepancy_bound, hgcd, hgcd_excluding, hgcd_fin,
-                      map_resultant, weil_height)
+                      weil_height)
 from .bivariate import BivariatePolynomial
 from .surface import (AmplenessReport, BlowupSurface, DivisorClass,
                       canonical_class, curve_multiplicity_at, exceptional_class,

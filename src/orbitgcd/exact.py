@@ -384,17 +384,31 @@ def _plain(x) -> mpmath.mpf:
     return mpmath.mp.make_mpf(x._mpf_)
 
 
-def log_abs(x) -> mpmath.mpf:
-    """log|x| for a nonzero rational x, carried at ARCH_PREC bits.
+def _mpf_int(ctx, n: int) -> mpmath.mpf:
+    """The int n rounded to nearest at ctx's precision: the bits of
+    ``ctx.mpf(n)``, which strips the trailing zero bits of the exact n
+    8 at a time before rounding (quadratic in the size of n), where this
+    strips them after."""
+    return ctx.make_mpf(mpmath.libmp.from_int(n, ctx.prec, "n"))
+
+
+def log_abs(x, den: int = 1) -> mpmath.mpf:
+    """log|x / den| for a nonzero rational x and a positive integer den,
+    carried at ARCH_PREC bits.  An int x with a den coprime to it is used
+    as it stands, so callers holding a numerator and denominator in lowest
+    terms build no Fraction; the result has the bits of the one they form.
 
     >>> mpmath.nstr(log_abs(Fraction(-1, 8)), 10)
     '-2.079441542'
+    >>> log_abs(-1, 8) == log_abs(Fraction(-1, 8))
+    True
     """
-    x = Fraction(x)
+    if not isinstance(x, int):
+        x = Fraction(x) / den
+        x, den = x.numerator, x.denominator
     if x == 0:
         raise DomainError("log|0| is -infinity; handle upstream")
-    num, den = _ARCH.mpf(abs(x.numerator)), _ARCH.mpf(x.denominator)
-    return _plain(_ARCH.log(num) - _ARCH.log(den))
+    return _plain(_ARCH.log(_mpf_int(_ARCH, abs(x))) - _ARCH.log(_mpf_int(_ARCH, den)))
 
 
 @dataclass(frozen=True)

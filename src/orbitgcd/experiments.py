@@ -64,7 +64,7 @@ class GcdSeriesConfig:
         return (self.f.is_polynomial and self.g.is_polynomial
                 and self.f.forms[1][0] == 1 and self.g.forms[1][0] == 1
                 and not self.a.is_infinity and not self.b.is_infinity
-                and self.a.value.denominator == 1 and self.b.value.denominator == 1
+                and self.a.pair()[1] == 1 and self.b.pair()[1] == 1
                 and self.alpha.denominator == 1 and self.beta.denominator == 1)
 
 
@@ -94,21 +94,33 @@ class GcdSeriesReport:
         return self.config.degree
 
 
-def _finite_part(x: Fraction, y: Fraction) -> tuple[int, float]:
-    """(g, log g) for g the gcd of the numerators of x and y, not both zero:
-    the finite part of hgcd(x, y), with v+(0) = +infinity everywhere."""
-    g = math.gcd(x.numerator, y.numerator)
+def _minus(point: ProjPoint, alpha: Fraction) -> tuple[int, int]:
+    """point - alpha for a finite point, as (numerator, denominator) in
+    lowest terms.  For point = r/s and alpha = p/q, N = r q - p s has
+    gcd(N, s) = gcd(N, q) = gcd(q, s), so gcd(N, s q) = gcd(N, gcd(q, s)^2)."""
+    r, s = point.pair()
+    p, q = alpha.numerator, alpha.denominator
+    num, den = r * q - p * s, s * q
+    t = math.gcd(q, s)
+    g = math.gcd(num, t * t) if t > 1 else 1
+    return num // g, den // g
+
+
+def _finite_part(x: int, y: int) -> tuple[int, float]:
+    """(g, log g) for g the gcd of the numerators x and y, not both zero:
+    the finite part of hgcd, with v+(0) = +infinity everywhere."""
+    g = math.gcd(x, y)
     return g, float(log_abs(g))
 
 
-def _excluded_sum(x: Fraction, y: Fraction, places: PlaceSet) -> float:
+def _excluded_sum(x: int, y: int, places: PlaceSet) -> float:
+    # x, y: nonzero numerators in lowest terms, so v_p of the rational is
+    # v_p of its numerator wherever it is positive
     total = 0.0
     for p in places:
-        vx = max(0, valuation(p, x))
-        if vx == 0:
+        if x % p:
             continue
-        vy = max(0, valuation(p, y))
-        m = min(vx, vy)
+        m = min(valuation(p, x), valuation(p, y))
         if m:
             total += m * math.log(p)
     return total
@@ -119,31 +131,29 @@ def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
     if pa.is_infinity or pb.is_infinity:
         return GcdSeriesRow(n, None, None, None, None, None, None, None,
                             ("infinite_orbit_value",))
-    u = pa.value - config.alpha
-    v = pb.value - config.beta
+    u = _minus(pa, config.alpha)
+    v = _minus(pb, config.beta)
     flags: list[str] = []
-    if u == 0 and v == 0:
+    if u[0] == 0 and v[0] == 0:
         # gcd(0,0) = 0 by convention; excluded from ratio statistics
         return GcdSeriesRow(n, 1, 1, 0, None, None, None, None,
                             ("both_zero",))
     integral = config.is_integral
-    if u == 0 or v == 0:
+    if u[0] == 0 or v[0] == 0:
         flags.append("one_zero")
     elif not integral:
         flags.append("rational_data")
-    digits_u = digit_count(u.numerator) if u != 0 else 1
-    digits_v = digit_count(v.numerator) if v != 0 else 1
-    g, fin = _finite_part(u, v)
+    g, fin = _finite_part(u[0], v[0])
     # a zero argument has v+ = +infinity at every place: only the other counts
-    nonzero = [w for w in (u, v) if w]
-    log_gcd = fin + min(max(0.0, -float(log_abs(w))) for w in nonzero)
-    excl = fin - _excluded_sum(nonzero[0], nonzero[-1], config.place_exclusions)
+    nonzero = [w for w in (u, v) if w[0]]
+    log_gcd = fin + min(max(0.0, -float(log_abs(*w))) for w in nonzero)
+    excl = fin - _excluded_sum(nonzero[0][0], nonzero[-1][0], config.place_exclusions)
     gcd_val = g if integral else None
     ratio = None
     if "one_zero" not in flags:
         ratio = log_gcd / d**n
-    return GcdSeriesRow(n, digits_u, digits_v, gcd_val, log_gcd, ratio,
-                        fin, excl, tuple(flags))
+    return GcdSeriesRow(n, digit_count(u[0]), digit_count(v[0]), gcd_val, log_gcd,
+                        ratio, fin, excl, tuple(flags))
 
 
 def iter_gcd_series_rows(config: GcdSeriesConfig):
@@ -511,10 +521,9 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
             if any(pt.is_infinity for pt in pts):
                 skipped += 1
                 continue
-            u = orb_a[n].value - alpha
-            v = orb_b[n].value - beta
-            us = orb_sa[n].value - sigma_alpha.value
-            vs = orb_tb[n].value - tau_beta.value
+            u, v = _minus(orb_a[n], alpha)[0], _minus(orb_b[n], beta)[0]
+            us = _minus(orb_sa[n], sigma_alpha.value)[0]
+            vs = _minus(orb_tb[n], tau_beta.value)[0]
             if (u == 0 and v == 0) or (us == 0 and vs == 0):
                 skipped += 1
                 continue

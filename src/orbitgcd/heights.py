@@ -28,10 +28,11 @@ from fractions import Fraction
 import mpmath
 
 from .errors import BudgetExceededError, DomainError
-from .exact import (ARCH_PREC, LogValue, Place, _context, _plain, factor,
+from .exact import (ARCH_PREC, LogValue, Place, _context, _mpf_int, _plain, factor,
                     is_prime, v_plus, valuation)
-from .linalg import det_fraction, solve_fraction
-from .maps import ProjPoint, RationalMap, evaluate
+from .linalg import solve_fraction
+from .maps import (_MAP_CACHE_SIZE, ProjPoint, RationalMap, _sylvester_rows, evaluate,
+                   map_resultant)
 
 DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
 _PREPERIODIC_SCAN_LIMIT = 500
@@ -86,32 +87,10 @@ def weil_height(point) -> mpmath.mpf:
 
 def _weil_height(point: ProjPoint, ctx) -> mpmath.mpf:
     r, s = point.pair()
-    return ctx.log(ctx.mpf(max(abs(r), abs(s))))
+    return ctx.log(_mpf_int(ctx, max(abs(r), abs(s))))
 
 
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
-
-_MAP_CACHE_SIZE = 256   # maps whose resultant and cofactor height are kept
-
-
-def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
-    # rows indexed by X^k Y^(2d-1-k); unknowns: u_0..u_{d-1}, v_0..v_{d-1}
-    d = len(a) - 1
-    return [[c[k - j] if 0 <= k - j <= d else 0 for c in (a, b) for j in range(d)]
-            for k in range(2 * d)]
-
-
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def map_resultant(f: RationalMap) -> int:
-    """Resultant of the degree-d homogenizations of (num, den); nonzero
-    because the representation is coprime.  Cached per (immutable) map."""
-    det = det_fraction(_sylvester_rows(*f.forms))
-    assert det.denominator == 1
-    res = det.numerator
-    if res == 0:
-        raise DomainError("vanishing resultant: map representation not coprime")
-    return res
-
 
 @functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _cofactor_height(f: RationalMap) -> int:
@@ -157,7 +136,7 @@ def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, ctx):
     # log max(|p_N|, |q_N|) of the un-reduced orbit pair, by renormalized
     # floating iteration: p_{n+1} = F(p_n, q_n), homogeneous of degree d.
     d = f.degree
-    x, y = ctx.mpf(r0), ctx.mpf(s0)
+    x, y = _mpf_int(ctx, r0), _mpf_int(ctx, s0)
     m = max(abs(x), abs(y))
     slog = ctx.log(m)
     x, y = x / m, y / m

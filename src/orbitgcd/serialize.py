@@ -62,11 +62,15 @@ def int_to_str(n: int) -> str:
     return digits(n, len(powers) - 1, False)
 
 
-def rational_to_str(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int_to_str(x.numerator)
-    return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
+def rational_to_str(x, den: int = 1) -> str:
+    """The string "num/den" ("num" when den is 1) of a rational x, or of
+    the int x over a positive den coprime to it."""
+    if not isinstance(x, int):
+        x = Fraction(x) / den
+        x, den = x.numerator, x.denominator
+    if den == 1:
+        return int_to_str(x)
+    return f"{int_to_str(x)}/{int_to_str(den)}"
 
 
 def int_from_digits(digits: str) -> int:
@@ -128,7 +132,7 @@ def rational_from_str(text: str) -> Fraction:
 
 
 def point_to_str(point: ProjPoint) -> str:
-    return "oo" if point.is_infinity else rational_to_str(point.value)
+    return "oo" if point.is_infinity else rational_to_str(*point.pair())
 
 
 def point_from_str(text: str) -> ProjPoint:

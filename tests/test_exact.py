@@ -6,8 +6,9 @@ import mpmath
 import pytest
 
 from orbitgcd.errors import DomainError, PartialFactorizationError
-from orbitgcd.exact import (LogValue, Place, factor, is_prime, log_gcd_places,
-                            next_prime, v_plus, valuation)
+from orbitgcd.exact import (ARCH_PREC, LogValue, Place, _context, _mpf_int, factor,
+                            is_prime, log_abs, log_gcd_places, next_prime, v_plus,
+                            valuation)
 
 
 def trial_division_oracle(n):
@@ -186,3 +187,27 @@ def test_logvalue_arch_arithmetic_keeps_full_precision():
     assert (-a).arch._mpf_[1].bit_length() > 100
     assert a.close_to(a + LogValue({}, mpmath.mpf(2) ** -70))
     assert not a.close_to(a + LogValue({}, mpmath.mpf(2) ** -60))
+
+
+@pytest.mark.parametrize("prec", [ARCH_PREC, int(-math.log2(1e-50)) + 64 + 64])
+def test_mpf_int_rounds_like_mpf(prec):
+    # the bits of ctx.mpf(n): carries (runs of ones), exact ties at the
+    # rounding position, and up to 2^14 trailing zero bits
+    ctx = _context(prec)
+    rng = random.Random(prec)
+    mantissas = [1, 3, 2**prec - 1, 2**(prec + 1) - 1, 2**(prec + 7) - 1,
+                 2**prec + 1, 2**(prec + 1) + 1, 2**(prec + 1) + 3, 2**(prec + 2) + 2]
+    mantissas += [rng.getrandbits(rng.randint(1, 3 * prec)) | 1 for _ in range(150)]
+    for m in mantissas:
+        for zeros in (0, 1, 7, 8, 9, 64, rng.randint(0, 2**14), 2**14):
+            for n in (m << zeros, -(m << zeros)):
+                assert _mpf_int(ctx, n)._mpf_ == ctx.mpf(n)._mpf_, (m, zeros)
+    assert _mpf_int(ctx, 0)._mpf_ == ctx.mpf(0)._mpf_
+
+
+def test_log_abs_of_a_pair_matches_the_fraction():
+    rng = random.Random(9)
+    for _ in range(200):
+        x = (Fraction(rng.randint(-2**300, 2**300) or 1, rng.randint(1, 2**300))
+             * Fraction(2) ** rng.randint(-900, 900))
+        assert log_abs(x.numerator, x.denominator) == log_abs(x)

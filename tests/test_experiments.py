@@ -15,6 +15,7 @@ from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
                                   gcd_series, inversion_deviation_bound,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
+from orbitgcd.exact import log_abs
 from orbitgcd.heights import PlaceSet
 from orbitgcd.linalg import solve_fraction
 from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, evaluate, fiber_polynomial,
@@ -95,6 +96,53 @@ def test_gcd_series_rational_data_rows():
         assert row.gcd is None
         assert "rational_data" in row.flags
         assert row.log_gcd is not None and row.log_gcd >= row.hgcd_fin - 1e-12
+
+
+def vp_plus(p, x):
+    # max(0, v_p(x)) for a nonzero Fraction, by plain division
+    num, v = abs(x.numerator), 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    return v
+
+
+X2_HALF = RationalMap([Fraction(1, 2), 0, 1])       # x^2 + 1/2
+X2_3_4 = RationalMap([Fraction(-3, 4), 0, 1])       # x^2 - 3/4
+
+
+@pytest.mark.parametrize("g, b, alpha, beta", [
+    (X2_3_4, Fraction(1, 4), Fraction(1, 2), Fraction(-3, 4)),
+    (X2_3_4, Fraction(1, 4), Fraction(-3, 4), Fraction(1, 2)),
+    # the same orbit from n = 1 on, so the gcd is the whole numerator
+    (X2_HALF, Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)),
+    (X2_HALF, Fraction(-1, 2), Fraction(-3, 4), Fraction(-3, 4)),
+])
+def test_gcd_series_rows_where_alpha_and_orbit_denominators_share_2(g, b, alpha, beta):
+    # every orbit denominator is a power of 2, so gcd(q, s) > 1 in _minus
+    f = X2_HALF
+    places = PlaceSet([2, 3, 5])
+    cfg = GcdSeriesConfig(f, g, Fraction(1, 2), b, alpha, beta,
+                          n_max=8, place_exclusions=places)
+    xs, ys = naive_orbit(f, Fraction(1, 2), 8), naive_orbit(g, b, 8)
+    for n, row in enumerate(gcd_series(cfg).rows):
+        u, v = xs[n] - alpha, ys[n] - beta
+        assert (row.digits_f, row.digits_g) == (len(str(abs(u.numerator))),
+                                                len(str(abs(v.numerator))))
+        g_uv = math.gcd(u.numerator, v.numerator)
+        assert abs(row.hgcd_fin - math.log(g_uv)) < 1e-12
+        nonzero = [w for w in (u, v) if w]
+        log_gcd = math.log(g_uv) + min(
+            max(0.0, math.log(w.denominator) - math.log(abs(w.numerator))) for w in nonzero)
+        assert abs(row.log_gcd - log_gcd) < 1e-12
+        # the pair path gives the bits of the Fraction path
+        assert row.log_gcd == row.hgcd_fin + min(
+            max(0.0, -float(log_abs(w))) for w in nonzero)
+        excluded = sum(min(vp_plus(p, nonzero[0]), vp_plus(p, nonzero[-1])) * math.log(p)
+                       for p in places)
+        assert abs(row.hgcd_excluded - (math.log(g_uv) - excluded)) < 1e-12
+        assert row.flags == (("one_zero",) if len(nonzero) == 1 else ("rational_data",))
+        assert row.gcd is None
 
 
 def test_rows_stream_incrementally_and_match_report():

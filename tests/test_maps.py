@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, compose,
                            conjugate, digit_count, evaluate, fiber_polynomial,
-                           iterate, self_compose)
+                           iterate, map_resultant, self_compose)
 from orbitgcd.polys import Polynomial, kronecker_pack, kronecker_unpack
 
 X2 = RationalMap([0, 0, 1])
@@ -173,6 +175,21 @@ def test_digit_count_exact():
     assert digit_count(-(10**100)) == 101
 
 
+def test_digit_count_at_decimal_and_binary_boundaries():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for k in range(2001):
+            for n in (10**k - 1, 10**k, 10**k + 1):
+                assert digit_count(n) == len(str(n)), n
+                assert digit_count(-n) == len(str(n)), n
+        for b in range(7000):
+            for n in (2**b - 1, 2**b, 2**b + 1):
+                assert digit_count(n) == len(str(n)), n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def reference_compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     """Schoolbook composition over Fraction coefficients: the reference the
     Kronecker-substitution ``compose`` must match."""
@@ -259,3 +276,90 @@ def test_kronecker_pack_roundtrip_at_slot_edges(width):
 def test_kronecker_pack_roundtrip(case):
     width, cs = case
     assert kronecker_unpack(kronecker_pack(cs, width), width, len(cs)) == cs
+
+
+# --- evaluate/iterate against a Fraction evaluator ---
+
+
+def fraction_evaluate(f, x):
+    """f at x (a Fraction, or None for infinity) from the affine Fractions
+    num(x)/den(x), with the degree deficit deciding the value at infinity."""
+    num = [Fraction(c) for c in f.num.coeffs]
+    den = [Fraction(c) for c in f.den.coeffs]
+    if x is None:
+        if len(den) <= f.degree:        # deg den < d: infinity is fixed
+            return None
+        return (num[f.degree] if len(num) > f.degree else Fraction(0)) / den[f.degree]
+    n = sum(c * x**i for i, c in enumerate(num))
+    d = sum(c * x**i for i, c in enumerate(den))
+    return None if d == 0 else n / d
+
+
+RESULTANT_MAPS = [
+    RationalMap([1, 0, 1], [0, 2]),                 # (x^2+1)/2x, R = 4
+    RationalMap([Fraction(1, 3), 0, 1]),            # x^2+1/3
+    RationalMap([Fraction(-2, 5), 0, 1]),           # x^2-2/5
+    RationalMap([1, 0, 3], [0, -6]),                # negative leading denominator
+    RationalMap([5, 0, 1], [-1, 1]),                # deficit: 1 -> oo, oo -> oo
+    RationalMap([0, 0, 4], [4, 0, 0, 2]),           # degree 3, 0 <-> oo
+    RationalMap([-6, 0, 9, 0, 3], [0, 0, 0, 4]),    # degree 4 with a common content
+    RationalMap([3, 2], [4]),                       # degree 1
+]
+
+
+@st.composite
+def resultant_maps(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(RESULTANT_MAPS))
+    deg = draw(st.integers(1, 4))
+    cs = st.integers(-12, 12)
+    num = draw(st.lists(cs, min_size=deg + 1, max_size=deg + 1))
+    den = draw(st.lists(cs, min_size=1, max_size=deg + 1))
+    try:
+        f = RationalMap(num, den)
+    except DomainError:
+        assume(False)
+    assume(abs(map_resultant(f)) > 1)
+    return f
+
+
+POINTS = st.one_of(
+    st.sampled_from([None, Fraction(0), Fraction(1), Fraction(-1, 2)]),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=resultant_maps(), x=POINTS, steps=st.integers(0, 5))
+def test_iterate_matches_fraction_evaluator(f, x, steps):
+    steps = min(steps, {1: 5, 2: 5, 3: 4, 4: 3}[f.degree])
+    start = INFINITY if x is None else ProjPoint(x)
+    expected = [x]
+    for _ in range(steps):
+        expected.append(fraction_evaluate(f, expected[-1]))
+    orbit = iterate(f, start, steps)
+    assert [p.value for p in orbit] == expected
+    for p, prev in zip(orbit[1:], orbit):
+        assert evaluate(f, prev) == p
+        r, s = p.pair()
+        assert math.gcd(r, s) == 1 and s >= 0
+        assert (r, s) == ((1, 0) if p.is_infinity else (p.value.numerator, p.value.denominator))
+
+
+def test_evaluate_reduces_by_the_resultant():
+    half_x = RationalMap([1, 0, 1], [0, 2])         # (x^2+1)/2x
+    assert map_resultant(half_x) in (4, -4)
+    # (r, s) = (1, 1): F = 2, G = 2 share the factor 2
+    assert evaluate(half_x, 1).pair() == (1, 1)
+    assert evaluate(half_x, 0).pair() == (1, 0)
+    assert evaluate(half_x, INFINITY).pair() == (1, 0)
+    deficit = RESULTANT_MAPS[4]
+    assert evaluate(deficit, 1) == INFINITY and evaluate(deficit, INFINITY) == INFINITY
+    # above the resultant's degree cap the plain gcd reduces
+    deep = compose(RESULTANT_MAPS[5], RESULTANT_MAPS[5])
+    assert deep.degree == 9
+    for x in (None, Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2)):
+        p = evaluate(deep, INFINITY if x is None else x)
+        assert p.value == fraction_evaluate(deep, x) and math.gcd(*p.pair()) == 1
+    assert ProjPoint.from_coprime(3, -4) == ProjPoint(Fraction(-3, 4))
+    assert ProjPoint.from_coprime(-1, 0).pair() == (1, 0)
