@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -48,6 +49,14 @@ EXIT_BUDGET = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a separate argument starting "-" as an option
+        # unless this pattern matches it, and its own matches only "-3" and
+        # "-1.5"; no option here starts "-" and a digit, so "-3/4", "-1e-5"
+        # and "-.5" are values
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         json.dump({"error": "usage", "message": message}, sys.stderr)
         sys.stderr.write("\n")

@@ -1,4 +1,4 @@
-"""Heights on P^1(Q): the Weil height, canonical heights with certified
+"""Heights on P^1(Q): the Weil height, canonical heights with stated
 error bounds, and the generalized gcd heights (sums of local minima of
 the v+ functions over all places).
 
@@ -7,15 +7,19 @@ h(f^n(P)) / d^n.  The per-step discrepancy |h(f(x)) - d*h(x)| is bounded
 by an explicit constant computed from the coefficients and the resultant
 of the homogenized pair, which turns the limit into a finite computation
 with a geometric tail bound.  The orbit heights themselves are evaluated
-in renormalized form (log-scale archimedean part plus p-adic gcd
-corrections at the primes dividing the resultant), so no doubly
-exponential integers are ever materialized; the returned value is still
-exactly h(f^N(P)) / d^N up to the stated floating error.
+in renormalized form, so no doubly exponential integers are ever
+materialized: the archimedean part runs in power-of-two fixed point (an
+integer pair cut back to its top bits after each exact step, with the
+dropped powers of two counted in an exact exponent, and one logarithm at
+the end), and p-adic gcd corrections at the primes dividing the resultant
+run modulo a fixed power of each prime.  The returned value is still
+h(f^N(P)) / d^N up to the stated floating error.
 
 Floating work rounds in private mpmath contexts, one per precision and
 never changed: ARCH_PREC bits, or for canonical heights a precision
-derived from the tolerance.  Results are ordinary mpmath.mpf values;
-mpmath's global precision is neither read nor set.
+derived from the tolerance, high enough that the stated error bound stays
+within it.  Results are ordinary mpmath.mpf values; mpmath's global
+precision is neither read nor set.
 """
 
 from __future__ import annotations
@@ -132,20 +136,25 @@ def _discrepancy(f: RationalMap, ctx) -> mpmath.mpf:
 # --- canonical height ---
 
 
+def _renormalize(x: int, y: int, bits: int) -> tuple[int, int, int]:
+    # (x, y) / 2^sh with the larger of |x|, |y| at exactly ``bits`` bits:
+    # exact for sh <= 0, else truncated (a relative error below 2^(1 - bits))
+    sh = max(x.bit_length(), y.bit_length()) - bits
+    return (x >> sh, y >> sh, sh) if sh >= 0 else (x << -sh, y << -sh, sh)
+
+
 def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, ctx):
-    # log max(|p_N|, |q_N|) of the un-reduced orbit pair, by renormalized
-    # floating iteration: p_{n+1} = F(p_n, q_n), homogeneous of degree d.
-    d = f.degree
-    x, y = _mpf_int(ctx, r0), _mpf_int(ctx, s0)
-    m = max(abs(x), abs(y))
-    slog = ctx.log(m)
-    x, y = x / m, y / m
+    # log max(|p_N|, |q_N|) of the un-reduced orbit pair p_{n+1} = F(p_n, q_n),
+    # homogeneous of degree d, in power-of-two fixed point: (x, y) * 2^t
+    # tracks the pair with x, y ints of ctx.prec bits, so each step is one
+    # exact form evaluation, a shift and t -> d t + sh, and the height
+    # takes one logarithm, of max(|x|, |y|) * 2^t, which mpmath rounds once.
+    d, bits = f.degree, ctx.prec
+    x, y, t = _renormalize(r0, s0, bits)
     for _ in range(n_steps):
-        xa, ya = f.form_values(x, y)
-        m = max(abs(xa), abs(ya))
-        slog = d * slog + ctx.log(m)
-        x, y = xa / m, ya / m
-    return slog
+        x, y, sh = _renormalize(*f.form_values(x, y), bits)
+        t = d * t + sh
+    return ctx.log(ctx.ldexp(_mpf_int(ctx, max(abs(x), abs(y))), t))
 
 
 def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
@@ -190,13 +199,20 @@ def canonical_height(f: RationalMap, point, tol,
                      ) -> HeightEstimate:
     """Canonical height of a point under a degree >= 2 rational map.
 
-    Returns h(f^N(P)) / d^N with N chosen so the geometric tail bound is
-    below tol (with headroom d+1, so functional-equation comparisons at
-    tolerance 2*tol hold); error_bound <= tol.  Preperiodic points found
-    by the exact orbit pre-scan return value 0 with error_bound 0.
+    Returns h(f^N(P)) / d^N for the least N whose geometric tail bound
+    C_f / (d^N (d-1)) is at most tol/(d+1) (headroom d+1, so
+    functional-equation comparisons at tolerance 2*tol hold).  error_bound
+    is that tail plus a rounding allowance 2^-(prec//2), a heuristic and
+    not a proven bound on the rounding; prec makes the sum at most tol.
+    Preperiodic points found by the exact orbit pre-scan return value 0
+    with error_bound 0.
 
-    The work runs in private contexts: the orbit at prec + 64 bits and
-    everything else at prec = max(ARCH_PREC, log2(1/tol) + 64) bits.
+    The work runs in private contexts at prec = max(ARCH_PREC,
+    log2(1/tol) + 64, 2 log2((d+1)/(d tol))) bits, the last rounded up so
+    that 2^-(prec//2) < tol - tol/(d+1).  The orbit runs in power-of-two
+    fixed point: an integer pair of prec + 64 bits and an exact binary
+    exponent, so a step is one exact form evaluation and a shift, and the
+    archimedean part takes one logarithm.
 
     >>> canonical_height(RationalMap([0, 0, 1]), 1, 1e-9).is_exact_zero
     True
@@ -208,7 +224,11 @@ def canonical_height(f: RationalMap, point, tol,
     if not 0 < tol < math.inf:
         raise DomainError("tolerance must be finite and positive")
     point = ProjPoint.of(point)
-    prec = max(ARCH_PREC, int(-math.log2(tol)) + 64)
+    num, den = tol.as_integer_ratio()
+    # the bit length k of floor((d+1)/(d tol)) is the least k with
+    # 2^-k < tol - tol/(d+1), the room error_bound leaves beside the tail
+    prec = max(ARCH_PREC, int(-math.log2(tol)) + 64,
+               2 * ((d + 1) * den // (d * num)).bit_length())
     lo, hi = _context(prec), _context(prec + 64)
 
     c_f = _discrepancy(f, lo)
@@ -218,14 +238,23 @@ def canonical_height(f: RationalMap, point, tol,
         return HeightEstimate(_plain(lo.zero), _plain(lo.zero), scan[1])
 
     target = lo.mpf(tol) / (d + 1)
-    n_steps = 0
-    while c_f / (lo.mpf(d) ** n_steps * (d - 1)) > target:
+
+    def tail_above_target(n: int) -> bool:
+        return c_f / (lo.mpf(d) ** n * (d - 1)) > target
+
+    # the least n whose tail is within target: a float estimate of
+    # log_d(C_f (d+1) / ((d-1) tol)), confirmed by the monotone test at n, n-1
+    n_steps = max(0, math.ceil((math.log(c_f) + math.log((d + 1) / (d - 1))
+                                - math.log(tol)) / math.log(d)))
+    while tail_above_target(n_steps):
         n_steps += 1
-        if n_steps > max_iterations:
-            raise BudgetExceededError(
-                f"needed more than {max_iterations} iterations to reach "
-                f"tolerance {tol}", steps=max_iterations,
-            )
+    while n_steps and not tail_above_target(n_steps - 1):
+        n_steps -= 1
+    if n_steps > max_iterations:
+        raise BudgetExceededError(
+            f"needed more than {max_iterations} iterations to reach "
+            f"tolerance {tol}", steps=max_iterations,
+        )
 
     r0, s0 = point.pair()
     slog = _arch_green_log(f, r0, s0, n_steps, hi)

@@ -176,8 +176,8 @@ class RationalMap:
         return f"RationalMap({self.num!r} / {self.den!r})"
 
     def form_values(self, r, s) -> tuple:
-        """(F(r, s), G(r, s)): exact for integers; the height code passes
-        mpmath floats and the orbit screens reduce the result mod m."""
+        """(F(r, s), G(r, s)), exact for integers; the height code keeps
+        the top bits of the result and the orbit screens reduce it mod m."""
         a, b = self.forms
         d = len(a) - 1
         rp = [1] * (d + 1)

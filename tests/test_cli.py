@@ -353,6 +353,44 @@ def test_cli_gcd_series_has_no_epsilon_or_seed(capsys, map_file, flag):
     assert json.loads(captured.err)["error"] == "usage"
 
 
+GCD_SERIES = ["gcd-series", "--f", "x2.json", "--g", "x2.json", "--max-n", "4", "-a", "3"]
+NEGATIVE_VALUES = [
+    (GCD_SERIES + ["-b", "2", "--alpha", "1"], "--beta", "-3/4"),
+    (GCD_SERIES + ["--alpha", "1", "--beta", "1"], "-b", "-1/2"),
+    (GCD_SERIES + ["-b", "2", "--beta", "1"], "--alpha", "-1e-1"),
+    (["height"], "-x", "-1024/3"),
+    (["hgcd", "-x", "5/3"], "-y", "-10/7"),
+    (["canonical-height", "--map", "x2.json", "--tol", "1e-20"], "--point", "-1/2"),
+    (["iterate", "--map", "x2.json", "--steps", "3"], "--start", "-.5"),
+    (["classify", "mult-indep", "-b", "4"], "-a", "-2/3"),
+]
+
+
+@pytest.mark.parametrize("argv,option,value", NEGATIVE_VALUES)
+def test_cli_negative_rational_as_its_own_argument(capsys, map_file, monkeypatch, tmp_path,
+                                                   argv, option, value):
+    map_file("x2.json", {"coeffs": ["0", "0", "1"]})
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for tail in ([option, value], [f"{option}={value}"]):
+        code, out, err = run_cli(capsys, argv + tail)
+        assert code == 0 and err == "", (tail, err)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["height", "-x", "3", "--bogus"],
+                                  ["height", "-x", "-3/4", "-q"],
+                                  ["height", "-x", "-3/4", "-q", "-1/2"],
+                                  ["hgcd", "-x", "-1/2", "-z", "3"]])
+def test_cli_unknown_option_still_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
 def test_cli_special_form_huge_coefficient(capsys, map_file):
     # 10^400 x^2: a float root estimate overflows; x -> 10^400 x is the witness
     poly = map_file("big.json", {"coeffs": ["0", "0", str(10**400)]})

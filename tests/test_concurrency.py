@@ -19,7 +19,7 @@ def _jobs():
     jobs = []
     for f in (RationalMap([1, 0, 1]), RationalMap([-3, 0, 1], [0, 2])):
         for start in (Fraction(1, 2), Fraction(3), Fraction(5, 7)):
-            for tol in (1e-60, 1e-8):
+            for tol in (1e-100, 1e-60, 1e-8):
                 jobs.append(lambda f=f, s=start, t=tol: canonical_height(f, s, t))
     for x, y in ((Fraction(5, 3), Fraction(10, 7)), (Fraction(1, 10**40 + 3), 6),
                  (Fraction(2, 3**90), Fraction(4, 5**70))):

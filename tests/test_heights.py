@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
-from orbitgcd.exact import factor
-from orbitgcd.heights import (HeightEstimate, PlaceSet, bad_places,
-                              canonical_height, discrepancy_bound, hgcd,
-                              hgcd_excluding, hgcd_fin, map_resultant,
-                              weil_height)
+from orbitgcd.exact import _context, factor
+from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
+                              _discrepancy, bad_places, canonical_height,
+                              discrepancy_bound, hgcd, hgcd_excluding,
+                              hgcd_fin, map_resultant, weil_height)
 from orbitgcd.maps import INFINITY, ProjPoint, RationalMap, evaluate, iterate
 
 X2 = RationalMap([0, 0, 1])
@@ -151,6 +151,89 @@ def test_canonical_height_budget_error():
         canonical_height(X2P1, 5, 1e-12, max_iterations=3)
 
 
+def linear_step_count(f, tol):
+    """The least n with C_f / (d^n (d-1)) <= tol / (d+1), by counting up
+    from 0 at 600 bits."""
+    ctx = _context(600)
+    d = f.degree
+    c_f = _discrepancy(f, ctx)
+    target = ctx.mpf(tol) / (d + 1)
+    n_steps = 0
+    while c_f / (ctx.mpf(d) ** n_steps * (d - 1)) > target:
+        n_steps += 1
+    return n_steps
+
+
+STEP_MAPS = (X2P1, RationalMap([1, 0, 0, 1]), RationalMap([-1, 0, 0, 0, 2], [0, 3]),
+             RationalMap([2, 0, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("f", STEP_MAPS, ids=lambda f: f"d{f.degree}")
+def test_canonical_height_step_count_matches_linear_search(f):
+    # the budget is checked before the orbit runs, so a budget one short
+    # of the oracle exposes the step count without the height's cost
+    tols = [10.0**-k for k in range(3, 301)] + [3.7 * 10.0**-k for k in range(3, 301, 7)]
+    for tol in tols:
+        n = linear_step_count(f, tol)
+        with pytest.raises(BudgetExceededError) as info:
+            canonical_height(f, 3, tol, max_iterations=n - 1)
+        assert info.value.steps == n - 1
+        assert str(info.value) == (f"needed more than {n - 1} iterations to "
+                                   f"reach tolerance {tol}")
+    for tol in (1e-3, 1e-10, 1e-50, 1e-100, 1e-300):
+        n = linear_step_count(f, tol)
+        assert canonical_height(f, 3, tol, max_iterations=n).iterations_used == n
+    # a budget far below the estimate raises at once, with the same payload
+    with pytest.raises(BudgetExceededError) as info:
+        canonical_height(f, 3, 1e-300, max_iterations=3)
+    assert info.value.steps == 3
+    assert str(info.value) == "needed more than 3 iterations to reach tolerance 1e-300"
+
+
+def exact_orbit_log(f, r, s, n_steps, ctx):
+    """log max(|F^N(r, s)|, |G^N(r, s)|) from the exact un-reduced pair,
+    each form summed term by term, and the log taken of the top 2 prec
+    bits plus the exact shift."""
+    d = f.degree
+    num, den = f.forms
+    for _ in range(n_steps):
+        r, s = (sum(c * r**i * s**(d - i) for i, c in enumerate(form))
+                for form in (num, den))
+    m = max(abs(r), abs(s))
+    shift = max(0, m.bit_length() - 2 * ctx.prec)
+    return ctx.log(ctx.mpf(m >> shift)) + shift * ctx.ln2
+
+
+KERNEL_MAPS = (X2P1, X2M1, RationalMap([1, 0, 1], [0, 2]), RationalMap([3, 0, 1], [3]),
+               RationalMap([5, 0, 5], [0, 0, 3]), RationalMap([1, 4, 0, 2], [2]),
+               RationalMap([0, 1, 0, 1]), RationalMap([-7, 0, 1, 0, 3], [5, 0, 0, 2]),
+               RationalMap([1, 3], [2, 0, 0, 1]))
+KERNEL_STARTS = ((0, 1), (1, 0), (-3, 4), (-5, 1), (7, 3), (-(2**500 + 12345), 7))
+
+
+@pytest.mark.parametrize("bits", [192, 460])
+def test_arch_green_log_matches_exact_orbit(bits):
+    # relative error at most 2 * 2^-P: the final logarithm rounds once
+    # (below 2^-P relative), and each truncation of the pair to P bits
+    # moves the log of a number of at least P bits by far less; the exact
+    # pair is un-reduced, so maps with |Res| > 1 keep common factors
+    assert {abs(map_resultant(f)) > 1 for f in KERNEL_MAPS} == {False, True}
+    assert {f.degree for f in KERNEL_MAPS} == {2, 3, 4}
+    ctx, ref = _context(bits), _context(2 * bits + 64)
+    checked = 0
+    for f in KERNEL_MAPS:
+        for r, s in KERNEL_STARTS:
+            for n_steps in range(11):
+                if f.degree ** n_steps * (max(abs(r), abs(s)).bit_length() + 8) > 2**18:
+                    break
+                got = _arch_green_log(f, r, s, n_steps, ctx)
+                exact = exact_orbit_log(f, r, s, n_steps, ref)
+                bound = 2 * ref.mpf(2) ** -bits * abs(exact)
+                assert abs(got - exact) <= bound, (f, r, s, n_steps)
+                checked += 1
+    assert checked > 300
+
+
 @pytest.mark.parametrize("tol", [0, -1e-8, math.inf, math.nan])
 def test_canonical_height_rejects_tol_not_finite_and_positive(tol):
     with pytest.raises(DomainError):
@@ -197,11 +280,12 @@ def quadratic_height_reference(c: int, start: Fraction):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(c=st.sampled_from([-3, -2, -1, 1, 2, 3]),
        start=st.fractions(min_value=-10, max_value=10, max_denominator=12),
-       tol=st.sampled_from([1e-10, 1e-30, 1e-60]))
+       tol=st.sampled_from([1e-10, 1e-30, 1e-60, 1e-100]))
 def test_canonical_height_bracket_holds(c, start, tol):
     est = canonical_height(RationalMap([c, 0, 1]), start, tol)
     reference = quadratic_height_reference(c, start)
     assert abs(reference - est.value) <= _REF_ERROR + est.error_bound
+    assert est.error_bound <= tol
 
 
 def test_map_resultants():
