@@ -11,6 +11,12 @@ Environment overrides (optional): ORBITGCD_DIGIT_BUDGET (orbits),
 ORBITGCD_DEGREE_BUDGET (symbolic composition in ``classify commutes``),
 ORBITGCD_TEST_MODE (normalizes manifest timestamps for byte-identical
 reruns).
+
+Each command is one ``_COMMANDS`` entry (help line, handler, options), and
+``classify`` and ``surface`` nest theirs the same way.  ``dispatch`` builds
+only the command that argv names, or all of them when it names none (no
+arguments, ``-h``, ``--version``, an unknown name).  The text before this
+paragraph is the description ``orbitgcd -h`` prints.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .classify import (commutes, is_exceptional, is_preperiodic, mult_indep,
@@ -41,6 +48,8 @@ from .serialize import (build_manifest, config_echo, load_map, load_poly,
                         report_to_csv, report_to_json)
 from .surface import (BlowupSurface, DivisorClass, intersect, is_ample_lemmaAG,
                       perturbed_ample)
+
+_DESCRIPTION = (__doc__ or "").partition("\nEach command is one ")[0]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,98 +120,6 @@ def _emit(result: dict | str, out: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="orbitgcd", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gcd-series", help="gcd table along a pair of orbits")
-    p.add_argument("--f", required=True, metavar="FILE")
-    p.add_argument("--g", required=True, metavar="FILE")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--exclude", default="", help="comma separated primes")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--plot-data", default=None, metavar="PATH")
-
-    p = sub.add_parser("height", help="Weil height of a rational point")
-    p.add_argument("-x", required=True)
-
-    p = sub.add_parser("canonical-height", help="canonical height with error bound")
-    p.add_argument("--map", required=True, metavar="FILE")
-    p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = sub.add_parser("hgcd", help="generalized gcd height of two rationals")
-    p.add_argument("-x", required=True)
-    p.add_argument("-y", required=True)
-    p.add_argument("--fin", action="store_true", help="drop the archimedean term")
-    p.add_argument("--exclude", default="", help="also drop these primes")
-
-    p = sub.add_parser("iterate", help="orbit of a point")
-    p.add_argument("--map", required=True, metavar="FILE")
-    p.add_argument("--start", required=True)
-    p.add_argument("--steps", type=int, required=True)
-
-    p = sub.add_parser("classify", help="dynamical classification predicates")
-    csub = p.add_subparsers(dest="classify_command", required=True)
-    q = csub.add_parser("exceptional")
-    q.add_argument("--map", required=True, metavar="FILE")
-    q.add_argument("--point", required=True)
-    q = csub.add_parser("preperiodic")
-    q.add_argument("--map", required=True, metavar="FILE")
-    q.add_argument("--point", required=True)
-    q.add_argument("--budget", type=int, default=64)
-    q = csub.add_parser("mult-indep")
-    q.add_argument("-a", required=True)
-    q.add_argument("-b", required=True)
-    q = csub.add_parser("special")
-    q.add_argument("--poly", required=True, metavar="FILE")
-    q = csub.add_parser("commutes")
-    q.add_argument("--h", required=True, metavar="FILE")
-    q.add_argument("--f", required=True, metavar="FILE")
-    q.add_argument("--k-max", type=int, default=3)
-
-    p = sub.add_parser("probe-genericity", help="orbit relation probe")
-    p.add_argument("--f", required=True, metavar="FILE")
-    p.add_argument("--g", required=True, metavar="FILE")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("--deg-max", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("surface", help="blowup intersection theory")
-    ssub = p.add_subparsers(dest="surface_command", required=True)
-    q = ssub.add_parser("intersect")
-    q.add_argument("--s", type=int, required=True)
-    q.add_argument("--d1", required=True, help="'a,b[:m1,m2,...]'")
-    q.add_argument("--d2", required=True)
-    q = ssub.add_parser("ample")
-    q.add_argument("--s", type=int, required=True)
-    q.add_argument("--N", type=int, required=True)
-
-    p = sub.add_parser("choose-depth", help="depth selector with certificate")
-    p.add_argument("--f", required=True, metavar="FILE")
-    p.add_argument("--g", required=True, metavar="FILE")
-    p.add_argument("-a", required=True)
-    p.add_argument("-b", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-
-    p = sub.add_parser("ap-structure", help="arithmetic progressions in a report")
-    p.add_argument("--report", required=True, metavar="FILE")
-    p.add_argument("--eta", type=float, required=True)
-
-    return parser
-
-
 def _cmd_gcd_series(args) -> str:
     config = GcdSeriesConfig(
         f=load_map(args.f), g=load_map(args.g),
@@ -235,14 +152,12 @@ def _cmd_canonical_height(args) -> dict:
         "iterations_used": est.iterations_used,
         "exact_zero": est.is_exact_zero,
         "manifest": build_manifest("canonical-height", {
-            "map": map_to_json(f), "point": args.point, "tol": args.tol,
-        }),
+            "map": map_to_json(f), "point": args.point, "tol": args.tol}),
     }
 
 
 def _cmd_hgcd(args) -> dict:
-    x = rational_from_str(args.x)
-    y = rational_from_str(args.y)
+    x, y = rational_from_str(args.x), rational_from_str(args.y)
     places = _parse_places(args.exclude)
     if places.primes:
         value = hgcd_excluding(places, x, y)
@@ -269,66 +184,71 @@ def _cmd_iterate(args) -> dict:
     }
 
 
-def _cmd_classify(args) -> dict:
-    if args.classify_command == "exceptional":
-        f = load_map(args.map)
-        payload = {"exceptional": is_exceptional(f, point_from_str(args.point))}
-        config = {"map": map_to_json(f), "point": args.point}
-    elif args.classify_command == "preperiodic":
-        f = load_map(args.map)
-        payload = {"preperiodic": is_preperiodic(f, point_from_str(args.point),
-                                                 args.budget)}
-        config = {"map": map_to_json(f), "point": args.point,
-                  "budget": args.budget}
-    elif args.classify_command == "mult-indep":
-        result = mult_indep(rational_from_str(args.a), rational_from_str(args.b))
-        payload = {"multiplicatively_independent": result}
-        config = {"a": args.a, "b": args.b}
-    elif args.classify_command == "special":
-        poly = load_poly(args.poly)
-        form = special_form(poly)
-        payload = {
-            "tag": form.tag,
-            "caveat": form.caveat,
-            "witness": None if form.witness is None else {
-                "p": rational_to_str(form.witness.p),
-                "q": rational_to_str(form.witness.q),
-                "r": rational_to_str(form.witness.r),
-                "s": rational_to_str(form.witness.s),
-            },
-        }
-        config = {"poly": poly_to_json(poly)}
-    else:
-        h, f = load_poly(args.h), load_poly(args.f)
-        k = commutes(h, f, args.k_max, degree_budget=_degree_budget())
-        payload = {"commutes_at": k}
-        config = {"h": poly_to_json(h), "f": poly_to_json(f),
-                  "k_max": args.k_max}
-    manifest = build_manifest(f"classify {args.classify_command}", config)
-    return {**payload, "manifest": manifest}
+def _cmd_exceptional(args) -> dict:
+    f = load_map(args.map)
+    return {"exceptional": is_exceptional(f, point_from_str(args.point)),
+            "manifest": build_manifest("classify exceptional", {
+                "map": map_to_json(f), "point": args.point})}
 
 
-def _cmd_surface(args) -> dict:
-    if args.surface_command == "ample":
-        surface = BlowupSurface(args.s)
-        report = is_ample_lemmaAG(surface, args.N)
-        a_tilde = perturbed_ample(surface, args.N)
-        payload = {
-            "ample": report.ample,
-            "witness": {k: (rational_to_str(v) if isinstance(v, Fraction) else v)
-                        for k, v in report.witness.items()},
-            "A_selfintersection": rational_to_str(
-                intersect(surface, a_tilde, a_tilde)),
-        }
-        config = {"s": args.s, "N": args.N}
-    else:
-        surface = BlowupSurface(args.s)
-        d1 = _parse_divisor(args.d1)
-        d2 = _parse_divisor(args.d2)
-        payload = {"intersection": rational_to_str(intersect(surface, d1, d2))}
-        config = {"s": args.s, "d1": args.d1, "d2": args.d2}
-    manifest = build_manifest(f"surface {args.surface_command}", config)
-    return {**payload, "manifest": manifest}
+def _cmd_preperiodic(args) -> dict:
+    f = load_map(args.map)
+    return {"preperiodic": is_preperiodic(f, point_from_str(args.point),
+                                          args.budget),
+            "manifest": build_manifest("classify preperiodic", {
+                "map": map_to_json(f), "point": args.point,
+                "budget": args.budget})}
+
+
+def _cmd_mult_indep(args) -> dict:
+    result = mult_indep(rational_from_str(args.a), rational_from_str(args.b))
+    return {"multiplicatively_independent": result,
+            "manifest": build_manifest("classify mult-indep",
+                                       {"a": args.a, "b": args.b})}
+
+
+def _cmd_special(args) -> dict:
+    poly = load_poly(args.poly)
+    form = special_form(poly)
+    return {
+        "tag": form.tag,
+        "caveat": form.caveat,
+        "witness": None if form.witness is None else {
+            k: rational_to_str(getattr(form.witness, k)) for k in "pqrs"},
+        "manifest": build_manifest("classify special",
+                                   {"poly": poly_to_json(poly)}),
+    }
+
+
+def _cmd_commutes(args) -> dict:
+    h, f = load_poly(args.h), load_poly(args.f)
+    k = commutes(h, f, args.k_max, degree_budget=_degree_budget())
+    return {"commutes_at": k,
+            "manifest": build_manifest("classify commutes", {
+                "h": poly_to_json(h), "f": poly_to_json(f),
+                "k_max": args.k_max})}
+
+
+def _cmd_intersect(args) -> dict:
+    surface = BlowupSurface(args.s)
+    d1, d2 = _parse_divisor(args.d1), _parse_divisor(args.d2)
+    return {"intersection": rational_to_str(intersect(surface, d1, d2)),
+            "manifest": build_manifest("surface intersect", {
+                "s": args.s, "d1": args.d1, "d2": args.d2})}
+
+
+def _cmd_ample(args) -> dict:
+    surface = BlowupSurface(args.s)
+    report = is_ample_lemmaAG(surface, args.N)
+    a_tilde = perturbed_ample(surface, args.N)
+    return {
+        "ample": report.ample,
+        "witness": {k: (rational_to_str(v) if isinstance(v, Fraction) else v)
+                    for k, v in report.witness.items()},
+        "A_selfintersection": rational_to_str(
+            intersect(surface, a_tilde, a_tilde)),
+        "manifest": build_manifest("surface ample", {"s": args.s, "N": args.N}),
+    }
 
 
 def _cmd_probe_genericity(args) -> dict:
@@ -338,20 +258,18 @@ def _cmd_probe_genericity(args) -> dict:
         args.deg_max, args.points, seed=args.seed,
         digit_budget=_digit_budget(),
     )
-    payload = {"relation": None}
-    if relation is not None:
-        payload["relation"] = {
-            "monomials": {f"{i},{j}": rational_to_str(c)
-                          for (i, j), c in
+    return {
+        "relation": None if relation is None else {
+            "monomials": {f"{i},{j}": rational_to_str(c) for (i, j), c in
                           sorted(relation.polynomial.terms.items())},
             "degree_bound": relation.degree_bound,
             "points_tested": relation.points_tested,
-        }
-    payload["manifest"] = build_manifest("probe-genericity", {
-        "f": map_to_json(f), "g": map_to_json(g), "a": args.a,
-        "b": args.b, "deg_max": args.deg_max, "points": args.points,
-    }, seed=args.seed)
-    return payload
+        },
+        "manifest": build_manifest("probe-genericity", {
+            "f": map_to_json(f), "g": map_to_json(g), "a": args.a,
+            "b": args.b, "deg_max": args.deg_max, "points": args.points,
+        }, seed=args.seed),
+    }
 
 
 def _cmd_choose_depth(args) -> dict:
@@ -369,9 +287,7 @@ def _cmd_choose_depth(args) -> dict:
         "certificate": dataclasses.asdict(cert) | {"replays": cert.replay()},
         "manifest": build_manifest("choose-depth", {
             "f": args.f, "g": args.g, "a": args.a, "b": args.b,
-            "alpha": args.alpha, "beta": args.beta,
-            "epsilon": args.epsilon,
-        }),
+            "alpha": args.alpha, "beta": args.beta, "epsilon": args.epsilon}),
     }
 
 
@@ -385,9 +301,6 @@ def _cmd_ap_structure(args) -> dict:
               for row in data["rows"]])
     index_set = large_index_set(report, args.eta)
     structure = ap_structure(index_set)
-    manifest = build_manifest("ap-structure", {
-        "report": args.report, "eta": args.eta,
-    })
     return {
         "indices": list(index_set.entries),
         "window": structure.window,
@@ -395,44 +308,127 @@ def _cmd_ap_structure(args) -> dict:
         "progressions": [{"start": a0, "step": d0}
                          for a0, d0 in structure.progressions],
         "residual": list(structure.residual),
-        "manifest": manifest,
+        "manifest": build_manifest("ap-structure", {
+            "report": args.report, "eta": args.eta}),
     }
 
 
+class _Command(NamedTuple):
+    help: str
+    run: Callable | dict  # the handler, or name -> _Command of nested commands
+    options: tuple = ()   # (flags, add_argument keywords) pairs
+
+
+def _opt(*flags, **keywords) -> tuple:
+    return flags, keywords
+
+
+def _req(*flags, **keywords) -> tuple:
+    return flags, {"required": True, **keywords}
+
+
+_MAP = _req("--map", metavar="FILE")
+_A_B = (_req("-a"), _req("-b"))
+_PAIR = (_req("--f", metavar="FILE"), _req("--g", metavar="FILE"), *_A_B)
+_TARGETS = (_req("--alpha"), _req("--beta"))
+
 _COMMANDS = {
-    "gcd-series": _cmd_gcd_series,
-    "height": _cmd_height,
-    "canonical-height": _cmd_canonical_height,
-    "hgcd": _cmd_hgcd,
-    "iterate": _cmd_iterate,
-    "classify": _cmd_classify,
-    "probe-genericity": _cmd_probe_genericity,
-    "surface": _cmd_surface,
-    "choose-depth": _cmd_choose_depth,
-    "ap-structure": _cmd_ap_structure,
+    "gcd-series": _Command("gcd table along a pair of orbits", _cmd_gcd_series, (
+        *_PAIR, *_TARGETS, _req("--max-n", type=int),
+        _opt("--exclude", default="", help="comma separated primes"),
+        _opt("--out"), _opt("--format", choices=("json", "csv"), default="json"),
+        _opt("--plot-data", metavar="PATH"))),
+    "height": _Command("Weil height of a rational point", _cmd_height,
+                       (_req("-x"),)),
+    "canonical-height": _Command(
+        "canonical height with error bound", _cmd_canonical_height,
+        (_MAP, _req("--point"), _opt("--tol", type=float, default=1e-8))),
+    "hgcd": _Command("generalized gcd height of two rationals", _cmd_hgcd, (
+        _req("-x"), _req("-y"),
+        _opt("--fin", action="store_true", help="drop the archimedean term"),
+        _opt("--exclude", default="", help="also drop these primes"))),
+    "iterate": _Command("orbit of a point", _cmd_iterate, (
+        _MAP, _req("--start"), _req("--steps", type=int))),
+    "classify": _Command("dynamical classification predicates", {
+        "exceptional": _Command("is the point exceptional for the map",
+                                _cmd_exceptional, (_MAP, _req("--point"))),
+        "preperiodic": _Command(
+            "is the point preperiodic for the map", _cmd_preperiodic,
+            (_MAP, _req("--point"), _opt("--budget", type=int, default=64))),
+        "mult-indep": _Command("are two rationals multiplicatively independent",
+                               _cmd_mult_indep, _A_B),
+        "special": _Command("conjugacy of a polynomial to x^d or Chebyshev",
+                            _cmd_special, (_req("--poly", metavar="FILE"),)),
+        "commutes": _Command(
+            "least k <= k-max with h o f^k = f^k o h", _cmd_commutes,
+            (_req("--h", metavar="FILE"), _req("--f", metavar="FILE"),
+             _opt("--k-max", type=int, default=3))),
+    }),
+    "probe-genericity": _Command("orbit relation probe", _cmd_probe_genericity, (
+        *_PAIR, _req("--deg-max", type=int), _req("--points", type=int),
+        _opt("--seed", type=int, default=0))),
+    "surface": _Command("blowup intersection theory", {
+        "intersect": _Command(
+            "intersection number of two divisor classes", _cmd_intersect,
+            (_req("--s", type=int), _req("--d1", help="'a,b[:m1,m2,...]'"),
+             _req("--d2"))),
+        "ample": _Command("ampleness of the perturbed divisor", _cmd_ample,
+                          (_req("--s", type=int), _req("--N", type=int))),
+    }),
+    "choose-depth": _Command("depth selector with certificate", _cmd_choose_depth,
+                             (*_PAIR, *_TARGETS, _req("--epsilon", type=float))),
+    "ap-structure": _Command(
+        "arithmetic progressions in a report", _cmd_ap_structure,
+        (_req("--report", metavar="FILE"), _req("--eta", type=float))),
 }
 
 
+def _add_commands(parser: _Parser, dest: str, commands: dict, argv) -> None:
+    """Subparsers for the one of ``commands`` that ``argv[0]`` names, or for
+    all of them when it names none, so that help and invalid-choice errors
+    list every command."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    rest = []
+    if argv and argv[0] in commands:
+        commands, rest = {argv[0]: commands[argv[0]]}, argv[1:]
+    for name, command in commands.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, keywords in command.options:
+            p.add_argument(*flags, **keywords)
+        if isinstance(command.run, dict):
+            _add_commands(p, f"{name}_command", command.run, rest)
+        else:
+            p.set_defaults(run=command.run)
+
+
+def _build_parser(argv) -> _Parser:
+    parser = _Parser(prog="orbitgcd", description=_DESCRIPTION,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=__version__)
+    _add_commands(parser, "command", _COMMANDS, argv)
+    return parser
+
+
+def _fail(label: str, err: Exception, code: int) -> int:
+    json.dump({"error": label, "message": str(err)}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
-        _emit(_COMMANDS[args.command](args), getattr(args, "out", None))
+        _emit(args.run(args), getattr(args, "out", None))
         return EXIT_OK
     except HypothesisViolationError as err:
-        json.dump({"error": "hypothesis-violation", "message": str(err)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_HYPOTHESIS
-    except (BudgetExceededError, IndeterminateError) as err:
-        json.dump({"error": "budget-exhausted", "message": str(err)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_BUDGET
+        return _fail("hypothesis-violation", err, EXIT_HYPOTHESIS)
+    except BudgetExceededError as err:
+        return _fail("budget-exhausted", err, EXIT_BUDGET)
+    except IndeterminateError as err:
+        return _fail("indeterminate", err, EXIT_BUDGET)
     except (DomainError, OrbitgcdError, OSError, json.JSONDecodeError,
             ValueError) as err:
-        json.dump({"error": "invalid-input", "message": str(err)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_USAGE
+        return _fail("invalid-input", err, EXIT_USAGE)
 
 
 def main() -> None:

@@ -31,6 +31,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 
@@ -54,8 +55,9 @@ _sieve_limit = 0
 _sieve_primes: list[int] = []
 
 
-def small_primes(limit: int) -> list[int]:
-    """Primes below ``limit`` from a cached segmentless sieve."""
+def _sieve(limit: int) -> list[int]:
+    """The cached sieve's primes, at least every one below ``limit``.  Growth
+    replaces the list and never mutates it, so callers iterate it unlocked."""
     global _sieve_limit, _sieve_primes
     with _sieve_lock:
         if limit > _sieve_limit:
@@ -67,7 +69,13 @@ def small_primes(limit: int) -> list[int]:
                     flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
             _sieve_primes = [i for i, f in enumerate(flags) if f]
             _sieve_limit = size
-        return _sieve_primes[:bisect_left(_sieve_primes, limit)]
+        return _sieve_primes
+
+
+def small_primes(limit: int) -> list[int]:
+    """Primes below ``limit`` from a cached segmentless sieve."""
+    primes = _sieve(limit)
+    return primes[:bisect_left(primes, limit)]
 
 
 def _mr_witness(a: int, n: int) -> bool:
@@ -271,7 +279,8 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     found: dict[int, int] = {}
-    for p in small_primes(TRIAL_DIVISION_BOUND):
+    primes = _sieve(TRIAL_DIVISION_BOUND)
+    for p in islice(primes, bisect_left(primes, TRIAL_DIVISION_BOUND)):
         if p * p > m:
             break
         while m % p == 0:

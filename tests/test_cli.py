@@ -3,13 +3,15 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+from orbitgcd import cli
 from orbitgcd.cli import dispatch
-from orbitgcd.errors import DomainError
+from orbitgcd.errors import DomainError, IndeterminateError
 from orbitgcd.experiments import GcdSeriesConfig, gcd_series
 from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, conjugate,
                            digit_count)
@@ -354,6 +356,8 @@ def test_cli_gcd_series_has_no_epsilon_or_seed(capsys, map_file, flag):
 
 
 GCD_SERIES = ["gcd-series", "--f", "x2.json", "--g", "x2.json", "--max-n", "4", "-a", "3"]
+CHOOSE_DEPTH = ["choose-depth", "--f", "x2.json", "--g", "x2.json", "--epsilon", "0.1",
+                "-a", "3"]
 NEGATIVE_VALUES = [
     (GCD_SERIES + ["-b", "2", "--alpha", "1"], "--beta", "-3/4"),
     (GCD_SERIES + ["--alpha", "1", "--beta", "1"], "-b", "-1/2"),
@@ -363,6 +367,14 @@ NEGATIVE_VALUES = [
     (["canonical-height", "--map", "x2.json", "--tol", "1e-20"], "--point", "-1/2"),
     (["iterate", "--map", "x2.json", "--steps", "3"], "--start", "-.5"),
     (["classify", "mult-indep", "-b", "4"], "-a", "-2/3"),
+    # every call builds only the subparser it runs; values stay values there
+    (GCD_SERIES + ["--alpha", "1", "--beta", "1"], "-b", "-2/3"),
+    (GCD_SERIES + ["-b", "2", "--beta", "1"], "--alpha", "-1"),
+    (CHOOSE_DEPTH + ["-b", "2", "--alpha", "1"], "--beta", "-3/4"),
+    (CHOOSE_DEPTH + ["-b", "2", "--beta", "1"], "--alpha", "-1"),
+    (CHOOSE_DEPTH + ["--alpha", "1", "--beta", "1"], "-b", "-2/3"),
+    (["iterate", "--map", "x2.json", "--steps", "3"], "--start", "-1/2"),
+    (["canonical-height", "--map", "x2.json"], "--point", "-3"),
 ]
 
 
@@ -389,6 +401,119 @@ def test_cli_unknown_option_still_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert json.loads(captured.err)["error"] == "usage"
+
+
+COMMANDS = ["gcd-series", "height", "canonical-height", "hgcd", "iterate", "classify",
+            "probe-genericity", "surface", "choose-depth", "ap-structure"]
+NESTED = {"classify": ["exceptional", "preperiodic", "mult-indep", "special", "commutes"],
+          "surface": ["intersect", "ample"]}
+
+
+def test_cli_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert re.findall(r"^    (\S+)  ", out, re.M) == COMMANDS
+    # the description is the user-facing part of the module docstring only
+    assert "Every subcommand prints one JSON object" in out
+    assert "_COMMANDS" not in out
+
+
+@pytest.mark.parametrize("argv", [[name, "-h"] for name in COMMANDS]
+                         + [[name, sub, "-h"] for name, subs in NESTED.items()
+                            for sub in subs], ids=" ".join)
+def test_cli_every_command_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: orbitgcd " + " ".join(argv[:-1]) + " [-h]")
+    if len(argv) == 2:
+        assert all(sub in out for sub in NESTED.get(argv[0], []))
+
+
+def _choices_unquoted(message):
+    # newer Pythons (3.13 among them) list an invalid choice's alternatives
+    # without quotes; everything else in these messages is the same
+    head, sep, tail = message.partition(" (choose from ")
+    return head + sep + tail.replace("'", "")
+
+
+PAIR = ["--f", "f.json", "--g", "g.json", "-a", "1", "-b", "2", "--alpha", "1", "--beta", "1"]
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'gcd-series', "
+     "'height', 'canonical-height', 'hgcd', 'iterate', 'classify', 'probe-genericity', "
+     "'surface', 'choose-depth', 'ap-structure')"),
+    (["gcd-series"], "the following arguments are required: --f, --g, -a, -b, --alpha, "
+     "--beta, --max-n"),
+    (["choose-depth", *PAIR[2:], "--epsilon", "0.1"],
+     "the following arguments are required: --f"),
+    (["gcd-series", *PAIR, "--max-n", "x"], "argument --max-n: invalid int value: 'x'"),
+    (["classify"], "the following arguments are required: classify_command"),
+    (["classify", "bogus"], "argument classify_command: invalid choice: 'bogus' (choose "
+     "from 'exceptional', 'preperiodic', 'mult-indep', 'special', 'commutes')"),
+    (["surface", "bogus"], "argument surface_command: invalid choice: 'bogus' (choose "
+     "from 'intersect', 'ample')"),
+    (["choose-depth", *PAIR, "--epsilon", "x"], "argument --epsilon: invalid float value: 'x'"),
+    (["height", "-x", "3", "extra"], "unrecognized arguments: extra"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_cli_usage_error_messages(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "usage"
+    assert error["message"] in (message, _choices_unquoted(message))
+
+
+def test_cli_builds_only_the_parsers_it_runs(capsys, map_file, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
+    x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
+    argv = ["choose-depth", "--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2",
+            "--alpha", "1", "--beta", "1", "--epsilon", "0.1"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(built) == 2
+    built.clear()
+    assert run_cli(capsys, ["classify", "exceptional", "--map", x2, "--point", "0"])[0] == 0
+    assert len(built) == 3
+    # help builds them all: the top level, ten commands and seven nested ones
+    built.clear()
+    with pytest.raises(SystemExit):
+        dispatch(["-h"])
+    capsys.readouterr()
+    assert len(built) == 18
+    # and each call builds its own
+    built.clear()
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(built) == 2
+
+
+def test_cli_indeterminate_is_labelled_as_itself(capsys, map_file, monkeypatch):
+    def undecided(*args, **kwargs):
+        raise IndeterminateError("neither outcome certified")
+
+    monkeypatch.setattr(cli, "probe_genericity", undecided)
+    x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
+    code, out, err = run_cli(capsys, ["probe-genericity", "--f", x2, "--g", x2, "-a", "3",
+                                      "-b", "2", "--deg-max", "1", "--points", "4"])
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "indeterminate",
+                               "message": "neither outcome certified"}
 
 
 def test_cli_special_form_huge_coefficient(capsys, map_file):
