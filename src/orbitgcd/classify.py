@@ -21,8 +21,8 @@ from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import _ARCH, _context, _iroot, factor, next_prime
 from .heights import _orbit_scan, canonical_height, discrepancy_bound
 from .linalg import kernel_modp, rational_reconstruct
-from .maps import (DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius, ProjPoint,
-                   RationalMap, compose, conjugate, fiber_polynomial, iterate)
+from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius,
+                   ProjPoint, RationalMap, compose, conjugate, fiber_polynomial, iterate)
 from .polys import Polynomial, multiplicity_at, primitive
 
 POWER_CONJUGATE = "power"
@@ -254,7 +254,7 @@ def special_form(poly: Polynomial) -> SpecialForm:
 
 
 def commutes(h: Polynomial, f: Polynomial, k_max: int,
-             degree_budget: int = 4096) -> int | None:
+             degree_budget: int = DEFAULT_DEGREE_BUDGET) -> int | None:
     """Least 1 <= k <= k_max with h o f^k = f^k o h as an exact polynomial
     identity, or None.  Both sides are compared as maps in lowest terms,
     which are unique.

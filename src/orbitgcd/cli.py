@@ -295,10 +295,16 @@ def _cmd_ap_structure(args) -> dict:
     with open(args.report, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     # large_index_set reads only these fields of a gcd-series report
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
+            and all(type(v) is int for v in (data.get("degree"), data.get("last_n"),
+                                              *(row.get("n") for row in rows)))
+            and all(type(row.get("log_gcd")) in (int, float, type(None)) for row in rows)):
+        raise DomainError("report JSON needs integer 'degree' and 'last_n', and "
+                          "'rows' with integer 'n' and numeric or null 'log_gcd'")
     report = SimpleNamespace(
         degree=data["degree"], last_n=data["last_n"],
-        rows=[SimpleNamespace(n=row["n"], log_gcd=row.get("log_gcd"))
-              for row in data["rows"]])
+        rows=[SimpleNamespace(n=row["n"], log_gcd=row.get("log_gcd")) for row in rows])
     index_set = large_index_set(report, args.eta)
     structure = ap_structure(index_set)
     return {

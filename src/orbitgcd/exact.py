@@ -360,6 +360,8 @@ def valuation(p: int, x) -> int:
     >>> valuation(5, Fraction(1, 25))
     -2
     """
+    if p < 2:
+        raise DomainError(f"valuation needs p >= 2, got {p}")
     x = Fraction(x)
     if x == 0:
         raise DomainError("valuation of 0 is +infinity; handle upstream")

@@ -99,18 +99,14 @@ def _weil_height(point: ProjPoint, ctx) -> mpmath.mpf:
 @functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _cofactor_height(f: RationalMap) -> int:
     """Max |coefficient| among the Bezout cofactors expressing R*X^(2d-1)
-    and R*Y^(2d-1) through the homogenized pair; cached per map."""
-    res = map_resultant(f)
+    and R*Y^(2d-1) through the homogenized pair: the columns R * S^-1 e_k
+    of the Sylvester matrix S, from one elimination; cached per map."""
     rows = _sylvester_rows(*f.forms)
     n = len(rows)
-    hmax = 1
-    for target_index in (n - 1, 0):
-        rhs = [res if k == target_index else 0 for k in range(n)]
-        sol = solve_fraction(rows, rhs)
-        assert sol is not None
-        for c in sol:
-            hmax = max(hmax, math.ceil(abs(c)))
-    return hmax
+    units = [[int(i == k) for i in range(n)] for k in (n - 1, 0)]
+    cols = solve_fraction(rows, units)
+    assert cols is not None
+    return max(1, max(abs(c) for col in cols for c in col))
 
 
 def discrepancy_bound(f: RationalMap) -> mpmath.mpf:

@@ -1,5 +1,6 @@
-"""Small exact linear algebra helpers: Fraction Gaussian elimination and
-row reduction / kernels over GF(p)."""
+"""Small exact linear algebra helpers: one fraction-free elimination over Z
+(the determinant and adjugate solves of the Sylvester matrix behind
+resultants and Bezout cofactors) and row reduction / kernels over GF(p)."""
 
 from __future__ import annotations
 
@@ -7,59 +8,51 @@ import math
 from fractions import Fraction
 
 
-def solve_fraction(matrix, rhs):
-    """Solve A x = b over the rationals; returns None if singular/inconsistent."""
+def _fraction_free(matrix, columns=()):
+    """(det A, det A * A^-1 * B) for a square integer matrix A and integer
+    columns B, both integral by Cramer's rule; the second is None when
+    det A = 0.  Fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
+    row i becomes (piv * row_i - a_ic * pivot_row) // prev, and every
+    entry stays a minor of [A | B], so each division is exact.  Without
+    columns only the rows below the pivot are reduced; with columns every
+    other row is (Gauss-Jordan), so A ends as prev * I with
+    prev = sign * det A."""
     n = len(matrix)
-    m = len(matrix[0])
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    piv_rows = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_rows.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for row, c in enumerate(piv_rows):
-        x[c] = a[row][m]
-    if any(sum(Fraction(matrix[i][j]) * x[j] for j in range(m)) != Fraction(rhs[i])
-           for i in range(n)):
-        return None
-    return x
-
-
-def det_fraction(matrix):
-    """Determinant of a square matrix over the rationals."""
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
+    a = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
+    sign, prev = 1, 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if a[i][c]), None)
         if pr is None:
-            return Fraction(0)
+            return 0, None
         if pr != c:
             a[c], a[pr] = a[pr], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / inv
-                a[i] = [vi - f * vc for vi, vc in zip(a[i], a[c])]
-    return det
+            sign = -sign
+        pivot_row = a[c]
+        piv = pivot_row[c]
+        for i in range(0 if columns else c + 1, n):
+            if i != c:
+                f = a[i][c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = piv
+    return sign * prev, [[sign * a[i][n + k] for i in range(n)]
+                         for k in range(len(columns))]
+
+
+def det_fraction(matrix) -> int:
+    """Determinant of a square integer matrix."""
+    return _fraction_free(matrix)[0]
+
+
+def solve_fraction(matrix, columns):
+    """The columns of det A * A^-1 * B for a square integer matrix A and
+    integer columns B: each x solves A x = det A * b in integers.  None when
+    det A = 0, or when the check A x == det A * b fails."""
+    det, sols = _fraction_free(matrix, columns)
+    if det == 0 or any(sum(v * x for v, x in zip(row, sol)) != det * b[i]
+                       for sol, b in zip(sols, columns)
+                       for i, row in enumerate(matrix)):
+        return None
+    return sols
 
 
 def rref_modp(rows, p):

@@ -147,7 +147,7 @@ def poly_to_json(poly: Polynomial) -> dict:
 
 
 def poly_from_json(obj: dict) -> Polynomial:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise DomainError("polynomial JSON needs a 'coeffs' array")
     return Polynomial([rational_from_str(str(c)) for c in obj["coeffs"]])
 

@@ -552,6 +552,28 @@ def test_cli_usage_and_budget_exit_codes(capsys, map_file, tmp_path):
     assert code == 2
 
 
+MALFORMED_FILES = [
+    (["iterate", "--start", "1", "--steps", "1", "--map"], {"coeffs": 5}),
+    (["iterate", "--start", "1", "--steps", "1", "--map"], {"coeffs": "123"}),
+    (["iterate", "--start", "1", "--steps", "1", "--map"], {"num": {"coeffs": None}}),
+    (["classify", "special", "--poly"], {"coeffs": {"0": 1}}),
+    (["ap-structure", "--eta", "0.3", "--report"], {}),
+    (["ap-structure", "--eta", "0.3", "--report"], [1]),
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": 2, "last_n": 3, "rows": [{"log_gcd": 1.0}]}),
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": 2, "last_n": 3, "rows": [{"n": 1, "log_gcd": "big"}]}),
+    (["ap-structure", "--eta", "0.3", "--report"], {"degree": "2", "last_n": 3, "rows": []}),
+]
+
+
+@pytest.mark.parametrize("argv,content", MALFORMED_FILES)
+def test_cli_malformed_json_files_exit_2(capsys, map_file, argv, content):
+    code, out, err = run_cli(capsys, [*argv, map_file("bad.json", content)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+
+
 def test_cli_ap_structure_pipeline(capsys, map_file, tmp_path):
     x3x = map_file("x3x.json", {"coeffs": ["0", "1", "0", "1"]})
     report = str(tmp_path / "rep.json")

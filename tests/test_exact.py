@@ -89,6 +89,10 @@ def test_valuation_examples():
     assert valuation(7, Fraction(10, 3)) == 0
     with pytest.raises(DomainError):
         valuation(3, 0)
+    # p = 1 divides everything forever; p = 0 divides by zero
+    for p in (1, 0):
+        with pytest.raises(DomainError):
+            valuation(p, 5)
 
 
 def test_valuation_additivity_random():

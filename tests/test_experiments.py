@@ -266,12 +266,13 @@ def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
 
 def test_choose_depth_solves_each_maps_bezout_systems_once(monkeypatch):
     # the discrepancy constant enters through both canonical heights and
-    # discrepancy_bound; the cofactor height behind it is cached per map
+    # discrepancy_bound; the cofactor height behind it is cached per map and
+    # takes one elimination for both Bezout cofactor columns
     calls = []
 
-    def counting_solve(rows, rhs):
+    def counting_solve(rows, columns):
         calls.append(len(rows))
-        return solve_fraction(rows, rhs)
+        return solve_fraction(rows, columns)
     monkeypatch.setattr(heights, "solve_fraction", counting_solve)
     f, g = RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1])
     for pair, distinct in (((f, g), 2), ((f, f), 1)):
@@ -279,9 +280,9 @@ def test_choose_depth_solves_each_maps_bezout_systems_once(monkeypatch):
         heights.map_resultant.cache_clear()
         calls.clear()
         cold = choose_depth(*pair, 1, 2, 1, 1, 0.1)
-        assert len(calls) == 2 * distinct
+        assert len(calls) == distinct
         assert choose_depth(*pair, 1, 2, 1, 1, 0.1) == cold
-        assert len(calls) == 2 * distinct
+        assert len(calls) == distinct
 
 
 @pytest.mark.parametrize("g, a, epsilon, expected", [

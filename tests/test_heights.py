@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import _context, factor
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
-                              _discrepancy, bad_places, canonical_height,
+                              _cofactor_height, _discrepancy, bad_places, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
-from orbitgcd.maps import INFINITY, ProjPoint, RationalMap, evaluate, iterate
+from orbitgcd.linalg import solve_fraction
+from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _sylvester_rows, evaluate,
+                           iterate, self_compose)
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -291,6 +293,97 @@ def test_canonical_height_bracket_holds(c, start, tol):
 def test_map_resultants():
     assert abs(map_resultant(X2)) == 1
     assert abs(map_resultant(RationalMap([3, 0, 1], [3]))) == 9
+
+
+@st.composite
+def bezout_maps(draw):
+    # degree 1-6 with degree deficits, or a self-composed map up to degree 16
+    if draw(st.integers(0, 7)) == 0:
+        base = draw(st.sampled_from([RationalMap([-4, 1], [-5, -3, 5]),
+                                     RationalMap([5, 0, 1], [-1, 1])]))
+        return self_compose(base, draw(st.integers(2, 4)))
+    deg = draw(st.integers(1, 6))
+    cs = st.integers(-9, 9)
+    num = draw(st.lists(cs, min_size=1, max_size=deg + 1))
+    den = draw(st.lists(cs, min_size=1, max_size=deg + 1))
+    try:
+        f = RationalMap(num, den)
+    except DomainError:
+        assume(False)
+    assume(f.degree >= 1)
+    return f
+
+
+def fraction_solve(matrix, rhs):
+    """Solve A x = b over the rationals; returns None if singular/inconsistent.
+    The Fraction Gauss-Jordan solver the cofactor height used before the
+    fraction-free elimination, kept as a reference."""
+    n = len(matrix)
+    m = len(matrix[0])
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    piv_rows = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c]
+        a[r] = [v / inv for v in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        piv_rows.append(c)
+        r += 1
+        if r == n:
+            break
+    for i in range(r, n):
+        if a[i][m] != 0:
+            return None
+    x = [Fraction(0)] * m
+    for row, c in enumerate(piv_rows):
+        x[c] = a[row][m]
+    if any(sum(Fraction(matrix[i][j]) * x[j] for j in range(m)) != Fraction(rhs[i])
+           for i in range(n)):
+        return None
+    return x
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(f=bezout_maps())
+@example(f=RationalMap([1, 1, 1]))                  # an odd number of row swaps
+@example(f=RationalMap([-1, -1, 1], [-1, 0, 2]))
+def test_bezout_cofactors_from_one_elimination(f):
+    a, b = f.forms
+    d, res = f.degree, map_resultant(f)
+    rows = _sylvester_rows(a, b)
+    n = len(rows)
+    cols = solve_fraction(rows, [[int(i == k) for i in range(n)] for k in (n - 1, 0)])
+    # u*F + v*G = R*X^(2d-1) and R*Y^(2d-1), as products of integer forms
+    for col, k in zip(cols, (n - 1, 0)):
+        u, v = col[:d], col[d:]
+        assert [x + y for x, y in zip(poly_mul(u, a), poly_mul(v, b))] == \
+            [res if i == k else 0 for i in range(n)]
+    reference = max(1, max(math.ceil(abs(c)) for k in (n - 1, 0)
+                           for c in fraction_solve(rows, [res * (i == k) for i in range(n)])))
+    assert _cofactor_height(f) == reference
+
+
+def test_solve_fraction_singular_and_det_times_inverse():
+    assert solve_fraction([[1, 2], [2, 4]], [[1, 0]]) is None
+    # det = -2 and A^-1 = [[-2, 1], [3/2, -1/2]]
+    assert solve_fraction([[1, 2], [3, 4]], [[1, 0], [0, 1]]) == [[4, -3], [-2, 1]]
+    # one row swap: det = -6 and A^-1 = [[-1/6, 1/3], [1/2, 0]]
+    assert solve_fraction([[0, 2], [3, 1]], [[1, 0], [0, 1]]) == [[1, -3], [-2, 0]]
 
 
 def hgcd_direct_oracle(x, y, primes):

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
@@ -363,3 +363,50 @@ def test_evaluate_reduces_by_the_resultant():
         assert p.value == fraction_evaluate(deep, x) and math.gcd(*p.pair()) == 1
     assert ProjPoint.from_coprime(3, -4) == ProjPoint(Fraction(-3, 4))
     assert ProjPoint.from_coprime(-1, 0).pair() == (1, 0)
+
+
+@st.composite
+def sylvester_maps(draw):
+    # degree 1-6; num and den of any lengths, so degree deficits are common
+    deg = draw(st.integers(1, 6))
+    cs = st.integers(-9, 9)
+    num = draw(st.lists(cs, min_size=1, max_size=deg + 1))
+    den = draw(st.lists(cs, min_size=1, max_size=deg + 1))
+    try:
+        f = RationalMap(num, den)
+    except DomainError:
+        assume(False)
+    assume(f.degree >= 1)
+    return f
+
+
+COMPOSED = [self_compose(f, k) for f in (RationalMap([-4, 1], [-5, -3, 5]),
+                                         RESULTANT_MAPS[4]) for k in (2, 3, 4)]
+
+
+def sympy_resultant(f):
+    # Res(G, F) of the binary forms, in sympy's Sylvester convention.  The
+    # substitution Y -> Y + tX has determinant 1, so it keeps the resultant,
+    # and for a t with F(1, t) G(1, t) != 0 both forms keep X-degree d.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    d = f.degree
+
+    def at_one(form, t):
+        return sum(c * t**(d - i) for i, c in enumerate(form))
+    t = next(t for t in range(2 * d + 2) if all(at_one(form, t) for form in f.forms))
+    num, den = (sympy.expand(sum(c * x**i * (1 + t * x)**(d - i) for i, c in enumerate(form)))
+                for form in f.forms)
+    return int(sympy.resultant(den, num, x))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f=sylvester_maps())
+@example(f=RationalMap([1, 1, 1]))                  # an odd number of row swaps
+def test_map_resultant_matches_sympy(f):
+    assert map_resultant(f) == sympy_resultant(f)
+
+
+@pytest.mark.parametrize("f", COMPOSED, ids=lambda f: f"d{f.degree}")
+def test_map_resultant_matches_sympy_on_composed_maps(f):
+    assert map_resultant(f) == sympy_resultant(f)
