@@ -4,9 +4,15 @@ multiplicities and orbit relation checks."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError
+
+
+def homogeneous_powers(r: int, s: int, degree: int) -> list[int]:
+    """The monomials r^i s^(degree-i) for i = 0..degree: the powers of r/s
+    times s^degree."""
+    return [r**i * s ** (degree - i) for i in range(degree + 1)]
 
 
 class BivariatePolynomial:
@@ -42,6 +48,22 @@ class BivariatePolynomial:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
                    Fraction(0))
+
+    def vanishes_at(self, x: tuple[int, int], y: tuple[int, int], degree: int) -> bool:
+        """Whether F(xr/xs, yr/ys) = 0 for integer pairs x = (xr, xs) and
+        y = (yr, ys) with xs, ys nonzero, where no exponent of F exceeds
+        ``degree``.  Decided in integers as
+        sum c_ij xr^i xs^(degree-i) yr^j ys^(degree-j) == 0, which is F at
+        the point times (xs ys)^degree with the denominators cleared."""
+        if not (x[1] and y[1]):
+            raise DomainError("vanishes_at needs finite points")
+        if any(i > degree or j > degree for i, j in self.terms):
+            raise DomainError(f"an exponent of the polynomial exceeds degree {degree}")
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        xcol = homogeneous_powers(*x, degree)
+        ycol = homogeneous_powers(*y, degree)
+        return sum(c.numerator * (scale // c.denominator) * xcol[i] * ycol[j]
+                   for (i, j), c in self.terms.items()) == 0
 
     def translate(self, px, py) -> "BivariatePolynomial":
         """The polynomial F(x + px, y + py)."""

@@ -15,8 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 
-from .bivariate import BivariatePolynomial
+from .bivariate import BivariatePolynomial, homogeneous_powers
 from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import _ARCH, _context, _iroot, factor, next_prime
 from .heights import _orbit_scan, canonical_height, discrepancy_bound
@@ -312,19 +314,28 @@ def _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, p):
             continue
         if xs == 0 or ys == 0:
             return None
-        xv = xr * pow(xs, -1, p) % p
-        yv = yr * pow(ys, -1, p) % p
-        xpow = [1]
-        ypow = [1]
-        for _ in range(deg_max):
-            xpow.append(xpow[-1] * xv % p)
-            ypow.append(ypow[-1] * yv % p)
-        rows.append([xpow[i] * ypow[j] % p for i, j in monomials])
+        # the affine row x^i y^j times the unit (xs ys)^deg_max: the same
+        # row space, so the same RREF and kernel basis
+        xcol = [v % p for v in homogeneous_powers(xr, xs, deg_max)]
+        ycol = [v % p for v in homogeneous_powers(yr, ys, deg_max)]
+        rows.append([xcol[i] * ycol[j] % p for i, j in monomials])
     return rows
 
 
 _SCREEN_MARGIN = 8   # mod-p window rows beyond the monomial count
 _SCREEN_PRIMES = 3   # random 61-bit primes whose kernels are screened
+
+
+@lru_cache(maxsize=256)
+def _screen_prime(seed, i: int) -> int:
+    """The i-th prime of ``seed``'s screening stream: one random.Random(seed)
+    whose k-th draw r from [2^60, 2^61) gives the k-th prime next_prime(r).
+    Searched once per (seed, i) and kept; replaying the i cheap draws before
+    it costs no primality test."""
+    rng = random.Random(seed)
+    for _ in range(i):
+        rng.randrange(1 << 60, 1 << 61)
+    return next_prime(rng.randrange(1 << 60, 1 << 61))
 
 
 def probe_genericity(f: RationalMap, g: RationalMap, a, b,
@@ -335,13 +346,15 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     paired orbits of a and b.
 
     Kernels of the monomial matrix are screened modulo _SCREEN_PRIMES
-    random 61-bit primes drawn from ``seed``, iterating the orbits in
+    random 61-bit primes drawn from ``seed`` (the primes are memoized per
+    seed, so a repeated seed skips the prime search and gets the same
+    primes, and results, as a fresh draw), iterating the orbits in
     modular arithmetic from scratch over a window _SCREEN_MARGIN rows past
     the monomial count (so interpolation artifacts on short windows die);
     an empty mod-p kernel certifies there is no relation.  Surviving
     kernel vectors are lifted by rational reconstruction and verified
-    exactly at the first ``n_points`` exact orbit points; only a verified
-    relation is ever returned.
+    exactly, in integers, at the first ``n_points`` exact orbit points;
+    only a verified relation is ever returned.
     """
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
@@ -369,20 +382,20 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         if orbit_a[n].is_infinity or orbit_b[n].is_infinity
     }
     exact_points = [
-        (orbit_a[n].value, orbit_b[n].value)
+        (orbit_a[n].pair(), orbit_b[n].pair())
         for n in range(1, n_usable + 1) if n not in skip
     ]
     if not exact_points:
         return None
 
-    rng = random.Random(seed)
+    primes = (_screen_prime(seed, i) for i in count())
     collected: list[tuple[int, list[list[int]]]] = []
     for window in (n_screen, n_usable):
         attempts = 0
         while (len(collected) < _SCREEN_PRIMES
                and attempts < 8 * _SCREEN_PRIMES):
             attempts += 1
-            p = next_prime(rng.randrange(1 << 60, 1 << 61))
+            p = next(primes)
             rows = _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, window, p)
             if rows is None or not rows:
                 continue
@@ -413,7 +426,7 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
 
     verified = [
         poly for poly in candidates
-        if all(poly.evaluate(x, y) == 0 for x, y in exact_points)
+        if all(poly.vanishes_at(x, y, deg_max) for x, y in exact_points)
     ]
     if not verified:
         return None

@@ -299,9 +299,11 @@ def _cmd_ap_structure(args) -> dict:
     if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
             and all(type(v) is int for v in (data.get("degree"), data.get("last_n"),
                                               *(row.get("n") for row in rows)))
-            and all(type(row.get("log_gcd")) in (int, float, type(None)) for row in rows)):
+            and all(type(row.get("log_gcd")) in (int, float, type(None)) for row in rows)
+            and all(0 <= row["n"] <= data["last_n"] for row in rows)):
         raise DomainError("report JSON needs integer 'degree' and 'last_n', and "
-                          "'rows' with integer 'n' and numeric or null 'log_gcd'")
+                          "'rows' with integer 'n' in [0, last_n] and numeric or "
+                          "null 'log_gcd'")
     report = SimpleNamespace(
         degree=data["degree"], last_n=data["last_n"],
         rows=[SimpleNamespace(n=row["n"], log_gcd=row.get("log_gcd")) for row in rows])

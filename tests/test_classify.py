@@ -6,14 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbitgcd import classify
+from orbitgcd.bivariate import BivariatePolynomial
 from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
-                               POWER_CONJUGATE, chebyshev_polynomial, commutes,
-                               is_exceptional, is_preperiodic, mult_indep,
+                               POWER_CONJUGATE, CurveRelation, chebyshev_polynomial,
+                               commutes, is_exceptional, is_preperiodic, mult_indep,
                                probe_genericity, special_form)
-from orbitgcd.errors import BudgetExceededError, DomainError
-from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, conjugate,
-                           evaluate, fiber_polynomial, iterate, self_compose)
-from orbitgcd.polys import Polynomial, multiplicity_at
+from orbitgcd.errors import BudgetExceededError, DomainError, IndeterminateError
+from orbitgcd.exact import next_prime
+from orbitgcd.linalg import kernel_modp, rational_reconstruct
+from orbitgcd.maps import (DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius, ProjPoint,
+                           RationalMap, conjugate, evaluate, fiber_polynomial, iterate,
+                           self_compose)
+from orbitgcd.polys import Polynomial, multiplicity_at, primitive
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -324,6 +329,203 @@ def test_probe_partial_result_under_tight_budget():
     assert rel is not None
     assert rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
     assert 1 <= rel.points_tested < 8
+
+
+def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
+                    digit_budget=DEFAULT_ORBIT_DIGIT_BUDGET):
+    """The probe as it was before its primes were memoized: a fresh prime
+    search per call, affine mod-p rows through modular inverses, and
+    Fraction verification by ``BivariatePolynomial.evaluate``."""
+    if deg_max < 1:
+        raise DomainError("deg_max must be >= 1")
+    if n_points < 1:
+        raise DomainError("n_points must be >= 1")
+    a, b = ProjPoint.of(a), ProjPoint.of(b)
+    monomials = classify._monomials(deg_max)
+    n_screen = max(n_points, len(monomials) + 8)
+
+    def orbit(h, start):
+        try:
+            return iterate(h, start, n_points, digit_budget)
+        except BudgetExceededError as err:
+            return err.partial
+    orbit_a, orbit_b = orbit(f, a), orbit(g, b)
+    n_usable = min(len(orbit_a), len(orbit_b)) - 1
+    if n_usable < 1:
+        raise BudgetExceededError(
+            "orbit digit budget too small to collect a single probe point")
+    skip = {n for n in range(1, n_usable + 1)
+            if orbit_a[n].is_infinity or orbit_b[n].is_infinity}
+    exact_points = [(orbit_a[n].value, orbit_b[n].value)
+                    for n in range(1, n_usable + 1) if n not in skip]
+    if not exact_points:
+        return None
+
+    def rows_modp(window, p):
+        xr, xs = (c % p for c in a.pair())
+        yr, ys = (c % p for c in b.pair())
+        rows = []
+        for n in range(1, window + 1):
+            xr, xs = (c % p for c in f.form_values(xr, xs))
+            yr, ys = (c % p for c in g.form_values(yr, ys))
+            if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
+                return None
+            if n in skip:
+                continue
+            if xs == 0 or ys == 0:
+                return None
+            xv, yv = xr * pow(xs, -1, p) % p, yr * pow(ys, -1, p) % p
+            rows.append([pow(xv, i, p) * pow(yv, j, p) % p for i, j in monomials])
+        return rows
+
+    rng = random.Random(seed)
+    collected = []
+    for window in (n_screen, n_usable):
+        attempts = 0
+        while len(collected) < 3 and attempts < 24:
+            attempts += 1
+            p = next_prime(rng.randrange(1 << 60, 1 << 61))
+            rows = rows_modp(window, p)
+            if not rows:
+                continue
+            basis = kernel_modp(rows, p)
+            if not basis:
+                return None
+            collected.append((p, basis))
+        if collected:
+            break
+    if not collected:
+        raise IndeterminateError("mod-p screening failed for every sampled prime")
+    candidates = []
+    for p, basis in collected:
+        for vec in basis:
+            lifted = [rational_reconstruct(v, p) for v in vec]
+            if any(c is None for c in lifted):
+                continue
+            poly = BivariatePolynomial(
+                {m: c for m, c in zip(monomials, primitive(lifted)) if c})
+            if not poly.is_zero and poly not in candidates:
+                candidates.append(poly)
+    verified = [poly for poly in candidates
+                if all(poly.evaluate(x, y) == 0 for x, y in exact_points)]
+    if not verified:
+        return None
+    verified.sort(key=lambda poly: (
+        len(poly.terms), poly.total_degree(),
+        sorted(poly.terms, key=lambda m: (m[0] + m[1], m[0], m[1]))))
+    return CurveRelation(verified[0], deg_max, len(exact_points))
+
+
+def _outcome(probe, *args, **kwargs):
+    try:
+        return probe(*args, **kwargs)
+    except (BudgetExceededError, DomainError, IndeterminateError) as err:
+        return type(err), str(err)
+
+
+def _probe_sweep():
+    rng = random.Random(13)
+    cases = []
+    for k in range(2, 9):                                  # planted y = K x
+        K = rng.randint(10**k, 10**(k + 1) - 1) if k < 8 else 10**8
+        g = RationalMap([0, 0, Fraction(1, K)])
+        for seed in (0, 1, rng.randrange(10**6)):
+            a = rng.randint(2, 9)
+            cases.append(((X2, g, a, K * a, 1, 8), {"seed": seed}))
+    for K in (10**10, 10**20):      # past one prime's reach: wrong lifts, rejected
+        for deg_max in (1, 2):
+            g = RationalMap([0, 0, Fraction(1, K)])
+            cases.append(((X2, g, 3, 3 * K, deg_max, 12), {"seed": 0}))
+    for c1, c2 in ((1, -1), (-2, 3), (Fraction(1, 3), -1), (2, 2)):   # x^2 + c pairs
+        f, g = RationalMap([c1, 0, 1]), RationalMap([c2, 0, 1])
+        for deg_max in (1, 2, 3):
+            for seed in (0, 7):
+                cases.append(((f, g, 1, 2, deg_max, 10), {"seed": seed}))
+    for budget in (1, 20, 40, 60):                         # tight digit budgets
+        cases.append(((X3X, X3X, 1, -1, 1, 8), {"seed": 7, "digit_budget": budget}))
+        cases.append(((X2, X2, 125, 25, 3, 12), {"seed": 3, "digit_budget": budget}))
+    cases.append(((X2, X2, 2, 4, 2, 10), {"seed": 5}))      # y = x^2
+    cases.append(((X2, X2, 2, 4, 0, 10), {"seed": 5}))      # deg_max < 1
+    return cases
+
+
+def test_probe_matches_reference_probe():
+    outcomes = set()
+    for args, kwargs in _probe_sweep():
+        want = _outcome(reference_probe, *args, **kwargs)
+        assert _outcome(probe_genericity, *args, **kwargs) == want, (args, kwargs)
+        outcomes.add(want if want is None or isinstance(want, tuple) else "relation")
+    # the sweep reaches relations, None and both raised errors
+    assert {None, "relation"} <= outcomes
+    assert {o[0] for o in outcomes if isinstance(o, tuple)} == {BudgetExceededError,
+                                                               DomainError}
+
+
+def test_vanishes_at_matches_fraction_evaluation():
+    rng = random.Random(5)
+    for _ in range(200):
+        poly = BivariatePolynomial({
+            (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 4))})
+        x = (rng.randint(-20, 20), rng.randint(1, 20))
+        y = (rng.randint(-20, 20), rng.choice([-1, 1]) * rng.randint(1, 20))
+        if rng.random() < 0.5 and not poly.is_zero:
+            # move the constant term so that the point is a root
+            poly = BivariatePolynomial({
+                **poly.terms, (0, 0): poly.terms.get((0, 0), 0)
+                - poly.evaluate(Fraction(*x), Fraction(*y))})
+        want = poly.evaluate(Fraction(*x), Fraction(*y)) == 0
+        assert poly.vanishes_at(x, y, 3) is want
+        assert poly.vanishes_at(x, y, 5) is want
+    with pytest.raises(DomainError):
+        BivariatePolynomial({(2, 0): 1}).vanishes_at((1, 1), (1, 1), 1)
+    with pytest.raises(DomainError):
+        BivariatePolynomial({(1, 0): 1}).vanishes_at((1, 0), (1, 1), 1)
+
+
+def _stream_primes(seed, count):
+    rng = random.Random(seed)
+    return [next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in range(count)]
+
+
+def test_screen_prime_memo_returns_the_seed_stream():
+    for seed in (0, 1, 7, 12345):
+        want = _stream_primes(seed, 6)
+        # ask out of order: each index replays the stream, not the calls made
+        for i in (4, 0, 5, 2, 1, 3):
+            assert classify._screen_prime(seed, i) == want[i]
+
+
+def test_repeated_probes_search_primes_only_on_the_first_call(monkeypatch):
+    calls = []
+
+    def counting_next_prime(n):
+        calls.append(n)
+        return next_prime(n)
+    monkeypatch.setattr(classify, "next_prime", counting_next_prime)
+    classify._screen_prime.cache_clear()
+    first = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=424242)
+    assert len(calls) == 3
+    for _ in range(3):
+        assert probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=424242) == first
+    assert len(calls) == 3
+    assert first == reference_probe(X3X, X3X, 1, -1, 1, 8, seed=424242)
+
+
+def test_degenerate_first_prime_draws_the_next_of_the_stream(monkeypatch):
+    seed = 99
+    stream = _stream_primes(seed, 5)
+    real_rows = classify._orbit_rows_modp
+    used = []
+
+    def rows_failing_the_first_prime(*args):
+        p = args[-1]
+        used.append(p)
+        return None if p == stream[0] else real_rows(*args)
+    monkeypatch.setattr(classify, "_orbit_rows_modp", rows_failing_the_first_prime)
+    rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=seed)
+    assert used == stream[:4]
+    assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
 
 
 def test_special_form_negative_scale_witness():

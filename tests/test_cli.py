@@ -564,6 +564,11 @@ MALFORMED_FILES = [
     (["ap-structure", "--eta", "0.3", "--report"],
      {"degree": 2, "last_n": 3, "rows": [{"n": 1, "log_gcd": "big"}]}),
     (["ap-structure", "--eta", "0.3", "--report"], {"degree": "2", "last_n": 3, "rows": []}),
+    # a row index outside [0, last_n] (d**n for n = 100000 overflowed a float)
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": 2, "last_n": 3, "rows": [{"n": 100000, "log_gcd": 1.0}]}),
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": 2, "last_n": 3, "rows": [{"n": -1, "log_gcd": 1.0}]}),
 ]
 
 
@@ -594,3 +599,21 @@ def test_cli_ap_structure_pipeline(capsys, map_file, tmp_path):
                                           "--eta", eta])
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_cli_ap_structure_at_indices_past_the_float_range(capsys, map_file):
+    # 2**2000 does not convert to a float; log_gcd >= eta * 2**n is decided
+    # exactly there, and in floats (as before) where 2**n converts
+    eta = 1e-300
+    rows = [{"n": 5, "log_gcd": 2.0}, {"n": 6, "log_gcd": 0.5},
+            {"n": 1100, "log_gcd": 1e32}, {"n": 1100, "log_gcd": 1e31},
+            {"n": 2000, "log_gcd": 1e303}, {"n": 1999, "log_gcd": 1e300},
+            {"n": 1998, "log_gcd": None}]
+    report = map_file("rep.json", {"degree": 2, "last_n": 2000, "rows": rows})
+    code, out, _ = run_cli(capsys, ["ap-structure", "--report", report,
+                                    "--eta", repr(eta)])
+    assert code == 0
+    want = [row["n"] for row in rows if row["log_gcd"] is not None
+            and Fraction(row["log_gcd"]) >= Fraction(eta) * 2 ** row["n"]]
+    assert want == [5, 6, 1100, 2000]
+    assert json.loads(out)["indices"] == want

@@ -1,5 +1,6 @@
-"""Heights and logs computed in several threads at once equal the serial
-results exactly and leave mpmath's process-wide precision alone."""
+"""Heights, logs and genericity probes computed in several threads at once
+equal the serial results exactly and leave mpmath's process-wide precision
+alone."""
 
 import sys
 import threading
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 
+from orbitgcd import classify
+from orbitgcd.classify import probe_genericity
 from orbitgcd.exact import log_abs
 from orbitgcd.heights import canonical_height, hgcd
 from orbitgcd.maps import RationalMap
@@ -26,11 +29,21 @@ def _jobs():
         jobs.append(lambda x=x, y=y: hgcd(x, y))
     for x in (Fraction(2, 3), Fraction(10**50 + 7, 3**80)):
         jobs.append(lambda x=x: log_abs(x))
+    x2, x3x = RationalMap([0, 0, 1]), RationalMap([0, 1, 0, 1])
+    for seed in (0, 3, 17, 9001):
+        jobs.append(lambda s=seed: probe_genericity(x3x, x3x, 1, -1, 1, 8, seed=s))
+        jobs.append(lambda s=seed: probe_genericity(
+            x2, RationalMap([0, 0, Fraction(1, 997)]), 5, 4985, 1, 8, seed=s))
+        jobs.append(lambda s=seed: probe_genericity(
+            RationalMap([1, 0, 1]), RationalMap([-1, 0, 1]), 1, 2, 2, 10, seed=s))
     return jobs
 
 
 def _exact(result):
-    # mpf values compared by their exact (sign, mantissa, exponent, bits)
+    # probe outcomes (a CurveRelation or None) compare by value; mpf values
+    # by their exact (sign, mantissa, exponent, bits)
+    if result is None or hasattr(result, "polynomial"):
+        return result
     if hasattr(result, "iterations_used"):
         return (result.value._mpf_, result.error_bound._mpf_, result.iterations_used)
     if hasattr(result, "finite"):
@@ -38,9 +51,25 @@ def _exact(result):
     return result._mpf_
 
 
+def _run_threads(worker, n):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often to provoke overlap
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_threads_reproduce_serial_results_exactly():
     jobs = _jobs()
     serial = [_exact(job()) for job in jobs]
+    # cold prime memo, so the threads also fill it concurrently
+    classify._screen_prime.cache_clear()
     start = threading.Barrier(THREADS)
     mismatches = []
 
@@ -55,16 +84,26 @@ def test_threads_reproduce_serial_results_exactly():
                 if got != serial[j]:
                     mismatches.append((k, r, j))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)   # switch threads often to provoke overlap
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=300)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _run_threads(worker, THREADS)
     assert mismatches == []
     assert mpmath.mp.prec == 53
+
+
+def test_two_threads_on_one_cold_probe_seed():
+    x2, g = RationalMap([0, 0, 1]), RationalMap([0, 0, Fraction(1, 10**6)])
+    seed = 271828
+    classify._screen_prime.cache_clear()
+    serial = probe_genericity(x2, g, 7, 7 * 10**6, 1, 8, seed=seed)
+    assert serial is not None
+    primes = [classify._screen_prime(seed, i) for i in range(3)]
+    classify._screen_prime.cache_clear()
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(k):
+        start.wait()
+        results[k] = probe_genericity(x2, g, 7, 7 * 10**6, 1, 8, seed=seed)
+
+    _run_threads(worker, 2)
+    assert results == [serial, serial]
+    assert [classify._screen_prime(seed, i) for i in range(3)] == primes
