@@ -49,16 +49,15 @@ class BivariatePolynomial:
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
                    Fraction(0))
 
-    def vanishes_at(self, x: tuple[int, int], y: tuple[int, int], degree: int) -> bool:
+    def vanishes_at(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
         """Whether F(xr/xs, yr/ys) = 0 for integer pairs x = (xr, xs) and
-        y = (yr, ys) with xs, ys nonzero, where no exponent of F exceeds
-        ``degree``.  Decided in integers as
-        sum c_ij xr^i xs^(degree-i) yr^j ys^(degree-j) == 0, which is F at
-        the point times (xs ys)^degree with the denominators cleared."""
+        y = (yr, ys) with xs, ys nonzero.  Decided in integers as
+        sum c_ij xr^i xs^(D-i) yr^j ys^(D-j) == 0, with D the largest
+        exponent of F: F at the point times (xs ys)^D with the denominators
+        cleared."""
         if not (x[1] and y[1]):
             raise DomainError("vanishes_at needs finite points")
-        if any(i > degree or j > degree for i, j in self.terms):
-            raise DomainError(f"an exponent of the polynomial exceeds degree {degree}")
+        degree = max((max(m) for m in self.terms), default=0)
         scale = lcm(*(c.denominator for c in self.terms.values()))
         xcol = homogeneous_powers(*x, degree)
         ycol = homogeneous_powers(*y, degree)

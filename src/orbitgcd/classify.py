@@ -339,18 +339,19 @@ def _screen_prime(seed, i: int) -> int:
 
 
 def probe_genericity(f: RationalMap, g: RationalMap, a, b,
-                     deg_max: int, n_points: int, seed: int = 0,
+                     deg_max: int, n_points: int, seed: int | None = 0,
                      *, digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET,
                      ) -> CurveRelation | None:
     """Search for a polynomial relation (box degrees <= deg_max) along the
     paired orbits of a and b.
 
     Kernels of the monomial matrix are screened modulo _SCREEN_PRIMES
-    random 61-bit primes drawn from ``seed`` (the primes are memoized per
-    seed, so a repeated seed skips the prime search and gets the same
-    primes, and results, as a fresh draw), iterating the orbits in
-    modular arithmetic from scratch over a window _SCREEN_MARGIN rows past
-    the monomial count (so interpolation artifacts on short windows die);
+    random 61-bit primes drawn from ``seed`` (an integer seed's primes
+    are memoized, so a repeated seed skips the prime search and gets the
+    same primes, and results, as a fresh draw; seed None draws new primes
+    on every call), iterating the orbits in modular arithmetic from
+    scratch over a window _SCREEN_MARGIN rows past the monomial count (so
+    interpolation artifacts on short windows die);
     an empty mod-p kernel certifies there is no relation.  Surviving
     kernel vectors are lifted by rational reconstruction and verified
     exactly, in integers, at the first ``n_points`` exact orbit points;
@@ -388,7 +389,11 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     if not exact_points:
         return None
 
-    primes = (_screen_prime(seed, i) for i in count())
+    if seed is None:   # fresh entropy on every call: nothing to memoize
+        rng = random.Random()
+        primes = (next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in count())
+    else:
+        primes = (_screen_prime(seed, i) for i in count())
     collected: list[tuple[int, list[list[int]]]] = []
     for window in (n_screen, n_usable):
         attempts = 0
@@ -426,7 +431,7 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
 
     verified = [
         poly for poly in candidates
-        if all(poly.vanishes_at(x, y, deg_max) for x, y in exact_points)
+        if all(poly.vanishes_at(x, y) for x, y in exact_points)
     ]
     if not verified:
         return None

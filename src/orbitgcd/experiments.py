@@ -394,22 +394,12 @@ def large_index_set(report: GcdSeriesReport, eta: float) -> IndexSet:
     are excluded; the gcd(0,0) = 0 convention makes them no-data rows)."""
     if not 0 < eta < math.inf:
         raise DomainError("eta must be finite and positive")
-    d = report.degree
+    d, eta = report.degree, Fraction(eta)   # exact: d**n may not fit a float
     picked = [
         row.n for row in report.rows
-        if row.log_gcd is not None and _at_least(row.log_gcd, eta, d**row.n)
+        if row.log_gcd is not None and row.log_gcd >= eta * d**row.n
     ]
     return IndexSet(picked, report.last_n)
-
-
-def _at_least(value, eta: float, scale: int) -> bool:
-    """value >= eta * scale: in floats while scale converts to one, and
-    exactly in rationals past that (float against Fraction compares
-    exactly, NaN and infinities included)."""
-    try:
-        return value >= eta * scale
-    except OverflowError:
-        return value >= Fraction(eta) * scale
 
 
 @dataclass(frozen=True)

@@ -475,12 +475,9 @@ def test_vanishes_at_matches_fraction_evaluation():
                 **poly.terms, (0, 0): poly.terms.get((0, 0), 0)
                 - poly.evaluate(Fraction(*x), Fraction(*y))})
         want = poly.evaluate(Fraction(*x), Fraction(*y)) == 0
-        assert poly.vanishes_at(x, y, 3) is want
-        assert poly.vanishes_at(x, y, 5) is want
+        assert poly.vanishes_at(x, y) is want
     with pytest.raises(DomainError):
-        BivariatePolynomial({(2, 0): 1}).vanishes_at((1, 1), (1, 1), 1)
-    with pytest.raises(DomainError):
-        BivariatePolynomial({(1, 0): 1}).vanishes_at((1, 0), (1, 1), 1)
+        BivariatePolynomial({(1, 0): 1}).vanishes_at((1, 0), (1, 1))
 
 
 def _stream_primes(seed, count):
@@ -510,6 +507,21 @@ def test_repeated_probes_search_primes_only_on_the_first_call(monkeypatch):
         assert probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=424242) == first
     assert len(calls) == 3
     assert first == reference_probe(X3X, X3X, 1, -1, 1, 8, seed=424242)
+
+
+def test_seed_none_draws_fresh_primes_on_every_call(monkeypatch):
+    calls = []
+
+    def counting_next_prime(n):
+        calls.append(n)
+        return next_prime(n)
+    monkeypatch.setattr(classify, "next_prime", counting_next_prime)
+    classify._screen_prime.cache_clear()
+    for k in (1, 2):
+        rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=None)
+        assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
+        assert len(calls) == 3 * k
+    assert classify._screen_prime.cache_info().currsize == 0
 
 
 def test_degenerate_first_prime_draws_the_next_of_the_stream(monkeypatch):

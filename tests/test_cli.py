@@ -603,7 +603,7 @@ def test_cli_ap_structure_pipeline(capsys, map_file, tmp_path):
 
 def test_cli_ap_structure_at_indices_past_the_float_range(capsys, map_file):
     # 2**2000 does not convert to a float; log_gcd >= eta * 2**n is decided
-    # exactly there, and in floats (as before) where 2**n converts
+    # exactly, in rationals
     eta = 1e-300
     rows = [{"n": 5, "log_gcd": 2.0}, {"n": 6, "log_gcd": 0.5},
             {"n": 1100, "log_gcd": 1e32}, {"n": 1100, "log_gcd": 1e31},
