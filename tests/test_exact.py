@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from orbitgcd import _gmp
 from orbitgcd.errors import DomainError, PartialFactorizationError
-from orbitgcd.exact import (ARCH_PREC, LogValue, Place, _context, _mpf_int, factor,
-                            is_prime, log_abs, log_gcd_places, next_prime, v_plus,
-                            valuation)
+from orbitgcd.exact import (_GMP_GCD_BITS, ARCH_PREC, LogValue, Place, _context, _mpf_int,
+                            factor, int_gcd, is_prime, log_abs, log_gcd_places, next_prime,
+                            v_plus, valuation)
+from orbitgcd.serialize import _digits_by_division, int_to_str
 
 
 def trial_division_oracle(n):
@@ -215,3 +219,68 @@ def test_log_abs_of_a_pair_matches_the_fraction():
         x = (Fraction(rng.randint(-2**300, 2**300) or 1, rng.randint(1, 2**300))
              * Fraction(2) ** rng.randint(-900, 900))
         assert log_abs(x.numerator, x.denominator) == log_abs(x)
+
+
+# --- gcds and decimal strings through the system GMP ---
+
+T = _GMP_GCD_BITS
+HUGE = 3**40000                         # about 63,000 bits
+
+
+@st.composite
+def gcd_operands(draw):
+    # a shared factor and two cofactors, each from one bit to a few times
+    # the GMP threshold, so pairs fall on both sides of it; either sign
+    def sized():
+        bits = draw(st.sampled_from([0, 1, 64, T - 200, T - 1, T, T + 1, 2 * T, 4 * T]))
+        return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | (bits > 0)
+
+    common = sized()
+    signs = draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))
+    return signs[0] * common * sized(), signs[1] * common * sized()
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcd_operands())
+@example((0, 0))
+@example((0, -HUGE))
+@example((HUGE, 0))
+@example((HUGE, HUGE))
+@example((-HUGE, HUGE))
+@example((HUGE * 7, -HUGE * 11))
+@example((3, HUGE))
+@example((2**T, 2**T * 3))
+@example((2**(T - 1) * 5, 2**(T - 1) * 15))
+def test_int_gcd_equals_math_gcd_across_the_threshold(pair):
+    x, y = pair
+    assert int_gcd(x, y) == math.gcd(x, y)
+    assert int_gcd(y, x) == math.gcd(x, y)
+
+
+def test_int_gcd_uses_gmp_only_at_orbit_size(monkeypatch):
+    calls = []
+    gcd = _gmp.gcd
+    monkeypatch.setattr(_gmp, "gcd", lambda x, y: calls.append((x, y)) or gcd(x, y))
+    small = 2**(T - 3) * 3               # T - 1 bits
+    assert int_gcd(small, small * 5) == small
+    assert int_gcd(HUGE, 7) == 1
+    assert calls == []
+    assert int_gcd(-HUGE, HUGE * 5) == HUGE
+    assert int_gcd(small * 2, small * 4) == small * 2
+    assert calls == [(HUGE, HUGE * 5), (small * 2, small * 4)]
+
+
+def test_int_gcd_without_libgmp_is_math_gcd(monkeypatch):
+    monkeypatch.setattr(_gmp, "_load", lambda: None)
+    assert _gmp.gcd(HUGE, HUGE) is None and _gmp.decimal(HUGE) is None
+    assert int_gcd(HUGE * 2, -HUGE * 3) == HUGE
+
+
+def test_int_to_str_from_gmp_matches_division():
+    rng = random.Random(14)
+    values = [10**3600, 10**3600 + 1, 10**7200 - 1, 10**100000 - 1, 10**100000]
+    values += [rng.randrange(10**k, 10**(k + 1)) for k in (3600, 3601, 4299, 4300, 9999,
+                                                           25000, 65536, 99999)]
+    for n in values:
+        assert int_to_str(n) == _digits_by_division(n)
+        assert int_to_str(-n) == "-" + _digits_by_division(n)

@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
-from orbitgcd.exact import _context, factor
+from orbitgcd.exact import _context, factor, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
-                              _cofactor_height, _discrepancy, bad_places, canonical_height,
+                              _cofactor_height, _discrepancy, _padic_gcd_exponent,
+                              bad_places, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
 from orbitgcd.linalg import solve_fraction
@@ -146,6 +147,56 @@ def test_canonical_height_green_vs_oracle_random_maps():
         tail = float(discrepancy_bound(f)) / (2**9 * 1)
         assert abs(float(est.value) - oracle) <= tail + 1e-9
         checked += 1
+
+
+def padic_gcd_exponent_fixed_precision(f, r0, s0, p, v_res, n_steps):
+    """v_p(gcd(p_N, q_N)) with every step mod the same p^K, K = (N + 1) v + 1:
+    the loop _padic_gcd_exponent shrinks step by step, kept as its reference."""
+    d = f.degree
+    K = n_steps * v_res + v_res + 1
+    mod = p**K
+    a, b = r0 % mod, s0 % mod
+    gamma = 0
+    for _ in range(n_steps):
+        va_, vb_ = (v % mod for v in f.form_values(a, b))
+        m = min(K if v == 0 else valuation(p, v) for v in (va_, vb_))
+        gamma = d * gamma + m
+        pm = p**m
+        a, b = va_ // pm, vb_ // pm
+    return gamma
+
+
+def test_padic_gcd_exponent_matches_fixed_precision_reference():
+    rng = random.Random(1170)
+    checked = nonzero = 0
+    while checked < 120:
+        deg = rng.randint(1, 4)
+        num = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        den = [rng.randint(-9, 9) for _ in range(rng.randint(1, deg + 1))]
+        try:
+            f = RationalMap(num, den)
+        except DomainError:
+            continue
+        res = abs(map_resultant(f))
+        if res <= 1:
+            continue
+        start = (INFINITY if rng.random() < 0.1
+                 else ProjPoint(Fraction(rng.randint(-50, 50), rng.randint(1, 50))))
+        r0, s0 = start.pair()
+        for p, e in factor(res).factors:
+            for n_steps in (0, 1, 2, 3, rng.randint(4, 40)):
+                gamma = _padic_gcd_exponent(f, r0, s0, p, e, n_steps)
+                assert gamma == padic_gcd_exponent_fixed_precision(f, r0, s0, p, e, n_steps)
+                nonzero += gamma > 0
+        checked += 1
+    assert nonzero > 100
+    # deep ones: (2x^4 - 1)/3x at p = 3 from 2, as canonical_height at tol
+    # 1e-300 runs it, and x^2 + 1/3 (Res 3^4) from 1/3
+    for f, r0, s0 in ((RationalMap([-1, 0, 0, 0, 2], [0, 3]), 2, 1),
+                      (RationalMap([Fraction(1, 3), 0, 1]), 1, 3)):
+        e = dict(factor(abs(map_resultant(f))).factors)[3]
+        assert (_padic_gcd_exponent(f, r0, s0, 3, e, 501)
+                == padic_gcd_exponent_fixed_precision(f, r0, s0, 3, e, 501))
 
 
 def test_canonical_height_budget_error():
