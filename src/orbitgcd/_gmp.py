@@ -1,15 +1,23 @@
-"""The system GMP library, bound through ``ctypes`` for two operations on
-big non-negative ints: the gcd (GMP's subquadratic half-gcd, where
-CPython's ``math.gcd`` is quadratic) and the decimal string.
+"""The system GMP library, bound through ``ctypes`` for three operations
+on big non-negative ints: the product (GMP's FFT multiplication, where
+CPython stays with Karatsuba), the gcd (GMP's subquadratic half-gcd,
+where CPython's ``math.gcd`` is quadratic) and the decimal string.
 
 Nothing here is imported at package import beyond this module: ``ctypes``
 and the library load on the first call, exactly once, under a lock.  Each
 call inits and clears its own ``mpz_t`` values, so calls share no state,
 and ctypes releases the GIL while GMP runs.  Every function returns
 ``None`` when no libgmp can be loaded; callers then keep their pure
-Python path, which gives the same value.  GMP aborts the process on an
-allocation failure rather than raising ``MemoryError``; the orbit digit
-budget bounds the operands that reach it.
+Python path, which gives the same value.
+
+GMP aborts the process on an allocation failure rather than raising
+``MemoryError``.  Nothing here bounds the operands: ``maps.iterate`` and
+the gcd series check their orbit digit budget (default 10^7 digits)
+after each evaluation, so the last evaluation's products, and the gcds
+of its values, have up to d times the budget in digits for a map of
+degree d (2 * 10^7 digits, about 8 MB, for a quadratic map at the
+default).  Direct calls of ``maps.evaluate`` are bounded only by their
+arguments.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ def _bind():
         "export": (ctypes.c_void_p, [ctypes.c_char_p, ctypes.POINTER(size_t), c_int,
                                      size_t, c_int, size_t, mpz]),
         "gcd": (None, [mpz, mpz, mpz]),
+        "mul": (None, [mpz, mpz, mpz]),
         "sizeinbase": (size_t, [mpz, c_int]),
         "get_str": (ctypes.c_void_p, [ctypes.c_char_p, c_int, mpz]),
     }
@@ -99,6 +108,29 @@ def _set(gmp, z, n: int) -> None:
     gmp.import_(z, len(data), -1, 1, 0, 0, data)
 
 
+def _get(gmp, z) -> int:
+    # exactly the bytes of z (one zero byte for z = 0); no count needed
+    buf = gmp.buffer((gmp.sizeinbase(z, 2) + 7) // 8)
+    gmp.export(buf, None, -1, 1, 0, 0, z)
+    return int.from_bytes(buf.raw, "little")
+
+
+def mul(x: int, y: int) -> int | None:
+    """x * y of two non-negative ints by GMP, or None without libgmp; when
+    ``y is x`` the one import is passed twice and GMP squares."""
+    gmp = _load()
+    if gmp is None:
+        return None
+    with _Mpzs(gmp, 3) as (a, b, p):
+        _set(gmp, a, x)
+        if y is x:
+            b = a
+        else:
+            _set(gmp, b, y)
+        gmp.mul(p, a, b)
+        return _get(gmp, p)
+
+
 def gcd(x: int, y: int) -> int | None:
     """gcd(x, y) of two non-negative ints by GMP, or None without libgmp."""
     gmp = _load()
@@ -108,10 +140,7 @@ def gcd(x: int, y: int) -> int | None:
         _set(gmp, a, x)
         _set(gmp, b, y)
         gmp.gcd(g, a, b)
-        # exactly the bytes of g (one zero byte for g = 0); no count needed
-        buf = gmp.buffer((gmp.sizeinbase(g, 2) + 7) // 8)
-        gmp.export(buf, None, -1, 1, 0, 0, g)
-    return int.from_bytes(buf.raw, "little")
+        return _get(gmp, g)
 
 
 def decimal(n: int) -> str | None:

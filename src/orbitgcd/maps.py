@@ -7,7 +7,11 @@ lowest-terms representation unique.  It is stored once, as the integer
 coefficients of its degree-d homogenizations (F, G), and
 :meth:`RationalMap.form_values` is the one evaluator of that pair, so
 evaluation is projective and the point at infinity needs no special
-cases; composition and Mobius maps evaluate through it too.
+cases; composition and Mobius maps evaluate through it too.  Once a
+coordinate it is given has 2^14 bits, its products go through
+``exact.int_mul`` to the system GMP, whose FFT multiplication outruns
+CPython's Karatsuba on the Theta(d^n)-digit values of deep orbits and on
+Kronecker-packed polynomials.
 
 A :class:`ProjPoint` is a coprime integer pair (r, s) with s >= 0, and
 infinity is (1, 0); ``.value`` is the rational view for callers.  For
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
-from .exact import int_gcd
+from .exact import _GMP_BITS, int_gcd, int_mul
 from .linalg import det_fraction
 from .polys import (Polynomial, exact_div, kronecker_pack, kronecker_unpack, primitive,
                     primitive_gcd, trim)
@@ -177,20 +181,28 @@ class RationalMap:
     def __repr__(self):
         return f"RationalMap({self.num!r} / {self.den!r})"
 
-    def form_values(self, r, s) -> tuple:
-        """(F(r, s), G(r, s)), exact for integers; the height code keeps
-        the top bits of the result and the orbit screens reduce it mod m."""
+    def form_values(self, r: int, s: int) -> tuple[int, int]:
+        """(F(r, s), G(r, s)) of two ints, exact; the height code keeps the
+        top bits of the result and the orbit screens reduce it mod m.
+
+        The size is decided once per call: when r or s has at least 2^14
+        bits, the powers of r and s and their cross products go through
+        :func:`~orbitgcd.exact.int_mul` (GMP, which squares r * r);
+        otherwise every product is a plain ``*``, so the height loop at
+        about 10^3 bits pays no call per product."""
         a, b = self.forms
         d = len(a) - 1
+        big = r.bit_length() >= _GMP_BITS or s.bit_length() >= _GMP_BITS
         rp = [1] * (d + 1)
         sp = [1] * (d + 1)
-        for i in range(1, d + 1):
-            rp[i] = rp[i - 1] * r
-            sp[i] = sp[i - 1] * s
+        rp[1], sp[1] = r, s
+        for i in range(2, d + 1):
+            rp[i] = int_mul(rp[i - 1], r) if big else rp[i - 1] * r
+            sp[i] = int_mul(sp[i - 1], s) if big else sp[i - 1] * s
         x = y = 0
         for i in range(d + 1):
             if a[i] or b[i]:
-                w = rp[i] * sp[d - i]
+                w = int_mul(rp[i], sp[d - i]) if big else rp[i] * sp[d - i]
                 if a[i]:
                     x += a[i] * w
                 if b[i]:

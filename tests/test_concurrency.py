@@ -1,6 +1,6 @@
-"""Heights, logs, genericity probes and the GMP-backed gcd and decimal
-conversion computed in several threads at once equal the serial results
-exactly and leave mpmath's process-wide precision alone."""
+"""Heights, logs, genericity probes and the GMP-backed product, gcd and
+decimal conversion computed in several threads at once equal the serial
+results exactly and leave mpmath's process-wide precision alone."""
 
 import math
 import random
@@ -12,7 +12,7 @@ import mpmath
 
 from orbitgcd import _gmp, classify
 from orbitgcd.classify import probe_genericity
-from orbitgcd.exact import _GMP_GCD_BITS, int_gcd, log_abs
+from orbitgcd.exact import _GMP_BITS, int_gcd, int_mul, log_abs
 from orbitgcd.heights import canonical_height, hgcd
 from orbitgcd.maps import RationalMap
 from orbitgcd.serialize import _digits_by_division, int_to_str
@@ -115,7 +115,7 @@ def test_two_threads_on_one_cold_probe_seed():
 def _big_pairs():
     rng = random.Random(14)
     pairs = []
-    for bits in (_GMP_GCD_BITS, 2 * _GMP_GCD_BITS, 8 * _GMP_GCD_BITS):
+    for bits in (_GMP_BITS, 2 * _GMP_BITS, 8 * _GMP_BITS):
         common = rng.getrandbits(bits // 2) | 1
         pairs.append((common * rng.getrandbits(bits), -common * rng.getrandbits(bits)))
     return pairs
@@ -136,6 +136,27 @@ def test_threads_running_gmp_gcds_and_decimals_at_once():
             for i, n in enumerate(numbers):
                 if int_to_str(n) != digits[i]:
                     mismatches.append(("str", k, r, i))
+
+    _run_threads(worker, THREADS)
+    assert mismatches == []
+
+
+def test_threads_running_gmp_products_and_gcds_at_once():
+    # orbit-sized squares and products, and the gcds of the products
+    pairs = _big_pairs()
+    products = [x * y for x, y in pairs]
+    squares = [x * x for x, _ in pairs]
+    gcds = [math.gcd(p, q) for p, q in zip(products, squares)]
+    mismatches = []
+
+    def worker(k):
+        for r in range(ROUNDS):
+            for i, (x, y) in enumerate(pairs):
+                p, q = int_mul(x, y), int_mul(x, x)
+                if p != products[i] or q != squares[i]:
+                    mismatches.append(("mul", k, r, i))
+                if int_gcd(p, q) != gcds[i]:
+                    mismatches.append(("gcd", k, r, i))
 
     _run_threads(worker, THREADS)
     assert mismatches == []

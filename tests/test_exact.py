@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from orbitgcd import _gmp
 from orbitgcd.errors import DomainError, PartialFactorizationError
-from orbitgcd.exact import (_GMP_GCD_BITS, ARCH_PREC, LogValue, Place, _context, _mpf_int,
-                            factor, int_gcd, is_prime, log_abs, log_gcd_places, next_prime,
-                            v_plus, valuation)
+from orbitgcd.exact import (_GMP_BITS, ARCH_PREC, LogValue, Place, _context, _mpf_int,
+                            factor, int_gcd, int_mul, is_prime, log_abs, log_gcd_places,
+                            next_prime, v_plus, valuation)
 from orbitgcd.serialize import _digits_by_division, int_to_str
 
 
@@ -221,23 +221,76 @@ def test_log_abs_of_a_pair_matches_the_fraction():
         assert log_abs(x.numerator, x.denominator) == log_abs(x)
 
 
-# --- gcds and decimal strings through the system GMP ---
+# --- products, gcds and decimal strings through the system GMP ---
 
-T = _GMP_GCD_BITS
+T = _GMP_BITS
 HUGE = 3**40000                         # about 63,000 bits
+
+
+def sized(draw):
+    # zero, or from one bit to a few times the GMP threshold, so pairs fall
+    # on both sides of it
+    bits = draw(st.sampled_from([0, 1, 64, T - 200, T - 1, T, T + 1, 2 * T, 4 * T]))
+    return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | (bits > 0)
 
 
 @st.composite
 def gcd_operands(draw):
-    # a shared factor and two cofactors, each from one bit to a few times
-    # the GMP threshold, so pairs fall on both sides of it; either sign
-    def sized():
-        bits = draw(st.sampled_from([0, 1, 64, T - 200, T - 1, T, T + 1, 2 * T, 4 * T]))
-        return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | (bits > 0)
-
-    common = sized()
+    # a shared factor and two cofactors; either sign
+    common = sized(draw)
     signs = draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))
-    return signs[0] * common * sized(), signs[1] * common * sized()
+    return signs[0] * common * sized(draw), signs[1] * common * sized(draw)
+
+
+@st.composite
+def mul_operands(draw):
+    # either sign; half the pairs are one int twice, which GMP squares
+    x = draw(st.sampled_from([1, -1])) * sized(draw)
+    if draw(st.booleans()):
+        return x, x
+    return x, draw(st.sampled_from([1, -1])) * sized(draw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mul_operands())
+@example((0, 0))
+@example((0, -HUGE))
+@example((HUGE, 0))
+@example((HUGE, HUGE))
+@example((-HUGE, HUGE))
+@example((3, HUGE))
+@example((-HUGE, 7))
+@example((2**T, -(2**T) * 3))
+@example((2**(T - 1) * 5, 2**(T - 1) * 15))
+def test_int_mul_equals_the_product_across_the_threshold(pair):
+    x, y = pair
+    assert int_mul(x, y) == x * y
+    assert int_mul(y, x) == x * y
+
+
+def test_int_mul_uses_gmp_only_at_orbit_size(monkeypatch):
+    calls = []
+    mul = _gmp.mul
+    monkeypatch.setattr(_gmp, "mul", lambda x, y: calls.append(
+        (x.bit_length(), y.bit_length(), y is x)) or mul(x, y))
+    small = 2**(T - 3) * 3               # T - 1 bits
+    assert int_mul(small, small) == small**2
+    assert int_mul(HUGE, -7) == -7 * HUGE
+    assert calls == []
+    assert int_mul(-HUGE, HUGE * 5) == -5 * HUGE**2
+    assert int_mul(HUGE, HUGE) == HUGE**2
+    neg = -HUGE
+    assert int_mul(neg, neg) == HUGE**2
+    b = HUGE.bit_length()
+    assert calls == [(b, (HUGE * 5).bit_length(), False), (b, b, True), (b, b, True)]
+
+
+def test_int_mul_without_libgmp_is_the_product(monkeypatch):
+    monkeypatch.setattr(_gmp, "_load", lambda: None)
+    assert _gmp.mul(HUGE, HUGE) is None
+    assert int_mul(HUGE * 2, -HUGE * 3) == -6 * HUGE**2
+    neg = -HUGE
+    assert int_mul(neg, neg) == HUGE**2
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,7 +15,7 @@ from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
                                   gcd_series, inversion_deviation_bound,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
-from orbitgcd.exact import _GMP_GCD_BITS, log_abs
+from orbitgcd.exact import _GMP_BITS, log_abs
 from orbitgcd.heights import PlaceSet
 from orbitgcd.linalg import solve_fraction
 from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, evaluate, fiber_polynomial,
@@ -73,19 +73,23 @@ def test_gcd_series_divisibility_power_example():
 
 def test_gcd_series_rows_past_the_gmp_threshold(monkeypatch):
     # x^2 from 5^3 and 5^2, alpha = beta = 1: the gcd is 5^(2^n) - 1, and
-    # both numerators have at least 2^14 bits from n = 12 on
+    # both numerators have at least 2^14 bits from n = 12 on; the values
+    # squared at n = 13, 5^12288 and 5^8192, are the first past 2^14 bits
     cfg = GcdSeriesConfig(X2, X2, 125, 25, 1, 1, n_max=13)
-    sizes = []
-    gcd = _gmp.gcd
+    sizes, squares = [], []
+    gcd, mul = _gmp.gcd, _gmp.mul
     monkeypatch.setattr(_gmp, "gcd", lambda x, y: sizes.append(
         min(x.bit_length(), y.bit_length())) or gcd(x, y))
+    monkeypatch.setattr(_gmp, "mul", lambda x, y: squares.append(
+        (x, y is x)) or mul(x, y))
     rows = gcd_series(cfg).rows
     assert [row.gcd for row in rows] == [5**(2**n) - 1 for n in range(14)]
-    assert len(sizes) == 2 and min(sizes) >= _GMP_GCD_BITS
-    # without libgmp the same rows come from math.gcd
+    assert len(sizes) == 2 and min(sizes) >= _GMP_BITS
+    assert squares == [(5**12288, True), (5**8192, True)]
+    # without libgmp the same rows come from math.gcd and *
     monkeypatch.setattr(_gmp, "_load", lambda: None)
     assert gcd_series(cfg).rows == rows
-    assert len(sizes) == 4
+    assert len(sizes) == 4 and len(squares) == 4
 
 
 def test_gcd_series_zero_collision_flags():

@@ -3,12 +3,15 @@ import operator
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orbitgcd import _gmp
 from orbitgcd.errors import BudgetExceededError, DomainError
+from orbitgcd.exact import _GMP_BITS
 from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, compose,
                            conjugate, digit_count, evaluate, fiber_polynomial,
                            iterate, map_resultant, self_compose)
@@ -276,6 +279,83 @@ def test_kronecker_pack_roundtrip_at_slot_edges(width):
 def test_kronecker_pack_roundtrip(case):
     width, cs = case
     assert kronecker_unpack(kronecker_pack(cs, width), width, len(cs)) == cs
+
+
+# --- form_values at orbit size, through GMP and without libgmp ---
+
+T = _GMP_BITS
+
+
+def plain_form_values(f, r, s):
+    """(F(r, s), G(r, s)) from plain ``*`` and ``**``."""
+    d = f.degree
+    return tuple(sum(c * r**i * s**(d - i) for i, c in enumerate(cs)) for cs in f.forms)
+
+
+def coordinate(draw):
+    # one bit to a few times the GMP threshold; powers of the small ones
+    # cross it inside form_values
+    bits = draw(st.sampled_from([1, 64, T // 5, T // 2 - 1, T - 1, T, T + 1, 3 * T]))
+    return random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1
+
+
+@st.composite
+def form_points(draw):
+    # integral (s = 1), rational, or infinity (s = 0)
+    r = draw(st.sampled_from([1, -1])) * coordinate(draw)
+    s = draw(st.sampled_from([0, 1, None]))
+    return r, coordinate(draw) if s is None else s
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.booleans().flatmap(lambda poly: maps(5, poly)), point=form_points())
+def test_form_values_match_plain_products_with_and_without_libgmp(f, point):
+    r, s = point
+    expected = plain_form_values(f, r, s)
+    assert f.form_values(r, s) == expected
+    with mock.patch.object(_gmp, "_load", lambda: None):
+        assert f.form_values(r, s) == expected
+
+
+def recording_mul(monkeypatch, record):
+    mul = _gmp.mul
+
+    def recorded(x, y):
+        p = mul(x, y)
+        record(x, y, p)
+        return p
+
+    monkeypatch.setattr(_gmp, "mul", recorded)
+
+
+def test_form_values_square_orbit_sized_values_in_gmp(monkeypatch):
+    squares = []
+    recording_mul(monkeypatch, lambda x, y, p: squares.append(y is x))
+    r = 3**20000                                     # about 31,700 bits
+    assert X2.form_values(r, 1) == (r**2, 1)
+    assert squares == [True]
+    # (x^2 + 1)/x: both squares, then the cross product r * s
+    f = RationalMap([1, 0, 1], [0, 1])
+    s = 5**14000                                     # about 32,500 bits
+    assert f.form_values(r, s) == (r**2 + s**2, r * s)
+    assert squares == [True, True, True, False]
+    # both coordinates below 2^14 bits: every product stays in Python
+    r = 3**10000
+    assert f.form_values(r, r + 2) == (r**2 + (r + 2)**2, r * (r + 2))
+    assert len(squares) == 4
+
+
+@pytest.mark.parametrize("f", [X2, X3X], ids=["x^2", "x^3+x"])
+def test_orbit_budget_is_checked_after_the_products(f, monkeypatch):
+    # one evaluation of a start point just inside the budget: its products
+    # reach GMP past the budget, and stay within d times it
+    digits = []
+    recording_mul(monkeypatch, lambda x, y, p: digits.append(digit_count(p)))
+    budget = 9600
+    start = 3**20000                                 # 9,543 digits
+    with pytest.raises(BudgetExceededError):
+        iterate(f, start, 3, digit_budget=budget)
+    assert budget < max(digits) <= f.degree * budget
 
 
 # --- evaluate/iterate against a Fraction evaluator ---
