@@ -20,8 +20,8 @@ from itertools import count
 
 from .bivariate import BivariatePolynomial, homogeneous_powers
 from .errors import BudgetExceededError, DomainError, IndeterminateError
-from .exact import _ARCH, _context, _iroot, factor, next_prime
-from .heights import _orbit_scan, canonical_height, discrepancy_bound
+from .exact import _iroot, factor, next_prime
+from .heights import _orbit_scan, canonical_height
 from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius,
                    ProjPoint, RationalMap, compose, conjugate, fiber_polynomial, iterate)
@@ -80,14 +80,13 @@ def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:
     if budget < 1:
         raise DomainError("budget must be >= 1")
     point = ProjPoint.of(point)
-    escape = _context(53).fdiv(discrepancy_bound(f), f.degree - 1)  # float precision
-    scan = _orbit_scan(f, point, budget, escape, _ARCH)
+    scan = _orbit_scan(f, point, budget)
     if scan is not None:
         return scan[0] == "cycle"
     est = canonical_height(f, point, 1e-12)
     if est.is_exact_zero:
         return True
-    if est.value - est.error_bound > 0:
+    if est.value > est.error_bound:
         return False
     raise IndeterminateError(
         f"no cycle within budget {budget} and canonical height "

@@ -17,9 +17,10 @@ place it is max(0, -log|x|).  Summing min(v_plus(a), v_plus(b)) over the
 finite places of two integers recovers log gcd(|a|, |b|) exactly, which is
 the identity the symbolic :class:`LogValue` type exists to make testable.
 
-Logs are rounded in a private mpmath context at ARCH_PREC = 128 bits and
-returned as ordinary mpmath.mpf values; nothing here reads or sets
-mpmath's process-wide precision.
+This is the one module that imports mpmath: :func:`log_fixed` takes logs
+as ints in units of 2^-prec, the fixed point heights compute in, and
+LogValue arithmetic rounds in one private context at ARCH_PREC = 128
+bits; nothing here reads or sets mpmath's process-wide precision.
 
 Products and gcds that can reach orbit size go through :func:`int_mul`
 and :func:`int_gcd`, which hand operands of at least 2^14 bits to the
@@ -30,21 +31,22 @@ the same either way.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 
 import mpmath
+from mpmath import libmp
 
 from . import _gmp
 from .errors import DomainError, PartialFactorizationError
 
 Rational = Fraction
+Real = mpmath.mpf                 # the type of every real-valued result
 
 ARCH_PREC = 128                   # bits carried by archimedean parts
 TRIAL_DIVISION_BOUND = 10**6
@@ -108,13 +110,14 @@ def _sieve(limit: int) -> list[int]:
     global _sieve_limit, _sieve_primes
     with _sieve_lock:
         if limit > _sieve_limit:
-            size = max(limit, 2 * _sieve_limit, 1 << 16)
+            # doubling amortizes growth; past 10^6 only a request grows it
+            size = max(limit, min(2 * _sieve_limit, TRIAL_DIVISION_BOUND), 1 << 16)
             flags = bytearray([1]) * size
             flags[0:2] = b"\x00\x00"
             for i in range(2, math.isqrt(size - 1) + 1):
                 if flags[i]:
-                    flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-            _sieve_primes = [i for i, f in enumerate(flags) if f]
+                    flags[i * i :: i] = bytes((size - 1 - i * i) // i + 1)
+            _sieve_primes = list(compress(range(size), flags))
             _sieve_limit = size
         return _sieve_primes
 
@@ -313,10 +316,11 @@ def _perfect_power(n: int) -> tuple[int, int]:
 def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Certified prime factorization of a nonzero integer.
 
-    Trial division up to 10^6, then Brent's variant of Pollard rho with a
-    deterministic seed.  Every reported prime passes :func:`is_prime`.  If
-    the rho budget runs out a :class:`PartialFactorizationError` is raised
-    carrying the certified part; composites are never silently reported.
+    Trial division up to min(10^6, sqrt|n|), then Brent's variant of
+    Pollard rho with a deterministic seed.  Every reported prime passes
+    :func:`is_prime`.  If the rho budget runs out a
+    :class:`PartialFactorizationError` is raised carrying the certified
+    part; composites are never silently reported.
 
     >>> factor(15624).factors
     ((2, 3), (3, 2), (7, 1), (31, 1))
@@ -326,8 +330,11 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     found: dict[int, int] = {}
-    primes = _sieve(TRIAL_DIVISION_BOUND)
-    for p in islice(primes, bisect_left(primes, TRIAL_DIVISION_BOUND)):
+    # every prime up to sqrt(m) is tried, so a cofactor left below
+    # TRIAL_DIVISION_BOUND^2 is prime whatever the sieve size
+    limit = min(TRIAL_DIVISION_BOUND, math.isqrt(m) + 1)
+    primes = _sieve(limit)
+    for p in islice(primes, bisect_left(primes, limit)):
         if p * p > m:
             break
         while m % p == 0:
@@ -402,38 +409,35 @@ class Place:
 
 def valuation(p: int, x) -> int:
     """v_p(x) for nonzero rational x: exponent of p in the numerator minus
-    exponent in the denominator.
+    exponent in the denominator.  An int x builds no Fraction.
 
     >>> valuation(5, Fraction(1, 25))
     -2
     """
     if p < 2:
         raise DomainError(f"valuation needs p >= 2, got {p}")
-    x = Fraction(x)
-    if x == 0:
+    num, den = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
+    if num == 0:
         raise DomainError("valuation of 0 is +infinity; handle upstream")
+    return _int_valuation(p, abs(num)) - _int_valuation(p, den)
+
+
+def _int_valuation(p: int, n: int) -> int:
+    # exponent of p in the positive int n
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    num, den = abs(x.numerator), x.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
 # --- symbolic log values ---
 
-@functools.lru_cache(maxsize=64)
-def _context(prec: int) -> mpmath.MPContext:
-    """The private mpmath context rounding to ``prec`` bits; never changed."""
-    ctx = mpmath.MPContext()
-    ctx.prec = prec
-    return ctx
-
-
-_ARCH = _context(ARCH_PREC)
+# the one mpmath context, for LogValue arithmetic; never changed
+_ARCH = mpmath.MPContext()
+_ARCH.prec = ARCH_PREC
 
 
 def _plain(x) -> mpmath.mpf:
@@ -442,17 +446,31 @@ def _plain(x) -> mpmath.mpf:
     return mpmath.mp.make_mpf(x._mpf_)
 
 
-def _mpf_int(ctx, n: int) -> mpmath.mpf:
-    """The int n rounded to nearest at ctx's precision: the bits of
-    ``ctx.mpf(n)``, which strips the trailing zero bits of the exact n
-    8 at a time before rounding (quadratic in the size of n), where this
-    strips them after."""
-    return ctx.make_mpf(mpmath.libmp.from_int(n, ctx.prec, "n"))
+def log_fixed(n: int, prec: int, shift: int = 0) -> int:
+    """log(n * 2^shift) for a positive int n, in units of 2^-prec: the
+    nearest int to log(n * 2^shift) * 2^prec, off by at most 1/2 + 2^-9."""
+    # |log| < 2^mag, so wp = prec + mag + 10 relative bits carry 2^-(prec + 10);
+    # n is cut to wp bits by a shift, a relative error below 2^(1 - wp)
+    wp = prec + (n.bit_length() + abs(shift)).bit_length() + 10
+    cut = max(0, n.bit_length() - wp)
+    y = libmp.mpf_log(libmp.from_man_exp(n >> cut, shift + cut), wp, "n")
+    return libmp.to_int(libmp.mpf_shift(y, prec), "n")
 
 
-def log_abs(x, den: int = 1) -> mpmath.mpf:
+def fixed_mpf(m: int, prec: int) -> Real:
+    """The int m in units of 2^-prec as an ordinary mpmath.mpf, exactly."""
+    return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
+
+
+def float_sum(*values: Real) -> float:
+    """The exact sum of mpmath.mpf values, rounded once to the nearest float
+    (ties to even) when the sum is not subnormal."""
+    return libmp.to_float(libmp.mpf_sum([v._mpf_ for v in values]), rnd="n")
+
+
+def log_abs(x, den: int = 1) -> Real:
     """log|x / den| for a nonzero rational x and a positive integer den,
-    carried at ARCH_PREC bits.  An int x with a den coprime to it is used
+    in units of 2^-ARCH_PREC.  An int x with a den coprime to it is used
     as it stands, so callers holding a numerator and denominator in lowest
     terms build no Fraction; the result has the bits of the one they form.
 
@@ -466,7 +484,7 @@ def log_abs(x, den: int = 1) -> mpmath.mpf:
         x, den = x.numerator, x.denominator
     if x == 0:
         raise DomainError("log|0| is -infinity; handle upstream")
-    return _plain(_ARCH.log(_mpf_int(_ARCH, abs(x))) - _ARCH.log(_mpf_int(_ARCH, den)))
+    return fixed_mpf(log_fixed(abs(x), ARCH_PREC) - log_fixed(den, ARCH_PREC), ARCH_PREC)
 
 
 @dataclass(frozen=True)

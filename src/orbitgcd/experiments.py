@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import _context, factor, int_gcd, log_abs, valuation
+from .exact import factor, float_sum, int_gcd, log_abs, valuation
 from .heights import PlaceSet, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint,
                    RationalMap, conjugate, digit_count, evaluate, iterate)
@@ -345,12 +345,10 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     tol = min(1e-8, epsilon / 100)
     ha = canonical_height(f, a, tol)
     hb = canonical_height(g, b, tol)
-    fl = _context(53)                 # the sums round once, to float precision
-    c_aggregate = float(
-        2 * fl.fadd(discrepancy_bound(f), discrepancy_bound(g)) / (d - 1)
-    )
-    factor_heights = (4 * float(fl.fadd(ha.value, ha.error_bound))
-                      + 4 * float(fl.fadd(hb.value, hb.error_bound)) + c_aggregate)
+    # each sum rounds once, to a float
+    c_aggregate = 2 * float_sum(discrepancy_bound(f), discrepancy_bound(g)) / (d - 1)
+    factor_heights = (4 * float_sum(ha.value, ha.error_bound)
+                      + 4 * float_sum(hb.value, hb.error_bound) + c_aggregate)
     walks = zip(_critical_walk(f, alpha), _critical_walk(g, beta))
     for depth, ((m_f, bits_f), (m_g, bits_g)) in zip(range(1, depth_max + 1), walks):
         m_prime = max(m_f, m_g)

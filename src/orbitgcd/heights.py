@@ -13,13 +13,13 @@ integer pair cut back to its top bits after each exact step, with the
 dropped powers of two counted in an exact exponent, and one logarithm at
 the end), and p-adic gcd corrections at the primes dividing the resultant
 run modulo a fixed power of each prime.  The returned value is still
-h(f^N(P)) / d^N up to the stated floating error.
+h(f^N(P)) / d^N up to the stated error.
 
-Floating work rounds in private mpmath contexts, one per precision and
-never changed: ARCH_PREC bits, or for canonical heights a precision
-derived from the tolerance, high enough that the stated error bound stays
-within it.  Results are ordinary mpmath.mpf values; mpmath's global
-precision is neither read nor set.
+Weil, canonical and discrepancy heights are ints in units of 2^-prec, and
+the tail and escape decisions compare ints: prec is ARCH_PREC = 128, or for
+canonical heights a precision derived from the tolerance, high enough
+that the stated error bound stays within it.  Results are packed exactly
+into ordinary mpf values (``Real``) by :func:`~orbitgcd.exact.fixed_mpf`.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import BudgetExceededError, DomainError
-from .exact import (ARCH_PREC, LogValue, Place, _context, _mpf_int, _plain, factor,
-                    int_gcd, is_prime, v_plus, valuation)
+from .exact import (ARCH_PREC, LogValue, Place, Real, factor, fixed_mpf, int_gcd,
+                    is_prime, log_abs, log_fixed, v_plus, valuation)
 from .linalg import solve_fraction
 from .maps import (_MAP_CACHE_SIZE, ProjPoint, RationalMap, _sylvester_rows, evaluate,
                    map_resultant)
@@ -46,8 +44,8 @@ _PREPERIODIC_SCAN_LIMIT = 500
 class HeightEstimate:
     """A bracketing estimate: the true limit lies in value +- error_bound."""
 
-    value: mpmath.mpf
-    error_bound: mpmath.mpf
+    value: Real
+    error_bound: Real
     iterations_used: int
 
     @property
@@ -80,18 +78,13 @@ class PlaceSet:
         return f"PlaceSet({sorted(self.primes)})"
 
 
-def weil_height(point) -> mpmath.mpf:
+def weil_height(point) -> Real:
     """log max(|p|, |q|) for p/q in lowest terms; h(oo) = h(0) = 0.
 
     >>> weil_height(Fraction(3, 2))  # doctest: +ELLIPSIS
     mpf('1.09861...')
     """
-    return _plain(_weil_height(ProjPoint.of(point), _context(ARCH_PREC)))
-
-
-def _weil_height(point: ProjPoint, ctx) -> mpmath.mpf:
-    r, s = point.pair()
-    return ctx.log(_mpf_int(ctx, max(abs(r), abs(s))))
+    return log_abs(max(map(abs, ProjPoint.of(point).pair())))
 
 
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
@@ -109,24 +102,25 @@ def _cofactor_height(f: RationalMap) -> int:
     return max(1, max(abs(c) for col in cols for c in col))
 
 
-def discrepancy_bound(f: RationalMap) -> mpmath.mpf:
+def discrepancy_bound(f: RationalMap) -> Real:
     """A constant C_f with |h(f(x)) - d*h(x)| <= C_f on all of P^1(Q).
 
     Upper side: coefficient count times height of the coefficients.  Lower
     side: the Bezout identities u*F + v*G = R*X^(2d-1) (and Y^(2d-1)) give
     max(|F|,|G|) >= |R| M^d / (2 d H_u) and bound the gcd of the value
     pair by |R|.  Any finite valid constant is acceptable; tightness is not
-    a goal.  Rounded to ARCH_PREC bits.
+    a goal.  In units of 2^-ARCH_PREC.
     """
     if f.degree < 2:
         raise DomainError("discrepancy bound needs degree >= 2")
-    return _plain(_discrepancy(f, _context(ARCH_PREC)))
+    return log_abs(_discrepancy_base(f))
 
 
-def _discrepancy(f: RationalMap, ctx) -> mpmath.mpf:
+def _discrepancy_base(f: RationalMap) -> int:
+    # the int whose log is C_f: the larger of the two sides' arguments
     d = f.degree
     height_f = max(abs(c) for form in f.forms for c in form)
-    return max(ctx.log((d + 1) * height_f), ctx.log(2 * d * _cofactor_height(f)))
+    return max((d + 1) * height_f, 2 * d * _cofactor_height(f))
 
 
 # --- canonical height ---
@@ -139,18 +133,19 @@ def _renormalize(x: int, y: int, bits: int) -> tuple[int, int, int]:
     return (x >> sh, y >> sh, sh) if sh >= 0 else (x << -sh, y << -sh, sh)
 
 
-def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, ctx):
+def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, prec: int,
+                    drop: int = 0) -> int:
     # log max(|p_N|, |q_N|) of the un-reduced orbit pair p_{n+1} = F(p_n, q_n),
-    # homogeneous of degree d, in power-of-two fixed point: (x, y) * 2^t
-    # tracks the pair with x, y ints of ctx.prec bits, so each step is one
-    # exact form evaluation, a shift and t -> d t + sh, and the height
-    # takes one logarithm, of max(|x|, |y|) * 2^t, which mpmath rounds once.
-    d, bits = f.degree, ctx.prec
-    x, y, t = _renormalize(r0, s0, bits)
+    # homogeneous of degree d, in units of 2^-prec: (x, y) * 2^t tracks the
+    # pair with x, y ints of prec bits, so each step is one exact form
+    # evaluation, a shift and t -> d t + sh, and the height takes one
+    # logarithm, of max(|x|, |y|) * 2^t, to within 2^drop units.
+    d = f.degree
+    x, y, t = _renormalize(r0, s0, prec)
     for _ in range(n_steps):
-        x, y, sh = _renormalize(*f.form_values(x, y), bits)
+        x, y, sh = _renormalize(*f.form_values(x, y), prec)
         t = d * t + sh
-    return ctx.log(ctx.ldexp(_mpf_int(ctx, max(abs(x), abs(y))), t))
+    return log_fixed(max(abs(x), abs(y)), prec - drop, t) << drop
 
 
 def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
@@ -175,19 +170,19 @@ def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
     return gamma
 
 
-def _orbit_scan(f: RationalMap, point: ProjPoint, limit: int, ceiling,
-                ctx) -> tuple[str, int] | None:
+def _orbit_scan(f: RationalMap, point: ProjPoint, limit: int) -> tuple[str, int] | None:
     """Exact scan of point, f(point), ..., f^limit(point): ("cycle", n) when
-    f^n(point) repeats an earlier point, ("escape", n) when f^n(point),
-    n < limit, has Weil height in ctx above ``ceiling`` (for C_f/(d-1) a
+    f^n(point) repeats an earlier point, ("escape", n) when f^n(point) = r/s,
+    n < limit, has (d-1) h > C_f, tested as max(|r|, |s|)^(d-1) > e^C_f (a
     certified wanderer, as |hhat - h| <= C_f/(d-1)), else None."""
     seen = set()
     cur = point
+    ceiling, power = _discrepancy_base(f), f.degree - 1
     for step in range(limit):
         if cur in seen:
             return "cycle", step
         seen.add(cur)
-        if _weil_height(cur, ctx) > ceiling:
+        if max(map(abs, cur.pair())) ** power > ceiling:
             return "escape", step
         cur = evaluate(f, cur)
     return ("cycle", limit) if cur in seen else None
@@ -206,12 +201,12 @@ def canonical_height(f: RationalMap, point, tol,
     Preperiodic points found by the exact orbit pre-scan return value 0
     with error_bound 0.
 
-    The work runs in private contexts at prec = max(ARCH_PREC,
+    The tail test runs in units of 2^-prec, prec = max(ARCH_PREC,
     log2(1/tol) + 64, 2 log2((d+1)/(d tol))) bits, the last rounded up so
-    that 2^-(prec//2) < tol - tol/(d+1).  The orbit runs in power-of-two
-    fixed point: an integer pair of prec + 64 bits and an exact binary
-    exponent, so a step is one exact form evaluation and a shift, and the
-    archimedean part takes one logarithm.
+    that 2^-(prec//2) < tol - tol/(d+1), and the height in units of
+    2^-(prec + 64), from an integer pair of prec + 64 bits and an exact
+    binary exponent: a step is one exact form evaluation and a shift, and
+    the archimedean part takes one logarithm.
 
     >>> canonical_height(RationalMap([0, 0, 1]), 1, 1e-9).is_exact_zero
     True
@@ -228,26 +223,21 @@ def canonical_height(f: RationalMap, point, tol,
     # 2^-k < tol - tol/(d+1), the room error_bound leaves beside the tail
     prec = max(ARCH_PREC, int(-math.log2(tol)) + 64,
                2 * ((d + 1) * den // (d * num)).bit_length())
-    lo, hi = _context(prec), _context(prec + 64)
 
-    c_f = _discrepancy(f, lo)
     # a cycle makes the height exactly 0; an escape or nothing goes on below
-    scan = _orbit_scan(f, point, _PREPERIODIC_SCAN_LIMIT, c_f / (d - 1), lo)
+    scan = _orbit_scan(f, point, _PREPERIODIC_SCAN_LIMIT)
     if scan is not None and scan[0] == "cycle":
-        return HeightEstimate(_plain(lo.zero), _plain(lo.zero), scan[1])
+        return HeightEstimate(fixed_mpf(0, prec), fixed_mpf(0, prec), scan[1])
 
-    target = lo.mpf(tol) / (d + 1)
-
-    def tail_above_target(n: int) -> bool:
-        return c_f / (lo.mpf(d) ** n * (d - 1)) > target
-
-    # the least n whose tail is within target: a float estimate of
-    # log_d(C_f (d+1) / ((d-1) tol)), confirmed by the monotone test at n, n-1
-    n_steps = max(0, math.ceil((math.log(c_f) + math.log((d + 1) / (d - 1))
-                                - math.log(tol)) / math.log(d)))
-    while tail_above_target(n_steps):
+    # the least n whose tail C_f / (d^n (d-1)) is within tol/(d+1), with
+    # C_f in units and tol = num/den, is the least n with d^n >= q: a float
+    # estimate of log_d q, confirmed by exact tests at n and n - 1
+    c_f = log_fixed(_discrepancy_base(f), prec)
+    q = -(-c_f * (d + 1) * den // ((num * (d - 1)) << prec))
+    n_steps = math.ceil(math.log(q) / math.log(d))
+    while d**n_steps < q:
         n_steps += 1
-    while n_steps and not tail_above_target(n_steps - 1):
+    while n_steps and d ** (n_steps - 1) >= q:
         n_steps -= 1
     if n_steps > max_iterations:
         raise BudgetExceededError(
@@ -256,18 +246,18 @@ def canonical_height(f: RationalMap, point, tol,
         )
 
     r0, s0 = point.pair()
-    slog = _arch_green_log(f, r0, s0, n_steps, hi)
-    correction = lo.zero
+    wide, scale = prec + 64, d**n_steps
+    # the division by d^N leaves a log within d^N units within one unit
+    slog = _arch_green_log(f, r0, s0, n_steps, wide, scale.bit_length() - 1)
     res = map_resultant(f)
     if abs(res) > 1:
         for p, e in factor(abs(res)).factors:
             gamma = _padic_gcd_exponent(f, r0, s0, p, e, n_steps)
             if gamma:
-                correction += gamma * lo.log(lo.mpf(p))
-    # fsub rounds once at prec; slog - correction would round at prec + 64
-    value = lo.fsub(slog, correction) / lo.mpf(d) ** n_steps
-    err = target + lo.mpf(2) ** (-(prec // 2))
-    return HeightEstimate(_plain(value), _plain(err), n_steps)
+                slog -= gamma * log_fixed(p, wide)
+    # the tail tol/(d+1) rounded up, plus the rounding allowance
+    err = -(-(num << wide) // (den * (d + 1))) + (1 << (wide - prec // 2))
+    return HeightEstimate(fixed_mpf(slog // scale, wide), fixed_mpf(err, wide), n_steps)
 
 
 # --- generalized gcd heights ---

@@ -92,6 +92,28 @@ def test_threads_reproduce_serial_results_exactly():
     assert mpmath.mp.prec == 53
 
 
+def test_threads_first_reaching_a_precision_match_later_serial_results():
+    # tolerances near the least positive float need about 2,200 bits, more
+    # than any other height in this suite, so mpmath's memoized constants
+    # and log tables first grow to those precisions inside the threads
+    jobs = [(f, start, tol)
+            for f in (RationalMap([1, 0, 1]), RationalMap([-3, 0, 1], [0, 2]))
+            for start in (Fraction(1, 2), Fraction(5, 7))
+            for tol in (5e-324, 2e-323)]
+    start = threading.Barrier(THREADS)
+    results = [[None] * len(jobs) for _ in range(THREADS)]
+
+    def worker(k):
+        start.wait()
+        for i in range(len(jobs)):
+            j = (i + 3 * k) % len(jobs)
+            results[k][j] = _exact(canonical_height(*jobs[j]))
+
+    _run_threads(worker, THREADS)
+    serial = [_exact(canonical_height(*job)) for job in jobs]
+    assert results == [serial] * THREADS
+
+
 def test_two_threads_on_one_cold_probe_seed():
     x2, g = RationalMap([0, 0, 1]), RationalMap([0, 0, Fraction(1, 10**6)])
     seed = 271828

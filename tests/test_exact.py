@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import _gmp
+import orbitgcd
+from orbitgcd import _gmp, exact
 from orbitgcd.errors import DomainError, PartialFactorizationError
-from orbitgcd.exact import (_GMP_BITS, ARCH_PREC, LogValue, Place, _context, _mpf_int,
-                            factor, int_gcd, int_mul, is_prime, log_abs, log_gcd_places,
-                            next_prime, v_plus, valuation)
+from orbitgcd.exact import (_GMP_BITS, TRIAL_DIVISION_BOUND, LogValue, Place, factor,
+                            fixed_mpf, float_sum, int_gcd, int_mul, is_prime, log_abs,
+                            log_fixed, log_gcd_places, next_prime, v_plus, valuation)
 from orbitgcd.serialize import _digits_by_division, int_to_str
 
 
@@ -197,20 +201,129 @@ def test_logvalue_arch_arithmetic_keeps_full_precision():
     assert not a.close_to(a + LogValue({}, mpmath.mpf(2) ** -60))
 
 
-@pytest.mark.parametrize("prec", [ARCH_PREC, int(-math.log2(1e-50)) + 64 + 64])
-def test_mpf_int_rounds_like_mpf(prec):
-    # the bits of ctx.mpf(n): carries (runs of ones), exact ties at the
-    # rounding position, and up to 2^14 trailing zero bits
-    ctx = _context(prec)
-    rng = random.Random(prec)
-    mantissas = [1, 3, 2**prec - 1, 2**(prec + 1) - 1, 2**(prec + 7) - 1,
-                 2**prec + 1, 2**(prec + 1) + 1, 2**(prec + 1) + 3, 2**(prec + 2) + 2]
-    mantissas += [rng.getrandbits(rng.randint(1, 3 * prec)) | 1 for _ in range(150)]
-    for m in mantissas:
-        for zeros in (0, 1, 7, 8, 9, 64, rng.randint(0, 2**14), 2**14):
-            for n in (m << zeros, -(m << zeros)):
-                assert _mpf_int(ctx, n)._mpf_ == ctx.mpf(n)._mpf_, (m, zeros)
-    assert _mpf_int(ctx, 0)._mpf_ == ctx.mpf(0)._mpf_
+def log_fixed_cases(rng):
+    """(n, shift) pairs: n from 1 to 10^5 bits, shifts negative, zero and
+    positive, and n * 2^shift at or just off 1, where the log cancels."""
+    cases = [(1, 0), (1, -1), (1, 5), (2**64, -64), (2**64 + 1, -64), (2**64 - 1, -64),
+             (3**20000, 0), (3**20000, -31699)]
+    for bits in (1, 2, 53, 200, 3000, 10**5):
+        for shift in (0, -bits - 3, rng.randint(-2 * bits, 2 * bits), 7 * bits):
+            cases.append((rng.getrandbits(bits) | 1 << (bits - 1), shift))
+    return cases
+
+
+@pytest.mark.parametrize("prec", [53, 128, 460, 2000])
+def test_log_fixed_matches_mpmath_at_twice_the_precision(prec):
+    # within 1/2 + 2^-9 units of 2^-prec of a log taken at 2 prec bits
+    # plus the bits of its integer part, in a private context
+    ref = mpmath.MPContext()
+    for n, shift in log_fixed_cases(random.Random(prec)):
+        ref.prec = 2 * prec + (n.bit_length() + abs(shift)).bit_length() + 8
+        exact_units = ref.ldexp(ref.log(ref.ldexp(ref.mpf(n), shift)), prec)
+        got = log_fixed(n, prec, shift)
+        assert abs(got - exact_units) <= 0.5 + 2**-9, (n.bit_length(), shift)
+    assert log_fixed(1, prec) == 0 and log_fixed(2**40, prec, -40) == 0
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            log_fixed(n, prec)
+
+
+def test_fixed_mpf_packs_the_int_exactly():
+    rng = random.Random(3)
+    for m in [0, 1, -1, 2**300, -(3**200)] + [rng.getrandbits(500) - 2**499 for _ in range(50)]:
+        for prec in (0, 53, 1000):
+            x = fixed_mpf(m, prec)
+            assert type(x) is mpmath.mpf
+            assert Fraction(*mpmath.libmp.to_rational(x._mpf_)) == Fraction(m, 2**prec)
+            assert pickle.loads(pickle.dumps(x)) == x
+
+
+def exact_value(v):
+    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                                    allow_subnormal=False, min_value=-1e300,
+                                    max_value=1e300).map(mpmath.mpf),
+                          st.integers(-2**400, 2**400).map(
+                              lambda m: fixed_mpf(m, 400 - m.bit_length() % 97))),
+                max_size=5))
+@example([mpmath.mpf(1), fixed_mpf(1, 53)])                    # a tie, to even
+@example([mpmath.mpf(1), fixed_mpf(1, 53), fixed_mpf(1, 400)])  # just past it
+@example([fixed_mpf(2**200 + 1, 200), mpmath.mpf(-1)])
+def test_float_sum_rounds_the_exact_sum_once(values):
+    # Fraction -> float rounds the exact rational to nearest, ties to even
+    assert float_sum(*values) == float(sum(map(exact_value, values), Fraction(0)))
+
+
+def fraction_valuation(p, x):
+    # the Fraction path: numerator and denominator divided out separately
+    x = Fraction(x)
+    v, num, den = 0, abs(x.numerator), x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.integers(2, 40), unit=st.integers(-2**200, 2**200).filter(bool),
+       k=st.integers(0, 300), den=st.integers(1, 10**12))
+@example(p=2, unit=1, k=0, den=1)
+@example(p=2, unit=-3, k=300, den=2**40)
+def test_valuation_of_an_int_matches_the_fraction_path(p, unit, k, den):
+    n = unit * p**k
+    assert valuation(p, n) == fraction_valuation(p, n)
+    assert valuation(p, Fraction(n, den)) == fraction_valuation(p, Fraction(n, den))
+
+
+def test_valuation_rejects_zero_and_small_p():
+    for p, x in ((2, 0), (3, Fraction(0)), (1, 5), (0, 5)):
+        with pytest.raises(DomainError):
+            valuation(p, x)
+
+
+def test_factor_sieves_only_to_the_square_root(monkeypatch):
+    # a cold sieve: factor(6) needs primes up to 2 and stops at the
+    # minimum size, larger inputs grow it to sqrt(n) and no further than 10^6
+    monkeypatch.setattr(exact, "_sieve_limit", 0)
+    monkeypatch.setattr(exact, "_sieve_primes", [])
+    assert factor(6).factors == ((2, 1), (3, 1))
+    assert exact._sieve_limit == 1 << 16
+    n = 999983 * 999979
+    assert factor(n).factors == ((999979, 1), (999983, 1))
+    assert exact._sieve_limit == math.isqrt(n) + 1
+    assert factor(1000003**2).factors == ((1000003, 2),)
+    assert exact._sieve_limit == TRIAL_DIVISION_BOUND
+
+
+def test_factor_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(16)
+    cases = [1, -1, 2, 6, 2**61 - 1, 999983**2, 999983 * 1000003, 65537 * 65539,
+             (10**6 + 3) * 7, 3**40 * 5, 1000003**3]
+    cases += [rng.randint(2, 10**k) * rng.choice((1, -1)) for k in range(2, 25)
+              for _ in range(6)]
+    for n in cases:
+        expected = sympy.factorint(abs(n))
+        got = factor(n)
+        assert dict(got.factors) == expected and got.value() == n, n
+
+
+def test_only_exact_imports_mpmath():
+    package = pathlib.Path(orbitgcd.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                importers.add(path.name)
+    assert importers == {"exact.py"}
 
 
 def test_log_abs_of_a_pair_matches_the_fraction():

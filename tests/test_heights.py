@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
-from orbitgcd.exact import _context, factor, valuation
+from orbitgcd.exact import factor, log_fixed, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
-                              _cofactor_height, _discrepancy, _padic_gcd_exponent,
+                              _cofactor_height, _discrepancy_base, _padic_gcd_exponent,
                               bad_places, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
@@ -206,13 +206,12 @@ def test_canonical_height_budget_error():
 
 def linear_step_count(f, tol):
     """The least n with C_f / (d^n (d-1)) <= tol / (d+1), by counting up
-    from 0 at 600 bits."""
-    ctx = _context(600)
+    from 0 in exact rationals, with C_f to 2^-600."""
     d = f.degree
-    c_f = _discrepancy(f, ctx)
-    target = ctx.mpf(tol) / (d + 1)
+    c_f = Fraction(log_fixed(_discrepancy_base(f), 600), 2**600)
+    target = Fraction(tol) / (d + 1)
     n_steps = 0
-    while c_f / (ctx.mpf(d) ** n_steps * (d - 1)) > target:
+    while c_f / (d**n_steps * (d - 1)) > target:
         n_steps += 1
     return n_steps
 
@@ -266,22 +265,23 @@ KERNEL_STARTS = ((0, 1), (1, 0), (-3, 4), (-5, 1), (7, 3), (-(2**500 + 12345), 7
 
 @pytest.mark.parametrize("bits", [192, 460])
 def test_arch_green_log_matches_exact_orbit(bits):
-    # relative error at most 2 * 2^-P: the final logarithm rounds once
-    # (below 2^-P relative), and each truncation of the pair to P bits
-    # moves the log of a number of at least P bits by far less; the exact
-    # pair is un-reduced, so maps with |Res| > 1 keep common factors
+    # error at most (1 + 2 |log|) 2^-P: the final logarithm rounds once to
+    # a unit of 2^-P, and each truncation of the pair to P bits moves the
+    # log of a number of at least P bits by far less than 2^-P of it; the
+    # exact pair is un-reduced, so maps with |Res| > 1 keep common factors
     assert {abs(map_resultant(f)) > 1 for f in KERNEL_MAPS} == {False, True}
     assert {f.degree for f in KERNEL_MAPS} == {2, 3, 4}
-    ctx, ref = _context(bits), _context(2 * bits + 64)
+    ref = mpmath.MPContext()
+    ref.prec = 2 * bits + 64
     checked = 0
     for f in KERNEL_MAPS:
         for r, s in KERNEL_STARTS:
             for n_steps in range(11):
                 if f.degree ** n_steps * (max(abs(r), abs(s)).bit_length() + 8) > 2**18:
                     break
-                got = _arch_green_log(f, r, s, n_steps, ctx)
+                got = ref.ldexp(_arch_green_log(f, r, s, n_steps, bits), -bits)
                 exact = exact_orbit_log(f, r, s, n_steps, ref)
-                bound = 2 * ref.mpf(2) ** -bits * abs(exact)
+                bound = (1 + 2 * abs(exact)) * ref.mpf(2) ** -bits
                 assert abs(got - exact) <= bound, (f, r, s, n_steps)
                 checked += 1
     assert checked > 300
