@@ -78,10 +78,6 @@ class BivariatePolynomial:
                         out[key] = out.get(key, Fraction(0)) + w
         return BivariatePolynomial(out)
 
-    def scale(self, k) -> "BivariatePolynomial":
-        k = Fraction(k)
-        return BivariatePolynomial({m: c * k for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self.terms == other.terms
 

@@ -25,7 +25,7 @@ from .heights import _orbit_scan, canonical_height
 from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius,
                    ProjPoint, RationalMap, compose, conjugate, fiber_polynomial, iterate)
-from .polys import Polynomial, multiplicity_at, primitive
+from .polys import Polynomial, exact_div, primitive
 
 POWER_CONJUGATE = "power"
 CHEBYSHEV_CONJUGATE = "chebyshev"
@@ -34,13 +34,18 @@ NOT_SPECIAL = "not-special"
 
 def _sole_preimage(f: RationalMap, target: ProjPoint) -> ProjPoint | None:
     """The one point of f^{-1}(target), or None: all d preimages at
-    infinity, or the fiber is (x - r)^d with r = -c_{d-1}/(d c_d)."""
+    infinity, or the fiber is c (v x - u)^d with u/v = -c_{d-1}/(d c_d),
+    which d exact divisions by v x - u decide."""
     fib, at_infinity = fiber_polynomial(f, target)
     d = f.degree
     if at_infinity:
         return INFINITY if at_infinity == d else None
-    r = -fib.coeffs[d - 1] / (d * fib.coeffs[d])
-    return ProjPoint(r) if multiplicity_at(fib, r) == d else None
+    r = Fraction(-fib[d - 1], d * fib[d])
+    root = [-r.numerator, r.denominator]
+    for _ in range(d):
+        if (fib := exact_div(fib, root)) is None:
+            return None
+    return ProjPoint(r)
 
 
 def is_exceptional(f: RationalMap, target) -> bool:

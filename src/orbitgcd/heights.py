@@ -4,10 +4,12 @@ the v+ functions over all places).
 
 The canonical height of P under a degree-d map is the limit of
 h(f^n(P)) / d^n.  The per-step discrepancy |h(f(x)) - d*h(x)| is bounded
-by an explicit constant computed from the coefficients and the resultant
-of the homogenized pair, which turns the limit into a finite computation
-with a geometric tail bound.  The orbit heights themselves are evaluated
-in renormalized form, so no doubly exponential integers are ever
+by an explicit constant computed from the coefficients, the resultant
+of the homogenized pair and its Bezout cofactor height (both read from
+``maps.bezout_record``, one elimination per map), which turns the limit
+into a finite computation with a geometric tail bound.  The orbit
+heights themselves are evaluated in renormalized form, so no doubly
+exponential integers are ever
 materialized: the archimedean part runs in power-of-two fixed point (an
 integer pair cut back to its top bits after each exact step, with the
 dropped powers of two counted in an exact exponent, and one logarithm at
@@ -24,7 +26,6 @@ into ordinary mpf values (``Real``) by :func:`~orbitgcd.exact.fixed_mpf`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +33,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError, DomainError
 from .exact import (ARCH_PREC, LogValue, Place, Real, factor, fixed_mpf, int_gcd,
                     is_prime, log_abs, log_fixed, v_plus, valuation)
-from .linalg import solve_fraction
-from .maps import (_MAP_CACHE_SIZE, ProjPoint, RationalMap, _sylvester_rows, evaluate,
-                   map_resultant)
+from .maps import ProjPoint, RationalMap, bezout_record, evaluate, map_resultant
 
 DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
 _PREPERIODIC_SCAN_LIMIT = 500
@@ -89,19 +88,6 @@ def weil_height(point) -> Real:
 
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
 
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _cofactor_height(f: RationalMap) -> int:
-    """Max |coefficient| among the Bezout cofactors expressing R*X^(2d-1)
-    and R*Y^(2d-1) through the homogenized pair: the columns R * S^-1 e_k
-    of the Sylvester matrix S, from one elimination; cached per map."""
-    rows = _sylvester_rows(*f.forms)
-    n = len(rows)
-    units = [[int(i == k) for i in range(n)] for k in (n - 1, 0)]
-    cols = solve_fraction(rows, units)
-    assert cols is not None
-    return max(1, max(abs(c) for col in cols for c in col))
-
-
 def discrepancy_bound(f: RationalMap) -> Real:
     """A constant C_f with |h(f(x)) - d*h(x)| <= C_f on all of P^1(Q).
 
@@ -120,7 +106,7 @@ def _discrepancy_base(f: RationalMap) -> int:
     # the int whose log is C_f: the larger of the two sides' arguments
     d = f.degree
     height_f = max(abs(c) for form in f.forms for c in form)
-    return max((d + 1) * height_f, 2 * d * _cofactor_height(f))
+    return max((d + 1) * height_f, 2 * d * bezout_record(f)[1])
 
 
 # --- canonical height ---
@@ -307,8 +293,8 @@ def bad_places(f_deep: RationalMap, g_deep: RationalMap) -> PlaceSet:
     [2, 3]
     """
     primes: set[int] = set()
-    for poly in (f_deep.num, f_deep.den, g_deep.num, g_deep.den):
-        lead = abs(poly.leading.numerator)
+    for form in f_deep.forms + g_deep.forms:
+        lead = abs(next(c for c in reversed(form) if c))
         if lead > 1:
             primes.update(factor(lead).exponents())
     return PlaceSet(primes)

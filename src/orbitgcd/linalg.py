@@ -1,6 +1,7 @@
-"""Small exact linear algebra helpers: one fraction-free elimination over Z
-(the determinant and adjugate solves of the Sylvester matrix behind
-resultants and Bezout cofactors) and row reduction / kernels over GF(p)."""
+"""Small exact linear algebra helpers: one fraction-free Gauss-Jordan
+elimination over Z, which gives a determinant and the adjugate solves
+together (once per map, for the resultant and the Bezout cofactors of
+its Sylvester matrix), and row reduction / kernels over GF(p)."""
 
 from __future__ import annotations
 
@@ -8,15 +9,15 @@ import math
 from fractions import Fraction
 
 
-def _fraction_free(matrix, columns=()):
-    """(det A, det A * A^-1 * B) for a square integer matrix A and integer
-    columns B, both integral by Cramer's rule; the second is None when
-    det A = 0.  Fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
-    row i becomes (piv * row_i - a_ic * pivot_row) // prev, and every
-    entry stays a minor of [A | B], so each division is exact.  Without
-    columns only the rows below the pivot are reduced; with columns every
-    other row is (Gauss-Jordan), so A ends as prev * I with
-    prev = sign * det A."""
+def solve_fraction(matrix, columns=()):
+    """(det A, the columns of det A * A^-1 * B) for a square integer matrix
+    A and integer columns B: each x solves A x = det A * b in integers
+    (Cramer's rule).  The columns are None when det A = 0, or when the
+    check A x == det A * b fails.  One fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968): every row but the pivot
+    row becomes (piv * row_i - a_ic * pivot_row) // prev, and every entry
+    stays a minor of [A | B], so each division is exact and A ends as
+    prev * I with prev = sign * det A."""
     n = len(matrix)
     a = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
     sign, prev = 1, 1
@@ -29,30 +30,22 @@ def _fraction_free(matrix, columns=()):
             sign = -sign
         pivot_row = a[c]
         piv = pivot_row[c]
-        for i in range(0 if columns else c + 1, n):
+        for i in range(n):
             if i != c:
                 f = a[i][c]
                 a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = piv
-    return sign * prev, [[sign * a[i][n + k] for i in range(n)]
-                         for k in range(len(columns))]
+    det = sign * prev
+    sols = [[sign * a[i][n + k] for i in range(n)] for k in range(len(columns))]
+    if any(sum(v * x for v, x in zip(row, sol)) != det * b[i]
+           for sol, b in zip(sols, columns) for i, row in enumerate(matrix)):
+        return det, None
+    return det, sols
 
 
 def det_fraction(matrix) -> int:
     """Determinant of a square integer matrix."""
-    return _fraction_free(matrix)[0]
-
-
-def solve_fraction(matrix, columns):
-    """The columns of det A * A^-1 * B for a square integer matrix A and
-    integer columns B: each x solves A x = det A * b in integers.  None when
-    det A = 0, or when the check A x == det A * b fails."""
-    det, sols = _fraction_free(matrix, columns)
-    if det == 0 or any(sum(v * x for v, x in zip(row, sol)) != det * b[i]
-                       for sol, b in zip(sols, columns)
-                       for i, row in enumerate(matrix)):
-        return None
-    return sols
+    return solve_fraction(matrix)[0]
 
 
 def rref_modp(rows, p):

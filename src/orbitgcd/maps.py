@@ -17,13 +17,15 @@ A :class:`ProjPoint` is a coprime integer pair (r, s) with s >= 0, and
 infinity is (1, 0); ``.value`` is the rational view for callers.  For
 coprime (r, s), gcd(F(r, s), G(r, s)) divides the resultant R of (F, G),
 so :func:`evaluate` puts f(P) in lowest terms with a gcd against |R|
-(cached per map; up to degree 8, where R is cheap to compute) instead of
-a gcd of the two orbit values.  Orbits are computed point-wise on these
-pairs, and classification never composes (it reads one-step fibers and
-critical orbits).  Composition serves conjugation and the commuting
-test; it packs polynomials into big integers (Kronecker substitution), so
-each product is one big-integer multiplication, and self-composition
-sits behind a degree budget, since the degree grows like d^D.
+(up to degree 8, where R is cheap to compute) instead of a gcd of the
+two orbit values; R and the Bezout cofactor height of the heights come
+from one elimination per map (:func:`bezout_record`).  Orbits are
+computed point-wise on these pairs, and classification never composes (it
+reads one-step fibers, as integer lists, and critical orbits).
+Composition serves conjugation and the commuting test; it packs
+polynomials into big integers (Kronecker substitution), so each product
+is one big-integer multiplication, and self-composition sits behind a
+degree budget, since the degree grows like d^D.
 """
 
 from __future__ import annotations
@@ -35,17 +37,16 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
 from .exact import _GMP_BITS, int_gcd, int_mul
-from .linalg import det_fraction
+from .linalg import solve_fraction
 from .polys import (Polynomial, exact_div, kronecker_pack, kronecker_unpack, primitive,
                     primitive_gcd, trim)
 
 DEFAULT_ORBIT_DIGIT_BUDGET = 10**7
 DEFAULT_DEGREE_BUDGET = 4096
-_MAP_CACHE_SIZE = 256   # maps whose resultant (and cofactor height) are kept
-# Above this degree evaluate reduces by a plain gcd: on a random quadratic
-# composed with itself, the Sylvester determinant behind map_resultant
-# takes about 1 ms at degree 8, 20 ms at 16, 1.1 s at 32 and 110 s at 64.
-# Where it starts to cost more than the gcds it saves is not measured.
+# Above this degree evaluate reduces by a plain gcd: the elimination behind
+# bezout_record takes 0.03 / 1.2 / 30 ms / 3.3 s at degree 2 / 8 / 16 / 32 on
+# (-2+9x+8x^2)/(-5+2x+6x^2) composed with itself (2-core Xeon VM).  Where it
+# starts to cost more than the gcds it saves is not measured.
 _RESULTANT_MAX_DEGREE = 8
 
 _LOG10_2 = math.log10(2)
@@ -220,14 +221,25 @@ def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
             for k in range(2 * d)]
 
 
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def map_resultant(f: RationalMap) -> int:
-    """Resultant of the degree-d homogenizations of (num, den); nonzero
-    because the representation is coprime.  Cached per (immutable) map."""
-    res = det_fraction(_sylvester_rows(*f.forms))
+@functools.lru_cache(maxsize=256)
+def bezout_record(f: RationalMap) -> tuple[int, int]:
+    """(R, H_u): the resultant of the homogenized pair (F, G), nonzero as
+    the representation is coprime, and the largest |coefficient| (at least
+    1) of the Bezout cofactors u, v with u F + v G = R X^(2d-1) and
+    R Y^(2d-1), the columns R S^-1 e_k of the Sylvester matrix S: one
+    elimination gives both.  Cached per (immutable) map."""
+    rows = _sylvester_rows(*f.forms)
+    n = len(rows)
+    res, cols = solve_fraction(rows, [[int(i == k) for i in range(n)] for k in (n - 1, 0)])
     if res == 0:
         raise DomainError("vanishing resultant: map representation not coprime")
-    return res
+    assert cols is not None
+    return res, max(1, max(abs(c) for col in cols for c in col))
+
+
+def map_resultant(f: RationalMap) -> int:
+    """Resultant of the homogenized pair (F, G), from :func:`bezout_record`."""
+    return bezout_record(f)[0]
 
 
 def evaluate(f: RationalMap, point) -> ProjPoint:
@@ -390,10 +402,11 @@ def conjugate(f: RationalMap, m: Mobius) -> RationalMap:
     return out
 
 
-def fiber_polynomial(f: RationalMap, target) -> tuple[Polynomial, int]:
-    """Equation of f^{-1}(target): a primitive integer polynomial whose
-    roots are the affine preimages (with multiplicity), plus the
-    multiplicity of the fiber at infinity (the degree deficit).
+def fiber_polynomial(f: RationalMap, target) -> tuple[list[int], int]:
+    """Equation of f^{-1}(target): the primitive integer coefficients
+    (ascending, trimmed) of a polynomial whose roots are the affine
+    preimages (with multiplicity), plus the multiplicity of the fiber at
+    infinity (the degree deficit).
 
     ``target`` may be a rational or ``INFINITY``.
     """
@@ -407,4 +420,4 @@ def fiber_polynomial(f: RationalMap, target) -> tuple[Polynomial, int]:
         coeffs = trim([v * x - u * y for x, y in zip(a, b)])
     if not coeffs:
         raise DomainError("fiber polynomial vanished; map is constant?")
-    return Polynomial(primitive(coeffs)), f.degree - (len(coeffs) - 1)
+    return primitive(coeffs), f.degree - (len(coeffs) - 1)

@@ -27,7 +27,7 @@ from . import __version__, _gmp
 from .errors import DomainError
 from .experiments import GcdSeriesConfig, GcdSeriesReport
 from .heights import PlaceSet
-from .maps import ProjPoint, RationalMap, digit_count
+from .maps import DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap, digit_count
 from .polys import Polynomial
 
 JSON_ELIDE_DIGITS = 10**6
@@ -114,6 +114,18 @@ def int_from_digits(digits: str) -> int:
 # sign, integer digits, then a denominator, or a fraction part and exponent
 _RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)"
                        r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
+# the exponent of a form only ``Fraction`` reads (digits grouped with underscores)
+_EXPONENT = re.compile(r"[eE]([+-]?[0-9_]+)$")
+
+
+def _check_shift(shift: int) -> int:
+    """``shift``, unless 10^|shift| has more digits than an orbit may
+    (``maps.DEFAULT_ORBIT_DIGIT_BUDGET``): building that power alone takes
+    12 s at 10^7 digits on a 2-core Xeon VM, and longer above, so it is
+    refused as a parse error."""
+    if abs(shift) >= DEFAULT_ORBIT_DIGIT_BUDGET:
+        raise ValueError(f"10^{abs(shift)} has more than {DEFAULT_ORBIT_DIGIT_BUDGET} digits")
+    return shift
 
 
 def _clip(text: str, limit: int) -> str:
@@ -126,15 +138,18 @@ def _clip(text: str, limit: int) -> str:
 def rational_from_str(text: str) -> Fraction:
     """A rational from "p", "p/q" or "p.q" with an optional exponent
     ("-1.25e-3"; digit strings of any length), or any other form
-    ``Fraction`` reads (digits grouped with underscores)."""
+    ``Fraction`` reads (digits grouped with underscores).  A power of ten
+    of more than ``DEFAULT_ORBIT_DIGIT_BUDGET`` digits is a DomainError."""
     text = text.strip()
     try:
         m = _RATIONAL.fullmatch(text)
         if m is None:
+            exp = _EXPONENT.search(text)
+            _check_shift(int(exp.group(1)) if exp else 0)
             return Fraction(text)
         sign, whole, den, frac, exp = m.groups(default="")
+        shift = _check_shift(int(exp or "0") - len(frac))
         num = int_from_digits(whole + frac or "0")    # value: num * 10^shift / den
-        shift = int(exp or "0") - len(frac)
         den = int_from_digits(den) if den else 1
         return Fraction((-num if sign == "-" else num) * 10**max(shift, 0),
                         den * 10**max(-shift, 0))
@@ -288,7 +303,7 @@ def report_to_csv(report: GcdSeriesReport,
             if digits >= gcd_digit_threshold:
                 gcd_field = f"elided:digits={digits}:log={row.log_gcd}"
             else:
-                gcd_field = _int_field(row.gcd, gcd_digit_threshold)
+                gcd_field = int_to_str(row.gcd)
         writer.writerow([
             row.n,
             "" if row.digits_f is None else row.digits_f,

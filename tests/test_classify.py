@@ -78,8 +78,8 @@ def reference_exceptional(f, alpha):
     lies wholly at infinity (a constant fiber polynomial)."""
     fib, at_infinity = fiber_polynomial(self_compose(f, 2), alpha)
     if alpha.is_infinity:
-        return fib.degree == 0
-    return at_infinity == 0 and multiplicity_at(fib, alpha.value) == f.degree**2
+        return len(fib) == 1
+    return at_infinity == 0 and multiplicity_at(Polynomial(fib), alpha.value) == f.degree**2
 
 
 def poly_mul(a, b):

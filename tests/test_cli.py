@@ -117,6 +117,27 @@ def test_rational_from_str_error_does_not_echo_long_input():
     assert "5001 characters" in str(err.value)
 
 
+@pytest.mark.parametrize("text", [
+    "1e10000000", "1e-10000000", "-3.5e100000000",
+    pytest.param("0." + "0" * 9999999 + "1", id="10^7-fraction-digits"),
+    "1_0e10000000", "1_0e-10000000", "1_0.5e1_0000_000",
+])
+def test_rational_from_str_rejects_powers_of_ten_past_the_digit_budget(text):
+    # 10^k has k + 1 digits, more than the 10^7 an orbit may have from
+    # k = 10^7 on; both the digit-string path and the Fraction fallback
+    # (underscores) refuse it before building the power
+    with pytest.raises(DomainError, match="has more than 10000000 digits"):
+        rational_from_str(text)
+    assert rational_from_str("1e1000") == 10**1000
+    assert rational_from_str("1_0e-1000") == Fraction(1, 10**999)
+
+
+def test_cli_rejects_an_exponent_past_the_digit_budget(capsys):
+    code, out, err = run_cli(capsys, ["hgcd", "-x", "1e100000000", "-y", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+
+
 def test_poly_and_map_json_roundtrip():
     poly = Polynomial([Fraction(1, 2), 0, -3])
     assert poly_from_json(poly_to_json(poly)) == poly

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import _gmp, experiments, heights
+from orbitgcd import _gmp, experiments, maps
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
@@ -16,11 +16,11 @@ from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
 from orbitgcd.exact import _GMP_BITS, log_abs
-from orbitgcd.heights import PlaceSet
+from orbitgcd.heights import PlaceSet, discrepancy_bound
 from orbitgcd.linalg import solve_fraction
 from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, evaluate, fiber_polynomial,
-                           self_compose)
-from orbitgcd.polys import max_multiplicity
+                           map_resultant, self_compose)
+from orbitgcd.polys import Polynomial, max_multiplicity
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -286,24 +286,26 @@ def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
 
 
 def test_choose_depth_solves_each_maps_bezout_systems_once(monkeypatch):
-    # the discrepancy constant enters through both canonical heights and
-    # discrepancy_bound; the cofactor height behind it is cached per map and
-    # takes one elimination for both Bezout cofactor columns
+    # the resultant and the Bezout cofactor height behind the discrepancy
+    # constant come from one cached elimination per map (maps.bezout_record),
+    # read by both canonical heights, discrepancy_bound and map_resultant
     calls = []
 
-    def counting_solve(rows, columns):
+    def counting_solve(rows, columns=()):
         calls.append(len(rows))
         return solve_fraction(rows, columns)
-    monkeypatch.setattr(heights, "solve_fraction", counting_solve)
+    monkeypatch.setattr(maps, "solve_fraction", counting_solve)
     f, g = RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1])
     for pair, distinct in (((f, g), 2), ((f, f), 1)):
-        heights._cofactor_height.cache_clear()
-        heights.map_resultant.cache_clear()
+        maps.bezout_record.cache_clear()
         calls.clear()
         cold = choose_depth(*pair, 1, 2, 1, 1, 0.1)
-        assert len(calls) == distinct
+        assert calls == [6] * distinct
         assert choose_depth(*pair, 1, 2, 1, 1, 0.1) == cold
-        assert len(calls) == distinct
+        for h in pair:
+            map_resultant(h)
+            discrepancy_bound(h)
+        assert calls == [6] * distinct
 
 
 @pytest.mark.parametrize("g, a, epsilon, expected", [
@@ -325,7 +327,7 @@ def reference_m_prime(f, alpha, depth):
     """M'_D read from the fiber of f^D itself: Yun's algorithm on the affine
     part, and the degree deficit at infinity."""
     poly, inf_mult = fiber_polynomial(self_compose(f, depth), alpha)
-    return max(max_multiplicity(poly), inf_mult, 1)
+    return max(max_multiplicity(Polynomial(poly)), inf_mult, 1)
 
 
 def walk_m_primes(f, alpha, depth):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import factor, log_fixed, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
-                              _cofactor_height, _discrepancy_base, _padic_gcd_exponent,
+                              _discrepancy_base, _padic_gcd_exponent,
                               bad_places, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
 from orbitgcd.linalg import solve_fraction
-from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _sylvester_rows, evaluate,
-                           iterate, self_compose)
+from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _sylvester_rows, bezout_record,
+                           evaluate, iterate, self_compose)
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -415,10 +415,11 @@ def poly_mul(p, q):
 @example(f=RationalMap([-1, -1, 1], [-1, 0, 2]))
 def test_bezout_cofactors_from_one_elimination(f):
     a, b = f.forms
-    d, res = f.degree, map_resultant(f)
+    d, (res, height_u) = f.degree, bezout_record(f)
     rows = _sylvester_rows(a, b)
     n = len(rows)
-    cols = solve_fraction(rows, [[int(i == k) for i in range(n)] for k in (n - 1, 0)])
+    det, cols = solve_fraction(rows, [[int(i == k) for i in range(n)] for k in (n - 1, 0)])
+    assert det == res == map_resultant(f)
     # u*F + v*G = R*X^(2d-1) and R*Y^(2d-1), as products of integer forms
     for col, k in zip(cols, (n - 1, 0)):
         u, v = col[:d], col[d:]
@@ -426,15 +427,16 @@ def test_bezout_cofactors_from_one_elimination(f):
             [res if i == k else 0 for i in range(n)]
     reference = max(1, max(math.ceil(abs(c)) for k in (n - 1, 0)
                            for c in fraction_solve(rows, [res * (i == k) for i in range(n)])))
-    assert _cofactor_height(f) == reference
+    assert height_u == reference
 
 
 def test_solve_fraction_singular_and_det_times_inverse():
-    assert solve_fraction([[1, 2], [2, 4]], [[1, 0]]) is None
+    assert solve_fraction([[1, 2], [2, 4]], [[1, 0]]) == (0, None)
     # det = -2 and A^-1 = [[-2, 1], [3/2, -1/2]]
-    assert solve_fraction([[1, 2], [3, 4]], [[1, 0], [0, 1]]) == [[4, -3], [-2, 1]]
+    assert solve_fraction([[1, 2], [3, 4]], [[1, 0], [0, 1]]) == (-2, [[4, -3], [-2, 1]])
+    assert solve_fraction([[1, 2], [3, 4]]) == (-2, [])
     # one row swap: det = -6 and A^-1 = [[-1/6, 1/3], [1/2, 0]]
-    assert solve_fraction([[0, 2], [3, 1]], [[1, 0], [0, 1]]) == [[1, -3], [-2, 0]]
+    assert solve_fraction([[0, 2], [3, 1]], [[1, 0], [0, 1]]) == (-6, [[1, -3], [-2, 0]])
 
 
 def hgcd_direct_oracle(x, y, primes):
@@ -517,6 +519,9 @@ def test_bad_places_examples():
     assert bad_places(RationalMap([0] * 8 + [1]), RationalMap([0] * 8 + [1])).primes == frozenset()
     assert bad_places(RationalMap([1, 0, 6]), X2).primes == frozenset({2, 3})
     assert bad_places(X3X, X2P1).primes == frozenset()
+    # forms with trailing zeros: (7x^3 + 1)/2x and 5/3x^2 lead with 2 and 5
+    assert bad_places(RationalMap([1, 0, 0, 7], [0, 2]), X2).primes == frozenset({2, 7})
+    assert bad_places(X2, RationalMap([5], [0, 0, 3])).primes == frozenset({3, 5})
 
 
 def test_placeset_validation_and_dedup():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from orbitgcd import _gmp
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import _GMP_BITS
-from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, compose,
+from orbitgcd.linalg import det_fraction
+from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, _sylvester_rows, compose,
                            conjugate, digit_count, evaluate, fiber_polynomial,
                            iterate, map_resultant, self_compose)
 from orbitgcd.polys import Polynomial, kronecker_pack, kronecker_unpack
@@ -149,13 +150,16 @@ def test_mobius_algebra():
 
 
 def test_fiber_polynomial_cases():
-    poly, inf_mult = fiber_polynomial(X2, 1)
-    assert poly == Polynomial([-1, 0, 1]) and inf_mult == 0
-    poly, inf_mult = fiber_polynomial(RationalMap([1, 0, 1], [0, 1]), INFINITY)
-    assert poly == Polynomial([0, 1]) and inf_mult == 1
+    # primitive integer coefficients, ascending, with the deficit at infinity
+    assert fiber_polynomial(X2, 1) == ([-1, 0, 1], 0)
+    assert fiber_polynomial(RationalMap([1, 0, 1], [0, 1]), INFINITY) == ([0, 1], 1)
     # fiber of infinity under a polynomial is only infinity itself
-    poly, inf_mult = fiber_polynomial(X3X, INFINITY)
-    assert poly.degree == 0 and inf_mult == 3
+    assert fiber_polynomial(X3X, INFINITY) == ([1], 3)
+    # 2x^2/(x + 1) at 2 and at 1/3: 2x^2 - 2x - 2 and 6x^2 - x - 1
+    half = RationalMap([0, 0, 2], [1, 1])
+    assert fiber_polynomial(half, 2) == ([-1, -1, 1], 0)
+    assert fiber_polynomial(half, Fraction(1, 3)) == ([-1, -1, 6], 0)
+    assert all(type(c) is int for c in fiber_polynomial(half, Fraction(1, 3))[0])
 
 
 def test_orbit_digit_growth_soft():
@@ -484,9 +488,12 @@ def sympy_resultant(f):
 @given(f=sylvester_maps())
 @example(f=RationalMap([1, 1, 1]))                  # an odd number of row swaps
 def test_map_resultant_matches_sympy(f):
+    # R comes from the elimination that also solves for the Bezout cofactors
+    assert map_resultant(f) == det_fraction(_sylvester_rows(*f.forms))
     assert map_resultant(f) == sympy_resultant(f)
 
 
 @pytest.mark.parametrize("f", COMPOSED, ids=lambda f: f"d{f.degree}")
 def test_map_resultant_matches_sympy_on_composed_maps(f):
+    assert map_resultant(f) == det_fraction(_sylvester_rows(*f.forms))
     assert map_resultant(f) == sympy_resultant(f)
