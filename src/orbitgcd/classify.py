@@ -95,7 +95,7 @@ def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:
         return False
     raise IndeterminateError(
         f"no cycle within budget {budget} and canonical height "
-        f"{est.value} +- {est.error_bound} cannot be certified positive"
+        f"{float(est.value)} +- {float(est.error_bound)} cannot be certified positive"
     )
 
 

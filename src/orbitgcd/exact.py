@@ -17,10 +17,10 @@ place it is max(0, -log|x|).  Summing min(v_plus(a), v_plus(b)) over the
 finite places of two integers recovers log gcd(|a|, |b|) exactly, which is
 the identity the symbolic :class:`LogValue` type exists to make testable.
 
-This is the one module that imports mpmath: :func:`log_fixed` takes logs
-as ints in units of 2^-prec, the fixed point heights compute in, and
-LogValue arithmetic rounds in one private context at ARCH_PREC = 128
-bits; nothing here reads or sets mpmath's process-wide precision.
+:func:`log_fixed` is the one transcendental function: every real result is
+a log of an integer or a rational sum of such logs, taken in plain ints in
+units of 2^-prec, the fixed point heights compute in, and returned as an
+exact :class:`Real`, a Fraction m / 2^k that ``float()`` rounds once.
 
 Products and gcds that can reach orbit size go through :func:`int_mul`
 and :func:`int_gcd`, which hand operands of at least 2^14 bits to the
@@ -31,6 +31,7 @@ the same either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import threading
@@ -39,14 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 
-import mpmath
-from mpmath import libmp
-
 from . import _gmp
 from .errors import DomainError, PartialFactorizationError
 
 Rational = Fraction
-Real = mpmath.mpf                 # the type of every real-valued result
 
 ARCH_PREC = 128                   # bits carried by archimedean parts
 TRIAL_DIVISION_BOUND = 10**6
@@ -433,49 +430,66 @@ def _int_valuation(p: int, n: int) -> int:
     return v
 
 
-# --- symbolic log values ---
-
-# the one mpmath context, for LogValue arithmetic; never changed
-_ARCH = mpmath.MPContext()
-_ARCH.prec = ARCH_PREC
+# --- logarithms and exact real results ---
 
 
-def _plain(x) -> mpmath.mpf:
-    """x as an ordinary (picklable) mpmath.mpf with the same bits; code here
-    does arithmetic on such values only after lifting them into _ARCH."""
-    return mpmath.mp.make_mpf(x._mpf_)
+class Real(Fraction):
+    """An exact real: a Fraction, m / 2^k for logs and heights, that mpmath converts."""
+
+    __slots__ = ()
+
+    def _mpmath_(self, prec, rounding):
+        return Fraction(self)
+
+
+def _atanh(s: int, wp: int) -> int:
+    # atanh(s / 2^wp) in units of 2^-wp, 0 <= s <= 2^wp / 3: s + s^3/3 + ...
+    s2, total, power, j = s * s >> wp, s, s, 1
+    while power:
+        power, j = power * s2 >> wp, j + 2
+        total += power // j
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def _ln2(wp: int) -> int:
+    return 2 * _atanh((1 << wp) // 3, wp)         # log 2 = 2 atanh(1/3), in units of 2^-wp
 
 
 def log_fixed(n: int, prec: int, shift: int = 0) -> int:
     """log(n * 2^shift) for a positive int n, in units of 2^-prec: the
     nearest int to log(n * 2^shift) * 2^prec, off by at most 1/2 + 2^-9."""
-    # |log| < 2^mag, so wp = prec + mag + 10 relative bits carry 2^-(prec + 10);
-    # n is cut to wp bits by a shift, a relative error below 2^(1 - wp)
-    wp = prec + (n.bit_length() + abs(shift)).bit_length() + 10
-    cut = max(0, n.bit_length() - wp)
-    y = libmp.mpf_log(libmp.from_man_exp(n >> cut, shift + cut), wp, "n")
-    return libmp.to_int(libmp.mpf_shift(y, prec), "n")
-
-
-def fixed_mpf(m: int, prec: int) -> Real:
-    """The int m in units of 2^-prec as an ordinary mpmath.mpf, exactly."""
-    return mpmath.mp.make_mpf(libmp.from_man_exp(m, -prec))
-
-
-def float_sum(*values: Real) -> float:
-    """The exact sum of mpmath.mpf values, rounded once to the nearest float
-    (ties to even) when the sum is not subnormal."""
-    return libmp.to_float(libmp.mpf_sum([v._mpf_ for v in values]), rnd="n")
+    # n 2^shift = m 2^e, 1 <= m < 2.  After k roots, x = m^(2^-k) and
+    # s = (x-1)/(x+1) <= 2^-(k+1), log m = 2^(k+1) atanh(s).  In units of
+    # 2^-wp, the cut of m and the k root floors move log m by < 2^(k+1);
+    # the floor of s moves atanh(s) by < 9/8, and each of its T <= wp/2 + 2
+    # truncated terms by < 5/2 (a power's error shrinks by s^2 <= 1/9 and
+    # grows by < 4/3 a step), the tail by < 2; ln 2 = 2 atanh(1/3), with
+    # T' <= wp/3 + 2 terms, is off by < 5T' + 5/2.  That sums to
+    # < (2^(k+1) + |e|) 2 wp < 2^(X + 3 + wp.bit_length()) for X = max(k,
+    # e.bit_length()), and wp - prec >= X + 12 + 2 base.bit_length() >=
+    # X + 12 + wp.bit_length(), so the rounding is off by < 1/2 + 2^-9.
+    if n <= 0:
+        raise DomainError(f"log({n}) is undefined")
+    e, k = n.bit_length() - 1 + shift, math.isqrt(prec) // 3  # a root costs ~6 terms
+    base = prec + max(k, e.bit_length()) + 12
+    wp = -(-(base + 2 * base.bit_length()) // 64) * 64   # 64 | wp: fewer ln 2s to cache
+    m = (n << wp) >> (n.bit_length() - 1)
+    for _ in range(k):
+        m = math.isqrt(m << wp)
+    one = 1 << wp
+    y = (_atanh(((m - one) << wp) // (m + one), wp) << (k + 1)) + e * _ln2(wp)
+    return (y + (1 << (wp - prec - 1))) >> (wp - prec)
 
 
 def log_abs(x, den: int = 1) -> Real:
     """log|x / den| for a nonzero rational x and a positive integer den,
     in units of 2^-ARCH_PREC.  An int x with a den coprime to it is used
     as it stands, so callers holding a numerator and denominator in lowest
-    terms build no Fraction; the result has the bits of the one they form.
+    terms build no Fraction; the result is the one they form.
 
-    >>> mpmath.nstr(log_abs(Fraction(-1, 8)), 10)
-    '-2.079441542'
+    >>> float(log_abs(Fraction(-1, 8)))
+    -2.0794415416798357
     >>> log_abs(-1, 8) == log_abs(Fraction(-1, 8))
     True
     """
@@ -484,27 +498,27 @@ def log_abs(x, den: int = 1) -> Real:
         x, den = x.numerator, x.denominator
     if x == 0:
         raise DomainError("log|0| is -infinity; handle upstream")
-    return fixed_mpf(log_fixed(abs(x), ARCH_PREC) - log_fixed(den, ARCH_PREC), ARCH_PREC)
+    return Real(log_fixed(abs(x), ARCH_PREC) - log_fixed(den, ARCH_PREC), 1 << ARCH_PREC)
 
 
 @dataclass(frozen=True)
 class LogValue:
     """A formal sum sum_p c_p * log p with exact rational coefficients,
-    plus a floating archimedean term.
+    plus an exact rational archimedean term.
 
     The finite part never stores zero coefficients, so identities like
     Eq.-of-gcd decompositions can be asserted as dict equality with zero
-    tolerance.  The archimedean part is rounded to ARCH_PREC bits, and so
-    is every LogValue operation on it.
+    tolerance.  ``+``, ``-`` and :meth:`scale` are exact; only
+    :meth:`total` takes logarithms, and rounds once to 2^-ARCH_PREC.
     """
 
     finite: dict[int, Fraction]
-    arch: mpmath.mpf
+    arch: Real
 
     def __post_init__(self):
         cleaned = {p: Fraction(c) for p, c in self.finite.items() if c != 0}
         object.__setattr__(self, "finite", cleaned)
-        object.__setattr__(self, "arch", _plain(_ARCH.mpf(self.arch)))
+        object.__setattr__(self, "arch", Real(self.arch))
 
     @classmethod
     def from_finite(cls, coeffs: dict[int, int | Fraction]) -> "LogValue":
@@ -514,24 +528,22 @@ class LogValue:
         coeffs = dict(self.finite)
         for p, c in other.finite.items():
             coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        return LogValue(coeffs, _ARCH.mpf(self.arch) + other.arch)
+        return LogValue(coeffs, self.arch + other.arch)
 
     def __neg__(self) -> "LogValue":
-        return LogValue({p: -c for p, c in self.finite.items()}, -_ARCH.mpf(self.arch))
+        return LogValue({p: -c for p, c in self.finite.items()}, -self.arch)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)
 
     def scale(self, k) -> "LogValue":
         k = Fraction(k)
-        arch = _ARCH.mpf(self.arch) * _ARCH.mpf(k.numerator) / _ARCH.mpf(k.denominator)
-        return LogValue({p: c * k for p, c in self.finite.items()}, arch)
+        return LogValue({p: c * k for p, c in self.finite.items()}, self.arch * k)
 
-    def total(self) -> mpmath.mpf:
-        return _plain(_ARCH.fsum(
-            _ARCH.log(p) * _ARCH.mpf(c.numerator) / _ARCH.mpf(c.denominator)
-            for p, c in self.finite.items()
-        ) + self.arch)
+    def total(self) -> Real:
+        units = sum((c * log_fixed(p, ARCH_PREC) for p, c in self.finite.items()),
+                    self.arch * (1 << ARCH_PREC))
+        return Real(round(units), 1 << ARCH_PREC)
 
     def drop_arch(self) -> "LogValue":
         return LogValue(self.finite, 0)
@@ -539,10 +551,8 @@ class LogValue:
     def close_to(self, other: "LogValue") -> bool:
         """Exact equality on the finite part, archimedean parts within
         2^(-ARCH_PREC/2) of each other."""
-        if self.finite != other.finite:
-            return False
-        diff = _ARCH.mpf(self.arch) - other.arch
-        return abs(diff) <= _ARCH.mpf(2) ** (-(ARCH_PREC // 2))
+        return (self.finite == other.finite
+                and abs(self.arch - other.arch) <= Fraction(1, 1 << (ARCH_PREC // 2)))
 
 
 def v_plus(place: Place, x) -> LogValue:
@@ -562,7 +572,7 @@ def v_plus(place: Place, x) -> LogValue:
         raise DomainError("v_plus(0) is +infinity; handle upstream")
     if place.is_finite:
         return LogValue.from_finite({place.prime: max(0, valuation(place.prime, x))})
-    return LogValue({}, max(0, -_ARCH.mpf(log_abs(x))))
+    return LogValue({}, max(0, -log_abs(x)))
 
 
 def log_gcd_places(a: int, b: int) -> LogValue:

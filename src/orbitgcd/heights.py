@@ -20,8 +20,8 @@ h(f^N(P)) / d^N up to the stated error.
 Weil, canonical and discrepancy heights are ints in units of 2^-prec, and
 the tail and escape decisions compare ints: prec is ARCH_PREC = 128, or for
 canonical heights a precision derived from the tolerance, high enough
-that the stated error bound stays within it.  Results are packed exactly
-into ordinary mpf values (``Real``) by :func:`~orbitgcd.exact.fixed_mpf`.
+that the stated error bound stays within it.  Results are those ints over
+2^prec as exact Fractions (:class:`~orbitgcd.exact.Real`).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
-from .exact import (ARCH_PREC, LogValue, Place, Real, factor, fixed_mpf, int_gcd,
-                    is_prime, log_abs, log_fixed, v_plus, valuation)
+from .exact import (ARCH_PREC, LogValue, Place, Real, factor, int_gcd, is_prime,
+                    log_abs, log_fixed, v_plus, valuation)
 from .maps import ProjPoint, RationalMap, bezout_record, evaluate, map_resultant
 
 DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
@@ -80,8 +80,8 @@ class PlaceSet:
 def weil_height(point) -> Real:
     """log max(|p|, |q|) for p/q in lowest terms; h(oo) = h(0) = 0.
 
-    >>> weil_height(Fraction(3, 2))  # doctest: +ELLIPSIS
-    mpf('1.09861...')
+    >>> float(weil_height(Fraction(3, 2)))
+    1.0986122886681098
     """
     return log_abs(max(map(abs, ProjPoint.of(point).pair())))
 
@@ -213,7 +213,7 @@ def canonical_height(f: RationalMap, point, tol,
     # a cycle makes the height exactly 0; an escape or nothing goes on below
     scan = _orbit_scan(f, point, _PREPERIODIC_SCAN_LIMIT)
     if scan is not None and scan[0] == "cycle":
-        return HeightEstimate(fixed_mpf(0, prec), fixed_mpf(0, prec), scan[1])
+        return HeightEstimate(Real(0), Real(0), scan[1])
 
     # the least n whose tail C_f / (d^n (d-1)) is within tol/(d+1), with
     # C_f in units and tol = num/den, is the least n with d^n >= q: a float
@@ -243,7 +243,7 @@ def canonical_height(f: RationalMap, point, tol,
                 slog -= gamma * log_fixed(p, wide)
     # the tail tol/(d+1) rounded up, plus the rounding allowance
     err = -(-(num << wide) // (den * (d + 1))) + (1 << (wide - prec // 2))
-    return HeightEstimate(fixed_mpf(slog // scale, wide), fixed_mpf(err, wide), n_steps)
+    return HeightEstimate(Real(slog // scale, 1 << wide), Real(err, 1 << wide), n_steps)
 
 
 # --- generalized gcd heights ---

@@ -135,10 +135,11 @@ class RationalMap:
 
     def __init__(self, num, den=None, *, assume_coprime=False):
         """``num``/``den`` are polynomials or ascending coefficient lists of
-        ints or rationals (``den`` defaults to 1); common factors cancel
-        unless ``assume_coprime``."""
-        num = list(num.coeffs if isinstance(num, Polynomial) else num)
-        den = [1] if den is None else list(den.coeffs if isinstance(den, Polynomial) else den)
+        anything ``Polynomial`` takes (``den`` defaults to 1); common
+        factors cancel unless ``assume_coprime``."""
+        num, den = ([c if isinstance(c, (int, Fraction)) else Fraction(c)   # as Polynomial does
+                     for c in (p.coeffs if isinstance(p, Polynomial) else p)]
+                    for p in (num, [1] if den is None else den))
         # clear fraction denominators jointly, then strip joint content
         cs = primitive(num + den)
         ni, di = trim(cs[:len(num)]), trim(cs[len(num):])

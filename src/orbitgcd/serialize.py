@@ -26,7 +26,6 @@ from fractions import Fraction
 from . import __version__, _gmp
 from .errors import DomainError
 from .experiments import GcdSeriesConfig, GcdSeriesReport
-from .heights import PlaceSet
 from .maps import DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap, digit_count
 from .polys import Polynomial
 

@@ -1,6 +1,6 @@
 """Heights, logs, genericity probes and the GMP-backed product, gcd and
 decimal conversion computed in several threads at once equal the serial
-results exactly and leave mpmath's process-wide precision alone."""
+results exactly."""
 
 import math
 import random
@@ -8,9 +8,7 @@ import sys
 import threading
 from fractions import Fraction
 
-import mpmath
-
-from orbitgcd import _gmp, classify
+from orbitgcd import _gmp, classify, exact
 from orbitgcd.classify import probe_genericity
 from orbitgcd.exact import _GMP_BITS, int_gcd, int_mul, log_abs
 from orbitgcd.heights import canonical_height, hgcd
@@ -43,15 +41,11 @@ def _jobs():
 
 
 def _exact(result):
-    # probe outcomes (a CurveRelation or None) compare by value; mpf values
-    # by their exact (sign, mantissa, exponent, bits)
-    if result is None or hasattr(result, "polynomial"):
-        return result
-    if hasattr(result, "iterations_used"):
-        return (result.value._mpf_, result.error_bound._mpf_, result.iterations_used)
+    # probe outcomes (a CurveRelation or None) and exact Reals compare by
+    # value; a LogValue also by its total
     if hasattr(result, "finite"):
-        return (result.finite, result.arch._mpf_, result.total()._mpf_)
-    return result._mpf_
+        return (result, result.total())
+    return result
 
 
 def _run_threads(worker, n):
@@ -89,13 +83,13 @@ def test_threads_reproduce_serial_results_exactly():
 
     _run_threads(worker, THREADS)
     assert mismatches == []
-    assert mpmath.mp.prec == 53
 
 
 def test_threads_first_reaching_a_precision_match_later_serial_results():
     # tolerances near the least positive float need about 2,200 bits, more
-    # than any other height in this suite, so mpmath's memoized constants
-    # and log tables first grow to those precisions inside the threads
+    # than any other height in this suite, so the ln 2 cache first grows
+    # to those precisions inside the threads
+    exact._ln2.cache_clear()
     jobs = [(f, start, tol)
             for f in (RationalMap([1, 0, 1]), RationalMap([-3, 0, 1], [0, 2]))
             for start in (Fraction(1, 2), Fraction(5, 7))

@@ -1,8 +1,10 @@
 import ast
 import math
+import os
 import pathlib
-import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 import orbitgcd
 from orbitgcd import _gmp, exact
 from orbitgcd.errors import DomainError, PartialFactorizationError
-from orbitgcd.exact import (_GMP_BITS, TRIAL_DIVISION_BOUND, LogValue, Place, factor,
-                            fixed_mpf, float_sum, int_gcd, int_mul, is_prime, log_abs,
-                            log_fixed, log_gcd_places, next_prime, v_plus, valuation)
+from orbitgcd.exact import (_GMP_BITS, TRIAL_DIVISION_BOUND, LogValue, Place, Real, factor,
+                            int_gcd, int_mul, is_prime, log_abs, log_fixed, log_gcd_places,
+                            next_prime, v_plus, valuation)
 from orbitgcd.serialize import _digits_by_division, int_to_str
 
 
@@ -191,14 +193,25 @@ def test_logvalue_arithmetic_and_equality():
 
 
 def test_logvalue_arch_arithmetic_keeps_full_precision():
-    # negation and subtraction round at 128 bits like addition, so a value
-    # minus itself is exactly zero
+    # the archimedean term is an exact rational: sums, negation and scaling
+    # lose nothing, so a value minus itself is exactly zero
     a = v_plus(Place.arch(), Fraction(2, 3)) + LogValue.from_finite({2: 1})
     assert (a - a).arch == 0 and (a - a).finite == {}
     assert (-a).arch + a.arch == 0
-    assert (-a).arch._mpf_[1].bit_length() > 100
-    assert a.close_to(a + LogValue({}, mpmath.mpf(2) ** -70))
-    assert not a.close_to(a + LogValue({}, mpmath.mpf(2) ** -60))
+    assert a.arch.denominator == 2**128 and a.arch.numerator.bit_length() > 100
+    assert a.scale(Fraction(1, 3)).scale(3) == a
+    third = LogValue({3: 1}, Fraction(1, 3))
+    assert type(third.arch) is Real and third.arch == Fraction(1, 3)
+    assert (third + third + third).arch == 1
+    assert LogValue({}, 0.5).arch == Fraction(1, 2)
+    assert a.close_to(a + LogValue({}, Fraction(1, 2**70)))
+    assert not a.close_to(a + LogValue({}, Fraction(1, 2**60)))
+    # total() rounds c_p log p plus the archimedean term once, to 2^-128
+    ref = mpmath.MPContext()
+    ref.prec = 400
+    total = third.total()
+    assert total.denominator <= 2**128
+    assert abs(ref.mpf(total) - ref.log(3) - ref.mpf(1) / 3) <= ref.mpf(2) ** -127
 
 
 def log_fixed_cases(rng):
@@ -228,33 +241,32 @@ def test_log_fixed_matches_mpmath_at_twice_the_precision(prec):
             log_fixed(n, prec)
 
 
-def test_fixed_mpf_packs_the_int_exactly():
-    rng = random.Random(3)
-    for m in [0, 1, -1, 2**300, -(3**200)] + [rng.getrandbits(500) - 2**499 for _ in range(50)]:
-        for prec in (0, 53, 1000):
-            x = fixed_mpf(m, prec)
-            assert type(x) is mpmath.mpf
-            assert Fraction(*mpmath.libmp.to_rational(x._mpf_)) == Fraction(m, 2**prec)
-            assert pickle.loads(pickle.dumps(x)) == x
+@pytest.mark.parametrize("prec", [2300, 4000])
+def test_log_fixed_beyond_2000_bits_and_just_off_1(prec):
+    # n 2^shift within 3 2^-b of 1, where the log is about +-2^-b: from
+    # above (m near 1) and from below (m near 2 and e = -1, so the series
+    # and e ln 2 cancel), and a few generic cases past 2000 bits
+    ref = mpmath.MPContext()
+    rng = random.Random(prec)
+    cases = [(2**b + d, -b) for b in (8, 100, 1000, 3000, 5000) for d in (-3, -1, 1, 3)]
+    cases += [(rng.getrandbits(bits) | 1, rng.randint(-bits, bits))
+              for bits in (1, 64, 3000, 10**4)]
+    for n, shift in cases:
+        ref.prec = 2 * prec + (n.bit_length() + abs(shift)).bit_length() + 8
+        exact_units = ref.ldexp(ref.log(ref.ldexp(ref.mpf(n), shift)), prec)
+        assert abs(log_fixed(n, prec, shift) - exact_units) <= 0.5 + 2**-9, (n, shift)
 
 
-def exact_value(v):
-    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False,
-                                    allow_subnormal=False, min_value=-1e300,
-                                    max_value=1e300).map(mpmath.mpf),
-                          st.integers(-2**400, 2**400).map(
-                              lambda m: fixed_mpf(m, 400 - m.bit_length() % 97))),
-                max_size=5))
-@example([mpmath.mpf(1), fixed_mpf(1, 53)])                    # a tie, to even
-@example([mpmath.mpf(1), fixed_mpf(1, 53), fixed_mpf(1, 400)])  # just past it
-@example([fixed_mpf(2**200 + 1, 200), mpmath.mpf(-1)])
-def test_float_sum_rounds_the_exact_sum_once(values):
-    # Fraction -> float rounds the exact rational to nearest, ties to even
-    assert float_sum(*values) == float(sum(map(exact_value, values), Fraction(0)))
+def test_float_of_a_sum_of_reals_rounds_once():
+    # float() rounds the exact sum once, to nearest and ties to even
+    cases = [((1, Fraction(1, 2**53)), 1.0),                                 # a tie, to even
+             ((1, Fraction(1, 2**53), Fraction(1, 2**400)), 1 + 2.0**-52),   # just past it
+             ((Fraction(2**200 + 1, 2**200), -1), 2.0**-200),
+             ((1 + Fraction(3, 2**53), Fraction(-1, 2**400)), 1 + 2.0**-52)]  # just below one
+    for parts, expected in cases:
+        reals = [Real(p) for p in parts]
+        total = sum(reals[1:], reals[0])
+        assert type(total) is Fraction and float(total) == expected, parts
 
 
 def fraction_valuation(p, x):
@@ -314,7 +326,7 @@ def test_factor_matches_sympy_factorint():
         assert dict(got.factors) == expected and got.value() == n, n
 
 
-def test_only_exact_imports_mpmath():
+def test_no_module_imports_mpmath():
     package = pathlib.Path(orbitgcd.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
@@ -323,7 +335,16 @@ def test_only_exact_imports_mpmath():
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.add(path.name)
-    assert importers == {"exact.py"}
+    assert importers == set()
+
+
+def test_importing_the_package_and_cli_loads_no_mpmath():
+    # in a fresh interpreter: this process has mpmath loaded as a test oracle
+    code = "import sys, orbitgcd, orbitgcd.cli; print('mpmath' in sys.modules)"
+    src = str(pathlib.Path(orbitgcd.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_log_abs_of_a_pair_matches_the_fraction():

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
-from orbitgcd.exact import factor, log_fixed, valuation
+from orbitgcd.exact import Real, factor, log_abs, log_fixed, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
                               _discrepancy_base, _padic_gcd_exponent,
                               bad_places, canonical_height,
@@ -293,16 +293,22 @@ def test_canonical_height_rejects_tol_not_finite_and_positive(tol):
         canonical_height(X2P1, 5, tol)
 
 
-def test_results_are_plain_mpf_and_pickle():
-    # values computed in private contexts come back as ordinary mpmath.mpf
-    # with every bit kept
+def test_results_are_exact_reals_and_pickle():
+    # every real result is an exact Real (a Fraction m / 2^k with every
+    # computed bit), and mpmath takes it exactly through _mpmath_
     est = canonical_height(X2P1, Fraction(1, 2), 1e-60)
     lv = hgcd(Fraction(5, 3), Fraction(10, 7))
     values = [est.value, est.error_bound, lv.arch, lv.total(), weil_height(7),
-              discrepancy_bound(X2P1)]
-    assert all(type(v) is mpmath.mpf for v in values)
-    assert est.value._mpf_[1].bit_length() > 200
-    assert pickle.loads(pickle.dumps((est, lv))) == (est, lv)
+              discrepancy_bound(X2P1), log_abs(Fraction(-1, 8))]
+    assert all(type(v) is Real for v in values)
+    assert est.value.numerator.bit_length() > 200
+    assert pickle.loads(pickle.dumps((est, lv, values))) == (est, lv, values)
+    assert all(type(v) is Real for v in pickle.loads(pickle.dumps(values)))
+    ref = mpmath.MPContext()
+    ref.prec = 1200
+    for v in values:
+        assert Fraction(*mpmath.libmp.to_rational(ref.mpf(v)._mpf_)) == v
+    assert type(est.value + est.error_bound) is Fraction
 
 
 _REF = mpmath.MPContext()

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -115,6 +116,30 @@ def test_lowest_terms_representation_unique():
     # joint content stripped, common polynomial factor cancelled
     d = RationalMap(Polynomial([0, 2, 0, 2]), Polynomial([0, 4]))   # (2x^3+2x)/(4x)
     assert d == RationalMap(Polynomial([1, 0, 1]), Polynomial([2]))
+
+
+@pytest.mark.parametrize("num, den", [
+    ([0.5, 0, 1], None),                                  # (2x^2 + 1)/2
+    ([Decimal("0.5"), 0, 1], None),
+    ([Fraction(1, 2), 0, 1], None),
+    ([1, 0, 1], [0.5]),
+    (["1/3", 0, 1.25], [Decimal("-0.75"), 2]),
+    ([True, 0, 2], None),
+])
+def test_coefficient_lists_take_what_polynomial_takes(num, den):
+    via_poly = RationalMap(Polynomial(num), None if den is None else Polynomial(den))
+    assert RationalMap(num, den) == via_poly
+    assert RationalMap(num, den).forms == via_poly.forms
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, Decimal("NaN")])
+def test_coefficient_lists_fail_as_polynomial_fails(bad):
+    with pytest.raises(Exception) as expected:
+        Polynomial([bad, 0, 1])
+    with pytest.raises(expected.type):
+        RationalMap([bad, 0, 1])
+    with pytest.raises(expected.type):
+        RationalMap([0, 0, 1], [bad])
 
 
 def test_degenerate_and_invalid_maps_rejected():
