@@ -35,7 +35,7 @@ import functools
 import math
 import random
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
@@ -49,9 +49,14 @@ ARCH_PREC = 128                   # bits carried by archimedean parts
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_FACTOR_BUDGET = 1 << 22   # total rho iterations allowed per factor() call
 
-# 12-base deterministic Miller-Rabin is a primality proof below this bound.
-_MR_CERTIFIED_LIMIT = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, the least odd composite that is a strong probable prime to each of
+# the first k prime bases (Jaeschke 1993 to k = 8; Sorenson and Webster 2017
+# for k = 9..13): below psi_k, Miller-Rabin on those k bases is a proof.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
 
 
 # Both operands need this many bits before a gcd or a product goes to GMP.
@@ -197,23 +202,32 @@ def _jacobi(a: int, n: int) -> int:
         if a % 4 == 3 and n % 4 == 3:
             result = -result
         a %= n
-    return 1 if n == 1 else result
+    return result if n == 1 else 0
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic (12-base Miller-Rabin, a proof below
-    ~3.3e24); BPSW above that bound, which has no known counterexample.
+    """Certified primality below psi_13 ~ 3.3e24, BPSW at or above it.
+
+    Below psi_k, the least odd composite that passes strong Miller-Rabin
+    to each of the first k prime bases (Jaeschke, Math. Comp. 61, 1993;
+    Sorenson and Webster, Math. Comp. 86, 2017), those k bases decide n:
+    1 base below 2047, 4 below 3215031751, ..., 12 below psi_12 =
+    318665857834031151167461, 13 (2..41) below psi_13 =
+    3317044064679887385961981.  At or above psi_13 the 13 bases are
+    followed by a strong Lucas test with Selfridge's parameters (Baillie
+    and Wagstaff, Math. Comp. 35, 1980), which has no known counterexample.
+
+    >>> is_prime(2**89 - 1), is_prime(318665857834031151167461)
+    (True, False)
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if any(_mr_witness(a, n) for a in _MR_BASES):
+    if any(_mr_witness(a, n) for a in _MR_BASES[:bisect_right(_PSI, n) + 1]):
         return False
-    if n < _MR_CERTIFIED_LIMIT:
-        return True
-    return _strong_lucas_prp(n)
+    return n < _PSI[-1] or _strong_lucas_prp(n)
 
 
 def next_prime(n: int) -> int:
@@ -313,9 +327,15 @@ def _perfect_power(n: int) -> tuple[int, int]:
 def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Certified prime factorization of a nonzero integer.
 
-    Trial division up to min(10^6, sqrt|n|), then Brent's variant of
-    Pollard rho with a deterministic seed.  Every reported prime passes
-    :func:`is_prime`.  If the rho budget runs out a
+    Trial division by the primes up to min(10^6, sqrt|n|), stopping early
+    once the cofactor is prime: from 37 on, :func:`is_prime` tests it
+    after each prime divided out (every smaller prime is out by then, so
+    the factors are the ones full trial division finds).  A composite
+    cofactor goes to Brent's variant of Pollard rho with a deterministic
+    seed.  Every reported prime passes :func:`is_prime`: Miller-Rabin on
+    the first k prime bases below psi_k (Jaeschke 1993; Sorenson and
+    Webster 2017), a proof below psi_13 ~ 3.3e24, and BPSW (Baillie and
+    Wagstaff 1980) at or above it.  If the rho budget runs out a
     :class:`PartialFactorizationError` is raised carrying the certified
     part; composites are never silently reported.
 
@@ -327,8 +347,7 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     found: dict[int, int] = {}
-    # every prime up to sqrt(m) is tried, so a cofactor left below
-    # TRIAL_DIVISION_BOUND^2 is prime whatever the sieve size
+    rejected = 0                      # the last cofactor is_prime turned down
     limit = min(TRIAL_DIVISION_BOUND, math.isqrt(m) + 1)
     primes = _sieve(limit)
     for p in islice(primes, bisect_left(primes, limit)):
@@ -337,19 +356,21 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    if m > 1 and (m < TRIAL_DIVISION_BOUND**2 or is_prime(m)):
-        # either below the trial-division frontier squared (hence prime) or
-        # directly certified
-        found[m] = found.get(m, 0) + 1
+        if p >= 37 and m != rejected:
+            if is_prime(m):
+                break
+            rejected = m
+    # m is 1, the composite is_prime rejected, or prime: is_prime said so,
+    # or trial division passed its square root
+    if m > 1 and m != rejected:
+        found[m] = 1
         m = 1
-    rng = random.Random(0xC0FFEE)
-    remaining = budget
     stack = [m] if m > 1 else []
+    rng = random.Random(0xC0FFEE) if stack else None
+    remaining = budget
     while stack:
         c = stack.pop()
-        if c == 1:
-            continue
-        if is_prime(c):
+        if c != rejected and is_prime(c):
             found[c] = found.get(c, 0) + 1
             continue
         root, exp = _perfect_power(c)
@@ -544,9 +565,6 @@ class LogValue:
         units = sum((c * log_fixed(p, ARCH_PREC) for p, c in self.finite.items()),
                     self.arch * (1 << ARCH_PREC))
         return Real(round(units), 1 << ARCH_PREC)
-
-    def drop_arch(self) -> "LogValue":
-        return LogValue(self.finite, 0)
 
     def close_to(self, other: "LogValue") -> bool:
         """Exact equality on the finite part, archimedean parts within

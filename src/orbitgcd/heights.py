@@ -261,18 +261,25 @@ def hgcd(x, y) -> LogValue:
     {5: Fraction(1, 1)}
     """
     x, y = Fraction(x), Fraction(y)
+    finite = _gcd_exponents(x, y)
+    # v+(z) = max(0, -log|z|) is 0 at |z| >= 1, and v+(0) = +infinity
+    # drops out of the min
+    if abs(x) >= 1 or abs(y) >= 1:
+        return LogValue(finite, 0)
+    return LogValue(finite, min(v_plus(Place.arch(), z).arch for z in (x, y) if z))
+
+
+def _gcd_exponents(x: Fraction, y: Fraction) -> dict[int, int]:
+    # hgcd's finite part: the prime exponents of the gcd of the numerators
     if x == 0 and y == 0:
         raise DomainError("hgcd(0, 0) excluded; callers apply the gcd(0,0)=0 convention")
     g = int_gcd(x.numerator, y.numerator)    # gcd(0, n) = |n|
-    finite = factor(g).exponents() if g > 1 else {}
-    # v+(0) = +infinity drops out of the min
-    arch = min(v_plus(Place.arch(), z).arch for z in (x, y) if z)
-    return LogValue(finite, arch)
+    return factor(g).exponents() if g > 1 else {}
 
 
 def hgcd_fin(x, y) -> LogValue:
     """hgcd without the archimedean term."""
-    return hgcd(x, y).drop_arch()
+    return LogValue.from_finite(_gcd_exponents(Fraction(x), Fraction(y)))
 
 
 def hgcd_excluding(places: PlaceSet, x, y) -> LogValue:
@@ -281,8 +288,8 @@ def hgcd_excluding(places: PlaceSet, x, y) -> LogValue:
     >>> hgcd_excluding(PlaceSet([2, 3]), 12, 18).finite
     {}
     """
-    base = hgcd_fin(x, y)
-    return LogValue.from_finite({p: c for p, c in base.finite.items() if p not in places})
+    finite = _gcd_exponents(Fraction(x), Fraction(y))
+    return LogValue.from_finite({p: c for p, c in finite.items() if p not in places})
 
 
 def bad_places(f_deep: RationalMap, g_deep: RationalMap) -> PlaceSet:

@@ -320,10 +320,85 @@ def test_factor_matches_sympy_factorint():
              (10**6 + 3) * 7, 3**40 * 5, 1000003**3]
     cases += [rng.randint(2, 10**k) * rng.choice((1, -1)) for k in range(2, 25)
               for _ in range(6)]
+    # desk-batch's planted gcds: 2^a 3^b 5^c times a prime in [2^20, 2^28)
+    cases += [2**rng.randint(0, 3) * 3**rng.randint(0, 2) * 5**rng.randint(0, 1)
+              * sympy.nextprime(rng.randrange(1 << 20, 1 << 28)) for _ in range(40)]
+    cases += [sympy.nextprime(10**6 + rng.randrange(10**5))
+              * sympy.nextprime(10**6 - rng.randrange(10**5)) for _ in range(10)]
+    cases += [sympy.nextprime(rng.randrange(2, 10**k)) ** rng.randint(2, 5)
+              for k in (2, 4, 7, 9) for _ in range(3)]
+    cases += [sympy.nextprime(rng.randrange(10**12, exact._PSI[-1])) for _ in range(20)]
+    cases += [2 * (2**89 - 1), 37 * 41, 37**2 * 1000003, 41 * 43 * 47]
     for n in cases:
         expected = sympy.factorint(abs(n))
         got = factor(n)
         assert dict(got.factors) == expected and got.value() == n, n
+
+
+def test_jacobi_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    for _ in range(500):
+        n = rng.randrange(1, 1 << rng.choice((8, 40, 120))) | 1
+        a = rng.randrange(-3 * n, 3 * n)
+        assert exact._jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+def test_strong_lucas_matches_sympy_below_30000():
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    for n in range(1, 30000, 2):
+        assert exact._strong_lucas_prp(n) == primetest.is_strong_lucas_prp(n), n
+
+
+def test_is_prime_matches_sympy_at_and_above_psi13():
+    # BPSW's range: the Selfridge search for D ends on a prime only with a
+    # correct Jacobi symbol
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(89)
+    cases = [2**89 - 1, 2**107 - 1, 2**127 - 1, (2**89 - 1) * (2**107 - 1)]
+    cases += [rng.randrange(1 << (b - 1), 1 << b) | 1 for b in range(82, 201, 6)
+              for _ in range(4)]
+    cases += [sympy.nextprime(rng.randrange(1 << (b - 1), 1 << b)) for b in range(82, 201, 9)]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_every_psi():
+    # psi_k passes Miller-Rabin to the first k prime bases; psi_13 passes
+    # all 13 and falls only to the strong Lucas test
+    assert not any(is_prime(psi) for psi in exact._PSI)
+    assert factor(exact._PSI[11]).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def test_factor_stops_trial_division_at_a_prime_cofactor(monkeypatch):
+    # 2^3 * 5 * (a 27-bit prime): one is_prime call, at 37, ends the walk
+    # whose sqrt bound is 2^14, and builds no random.Random
+    calls = []
+    real = exact.is_prime
+    monkeypatch.setattr(exact, "is_prime", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(exact, "random", None)
+    p = 134217689
+    assert factor(40 * p).factors == ((2, 3), (5, 1), (p, 1))
+    assert calls == [p]
+    # each cofactor is tested once: 41 p q at 37, p q after 41, and p q is
+    # not tested again when it goes to rho, which tests p and q
+    monkeypatch.setattr(exact, "random", random)
+    calls.clear()
+    p, q = 1000003, 1000033
+    assert factor(41 * p * q).factors == ((41, 1), (p, 1), (q, 1))
+    assert calls[:2] == [41 * p * q, p * q] and sorted(calls[2:]) == [p, q]
+
+
+def test_factor_budget_exhaustion_on_a_40_bit_semiprime():
+    # the early-out must leave rho the same cofactor and seed, so the same
+    # partial factorization and cofactor as full trial division
+    p, q = 549755826239, 824633721649
+    for n, partial in ((p * q, ()), (12 * p * q, ((2, 2), (3, 1))), (-7 * p * q, ((7, 1),))):
+        with pytest.raises(PartialFactorizationError) as err:
+            factor(n, budget=1000)
+        assert err.value.partial.factors == partial
+        assert err.value.partial.sign == (1 if n > 0 else -1)
+        assert err.value.cofactor == p * q
 
 
 def test_no_module_imports_mpmath():

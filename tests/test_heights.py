@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import BudgetExceededError, DomainError
-from orbitgcd.exact import Real, factor, log_abs, log_fixed, valuation
+from orbitgcd.exact import Place, Real, factor, log_abs, log_fixed, v_plus, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
                               _discrepancy_base, _padic_gcd_exponent,
                               bad_places, canonical_height,
@@ -508,6 +508,38 @@ def test_hgcd_fin_and_exclusions():
     x, y = Fraction(1, 3), Fraction(1, 5)
     assert float(hgcd_fin(x, y).total()) == 0
     assert float(hgcd(x, y).total()) > 0
+
+
+def test_hgcd_arch_matches_the_min_of_v_plus_near_one():
+    # hgcd skips the logarithms when |x| or |y| >= 1, where v+ = 0; the
+    # min of the two v+ must be what it returns, on both sides of +-1.
+    # N / (N -+ d) with N = 2^a 3^b in [2^82, 2^90] and d < 2^22 lies
+    # within 2^-60 of 1; smooth numerators keep the finite parts cheap
+    rng = random.Random(1 << 60)
+    near = [1, -1]
+    for _ in range(12):
+        b = rng.randrange(20)
+        n, d = 2 ** (90 - 2 * b) * 3**b, rng.randrange(1, 1 << 22) | 1
+        d += 2 * (d % 3 == 0)
+        near += [s * Fraction(n, n + e * d) for s in (1, -1) for e in (1, -1)]
+    for x in near:
+        for y in rng.sample(near, 6) + [0, Fraction(1, 3), Fraction(7, 2)]:
+            expected = min(v_plus(Place.arch(), z).arch for z in (x, y) if z)
+            assert hgcd(x, y).arch == expected and hgcd(y, x).arch == expected, (x, y)
+
+
+def test_hgcd_fin_and_excluding_take_no_archimedean_log(monkeypatch):
+    import orbitgcd.heights as heights
+
+    def no_log(*args):
+        raise AssertionError("archimedean log taken")
+    monkeypatch.setattr(heights, "v_plus", no_log)
+    x, y = Fraction(12, 35), Fraction(18, 77)
+    assert hgcd_fin(x, y).finite == {2: 1, 3: 1} and hgcd_fin(x, y).arch == 0
+    assert hgcd_excluding(PlaceSet([3]), x, y).finite == {2: 1}
+    assert hgcd(Fraction(12), y).arch == 0
+    with pytest.raises(DomainError):
+        hgcd_fin(0, 0)
 
 
 def test_hgcd_excluding_monotone_in_excluded_set():

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -117,6 +119,16 @@ def test_lowest_terms_representation_unique():
     d = RationalMap(Polynomial([0, 2, 0, 2]), Polynomial([0, 4]))   # (2x^3+2x)/(4x)
     assert d == RationalMap(Polynomial([1, 0, 1]), Polynomial([2]))
 
+
+
+def test_hash_is_the_forms_hash_and_survives_pickle_and_copy():
+    # the hash is computed once at construction; the pickle still holds the
+    # forms alone, so it loads into a map with the same hash
+    f = RationalMap([Fraction(1, 3), 0, 1], [0, 2])
+    state = (None, {"forms": f.forms})
+    assert hash(f) == hash(f.forms) and f.__reduce_ex__(2)[2] == state
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and hash(g) == hash(f) and {g: 1}[f] == 1
 
 @pytest.mark.parametrize("num, den", [
     ([0.5, 0, 1], None),                                  # (2x^2 + 1)/2
