@@ -34,11 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 
 from . import _gmp
 from .errors import DomainError, PartialFactorizationError
@@ -46,8 +45,9 @@ from .errors import DomainError, PartialFactorizationError
 Rational = Fraction
 
 ARCH_PREC = 128                   # bits carried by archimedean parts
-TRIAL_DIVISION_BOUND = 10**6
-DEFAULT_FACTOR_BUDGET = 1 << 22   # total rho iterations allowed per factor() call
+# total rho iterations allowed per factor() call; rho finds every prime
+# factor above 2^10, a prime p in about sqrt(p) iterations
+DEFAULT_FACTOR_BUDGET = 1 << 22
 
 # psi_k, the least odd composite that is a strong probable prime to each of
 # the first k prime bases (Jaeschke 1993 to k = 8; Sorenson and Webster 2017
@@ -99,35 +99,25 @@ def int_mul(x: int, y: int) -> int:
     return x * y
 
 
-# --- small prime cache (process wide, lock guarded, semantically invisible) ---
-
-_sieve_lock = threading.Lock()
-_sieve_limit = 0
-_sieve_primes: list[int] = []
-
-
-def _sieve(limit: int) -> list[int]:
-    """The cached sieve's primes, at least every one below ``limit``.  Growth
-    replaces the list and never mutates it, so callers iterate it unlocked."""
-    global _sieve_limit, _sieve_primes
-    with _sieve_lock:
-        if limit > _sieve_limit:
-            # doubling amortizes growth; past 10^6 only a request grows it
-            size = max(limit, min(2 * _sieve_limit, TRIAL_DIVISION_BOUND), 1 << 16)
-            flags = bytearray([1]) * size
-            flags[0:2] = b"\x00\x00"
-            for i in range(2, math.isqrt(size - 1) + 1):
-                if flags[i]:
-                    flags[i * i :: i] = bytes((size - 1 - i * i) // i + 1)
-            _sieve_primes = list(compress(range(size), flags))
-            _sieve_limit = size
-        return _sieve_primes
-
-
 def small_primes(limit: int) -> list[int]:
-    """Primes below ``limit`` from a cached segmentless sieve."""
-    primes = _sieve(limit)
-    return primes[:bisect_left(primes, limit)]
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    size = max(limit, 2)
+    flags = bytearray([1]) * size
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(size - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes((size - 1 - i * i) // i + 1)
+    return list(compress(range(limit), flags))
+
+
+# factor trial-divides by the primes below 2^10 and leaves larger ones to
+# rho, which finds p in about sqrt(p) iterations where trial division pays
+# ~0.4 us per prime below p.  Mean factor(p * q), q a 40-bit prime, for p
+# in 2^8-2^10 / 2^12-2^14 / 2^16-2^18: 205 / 289 / 670 us with primes
+# below 2^8, 98 / 324 / 720 below 2^10, 100 / 416 / 790 below 2^12 and
+# 102 / 307 / 1596 below 2^16; 16-20 us at each on desk-batch's hgcd shape
+# (2-core Xeon VM, Python 3.11).  2^10 has the flattest worst case.
+_TRIAL_PRIMES = tuple(small_primes(1 << 10))
 
 
 def _mr_witness(a: int, n: int) -> bool:
@@ -327,17 +317,18 @@ def _perfect_power(n: int) -> tuple[int, int]:
 def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Certified prime factorization of a nonzero integer.
 
-    Trial division by the primes up to min(10^6, sqrt|n|), stopping early
+    Trial division by the primes below 2^10 up to sqrt|n|, stopping early
     once the cofactor is prime: from 37 on, :func:`is_prime` tests it
     after each prime divided out (every smaller prime is out by then, so
     the factors are the ones full trial division finds).  A composite
-    cofactor goes to Brent's variant of Pollard rho with a deterministic
-    seed.  Every reported prime passes :func:`is_prime`: Miller-Rabin on
-    the first k prime bases below psi_k (Jaeschke 1993; Sorenson and
-    Webster 2017), a proof below psi_13 ~ 3.3e24, and BPSW (Baillie and
-    Wagstaff 1980) at or above it.  If the rho budget runs out a
-    :class:`PartialFactorizationError` is raised carrying the certified
-    part; composites are never silently reported.
+    cofactor, all of whose primes exceed 2^10, goes to Brent's variant of
+    Pollard rho (BIT 20, 1980) with a deterministic seed.  Every reported
+    prime passes :func:`is_prime`: Miller-Rabin on the first k prime bases
+    below psi_k (Jaeschke 1993; Sorenson and Webster 2017), a proof below
+    psi_13 ~ 3.3e24, and BPSW (Baillie and Wagstaff 1980) at or above it.
+    If the rho budget runs out a :class:`PartialFactorizationError` is
+    raised carrying the certified part; composites are never silently
+    reported.
 
     >>> factor(15624).factors
     ((2, 3), (3, 2), (7, 1), (31, 1))
@@ -348,9 +339,7 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     m = abs(n)
     found: dict[int, int] = {}
     rejected = 0                      # the last cofactor is_prime turned down
-    limit = min(TRIAL_DIVISION_BOUND, math.isqrt(m) + 1)
-    primes = _sieve(limit)
-    for p in islice(primes, bisect_left(primes, limit)):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:

@@ -19,7 +19,7 @@ from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
 from .exact import factor, int_gcd, log_abs, valuation
-from .heights import PlaceSet, canonical_height, discrepancy_bound
+from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint,
                    RationalMap, conjugate, digit_count, evaluate, iterate)
 from .polys import _derivative, _pseudo_rem, _yun, exact_div, primitive_gcd, trim
@@ -122,7 +122,7 @@ def _excluded_sum(x: int, y: int, places: PlaceSet) -> float:
             continue
         m = min(valuation(p, x), valuation(p, y))
         if m:
-            total += m * math.log(p)
+            total += m * float(log_abs(p))
     return total
 
 
@@ -144,10 +144,9 @@ def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
     elif not integral:
         flags.append("rational_data")
     g, fin = _finite_part(u[0], v[0])
+    log_gcd = fin + float(arch_gcd_term(u, v))
     # a zero argument has v+ = +infinity at every place: only the other counts
-    nonzero = [w for w in (u, v) if w[0]]
-    log_gcd = fin + min(max(0.0, -float(log_abs(*w))) for w in nonzero)
-    excl = fin - _excluded_sum(nonzero[0][0], nonzero[-1][0], config.place_exclusions)
+    excl = fin - _excluded_sum(u[0] or v[0], v[0] or u[0], config.place_exclusions)
     gcd_val = g if integral else None
     ratio = None
     if "one_zero" not in flags:
@@ -471,7 +470,7 @@ def inversion_deviation_bound(alpha, beta) -> float:
     eb = _square_support(beta)
     total = 0.0
     for p in set(ea) | set(eb):
-        total += max(ea.get(p, 0), eb.get(p, 0)) * math.log(p)
+        total += max(ea.get(p, 0), eb.get(p, 0)) * float(log_abs(p))
     return total
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
-from .exact import (ARCH_PREC, LogValue, Place, Real, factor, int_gcd, is_prime,
-                    log_abs, log_fixed, v_plus, valuation)
+from .exact import (ARCH_PREC, LogValue, Place, Real, factor, int_gcd, int_mul,
+                    is_prime, log_abs, log_fixed, valuation)
 from .maps import ProjPoint, RationalMap, bezout_record, evaluate, map_resultant
 
 DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
@@ -262,11 +262,19 @@ def hgcd(x, y) -> LogValue:
     """
     x, y = Fraction(x), Fraction(y)
     finite = _gcd_exponents(x, y)
-    # v+(z) = max(0, -log|z|) is 0 at |z| >= 1, and v+(0) = +infinity
-    # drops out of the min
-    if abs(x) >= 1 or abs(y) >= 1:
-        return LogValue(finite, 0)
-    return LogValue(finite, min(v_plus(Place.arch(), z).arch for z in (x, y) if z))
+    return LogValue(finite, arch_gcd_term(x.as_integer_ratio(), y.as_integer_ratio()))
+
+
+def arch_gcd_term(u: tuple[int, int], v: tuple[int, int]) -> Real:
+    """min(v+(u), v+(v)) at the archimedean place, for rationals not both
+    zero given as (numerator, denominator) in lowest terms, denominators
+    positive: v+ of the larger |z|, and 0 with no log when that is >= 1."""
+    (a, b), (c, d) = u, v
+    if abs(a) >= b or abs(c) >= d:
+        return Real(0)
+    if int_mul(abs(a), d) < int_mul(abs(c), b):
+        a, b = c, d
+    return Real(max(0, -log_abs(a, b)))
 
 
 def _gcd_exponents(x: Fraction, y: Fraction) -> dict[int, int]:

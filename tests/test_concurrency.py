@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from orbitgcd import _gmp, classify, exact
 from orbitgcd.classify import probe_genericity
-from orbitgcd.exact import _GMP_BITS, int_gcd, int_mul, log_abs
+from orbitgcd.exact import _GMP_BITS, factor, int_gcd, int_mul, log_abs
 from orbitgcd.heights import canonical_height, hgcd
 from orbitgcd.maps import RationalMap
 from orbitgcd.serialize import _digits_by_division, int_to_str
@@ -30,6 +30,9 @@ def _jobs():
         jobs.append(lambda x=x, y=y: hgcd(x, y))
     for x in (Fraction(2, 3), Fraction(10**50 + 7, 3**80)):
         jobs.append(lambda x=x: log_abs(x))
+    # factors between the trial-division table's bound 2^10 and 10^6 come from rho
+    for n in (1031 * 1033, 65537 * 999983, 524287 * 786433, 1021**2 * 1031**3):
+        jobs.append(lambda n=n: factor(n))
     x2, x3x = RationalMap([0, 0, 1]), RationalMap([0, 1, 0, 1])
     for seed in (0, 3, 17, 9001):
         jobs.append(lambda s=seed: probe_genericity(x3x, x3x, 1, -1, 1, 8, seed=s))

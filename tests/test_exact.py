@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import orbitgcd
 from orbitgcd import _gmp, exact
 from orbitgcd.errors import DomainError, PartialFactorizationError
-from orbitgcd.exact import (_GMP_BITS, TRIAL_DIVISION_BOUND, LogValue, Place, Real, factor,
+from orbitgcd.exact import (_GMP_BITS, LogValue, Place, Real, factor,
                             int_gcd, int_mul, is_prime, log_abs, log_fixed, log_gcd_places,
                             next_prime, v_plus, valuation)
 from orbitgcd.serialize import _digits_by_division, int_to_str
@@ -299,18 +300,24 @@ def test_valuation_rejects_zero_and_small_p():
             valuation(p, x)
 
 
-def test_factor_sieves_only_to_the_square_root(monkeypatch):
-    # a cold sieve: factor(6) needs primes up to 2 and stops at the
-    # minimum size, larger inputs grow it to sqrt(n) and no further than 10^6
-    monkeypatch.setattr(exact, "_sieve_limit", 0)
-    monkeypatch.setattr(exact, "_sieve_primes", [])
+def test_factor_leaves_no_module_level_prime_state():
+    # factor trial-divides by one fixed tuple, the primes below 2^10, and
+    # leaves larger primes to rho: inputs that once grew a process-wide
+    # sieve to 10^6 rebind, add or fill no module global
+    before = {k: v for k, v in vars(exact).items() if not k.startswith("__")}
+    assert exact._TRIAL_PRIMES == tuple(exact.small_primes(1 << 10))
+    assert exact._TRIAL_PRIMES[-1] == 1021
     assert factor(6).factors == ((2, 1), (3, 1))
-    assert exact._sieve_limit == 1 << 16
-    n = 999983 * 999979
-    assert factor(n).factors == ((999979, 1), (999983, 1))
-    assert exact._sieve_limit == math.isqrt(n) + 1
+    assert factor(999983 * 999979).factors == ((999979, 1), (999983, 1))
     assert factor(1000003**2).factors == ((1000003, 2),)
-    assert exact._sieve_limit == TRIAL_DIVISION_BOUND
+    assert factor(1021 * 1031**2).factors == ((1021, 1), (1031, 2))
+    after = {k: v for k, v in vars(exact).items() if not k.startswith("__")}
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    lock = type(threading.Lock())
+    assert not any(isinstance(v, (list, dict, set, bytearray, lock)) for v in after.values())
+    assert "threading" not in after
+    assert [exact.small_primes(k) for k in (0, 2, 3, 12)] == [[], [], [2], [2, 3, 5, 7, 11]]
 
 
 def test_factor_matches_sympy_factorint():
@@ -329,6 +336,13 @@ def test_factor_matches_sympy_factorint():
               for k in (2, 4, 7, 9) for _ in range(3)]
     cases += [sympy.nextprime(rng.randrange(10**12, exact._PSI[-1])) for _ in range(20)]
     cases += [2 * (2**89 - 1), 37 * 41, 37**2 * 1000003, 41 * 43 * 47]
+    # primes between the table's bound 2^10 and 10^6 come from rho: products
+    # of two, with primes above 10^6, and powers
+    mid = [sympy.nextprime(rng.randrange(1 << 10, 10**6)) for _ in range(24)]
+    cases += [p * q for p, q in zip(mid[::2], mid[1::2])]
+    cases += [p * sympy.nextprime(rng.randrange(10**6, 10**12)) for p in mid[:8]]
+    cases += [p ** rng.randint(2, 4) * q for p, q in zip(mid, (1, 1, 7, 1021, 1031, mid[-1]))]
+    cases += [1021 * 1031, 1031**3, 1021**2 * 1031 * 999983, 1031 * 1000003 * 1000033]
     for n in cases:
         expected = sympy.factorint(abs(n))
         got = factor(n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import _gmp, experiments, maps
+from orbitgcd import _gmp, experiments, heights, maps
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
@@ -50,7 +50,11 @@ def test_gcd_series_base_row_and_examples():
     assert rep2.rows[1].gcd == 9          # |f(2) - 1| = 9
 
 
-def test_gcd_series_row_exactness_vs_independent_euclid():
+def test_gcd_series_row_exactness_vs_independent_euclid(monkeypatch):
+    # integral rows have |u|, |v| >= 1, so no archimedean log of an orbit value
+    def no_log(*args):
+        raise AssertionError("archimedean log taken")
+    monkeypatch.setattr(heights, "log_abs", no_log)
     cfg = GcdSeriesConfig(X2P1, X2M1, 3, 5, 2, 7, n_max=9)
     rep = gcd_series(cfg)
     xs = naive_orbit(X2P1, 3, 9)
@@ -61,6 +65,7 @@ def test_gcd_series_row_exactness_vs_independent_euclid():
         g = math.gcd(abs(u.numerator), abs(v.numerator))
         assert row.gcd == g
         assert abs(row.hgcd_fin - math.log(g)) < 1e-9
+        assert row.log_gcd == row.hgcd_fin
         assert abs(row.ratio - row.log_gcd / 2**n) < 1e-15
 
 

@@ -533,7 +533,7 @@ def test_hgcd_fin_and_excluding_take_no_archimedean_log(monkeypatch):
 
     def no_log(*args):
         raise AssertionError("archimedean log taken")
-    monkeypatch.setattr(heights, "v_plus", no_log)
+    monkeypatch.setattr(heights, "log_abs", no_log)
     x, y = Fraction(12, 35), Fraction(18, 77)
     assert hgcd_fin(x, y).finite == {2: 1, 3: 1} and hgcd_fin(x, y).arch == 0
     assert hgcd_excluding(PlaceSet([3]), x, y).finite == {2: 1}
@@ -592,3 +592,18 @@ def test_mobius_inversion_deviation_symbolic():
     devs.sort()
     top_decile = [d for _, d in devs[-len(devs) // 10:]]
     assert max(top_decile) <= max(d for _, d in devs)
+
+
+def test_hgcd_logs_only_the_larger_argument(monkeypatch):
+    # min(v+(x), v+(y)) is v+ of the larger |z|: one log_abs, whose two
+    # log_fixed calls take its numerator and denominator
+    from orbitgcd import exact
+
+    x, y = Fraction(1, 3000001), Fraction(2, 7000003)
+    expected = -log_abs(x)
+    calls = []
+    real = exact.log_fixed
+    monkeypatch.setattr(exact, "log_fixed", lambda *a: calls.append(a[0]) or real(*a))
+    for u, v in ((x, y), (y, x), (x, 0), (0, -x), (-x, y)):
+        calls.clear()
+        assert hgcd(u, v).arch == expected and sorted(calls) == [1, 3000001], (u, v)
