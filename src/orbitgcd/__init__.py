@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .errors import (BudgetExceededError, DomainError, HypothesisViolationError,
                      IndeterminateError, OrbitgcdError, PartialFactorizationError)
 from .exact import (Factorization, LogValue, Place, Rational, factor, is_prime,
-                    log_gcd_places, next_prime, v_plus, valuation)
+                    next_prime, v_plus, valuation)
 from .polys import (Polynomial, max_multiplicity, multiplicity_at, poly_gcd,
                     radical, squarefree_decomposition)
-from .maps import (INFINITY, Mobius, ProjPoint, RationalMap, compose, conjugate,
-                   digit_count, evaluate, fiber_polynomial, iterate,
-                   map_resultant, self_compose)
+from .maps import (INFINITY, ProjPoint, RationalMap, compose, conjugate, digit_count,
+                   evaluate, fiber_polynomial, iterate, map_resultant, self_compose)
 from .heights import (HeightEstimate, PlaceSet, bad_places, canonical_height,
                       discrepancy_bound, hgcd, hgcd_excluding, hgcd_fin,
                       weil_height)

@@ -23,8 +23,8 @@ from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import _iroot, factor, next_prime
 from .heights import _orbit_scan, canonical_height
 from .linalg import kernel_modp, rational_reconstruct
-from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, Mobius,
-                   ProjPoint, RationalMap, compose, conjugate, fiber_polynomial, iterate)
+from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
+                   RationalMap, compose, conjugate, fiber_polynomial, iterate)
 from .polys import Polynomial, exact_div, primitive
 
 POWER_CONJUGATE = "power"
@@ -142,15 +142,16 @@ def mult_indep(a, b) -> bool:
 class SpecialForm:
     """Outcome of the power/Chebyshev normal form test.
 
-    ``witness`` is the affine conjugation onto the normal form, present
-    exactly when the tag is not NOT_SPECIAL and verified by exact
-    conjugation.  ``caveat`` marks polynomials whose depressed form matches
-    a family but whose conjugation would need an irrational scale factor
-    (the search is restricted to rational affine maps).
+    ``witness`` is the affine conjugation x -> u x + w onto the normal
+    form, a degree-1 :class:`RationalMap`, present exactly when the tag is
+    not NOT_SPECIAL and verified by exact conjugation.  ``caveat`` marks
+    polynomials whose depressed form matches a family but whose
+    conjugation would need an irrational scale factor (the search is
+    restricted to rational affine maps).
     """
 
     tag: str
-    witness: Mobius | None = None
+    witness: RationalMap | None = None
     caveat: bool = False
 
 
@@ -181,7 +182,7 @@ def _rational_nth_root(c: Fraction, k: int) -> Fraction | None:
     return Fraction(-rn if c < 0 else rn, rd)
 
 
-def _verify_conjugation(f: RationalMap, sigma: Mobius, target) -> bool:
+def _verify_conjugation(f: RationalMap, sigma: RationalMap, target) -> bool:
     return conjugate(f, sigma) == RationalMap(target)
 
 
@@ -206,7 +207,7 @@ def special_form(poly: Polynomial) -> SpecialForm:
     v = poly.coeff(d - 1) / (d * poly.leading)
     # the depressed form poly(x - v) + v is the conjugate by x -> x + v,
     # stored as integers (a_0..a_d) over the constant b_0
-    num, den = conjugate(f, Mobius.translation(v)).forms
+    num, den = conjugate(f, RationalMap([v, 1])).forms
     dep = [Fraction(a, den[0]) for a in num]
 
     # power family: depressed form must be a pure monomial c * x^d, with the
@@ -214,7 +215,7 @@ def special_form(poly: Polynomial) -> SpecialForm:
     if not any(dep[:d]):
         u = _rational_nth_root(dep[d], d - 1)
         if u is not None:
-            sigma = Mobius.affine(u, u * v)
+            sigma = RationalMap([u * v, u])
             if _verify_conjugation(f, sigma, [0] * d + [1]):
                 return SpecialForm(POWER_CONJUGATE, sigma)
         return SpecialForm(NOT_SPECIAL, None, caveat=True)
@@ -253,7 +254,7 @@ def special_form(poly: Polynomial) -> SpecialForm:
         if u == 0:
             continue
         if all(dep[k] == cheb.coeff(k) * u ** (k - 1) for k in range(d + 1)):
-            sigma = Mobius.affine(u, u * v)
+            sigma = RationalMap([u * v, u])
             if _verify_conjugation(f, sigma, cheb):
                 return SpecialForm(CHEBYSHEV_CONJUGATE, sigma)
     return SpecialForm(NOT_SPECIAL, None, caveat=caveat)

@@ -210,11 +210,15 @@ def _cmd_mult_indep(args) -> dict:
 def _cmd_special(args) -> dict:
     poly = load_poly(args.poly)
     form = special_form(poly)
+    witness = None
+    if form.witness is not None:
+        # x -> (p x + q) / (r x + s); an affine witness has r = 0 and s > 0
+        (q, p), (s, r) = form.witness.forms
+        witness = {k: rational_to_str(Fraction(c, s)) for k, c in zip("pqrs", (p, q, r, s))}
     return {
         "tag": form.tag,
         "caveat": form.caveat,
-        "witness": None if form.witness is None else {
-            k: rational_to_str(getattr(form.witness, k)) for k in "pqrs"},
+        "witness": witness,
         "manifest": build_manifest("classify special",
                                    {"poly": poly_to_json(poly)}),
     }

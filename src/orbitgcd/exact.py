@@ -581,15 +581,3 @@ def v_plus(place: Place, x) -> LogValue:
         return LogValue.from_finite({place.prime: max(0, valuation(place.prime, x))})
     return LogValue({}, max(0, -log_abs(x)))
 
-
-def log_gcd_places(a: int, b: int) -> LogValue:
-    """log gcd(|a|, |b|) as an exact sum over finite places: the finite
-    coefficients are the prime exponents of the Euclidean gcd.
-
-    >>> log_gcd_places(12, 18).finite
-    {2: Fraction(1, 1), 3: Fraction(1, 1)}
-    """
-    if a == 0 or b == 0:
-        raise DomainError("log_gcd_places needs nonzero integers")
-    g = int_gcd(a, b)
-    return LogValue.from_finite(factor(g).exponents() if g > 1 else {})

@@ -20,8 +20,8 @@ from itertools import zip_longest
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
 from .exact import factor, int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
-from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, Mobius, ProjPoint,
-                   RationalMap, conjugate, digit_count, evaluate, iterate)
+from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
+                   conjugate, digit_count, evaluate, iterate)
 from .polys import _derivative, _pseudo_rem, _yun, exact_div, primitive_gcd, trim
 from .classify import is_exceptional
 
@@ -482,29 +482,30 @@ def _square_support(x: Fraction) -> dict[int, int]:
 
 
 def mobius_invariance_probe(f: RationalMap, g: RationalMap,
-                            sigma: Mobius, tau: Mobius,
+                            sigma: RationalMap, tau: RationalMap,
                             alpha, beta, samples, n_max: int,
                             digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET,
                             ) -> MobiusProbeResult:
     """Supremum over samples and 1 <= n <= n_max of
     |hgcd_fin(f_sigma^n(sigma a) - sigma alpha, g_tau^n(tau b) - tau beta)
      - hgcd_fin(f^n(a) - alpha, g^n(b) - beta)|,
-    with the sample attaining it.  Rows where either side degenerates
-    (orbit value at infinity, a pole of the transformation, or a double
-    zero) are skipped and counted.
+    with the sample attaining it, for Mobius transformations sigma and tau
+    (maps of degree 1; another degree is a DomainError).  Rows where either
+    side degenerates (orbit value at infinity, a pole of the
+    transformation, or a double zero) are skipped and counted.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     f_sigma = conjugate(f, sigma)
     g_tau = conjugate(g, tau)
-    sigma_alpha = sigma.apply(alpha)
-    tau_beta = tau.apply(beta)
+    sigma_alpha = sigma(alpha)
+    tau_beta = tau(beta)
     best = -1.0
     attained = (None, None)
     used = 0
     skipped = 0
     for sample in samples:
         a, b = (ProjPoint.of(sample[0]), ProjPoint.of(sample[1]))
-        sa, tb = sigma.apply(a), tau.apply(b)
+        sa, tb = sigma(a), tau(b)
         if any(pt.is_infinity for pt in (sa, tb, sigma_alpha, tau_beta)):
             skipped += 1
             continue

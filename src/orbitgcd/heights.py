@@ -188,8 +188,8 @@ def canonical_height(f: RationalMap, point, tol,
     with error_bound 0.
 
     The tail test runs in units of 2^-prec, prec = max(ARCH_PREC,
-    log2(1/tol) + 64, 2 log2((d+1)/(d tol))) bits, the last rounded up so
-    that 2^-(prec//2) < tol - tol/(d+1), and the height in units of
+    2 log2((d+1)/(d tol))) bits, the last rounded up so that
+    2^-(prec//2) < tol - tol/(d+1), and the height in units of
     2^-(prec + 64), from an integer pair of prec + 64 bits and an exact
     binary exponent: a step is one exact form evaluation and a shift, and
     the archimedean part takes one logarithm.
@@ -207,8 +207,7 @@ def canonical_height(f: RationalMap, point, tol,
     num, den = tol.as_integer_ratio()
     # the bit length k of floor((d+1)/(d tol)) is the least k with
     # 2^-k < tol - tol/(d+1), the room error_bound leaves beside the tail
-    prec = max(ARCH_PREC, int(-math.log2(tol)) + 64,
-               2 * ((d + 1) * den // (d * num)).bit_length())
+    prec = max(ARCH_PREC, 2 * ((d + 1) * den // (d * num)).bit_length())
 
     # a cycle makes the height exactly 0; an escape or nothing goes on below
     scan = _orbit_scan(f, point, _PREPERIODIC_SCAN_LIMIT)

@@ -7,8 +7,10 @@ lowest-terms representation unique.  It is stored once, as the integer
 coefficients of its degree-d homogenizations (F, G), and
 :meth:`RationalMap.form_values` is the one evaluator of that pair, so
 evaluation is projective and the point at infinity needs no special
-cases; composition and Mobius maps evaluate through it too.  Once a
-coordinate it is given has 2^14 bits, its products go through
+cases; composition evaluates through it too.  A Mobius transformation
+is a map of degree 1 (these are the automorphisms of P^1, PGL_2(Q)), so
+it is evaluated and composed as any other map.  Once a coordinate it
+is given has 2^14 bits, its products go through
 ``exact.int_mul`` to the system GMP, whose FFT multiplication outruns
 CPython's Karatsuba on the Theta(d^n)-digit values of deep orbits and on
 Kronecker-packed polynomials.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
@@ -344,69 +345,16 @@ def self_compose(f: RationalMap, depth: int,
     return out
 
 
-@dataclass(frozen=True)
-class Mobius:
-    """Invertible map x -> (p*x + q) / (r*x + s) with rational entries."""
-
-    p: Fraction
-    q: Fraction
-    r: Fraction
-    s: Fraction
-
-    def __post_init__(self):
-        for name in ("p", "q", "r", "s"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.det == 0:
-            raise DomainError("Mobius transformation must have nonzero determinant")
-
-    @property
-    def det(self) -> Fraction:
-        return self.p * self.s - self.q * self.r
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls, t) -> "Mobius":
-        return cls(1, t, 0, 1)
-
-    @classmethod
-    def dilation(cls, u) -> "Mobius":
-        return cls(u, 0, 0, 1)
-
-    @classmethod
-    def inversion(cls) -> "Mobius":
-        return cls(0, 1, 1, 0)
-
-    @classmethod
-    def affine(cls, u, v) -> "Mobius":
-        """x -> u*x + v."""
-        return cls(u, v, 0, 1)
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.s, -self.q, -self.r, self.p)
-
-    def __matmul__(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.p * other.p + self.q * other.r,
-            self.p * other.q + self.q * other.s,
-            self.r * other.p + self.s * other.r,
-            self.r * other.q + self.s * other.s,
-        )
-
-    def apply(self, point) -> ProjPoint:
-        return evaluate(self.to_map(), point)
-
-    def to_map(self) -> RationalMap:
-        return RationalMap([self.q, self.p], [self.s, self.r])
-
-
-def conjugate(f: RationalMap, m: Mobius) -> RationalMap:
-    """m o f o m^{-1}; the degree is preserved."""
-    sigma = m.to_map()
-    sigma_inv = m.inverse().to_map()
-    out = compose(sigma, compose(f, sigma_inv))
+def conjugate(f: RationalMap, m: RationalMap) -> RationalMap:
+    """m o f o m^-1 for a Mobius transformation m, which is a map of degree
+    1 (its coprime forms make its determinant nonzero); the degree of f is
+    preserved.  m = (a0 + a1 x)/(b0 + b1 x) is inverted from its forms as
+    (-a0 + b0 x)/(a1 - b1 x), coprime since their resultant is -det m."""
+    if m.degree != 1:
+        raise DomainError(f"conjugation needs a degree-1 map, got degree {m.degree}")
+    (a0, a1), (b0, b1) = m.forms
+    m_inv = RationalMap([-a0, b0], [a1, -b1], assume_coprime=True)
+    out = compose(m, compose(f, m_inv))
     assert out.degree == f.degree
     return out
 

@@ -86,7 +86,7 @@ def rational_to_str(x, den: int = 1) -> str:
 
 
 def int_from_digits(digits: str) -> int:
-    """The integer of a string of ASCII decimal digits of any length, the
+    """The integer of a string of decimal digits of any length, the
     mirror of :func:`int_to_str`: ``int`` up to 3600 digits, above that
     high * 10^(3600 * 2^j) + low, divide and conquer (no interpreter limit
     and no process-wide setting involved).
@@ -110,11 +110,12 @@ def int_from_digits(digits: str) -> int:
     return value(digits, len(powers) - 1)
 
 
-# sign, integer digits, then a denominator, or a fraction part and exponent
-_RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)"
-                       r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
-# the exponent of a form only ``Fraction`` reads (digits grouped with underscores)
-_EXPONENT = re.compile(r"[eE]([+-]?[0-9_]+)$")
+# sign, integer digits, then a denominator, or a fraction part and exponent;
+# as in ``Fraction``, digits may be grouped by single underscores (PEP 515)
+# and a slash may have spaces around it
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(rf"([+-]?)(?=\.?\d)((?:{_DIGITS})?)(?:\s*/\s*({_DIGITS})"
+                       rf"|(?:\.((?:{_DIGITS})?))?(?:[eE]([+-]?{_DIGITS}))?)")
 
 
 def _check_shift(shift: int) -> int:
@@ -136,18 +137,18 @@ def _clip(text: str, limit: int) -> str:
 
 def rational_from_str(text: str) -> Fraction:
     """A rational from "p", "p/q" or "p.q" with an optional exponent
-    ("-1.25e-3"; digit strings of any length), or any other form
-    ``Fraction`` reads (digits grouped with underscores).  A power of ten
-    of more than ``DEFAULT_ORBIT_DIGIT_BUDGET`` digits is a DomainError."""
+    ("-1.25e-3"), the forms ``Fraction`` reads: digit strings of any
+    length, digits grouped with underscores ("1_000"), and spaces around
+    the slash.  A power of ten of more than ``DEFAULT_ORBIT_DIGIT_BUDGET``
+    digits is a DomainError."""
     text = text.strip()
     try:
         m = _RATIONAL.fullmatch(text)
         if m is None:
-            exp = _EXPONENT.search(text)
-            _check_shift(int(exp.group(1)) if exp else 0)
-            return Fraction(text)
-        sign, whole, den, frac, exp = m.groups(default="")
-        shift = _check_shift(int(exp or "0") - len(frac))
+            raise ValueError("expected p, p/q or p.q with an optional exponent")
+        sign, whole, den, frac, exp = (g.replace("_", "") for g in m.groups(default=""))
+        # the written power 10^exp and the one built, 10^shift, are both checked
+        shift = _check_shift(_check_shift(int(exp or "0")) - len(frac))
         num = int_from_digits(whole + frac or "0")    # value: num * 10^shift / den
         den = int_from_digits(den) if den else 1
         return Fraction((-num if sign == "-" else num) * 10**max(shift, 0),

@@ -142,13 +142,10 @@ def is_ample_lemmaAG(surface: BlowupSurface, n: int) -> AmplenessReport:
         )
         slope = Fraction(1) - Fraction(s, n)
         if slope < 0:
-            # value t*(1 - s/N) + s/N drops without bound; exhibit a curve
-            # type where it is already negative
-            t_bad = max(2, s // (s - n) + 1)
+            # value t*(1 - s/N) + s/N drops without bound and is negative
+            # exactly for t > s/(s - N) > 1: exhibit the least such t
+            t_bad = s // (s - n) + 1
             val = t_bad * slope + Fraction(s, n)
-            while val >= 0:
-                t_bad += 1
-                val = t_bad * slope + Fraction(s, n)
             checks.append(
                 ("curve", {"type_sum": t_bad, "mu_sum": s * (t_bad - 1),
                            "value": val}, val)

@@ -13,8 +13,7 @@ from orbitgcd import cli
 from orbitgcd.cli import dispatch
 from orbitgcd.errors import DomainError, IndeterminateError
 from orbitgcd.experiments import GcdSeriesConfig, gcd_series
-from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, conjugate,
-                           digit_count)
+from orbitgcd.maps import ProjPoint, RationalMap, conjugate, digit_count
 from orbitgcd.polys import Polynomial
 from orbitgcd.serialize import (build_manifest, map_from_json, map_to_json,
                                 point_from_str, point_to_str, poly_from_json,
@@ -96,13 +95,22 @@ def test_rational_from_str_long_decimal_and_exponent_forms():
     "1.5", "-0.25", "+3e2", "1E-3", ".5", "5.", "-.5e+2", "0.000", "-0", "007",
     "+.0", "3.e1", "12.34e-5", "0e5", "-1.25E-3", "1/3", "-4/6", "+10/4",
     "1_000", "1_0.5", "2e1_0", "9" * 30 + "." + "1" * 40 + "e-17",
+    "1_000/3_0", "1.5e1_0", "1_0.2_5", "\u0661\u0662",    # Arabic-Indic digits: 12
 ])
 def test_rational_from_str_matches_fraction(text):
-    assert rational_from_str(text) == Fraction(text)
+    # Fraction reads underscores from Python 3.11 on; rational_from_str on 3.10 too
+    assert rational_from_str(text) == Fraction(text.replace("_", ""))
+
+
+def test_rational_from_str_underscores_past_the_int_str_limit_and_spaced_slash():
+    assert rational_from_str("1_" + "0" * 5000) == 10**5000
+    assert rational_from_str(" -2 / 4 ") == Fraction(-1, 2)     # as Fraction reads it from 3.12 on
 
 
 @pytest.mark.parametrize("text", ["", ".", "e5", "1e", "/3", "1/", "1.2/3", "--1",
-                                  "1e5/3", ".e1", "1.5.2", "0x10"])
+                                  "1e5/3", ".e1", "1.5.2", "0x10", "1__0", "_1", "1_",
+                                  "1/2e3", "nan", "1_/2", "1/_2", "1e_5", "1._5", "1_.5",
+                                  "1 .5", "- 1"])
 def test_rational_from_str_rejects_what_fraction_rejects(text):
     with pytest.raises(ValueError):
         Fraction(text)
@@ -120,12 +128,12 @@ def test_rational_from_str_error_does_not_echo_long_input():
 @pytest.mark.parametrize("text", [
     "1e10000000", "1e-10000000", "-3.5e100000000",
     pytest.param("0." + "0" * 9999999 + "1", id="10^7-fraction-digits"),
-    "1_0e10000000", "1_0e-10000000", "1_0.5e1_0000_000",
+    "1_0e10000000", "1_0e-10000000", "1_0.5e1_0000_000", "1e1_000_000_00",
 ])
 def test_rational_from_str_rejects_powers_of_ten_past_the_digit_budget(text):
     # 10^k has k + 1 digits, more than the 10^7 an orbit may have from
-    # k = 10^7 on; both the digit-string path and the Fraction fallback
-    # (underscores) refuse it before building the power
+    # k = 10^7 on; the parser refuses such a power, written as the exponent
+    # or built from it, before building it
     with pytest.raises(DomainError, match="has more than 10000000 digits"):
         rational_from_str(text)
     assert rational_from_str("1e1000") == 10**1000
@@ -544,7 +552,8 @@ def test_cli_special_form_huge_coefficient(capsys, map_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["tag"] == "power" and payload["caveat"] is False
-    sigma = Mobius(*(rational_from_str(payload["witness"][k]) for k in "pqrs"))
+    p, q, r, s = (rational_from_str(payload["witness"][k]) for k in "pqrs")
+    sigma = RationalMap([q, p], [s, r])           # x -> (p x + q) / (r x + s)
     assert conjugate(RationalMap([0, 0, 10**400]), sigma) == X2
 
 

@@ -17,7 +17,7 @@ import orbitgcd
 from orbitgcd import _gmp, exact
 from orbitgcd.errors import DomainError, PartialFactorizationError
 from orbitgcd.exact import (_GMP_BITS, LogValue, Place, Real, factor,
-                            int_gcd, int_mul, is_prime, log_abs, log_fixed, log_gcd_places,
+                            int_gcd, int_mul, is_prime, log_abs, log_fixed,
                             next_prime, v_plus, valuation)
 from orbitgcd.serialize import _digits_by_division, int_to_str
 
@@ -147,36 +147,6 @@ def test_place_validation():
         Place.finite(6)
     assert Place.arch().is_finite is False
     assert Place.finite(7).prime == 7
-
-
-def euclid_exponents(a, b):
-    g = math.gcd(abs(a), abs(b))
-    out = {}
-    d = 2
-    while d * d <= g:
-        while g % d == 0:
-            out[d] = out.get(d, 0) + 1
-            g //= d
-        d += 1
-    if g > 1:
-        out[g] = out.get(g, 0) + 1
-    return {p: Fraction(e) for p, e in out.items()}
-
-
-def test_log_gcd_places_examples():
-    assert log_gcd_places(12, 18).finite == {2: Fraction(1), 3: Fraction(1)}
-    assert log_gcd_places(1, 987654) .finite == {}
-    assert log_gcd_places(15624, 624).finite == {2: Fraction(3), 3: Fraction(1)}
-    with pytest.raises(DomainError):
-        log_gcd_places(0, 5)
-
-
-def test_log_gcd_places_euclid_oracle():
-    rng = random.Random(2024)
-    for _ in range(1000):
-        a = rng.randint(-10**6, 10**6) or 1
-        b = rng.randint(-10**6, 10**6) or 1
-        assert log_gcd_places(a, b).finite == euclid_exponents(a, b)
 
 
 def test_logvalue_arithmetic_and_equality():

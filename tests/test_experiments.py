@@ -18,8 +18,8 @@ from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
 from orbitgcd.exact import _GMP_BITS, log_abs
 from orbitgcd.heights import PlaceSet, discrepancy_bound
 from orbitgcd.linalg import solve_fraction
-from orbitgcd.maps import (Mobius, ProjPoint, RationalMap, evaluate, fiber_polynomial,
-                           map_resultant, self_compose)
+from orbitgcd.maps import (ProjPoint, RationalMap, evaluate, fiber_polynomial, map_resultant,
+                           self_compose)
 from orbitgcd.polys import Polynomial, max_multiplicity
 
 X2 = RationalMap([0, 0, 1])
@@ -482,7 +482,7 @@ def test_index_set_validation():
 def test_mobius_probe_translation_exactly_invariant():
     samples = [(Fraction(3), Fraction(5)), (Fraction(7, 2), Fraction(9, 4)),
                (Fraction(-4), Fraction(11))]
-    for m in (Mobius.identity(), Mobius.translation(2), Mobius.translation(-5)):
+    for m in (RationalMap([0, 1]), RationalMap([2, 1]), RationalMap([-5, 1])):   # x + t
         res = mobius_invariance_probe(X2P1, X2M1, m, m, 2, 2, samples, 4)
         assert res.max_deviation == 0.0
 
@@ -491,8 +491,8 @@ def test_mobius_probe_dilation_bounded_by_scale_valuations():
     # dilation by 3 shifts v_3 of both arguments by one, so the finite
     # gcd-height deviation is at most log 3 (and attains it)
     samples = [(Fraction(3), Fraction(5)), (Fraction(7, 2), Fraction(9, 4))]
-    res = mobius_invariance_probe(X2P1, X2M1, Mobius.dilation(3),
-                                  Mobius.dilation(3), 2, 2, samples, 4)
+    three_x = RationalMap([0, 3])
+    res = mobius_invariance_probe(X2P1, X2M1, three_x, three_x, 2, 2, samples, 4)
     assert res.max_deviation <= math.log(3) + 1e-12
 
 
@@ -504,12 +504,20 @@ def test_mobius_probe_inversion_bounded_by_explicit_constant():
         b = Fraction(rng.randint(-50, 50) or 5, rng.randint(1, 20))
         if a != 0 and b != 0 and a != 2 and b != 2:
             samples.append((a, b))
-    inv = Mobius.inversion()
+    inv = RationalMap([1], [0, 1])
     res = mobius_invariance_probe(X2P1, X2M1, inv, inv, 2, 2, samples, 4)
     bound = inversion_deviation_bound(2, 2)
     assert abs(bound - 2 * math.log(2)) < 1e-12
     assert res.max_deviation <= bound + 1e-9
     assert res.samples_used > 0
+
+
+def test_mobius_probe_needs_degree_one_maps():
+    samples = [(Fraction(3), Fraction(5))]
+    x = RationalMap([0, 1])
+    for sigma, tau in ((X2P1, x), (x, X2M1)):
+        with pytest.raises(DomainError, match="degree-1"):
+            mobius_invariance_probe(X2P1, X2M1, sigma, tau, 2, 2, samples, 4)
 
 
 def test_inversion_deviation_bound_values():

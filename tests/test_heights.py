@@ -500,6 +500,35 @@ def test_hgcd_eq1_identity_random_symbolic():
         assert hgcd_fin(a, b).finite == (factor(g).exponents() if g > 1 else {})
 
 
+def euclid_exponents(a, b):
+    g = math.gcd(abs(a), abs(b))
+    out = {}
+    d = 2
+    while d * d <= g:
+        while g % d == 0:
+            out[d] = out.get(d, 0) + 1
+            g //= d
+        d += 1
+    if g > 1:
+        out[g] = out.get(g, 0) + 1
+    return {p: Fraction(e) for p, e in out.items()}
+
+
+def test_hgcd_fin_examples():
+    assert hgcd_fin(12, 18).finite == {2: Fraction(1), 3: Fraction(1)}
+    assert hgcd_fin(1, 987654) .finite == {}
+    assert hgcd_fin(15624, 624).finite == {2: Fraction(3), 3: Fraction(1)}
+    assert hgcd_fin(0, 5).finite == {5: Fraction(1)}        # gcd(0, n) = |n|
+
+
+def test_hgcd_fin_euclid_oracle():
+    rng = random.Random(2024)
+    for _ in range(1000):
+        a = rng.randint(-10**6, 10**6) or 1
+        b = rng.randint(-10**6, 10**6) or 1
+        assert hgcd_fin(a, b).finite == euclid_exponents(a, b)
+
+
 def test_hgcd_fin_and_exclusions():
     assert float(hgcd_fin(12, 18).total()) <= float(hgcd(12, 18).total())
     assert hgcd_excluding(PlaceSet([2, 3]), 12, 18).finite == {}

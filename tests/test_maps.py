@@ -16,7 +16,7 @@ from orbitgcd import _gmp
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import _GMP_BITS
 from orbitgcd.linalg import det_fraction
-from orbitgcd.maps import (INFINITY, Mobius, ProjPoint, RationalMap, _sylvester_rows, compose,
+from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _sylvester_rows, compose,
                            conjugate, digit_count, evaluate, fiber_polynomial,
                            iterate, map_resultant, self_compose)
 from orbitgcd.polys import Polynomial, kronecker_pack, kronecker_unpack
@@ -163,27 +163,80 @@ def test_degenerate_and_invalid_maps_rejected():
         RationalMap(Polynomial([]), Polynomial([1]))
 
 
+def mobius(p, q, r, s):
+    """x -> (p x + q) / (r x + s) and its inverse x -> (s x - q) / (-r x + p)."""
+    return RationalMap([q, p], [s, r]), RationalMap([-q, s], [p, -r])
+
+
 def test_conjugate_examples():
-    assert conjugate(X2, Mobius.identity()) == X2
-    assert conjugate(X2, Mobius.translation(1)) == RationalMap([2, -2, 1])
+    assert conjugate(X2, RationalMap([0, 1])) == X2
+    assert conjugate(X2, RationalMap([1, 1])) == RationalMap([2, -2, 1])
     rng = random.Random(77)
     for _ in range(30):
         f = rand_map(rng, 2)
-        m = Mobius(rng.randint(1, 3), rng.randint(-2, 2), rng.randint(0, 1),
-                   rng.randint(1, 3)) if rng.random() < 0.7 else Mobius.inversion()
+        if rng.random() < 0.7:
+            m, m_inv = mobius(rng.randint(1, 3), rng.randint(-2, 2), rng.randint(0, 1),
+                              rng.randint(1, 3))
+        else:
+            m = m_inv = ONE_OVER_X
+        assert compose(m, m_inv) == compose(m_inv, m) == RationalMap([0, 1])
         conj = conjugate(f, m)
         assert conj.degree == f.degree
-        assert conjugate(conj, m.inverse()) == f
+        assert conjugate(conj, m_inv) == f
+
+
+def test_conjugate_matches_fraction_evaluation():
+    # independent oracle: m(f(m^-1(x))) by plain Fraction arithmetic on the
+    # coefficient lists, at 50 random rationals for each of 20 pairs; maps
+    # with poles, and m with r != 0, are among them
+    rng = random.Random(2021)
+
+    def at(num, den, x):
+        n, d = (sum(c * x**i for i, c in enumerate(cs)) for cs in (num, den))
+        return None if d == 0 else n / d
+
+    pairs = 0
+    for _ in range(20):
+        num = [rng.randint(-4, 4) for _ in range(3)]
+        den = [rng.randint(-4, 4) for _ in range(2)] + [rng.choice([0, 1])]
+        try:
+            f = RationalMap(num, den)
+        except DomainError:
+            continue
+        p, q, r, s = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
+        if p * s == q * r:
+            continue
+        conj = conjugate(f, RationalMap([q, p], [s, r]))
+        pairs += 1
+        checked = 0
+        for _ in range(50):
+            x = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+            y = at([-q, s], [p, -r], x)
+            z = None if y is None else at(num, den, y)
+            w = None if z is None else at([q, p], [s, r], z)
+            if w is None:
+                continue            # a pole on the way: not a plain Fraction value
+            assert conj(x) == ProjPoint(w), (num, den, (p, q, r, s), x)
+            checked += 1
+        assert checked >= 40
+    assert pairs >= 15
+
+
+def test_conjugate_needs_a_degree_one_map():
+    with pytest.raises(DomainError, match="degree-1"):
+        conjugate(X2, X2P1)
+    with pytest.raises(DomainError, match="degree-1"):
+        conjugate(X3X, RationalMap([1, 0, 1], [0, 1]))
 
 
 def test_mobius_algebra():
-    m = Mobius(2, 1, 1, 1)
-    assert (m @ m.inverse()).apply(Fraction(5)) == ProjPoint(5)
-    assert Mobius.inversion().apply(0) == INFINITY
-    assert Mobius.inversion().apply(INFINITY) == ProjPoint(0)
+    m, m_inv = mobius(2, 1, 1, 1)
+    assert compose(m, m_inv)(Fraction(5)) == ProjPoint(5)
+    assert ONE_OVER_X(0) == INFINITY
+    assert ONE_OVER_X(INFINITY) == ProjPoint(0)
     with pytest.raises(DomainError):
-        Mobius(1, 2, 2, 4)
-    assert m.to_map().degree == 1
+        mobius(1, 2, 2, 4)                  # det 0: (x + 2) / (2x + 4) is constant
+    assert m.degree == 1
 
 
 def test_fiber_polynomial_cases():

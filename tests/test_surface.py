@@ -102,6 +102,12 @@ def test_ample_iff_n_greater_than_s_exhaustive():
         for n in range(1, 13):
             report = is_ample_lemmaAG(BlowupSurface(s), n)
             assert report.ample == (n > s), (s, n)
+            if n < s and report.witness["check"] == "curve":
+                # type_sum is the least t >= 2 with a negative value
+                t = report.witness["type_sum"]
+                value = [k * (1 - Fraction(s, n)) + Fraction(s, n) for k in (t - 1, t)]
+                assert t >= 2 and value[1] == report.witness["value"] < 0, (s, n)
+                assert t == 2 or value[0] >= 0, (s, n)
 
 
 def test_ample_witness_reports_minimizing_case():
