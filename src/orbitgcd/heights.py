@@ -14,8 +14,14 @@ materialized: the archimedean part runs in power-of-two fixed point (an
 integer pair cut back to its top bits after each exact step, with the
 dropped powers of two counted in an exact exponent, and one logarithm at
 the end), and p-adic gcd corrections at the primes dividing the resultant
-run modulo a fixed power of each prime.  The returned value is still
-h(f^N(P)) / d^N up to the stated error.
+run modulo a fixed power of each prime.  When oo is a fixed point of the
+map (G(1, 0) = 0: every polynomial, and maps such as (x^2+1)/2x), a pair
+that reaches (x, 0), in the kept bits or modulo the prime power, stays on
+it, and both loops finish the remaining steps in closed form (for a
+polynomial, the local Green function at its superattracting fixed point
+oo): the p-adic exponent is the same integer the steps give, and the
+archimedean log stays within the same rounding.  The returned value is still h(f^N(P)) / d^N up to
+the stated error.
 
 Weil, canonical and discrepancy heights are ints in units of 2^-prec, and
 the tail and escape decisions compare ints: prec is ARCH_PREC = 128, or for
@@ -61,10 +67,10 @@ class PlaceSet:
     def __init__(self, primes=()):
         ps = set()
         for p in primes:
-            q = p.prime if isinstance(p, Place) else int(p)
-            if q is None or not is_prime(q):
+            q = p.prime if isinstance(p, Place) else p
+            if q is None or int(q) != q or not is_prime(int(q)):
                 raise DomainError(f"{p!r} is not a finite place")
-            ps.add(q)
+            ps.add(int(q))
         object.__setattr__(self, "primes", frozenset(ps))
 
     def __contains__(self, p) -> bool:
@@ -119,19 +125,42 @@ def _renormalize(x: int, y: int, bits: int) -> tuple[int, int, int]:
     return (x >> sh, y >> sh, sh) if sh >= 0 else (x << -sh, y << -sh, sh)
 
 
+def _steps_sum(d: int, k: int) -> int:
+    # 1 + d + ... + d^(k-1): the power of a_d that k steps from (x, 0) gather
+    return (d**k - 1) // (d - 1) if d > 1 else k
+
+
 def _arch_green_log(f: RationalMap, r0: int, s0: int, n_steps: int, prec: int,
                     drop: int = 0) -> int:
     # log max(|p_N|, |q_N|) of the un-reduced orbit pair p_{n+1} = F(p_n, q_n),
     # homogeneous of degree d, in units of 2^-prec: (x, y) * 2^t tracks the
     # pair with x, y ints of prec bits, so each step is one exact form
     # evaluation, a shift and t -> d t + sh, and the height takes one
-    # logarithm, of max(|x|, |y|) * 2^t, to within 2^drop units.
+    # logarithm, of max(|x|, |y|) * 2^t, to within 2^drop units.  When
+    # G(1, 0) = 0 (oo is fixed), a pair (x, 0) goes to (a_d x^d, 0), so with
+    # k steps left the loop stops and the log is the closed form
+    # d^k log|x 2^t| + (1 + d + ... + d^(k-1)) log|a_d|.
     d = f.degree
+    lead, fixed = f.forms[0][d], f.forms[1][d] == 0
     x, y, t = _renormalize(r0, s0, prec)
-    for _ in range(n_steps):
+    k = 0
+    for n in range(n_steps):
+        if fixed and y == 0:
+            k = n_steps - n
+            break
         x, y, sh = _renormalize(*f.form_values(x, y), prec)
         t = d * t + sh
-    return log_fixed(max(abs(x), abs(y)), prec - drop, t) << drop
+    # each log is off by at most 1/2 + 2^-9 units of 2^-wp, times its
+    # multiplier; e extra bits keep that sum below 0.21 units of
+    # 2^-(prec - drop), so the rounding to those units lands within one
+    # (with k = 0, e = 0: one log at prec - drop bits, no rounding)
+    c = _steps_sum(d, k)
+    e = (4 * (d**k + c - 1)).bit_length()
+    wp = prec - drop + e
+    log = d**k * log_fixed(max(abs(x), abs(y)), wp, t)
+    if c and abs(lead) > 1:
+        log += c * log_fixed(abs(lead), wp)
+    return (log + (1 << e >> 1)) >> e << drop
 
 
 def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
@@ -140,11 +169,19 @@ def _padic_gcd_exponent(f: RationalMap, r0: int, s0: int, p: int, v_res: int,
     # at most v_p(resultant) powers of p, so step n (from 0) knows the pair
     # only mod p^K with K = (N - n) v_res + v_res + 1, and works mod that.
     d = f.degree
+    lead, fixed = f.forms[0][d], f.forms[1][d] == 0
     K = n_steps * v_res + v_res + 1
     mod, shrink = p**K, p**v_res
     a, b = r0 % mod, s0 % mod
     gamma = 0
-    for _ in range(n_steps):
+    for n in range(n_steps):
+        if fixed and b == 0:
+            # b = 0 leaves a a p-unit, and (a, 0) goes to (a_d a^d, 0) mod
+            # p^K with v_p(a_d) <= v_res < K (Bezout at (1, 0)), so each of
+            # the k steps left extracts exactly v_p(a_d)
+            k = n_steps - n
+            gamma = d**k * gamma + valuation(p, lead) * _steps_sum(d, k)
+            break
         va_, vb_ = (v % mod for v in f.form_values(a, b))
         # residues below p^K: a nonzero one has v_p < K, a zero one counts
         # K > v_res, so the other one decides m
@@ -192,7 +229,11 @@ def canonical_height(f: RationalMap, point, tol,
     2^-(prec//2) < tol - tol/(d+1), and the height in units of
     2^-(prec + 64), from an integer pair of prec + 64 bits and an exact
     binary exponent: a step is one exact form evaluation and a shift, and
-    the archimedean part takes one logarithm.
+    the archimedean part takes one logarithm.  When G(1, 0) = 0 (oo fixed,
+    as for every polynomial) and the pair reaches (x, 0), the k steps left
+    are the closed form d^k log|x| + (d^k - 1)/(d - 1) log|a_d|, within the
+    same rounding, and the same p-adic exponents exactly; iterations_used
+    and error_bound still count all N.
 
     >>> canonical_height(RationalMap([0, 0, 1]), 1, 1e-9).is_exact_zero
     True

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import Place, Real, factor, log_abs, log_fixed, v_plus, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
-                              _discrepancy_base, _padic_gcd_exponent,
+                              _discrepancy_base, _padic_gcd_exponent, _renormalize,
                               bad_places, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
@@ -199,6 +199,88 @@ def test_padic_gcd_exponent_matches_fixed_precision_reference():
                 == padic_gcd_exponent_fixed_precision(f, r0, s0, 3, e, 501))
 
 
+def arch_green_log_stepwise(f, r0, s0, n_steps, prec, drop=0):
+    """_arch_green_log with every one of the N steps run, and one log at
+    the end: the loop the closed form at a fixed oo ends early, kept as its
+    reference."""
+    d = f.degree
+    x, y, t = _renormalize(r0, s0, prec)
+    for _ in range(n_steps):
+        x, y, sh = _renormalize(*f.form_values(x, y), prec)
+        t = d * t + sh
+    return log_fixed(max(abs(x), abs(y)), prec - drop, t) << drop
+
+
+def random_maps_fixing_infinity(rng, count):
+    """count maps of degree 1-4 with G(1, 0) = 0, polynomial and rational,
+    with leads a_d that p divides for the primes of the resultant."""
+    maps = []
+    while len(maps) < count:
+        deg = rng.randint(1, 4)
+        num = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, -1, 2, 3, -4, 6, 9, 12])]
+        den = ([rng.randint(1, 9)] if rng.random() < 0.4
+               else [rng.randint(-9, 9) for _ in range(rng.randint(1, deg))])
+        den[-1] = den[-1] or 1
+        try:
+            f = RationalMap(num, den)
+        except DomainError:
+            continue
+        if f.degree == deg and f.forms[1][deg] == 0:
+            maps.append(f)
+    return maps
+
+
+FIXED_OO_STARTS = (INFINITY, ProjPoint(Fraction(2**400 + 1, 3)), ProjPoint(Fraction(5, 2**300)))
+
+
+def test_fixed_point_exits_match_the_stepwise_loops():
+    # a pair that reaches (x, 0) stays there when oo is fixed: the p-adic
+    # exponent must be the same int as every step gives, and the arch log
+    # (a whole number of 2^drop units on both sides) within one such unit,
+    # with drop as canonical_height sets it
+    rng = random.Random(2201)
+    maps = random_maps_fixing_infinity(rng, 60)
+    assert {f.degree for f in maps} == {1, 2, 3, 4}
+    assert {f.is_polynomial for f in maps} == {False, True}
+    assert any(abs(f.forms[0][-1]) > 1 for f in maps)
+    padic = arch = lead_divisible = 0
+    for f in maps:
+        d = f.degree
+        starts = FIXED_OO_STARTS + (ProjPoint(Fraction(rng.randint(-40, 40), rng.randint(1, 40))),)
+        res = abs(map_resultant(f))
+        for r0, s0 in (start.pair() for start in starts):
+            for n_steps in (0, 1, 2, rng.randint(3, 12), rng.randint(13, 60)):
+                if res > 1:
+                    for p, e in factor(res).factors:
+                        assert (_padic_gcd_exponent(f, r0, s0, p, e, n_steps)
+                                == padic_gcd_exponent_fixed_precision(f, r0, s0, p, e, n_steps))
+                        padic += 1
+                        lead_divisible += f.forms[0][d] % p == 0
+                if d >= 2:
+                    drop = (d**n_steps).bit_length() - 1
+                    for bits in (192, 460):
+                        got = _arch_green_log(f, r0, s0, n_steps, bits, drop)
+                        ref = arch_green_log_stepwise(f, r0, s0, n_steps, bits, drop)
+                        assert abs(got - ref) <= 1 << drop, (f, r0, s0, n_steps, bits)
+                        arch += 1
+    assert padic > 300 and arch > 300 and lead_divisible > 50
+
+
+def test_escaping_orbits_stop_at_the_fixed_point(monkeypatch):
+    # x^2 + 1 from 2 escapes, so its pair reaches (x, 0) within about
+    # log2(prec) steps; the orbit of (x^2 + 1)/2x from 3 tends to 1, so
+    # every arch and 2-adic step runs
+    calls = []
+    form_values = RationalMap.form_values
+    monkeypatch.setattr(RationalMap, "form_values",
+                        lambda f, r, s: calls.append(r) or form_values(f, r, s))
+    est = canonical_height(X2P1, 2, 1e-100)
+    assert est.iterations_used == 335 and len(calls) <= 15
+    calls.clear()
+    est = canonical_height(RationalMap([1, 0, 1], [0, 2]), 3, 1e-100)
+    assert len(calls) >= 2 * est.iterations_used > 600
+
+
 def test_canonical_height_budget_error():
     with pytest.raises(BudgetExceededError):
         canonical_height(X2P1, 5, 1e-12, max_iterations=3)
@@ -345,6 +427,23 @@ def test_canonical_height_bracket_holds(c, start, tol):
     reference = quadratic_height_reference(c, start)
     assert abs(reference - est.value) <= _REF_ERROR + est.error_bound
     assert est.error_bound <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-100, 1e-300])
+def test_canonical_height_closed_forms_against_oracle(tol):
+    # w = a x conjugates a x^2 to w^2, so hhat(x) = h(a x): 2x^2 from 3/5
+    # and 5/8 give log 6 and log 5, 3x^2 from 5/9 gives log 5 (log|a_d| in
+    # the closed form, and the 2- and 3-adic exits); x^2 - 2 from m >= 3 is
+    # the Chebyshev map, hhat(m) = log((m + sqrt(m^2 - 4)) / 2)
+    cases = [(RationalMap([0, 0, 2]), Fraction(3, 5), _REF.log(6)),
+             (RationalMap([0, 0, 2]), Fraction(5, 8), _REF.log(5)),
+             (RationalMap([0, 0, 3]), Fraction(5, 9), _REF.log(5))]
+    cases += [(RationalMap([-2, 0, 1]), m, _REF.log((m + _REF.sqrt(m * m - 4)) / 2))
+              for m in (3, 4, 10, 1001)]
+    for f, start, oracle in cases:
+        est = canonical_height(f, start, tol)
+        assert est.error_bound <= tol
+        assert abs(_REF.mpf(est.value) - oracle) <= est.error_bound, (f, start)
 
 
 def test_map_resultants():
@@ -597,6 +696,12 @@ def test_placeset_validation_and_dedup():
     assert 3 in ps and 5 not in ps
     with pytest.raises(DomainError):
         PlaceSet([4])
+    # an integral float or Fraction names its prime; a non-integral one is
+    # no place, not its integer part
+    assert PlaceSet([3.0, Fraction(10, 2)]).primes == frozenset({3, 5})
+    for bad in ([2.5, 3.0], [Fraction(7, 2)], [3.000001]):
+        with pytest.raises(DomainError):
+            PlaceSet(bad)
 
 
 def test_mobius_inversion_deviation_symbolic():
