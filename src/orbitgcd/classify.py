@@ -182,18 +182,21 @@ def _rational_nth_root(c: Fraction, k: int) -> Fraction | None:
     return Fraction(-rn if c < 0 else rn, rd)
 
 
-def _verify_conjugation(f: RationalMap, sigma: RationalMap, target) -> bool:
-    return conjugate(f, sigma) == RationalMap(target)
-
-
 def special_form(poly: Polynomial) -> SpecialForm:
     """Decide conjugacy (by a rational affine map) to x^d or to the
     Chebyshev normal form T_d.
 
     The polynomial is first depressed by the unique translation killing
-    the degree-(d-1) coefficient; the remaining freedom is a scaling, and
-    comparing coefficients against the two closed-form families determines
-    it (or shows no rational scaling exists, which sets the caveat flag).
+    the degree-(d-1) coefficient; the remaining freedom is a scaling
+    x -> u x, which turns the depressed form's leading coefficient c into
+    c u^(1-d).  Both normal forms are monic, so u is a rational (d-1)-th
+    root of c.  When d - 1 is even, -u is one too, but both normal forms
+    are then odd functions, so -u matches exactly when u does.  The target
+    is x^d when the depressed form is a monomial and T_d otherwise; u is
+    accepted when every coefficient is t_k u^(k-1) and the conjugation is
+    verified exactly.  Otherwise the caveat flag marks a depressed form
+    that matches a family at an irrational scale: a monomial, or, for odd
+    d, T_d(u x)/u with u^2 rational but u irrational.
 
     >>> special_form(Polynomial([-2, 0, 1])).tag   # x^2 - 2
     'chebyshev'
@@ -209,54 +212,22 @@ def special_form(poly: Polynomial) -> SpecialForm:
     # stored as integers (a_0..a_d) over the constant b_0
     num, den = conjugate(f, RationalMap([v, 1])).forms
     dep = [Fraction(a, den[0]) for a in num]
-
-    # power family: depressed form must be a pure monomial c * x^d, with the
-    # scaling u solving u^(d-1) = c
-    if not any(dep[:d]):
-        u = _rational_nth_root(dep[d], d - 1)
-        if u is not None:
-            sigma = RationalMap([u * v, u])
-            if _verify_conjugation(f, sigma, [0] * d + [1]):
-                return SpecialForm(POWER_CONJUGATE, sigma)
-        return SpecialForm(NOT_SPECIAL, None, caveat=True)
-
-    # Chebyshev family: need dep = T_d(u x) / u, i.e. coeff_k = t_k u^(k-1)
-    cheb = chebyshev_polynomial(d)
-    candidates: list[Fraction] = []
-    caveat = False
-    if d == 2:
-        candidates.append(dep[d])
-    else:
-        c_sub = dep[d - 2]
-        if c_sub != 0:
-            u_sq = Fraction(-d) * dep[d] / c_sub
-            u = _rational_nth_root(u_sq, 2)
-            if u is not None:
-                candidates.extend([u, -u])
-            elif d % 2 == 1:
-                # all exponents k-1 are even, so consistency is a statement
-                # about u^2 alone; a match here means the conjugation exists
-                # but only with an irrational scale
-                ok = all(
-                    dep[k]
-                    == cheb.coeff(k) * u_sq ** ((k - 1) // 2)
-                    if k % 2 == 1
-                    else dep[k] == 0
-                    for k in range(d + 1)
-                )
-                caveat = bool(ok)
-            else:
-                # d even: u = c_d / (u^2)^((d-2)/2) is forced rational
-                denom = u_sq ** ((d - 2) // 2)
-                if denom != 0:
-                    candidates.append(dep[d] / denom)
-    for u in candidates:
-        if u == 0:
-            continue
-        if all(dep[k] == cheb.coeff(k) * u ** (k - 1) for k in range(d + 1)):
-            sigma = RationalMap([u * v, u])
-            if _verify_conjugation(f, sigma, cheb):
-                return SpecialForm(CHEBYSHEV_CONJUGATE, sigma)
+    monomial = not any(dep[:d])
+    target = [0] * d + [1] if monomial else chebyshev_polynomial(d).coeffs
+    u = _rational_nth_root(dep[d], d - 1)
+    # dep_k = t_k u^(k-1) for every k; a zero t_k needs no power of u
+    if u is not None and all(dep[k] == (t and t * u ** (k - 1)) for k, t in enumerate(target)):
+        sigma = RationalMap([u * v, u])
+        if conjugate(f, sigma) == RationalMap(target):
+            return SpecialForm(POWER_CONJUGATE if monomial else CHEBYSHEV_CONJUGATE, sigma)
+    caveat = monomial
+    if not monomial and d % 2 and dep[d - 2]:
+        # odd d: every exponent k - 1 of a nonzero t_k is even, so matching
+        # T_d(u x)/u is a statement about u^2 = -d c / dep_(d-2) alone, and
+        # a match here has an irrational u (a rational one matched above)
+        u_sq = -d * dep[d] / dep[d - 2]
+        caveat = all(dep[k] == (t and t * u_sq ** ((k - 1) // 2))
+                     for k, t in enumerate(target))
     return SpecialForm(NOT_SPECIAL, None, caveat=caveat)
 
 

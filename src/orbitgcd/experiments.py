@@ -18,12 +18,12 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import factor, int_gcd, log_abs, valuation
+from .exact import int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
-                   conjugate, digit_count, evaluate, iterate)
+                   digit_count, evaluate, iterate)
 from .polys import _derivative, _pseudo_rem, _yun, exact_div, primitive_gcd, trim
-from .classify import is_exceptional
+from .classify import _exponent_vector, is_exceptional
 
 
 @dataclass(frozen=True)
@@ -465,20 +465,14 @@ def inversion_deviation_bound(alpha, beta) -> float:
     """Explicit constant bounding the finite gcd-height deviation under
     x -> 1/x on both coordinates: sum over primes of
     max(v_p(a1^2 a2^2), v_p(b1^2 b2^2)) log p for alpha = a1/a2, beta = b1/b2."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    ea = _square_support(alpha)
-    eb = _square_support(beta)
+    # v_p(x1^2 x2^2) = 2 |v_p(x)|; primes go in in increasing order, which
+    # fixes the set's iteration order and so the float sum's
+    ea, eb = ({p: 2 * abs(e) for p, e in sorted(_exponent_vector(Fraction(x)).items())}
+              for x in (alpha, beta))
     total = 0.0
     for p in set(ea) | set(eb):
         total += max(ea.get(p, 0), eb.get(p, 0)) * float(log_abs(p))
     return total
-
-
-def _square_support(x: Fraction) -> dict[int, int]:
-    n = abs(x.numerator) * x.denominator
-    if n <= 1:
-        return {}
-    return {p: 2 * e for p, e in factor(n).exponents().items()}
 
 
 def mobius_invariance_probe(f: RationalMap, g: RationalMap,
@@ -493,10 +487,15 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
     (maps of degree 1; another degree is a DomainError).  Rows where either
     side degenerates (orbit value at infinity, a pole of the
     transformation, or a double zero) are skipped and counted.
+
+    As f_sigma = sigma o f o sigma^-1 has f_sigma^n(sigma a) = sigma(f^n(a))
+    exactly, sigma and tau map the orbits of f and g, which alone are
+    charged to ``digit_budget``; their images are a few digits longer.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
-    f_sigma = conjugate(f, sigma)
-    g_tau = conjugate(g, tau)
+    if sigma.degree != 1 or tau.degree != 1:
+        raise DomainError("the Mobius probe needs degree-1 maps, got degrees "
+                          f"{sigma.degree} and {tau.degree}")
     sigma_alpha = sigma(alpha)
     tau_beta = tau(beta)
     best = -1.0
@@ -511,8 +510,8 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
             continue
         orb_a = iterate(f, a, n_max, digit_budget)
         orb_b = iterate(g, b, n_max, digit_budget)
-        orb_sa = iterate(f_sigma, sa, n_max, digit_budget)
-        orb_tb = iterate(g_tau, tb, n_max, digit_budget)
+        orb_sa = [sigma(pt) for pt in orb_a]
+        orb_tb = [tau(pt) for pt in orb_b]
         used += 1
         for n in range(1, n_max + 1):
             pts = (orb_a[n], orb_b[n], orb_sa[n], orb_tb[n])

@@ -132,7 +132,7 @@ class RationalMap:
     F = sum a_i X^i Y^(d-i) and G = sum b_i X^i Y^(d-i); ``num``/``den``
     are read-only polynomial views of the same coefficients."""
 
-    __slots__ = ("forms", "_hash")
+    __slots__ = ("forms",)
 
     def __init__(self, num, den=None, *, assume_coprime=False):
         """``num``/``den`` are polynomials or ascending coefficient lists of
@@ -158,7 +158,6 @@ class RationalMap:
         if d < 1:
             raise DomainError("rational map must have degree >= 1")
         self.forms = tuple(tuple(cs) + (0,) * (d + 1 - len(cs)) for cs in (ni, di))
-        self._hash = hash(self.forms)       # the resultant cache hashes a map per evaluate
 
     @property
     def num(self) -> Polynomial:
@@ -180,14 +179,10 @@ class RationalMap:
         return isinstance(other, RationalMap) and self.forms == other.forms
 
     def __hash__(self):
-        return self._hash
+        return hash(self.forms)
 
-    def __getstate__(self):
-        return None, {"forms": self.forms}      # the pickle holds the forms alone
-
-    def __setstate__(self, state):
-        self.forms = state[1]["forms"]
-        self._hash = hash(self.forms)
+    def __getstate__(self):     # protocols 0 and 1 need it for a __slots__ class
+        return None, {"forms": self.forms}
 
     def __repr__(self):
         return f"RationalMap({self.num!r} / {self.den!r})"

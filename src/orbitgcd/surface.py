@@ -140,22 +140,18 @@ def is_ample_lemmaAG(surface: BlowupSurface, n: int) -> AmplenessReport:
         checks.append(
             ("exceptional", {"value": Fraction(1, n), "index": "any"}, Fraction(1, n))
         )
-        slope = Fraction(1) - Fraction(s, n)
-        if slope < 0:
-            # value t*(1 - s/N) + s/N drops without bound and is negative
-            # exactly for t > s/(s - N) > 1: exhibit the least such t
-            t_bad = s // (s - n) + 1
-            val = t_bad * slope + Fraction(s, n)
-            checks.append(
-                ("curve", {"type_sum": t_bad, "mu_sum": s * (t_bad - 1),
-                           "value": val}, val)
-            )
-        else:
-            v1 = Fraction(1) - Fraction(s, n)
-            checks.append(("curve", {"type_sum": 1, "mu_sum": s, "value": v1}, v1))
+    slope = Fraction(1) - Fraction(s, n)
+    if slope < 0:
+        # value t*(1 - s/N) + s/N drops without bound and is negative
+        # exactly for t > s/(s - N) > 1: exhibit the least such t
+        t_bad = s // (s - n) + 1
+        val = t_bad * slope + Fraction(s, n)
+        checks.append(
+            ("curve", {"type_sum": t_bad, "mu_sum": s * (t_bad - 1),
+                       "value": val}, val)
+        )
     else:
-        checks.append(("curve", {"type_sum": 1, "mu_sum": 0, "value": Fraction(1)},
-                       Fraction(1)))
+        checks.append(("curve", {"type_sum": 1, "mu_sum": s, "value": slope}, slope))
 
     kind, info, value = min(checks, key=lambda c: c[2])
     witness = {"check": kind, **info}

@@ -548,3 +548,107 @@ def test_special_form_negative_scale_witness():
     got = special_form(poly)
     assert got.tag == CHEBYSHEV_CONJUGATE
     assert conjugate(RationalMap(poly), got.witness) == RationalMap(chebyshev_polynomial(3))
+
+
+def reference_special_form(poly):
+    """special_form as it was before the monic-scale rule: a power block,
+    and Chebyshev scales from u^2 = -d dep_d / dep_(d-2) with a d = 2
+    branch and an even-d quotient."""
+    d = poly.degree
+    if d < 2:
+        raise DomainError("special-form test needs degree >= 2")
+    f = RationalMap(poly)
+    v = poly.coeff(d - 1) / (d * poly.leading)
+    num, den = conjugate(f, RationalMap([v, 1])).forms
+    dep = [Fraction(a, den[0]) for a in num]
+    if not any(dep[:d]):
+        u = classify._rational_nth_root(dep[d], d - 1)
+        if u is not None:
+            sigma = RationalMap([u * v, u])
+            if conjugate(f, sigma) == RationalMap([0] * d + [1]):
+                return classify.SpecialForm(POWER_CONJUGATE, sigma)
+        return classify.SpecialForm(NOT_SPECIAL, None, caveat=True)
+    cheb = chebyshev_polynomial(d)
+    candidates = []
+    caveat = False
+    if d == 2:
+        candidates.append(dep[d])
+    elif dep[d - 2] != 0:
+        u_sq = Fraction(-d) * dep[d] / dep[d - 2]
+        u = classify._rational_nth_root(u_sq, 2)
+        if u is not None:
+            candidates.extend([u, -u])
+        elif d % 2 == 1:
+            caveat = all(dep[k] == cheb.coeff(k) * u_sq ** ((k - 1) // 2) if k % 2 == 1
+                         else dep[k] == 0 for k in range(d + 1))
+        elif u_sq ** ((d - 2) // 2) != 0:
+            candidates.append(dep[d] / u_sq ** ((d - 2) // 2))
+    for u in candidates:
+        if u != 0 and all(dep[k] == cheb.coeff(k) * u ** (k - 1) for k in range(d + 1)):
+            sigma = RationalMap([u * v, u])
+            if conjugate(f, sigma) == RationalMap(cheb):
+                return classify.SpecialForm(CHEBYSHEV_CONJUGATE, sigma)
+    return classify.SpecialForm(NOT_SPECIAL, None, caveat=caveat)
+
+
+def affine_conjugate_coeffs(target, u, w):
+    """Coefficients of (T(u x + w) - w) / u, the conjugate of T by the
+    inverse of x -> u x + w, by Horner's rule on coefficient lists."""
+    out = [Fraction(0)]
+    for c in reversed(target):
+        out = poly_mul(out, [w, u])
+        out[0] += c
+    out[0] -= w
+    return [c / u for c in out]
+
+
+def _special_form_sweep():
+    rng = random.Random(2303)
+
+    def scale(top):
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, top), rng.randint(1, 10**3))
+
+    def shift():
+        return Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 50))
+
+    polys = []
+    for d in range(2, 10):
+        power = [0] * d + [1]
+        cheb = chebyshev_polynomial(d).coeffs
+        for _ in range(140):
+            u = scale(rng.choice([3, 10**3, 10**6]))
+            for target in (power, cheb):
+                planted = affine_conjugate_coeffs(target, u, shift())
+                polys.append(planted)
+                near = list(planted)                       # one coefficient off
+                near[rng.randrange(d)] += rng.choice([-1, 1, Fraction(1, 7)])
+                polys.append(near)
+        for _ in range(80):                                 # random polynomials
+            polys.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+                         + [rng.choice([-3, -1, 1, 2, 5])])
+        for _ in range(20):                                 # monomial, any leading c
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 9))
+            polys.append(affine_conjugate_coeffs([0] * d + [c], 1, shift()))
+        if d % 2:                         # T_d(u x)/u at an irrational or imaginary u
+            for u_sq in (2, 3, 5, 6, Fraction(2, 3), -2, -4, Fraction(-9, 4), 12):
+                dep = [cheb[k] * Fraction(u_sq) ** ((k - 1) // 2) for k in range(d + 1)]
+                for _ in range(4):
+                    polys.append(affine_conjugate_coeffs(dep, 1, shift()))
+                near = list(dep)
+                near[1] += 1
+                polys.append(near)
+    return [Polynomial(c) for c in polys]
+
+
+def test_special_form_matches_reference_special_form():
+    polys = _special_form_sweep()
+    assert len(polys) >= 5000
+    tags = set()
+    for poly in polys:
+        want = reference_special_form(poly)
+        got = special_form(poly)
+        assert got == want, poly
+        tags.add((want.tag, want.caveat))
+    # the sweep reaches both families, and non-special forms with and without caveat
+    assert tags == {(POWER_CONJUGATE, False), (CHEBYSHEV_CONJUGATE, False),
+                    (NOT_SPECIAL, False), (NOT_SPECIAL, True)}

@@ -520,6 +520,114 @@ def test_mobius_probe_needs_degree_one_maps():
             mobius_invariance_probe(X2P1, X2M1, sigma, tau, 2, 2, samples, 4)
 
 
+def reference_mobius_probe(f, g, sigma, tau, alpha, beta, samples, n_max,
+                           digit_budget=maps.DEFAULT_ORBIT_DIGIT_BUDGET):
+    """The probe as it was before it mapped f's orbit: it forms the
+    conjugates sigma o f o sigma^-1 and tau o g o tau^-1 and iterates them
+    from sigma(a) and tau(b), each orbit on its own digit budget."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    f_sigma, g_tau = maps.conjugate(f, sigma), maps.conjugate(g, tau)
+    sigma_alpha, tau_beta = sigma(alpha), tau(beta)
+    best, attained, used, skipped = -1.0, (None, None), 0, 0
+    for sample in samples:
+        a, b = ProjPoint.of(sample[0]), ProjPoint.of(sample[1])
+        sa, tb = sigma(a), tau(b)
+        if any(pt.is_infinity for pt in (sa, tb, sigma_alpha, tau_beta)):
+            skipped += 1
+            continue
+        orbits = [maps.iterate(h, start, n_max, digit_budget)
+                  for h, start in ((f, a), (g, b), (f_sigma, sa), (g_tau, tb))]
+        used += 1
+        for n in range(1, n_max + 1):
+            pa, pb, psa, ptb = (orbit[n] for orbit in orbits)
+            if any(pt.is_infinity for pt in (pa, pb, psa, ptb)):
+                skipped += 1
+                continue
+            u, v = experiments._minus(pa, alpha)[0], experiments._minus(pb, beta)[0]
+            us = experiments._minus(psa, sigma_alpha.value)[0]
+            vs = experiments._minus(ptb, tau_beta.value)[0]
+            if (u == 0 and v == 0) or (us == 0 and vs == 0):
+                skipped += 1
+                continue
+            dev = abs(experiments._finite_part(us, vs)[1] - experiments._finite_part(u, v)[1])
+            if dev > best:
+                best, attained = dev, (sample, n)
+    if used == 0 or best < 0:
+        raise DomainError("no usable samples for the Mobius probe")
+    return experiments.MobiusProbeResult(best, attained[0], attained[1], used, skipped)
+
+
+def _probe_outcome(probe, *args, **kwargs):
+    try:
+        return probe(*args, **kwargs)
+    except (BudgetExceededError, DomainError) as err:
+        return type(err)
+
+
+def _mobius_probe_sweep():
+    rng = random.Random(2323)
+
+    def small():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def some_map():
+        d = rng.choice([2, 3])
+        num = [rng.randint(-3, 3) for _ in range(d)] + [rng.choice([-2, 1, 3])]
+        if rng.random() < 0.7:
+            return RationalMap(num)
+        return RationalMap(num, [rng.randint(-2, 2), rng.choice([-1, 1, 2])])
+
+    def mobius(f, orbit_start):
+        kind = rng.choice(["translation", "dilation", "inversion", "general", "pole"])
+        if kind == "translation":
+            return RationalMap([rng.randint(-5, 5), 1])
+        if kind == "dilation":
+            return RationalMap([0, rng.choice([-6, -2, 2, 3, Fraction(1, 5), 10**4])])
+        if kind == "inversion":
+            return RationalMap([1], [0, 1])
+        if kind == "pole":           # the pole is a point of the orbit
+            point = maps.iterate(f, orbit_start, rng.randint(0, 2))[-1]
+            if not point.is_infinity:
+                return RationalMap([rng.randint(1, 3)], [-point.value, 1])
+        while True:
+            a0, a1, b0, b1 = (rng.randint(-4, 4) for _ in range(4))
+            if a0 * b1 != a1 * b0:
+                return RationalMap([a0, a1], [b0, b1])
+
+    cases = []
+    for _ in range(220):
+        f, g = some_map(), some_map()
+        samples = [(small(), small()) for _ in range(rng.randint(1, 3))]
+        sigma, tau = mobius(f, samples[0][0]), mobius(g, samples[0][1])
+        cases.append((f, g, sigma, tau, small(), small(), samples, rng.randint(1, 4)))
+    return cases
+
+
+def test_mobius_probe_matches_reference_mobius_probe():
+    outcomes = set()
+    for args in _mobius_probe_sweep():
+        want = _probe_outcome(reference_mobius_probe, *args)
+        assert _probe_outcome(mobius_invariance_probe, *args) == want, args
+        outcomes.add(want if isinstance(want, type) else
+                     ("skips" if want.rows_skipped else "no skips", want.max_deviation > 0))
+    assert {("skips", True), ("no skips", True), ("no skips", False)} <= outcomes
+    assert DomainError in outcomes
+
+
+def test_mobius_probe_budgets_only_the_orbits_of_f_and_g():
+    # sigma lengthens every orbit point by about four digits; the budget
+    # holds the orbits of f and g but not their images, which the probe
+    # computes without charging them and the reference iterates on budget
+    sigma = RationalMap([1, 10**4])
+    args = (X2P1, X2M1, sigma, sigma, 2, 2, [(Fraction(2), Fraction(3))], 4)
+    budget = max(sum(maps.digit_count(c) for pt in maps.iterate(h, a, 4) for c in pt.pair())
+                 for h, a in ((X2P1, 2), (X2M1, 3)))
+    with pytest.raises(BudgetExceededError):
+        reference_mobius_probe(*args, digit_budget=budget)
+    got = mobius_invariance_probe(*args, digit_budget=budget)
+    assert got == reference_mobius_probe(*args) == mobius_invariance_probe(*args)
+
+
 def test_inversion_deviation_bound_values():
     assert inversion_deviation_bound(1, 1) == 0.0
     assert abs(inversion_deviation_bound(Fraction(3, 2), 1) -

@@ -122,8 +122,8 @@ def test_lowest_terms_representation_unique():
 
 
 def test_hash_is_the_forms_hash_and_survives_pickle_and_copy():
-    # the hash is computed once at construction; the pickle still holds the
-    # forms alone, so it loads into a map with the same hash
+    # the hash is the forms' hash, and the pickle holds the forms alone,
+    # so it loads into a map with the same hash
     f = RationalMap([Fraction(1, 3), 0, 1], [0, 2])
     state = (None, {"forms": f.forms})
     assert hash(f) == hash(f.forms) and f.__reduce_ex__(2)[2] == state
