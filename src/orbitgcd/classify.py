@@ -12,6 +12,7 @@ relation exactly on the rational orbit points.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .bivariate import BivariatePolynomial, homogeneous_powers
 from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import _iroot, factor, next_prime
 from .heights import _orbit_scan, canonical_height
-from .linalg import kernel_modp, rational_reconstruct
+from .linalg import kernels_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
                    RationalMap, compose, conjugate, fiber_polynomial, iterate)
 from .polys import Polynomial, exact_div, primitive
@@ -277,25 +278,38 @@ def _monomials(deg_max: int) -> list[tuple[int, int]]:
     )
 
 
-def _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, p):
-    xr, xs = (c % p for c in a.pair())
-    yr, ys = (c % p for c in b.pair())
+def _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, primes):
+    """(live primes, rows modulo their product) from one walk of both orbits
+    modulo the product of ``primes``.  A prime dies at the first row where
+    either point is (0 : 0) modulo it, or, on a row that is not skipped,
+    where either point is at infinity modulo it."""
+    m = math.prod(primes)
+    dead = set()
+
+    def kill(*values):
+        if (d := math.gcd(*values, m)) > 1:
+            dead.update(p for p in primes if d % p == 0)
+    xr, xs = (c % m for c in a.pair())
+    yr, ys = (c % m for c in b.pair())
     rows = []
     for n in range(1, n_rows + 1):
-        xr, xs = (c % p for c in f.form_values(xr, xs))
-        yr, ys = (c % p for c in g.form_values(yr, ys))
-        if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
-            return None
+        xr, xs = (c % m for c in f.form_values(xr, xs))
+        yr, ys = (c % m for c in g.form_values(yr, ys))
+        kill(xr, xs)
+        kill(yr, ys)
         if n in skip:
             continue
-        if xs == 0 or ys == 0:
-            return None
+        kill(xs * ys)
         # the affine row x^i y^j times the unit (xs ys)^deg_max: the same
         # row space, so the same RREF and kernel basis
-        xcol = [v % p for v in homogeneous_powers(xr, xs, deg_max)]
-        ycol = [v % p for v in homogeneous_powers(yr, ys, deg_max)]
-        rows.append([xcol[i] * ycol[j] % p for i, j in monomials])
-    return rows
+        xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
+        ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
+        rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
+    live = [p for p in primes if p not in dead]
+    if dead:
+        m = math.prod(live)
+        rows = [[v % m for v in row] for row in rows] if live else []
+    return live, rows
 
 
 _SCREEN_MARGIN = 8   # mod-p window rows beyond the monomial count
@@ -327,8 +341,12 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     same primes, and results, as a fresh draw; seed None draws new primes
     on every call), iterating the orbits in modular arithmetic from
     scratch over a window _SCREEN_MARGIN rows past the monomial count (so
-    interpolation artifacts on short windows die);
-    an empty mod-p kernel certifies there is no relation.  Surviving
+    interpolation artifacts on short windows die).  The primes are drawn
+    in batches of those still needed, and a batch costs one walk of both
+    orbits and one elimination, modulo the product of its primes; a prime
+    at which an orbit degenerates is dropped and the next is drawn, as if
+    the primes were screened one at a time.
+    An empty mod-p kernel certifies there is no relation.  Surviving
     kernel vectors are lifted by rational reconstruction and verified
     exactly, in integers, at the first ``n_points`` exact orbit points;
     only a verified relation is ever returned.
@@ -375,15 +393,18 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         attempts = 0
         while (len(collected) < _SCREEN_PRIMES
                and attempts < 8 * _SCREEN_PRIMES):
-            attempts += 1
-            p = next(primes)
-            rows = _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, window, p)
-            if rows is None or not rows:
+            # the primes the one-at-a-time screen would surely draw next
+            batch = [next(primes) for _ in range(min(_SCREEN_PRIMES - len(collected),
+                                                     8 * _SCREEN_PRIMES - attempts))]
+            attempts += len(batch)
+            live, rows = _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, window,
+                                          batch)
+            if not rows:
                 continue
-            basis = kernel_modp(rows, p)
-            if not basis:
-                return None
-            collected.append((p, basis))
+            for p, basis in zip(live, kernels_modp(rows, live)):
+                if not basis:
+                    return None
+                collected.append((p, basis))
         if collected:
             break
     if not collected:

@@ -484,7 +484,8 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
     |hgcd_fin(f_sigma^n(sigma a) - sigma alpha, g_tau^n(tau b) - tau beta)
      - hgcd_fin(f^n(a) - alpha, g^n(b) - beta)|,
     with the sample attaining it, for Mobius transformations sigma and tau
-    (maps of degree 1; another degree is a DomainError).  Rows where either
+    (maps of degree 1; another degree is a DomainError, and so is a sigma
+    or tau that sends its target alpha or beta to infinity).  Rows where either
     side degenerates (orbit value at infinity, a pole of the
     transformation, or a double zero) are skipped and counted.
 
@@ -498,6 +499,10 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
                           f"{sigma.degree} and {tau.degree}")
     sigma_alpha = sigma(alpha)
     tau_beta = tau(beta)
+    for name, target, image in (("sigma", alpha, sigma_alpha), ("tau", beta, tau_beta)):
+        if image.is_infinity:
+            raise DomainError(f"{name} sends the target {target} to infinity: "
+                              "the Mobius probe needs a finite image")
     best = -1.0
     attained = (None, None)
     used = 0
@@ -505,7 +510,7 @@ def mobius_invariance_probe(f: RationalMap, g: RationalMap,
     for sample in samples:
         a, b = (ProjPoint.of(sample[0]), ProjPoint.of(sample[1]))
         sa, tb = sigma(a), tau(b)
-        if any(pt.is_infinity for pt in (sa, tb, sigma_alpha, tau_beta)):
+        if sa.is_infinity or tb.is_infinity:
             skipped += 1
             continue
         orb_a = iterate(f, a, n_max, digit_budget)

@@ -1,10 +1,12 @@
 """Small exact linear algebra helpers: one fraction-free Gauss-Jordan
 elimination over Z, which gives a determinant and the adjugate solves
 together (once per map, for the resultant and the Bezout cofactors of
-its Sylvester matrix), and row reduction / kernels over GF(p)."""
+its Sylvester matrix), and kernels modulo a prime or modulo a product of
+distinct primes."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -48,47 +50,63 @@ def det_fraction(matrix) -> int:
     return solve_fraction(matrix)[0]
 
 
-def rref_modp(rows, p):
-    """Reduced row echelon form mod p; returns (rref_rows, pivot_columns)."""
-    a = [[v % p for v in row] for row in rows]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(vi - f * vr) % p for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return a[:r], pivots
-
-
 def kernel_modp(rows, p):
-    """Canonical kernel basis mod p (one vector per free column of RREF)."""
+    """Canonical kernel basis modulo p, one vector per free column of the
+    RREF, for p a prime or a product of distinct primes.
+
+    Each row is reduced against the pivot rows found so far, which are
+    kept in echelon form with unit pivots, and its first entry nonzero
+    modulo p becomes a pivot; the scan stops at full column rank, and
+    only a nonempty kernel back-substitutes to the RREF.  The RREF is
+    unique, so this is the basis of Gauss-Jordan elimination over every
+    row.  Modulo a product, a pivot that is not a unit raises ValueError
+    (from ``pow``); when every pivot is a unit, each prime factor sees the
+    same steps, so the basis reduced modulo it is that prime's own basis.
+    """
     if not rows:
         return []
     m = len(rows[0])
-    rref, pivots = rref_modp(rows, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
+    echelon = []   # (pivot column, row with 1 there and 0 before it), by column
+    for row in rows:
+        for c, prow in echelon:
+            if f := row[c] % p:
+                row = [x - f * y for x, y in zip(row, prow)]
+        row = [v % p for v in row]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        bisect.insort(echelon, (lead, [v * inv % p for v in row]))
+        if len(echelon) == m:
+            return []
+    # back-substitute: clear each pivot column above its pivot
+    for j in range(len(echelon) - 1, 0, -1):
+        cj, prow = echelon[j]
+        for i in range(j):
+            c, row = echelon[i]
+            if f := row[cj]:
+                echelon[i] = (c, [(x - f * y) % p for x, y in zip(row, prow)])
+    pivots = dict(echelon)
     basis = []
-    for fc in free:
-        vec = [0] * m
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref[r][fc]) % p
-        basis.append(vec)
+    for fc in range(m):
+        if fc not in pivots:
+            vec = [0] * m
+            vec[fc] = 1
+            for pc, prow in pivots.items():
+                vec[pc] = -prow[fc] % p
+            basis.append(vec)
     return basis
+
+
+def kernels_modp(rows, primes):
+    """[kernel_modp(rows, p) for p in primes] for distinct primes, from one
+    elimination modulo their product; when the primes disagree on a pivot
+    (a lead that is not a unit modulo the product), one per prime."""
+    try:
+        basis = kernel_modp(rows, math.prod(primes))
+    except ValueError:
+        return [kernel_modp(rows, p) for p in primes]
+    return [[[v % p for v in vec] for vec in basis] for p in primes]
 
 
 def rational_reconstruct(a, p):

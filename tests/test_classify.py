@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import classify
+from orbitgcd import classify, linalg
 from orbitgcd.bivariate import BivariatePolynomial
 from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
                                POWER_CONJUGATE, CurveRelation, chebyshev_polynomial,
@@ -531,13 +532,77 @@ def test_degenerate_first_prime_draws_the_next_of_the_stream(monkeypatch):
     used = []
 
     def rows_failing_the_first_prime(*args):
-        p = args[-1]
-        used.append(p)
-        return None if p == stream[0] else real_rows(*args)
+        # the batched walk, with stream[0] degenerate: dropped from the live primes
+        *walk, batch = args
+        used.extend(batch)
+        return real_rows(*walk, [p for p in batch if p != stream[0]])
     monkeypatch.setattr(classify, "_orbit_rows_modp", rows_failing_the_first_prime)
     rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=seed)
     assert used == stream[:4]
     assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
+
+
+def reference_orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, p):
+    """The screening walk as it was before the primes were batched: one
+    prime, None when either orbit degenerates modulo it."""
+    xr, xs = (c % p for c in a.pair())
+    yr, ys = (c % p for c in b.pair())
+    rows = []
+    for n in range(1, n_rows + 1):
+        xr, xs = (c % p for c in f.form_values(xr, xs))
+        yr, ys = (c % p for c in g.form_values(yr, ys))
+        if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
+            return None
+        if n in skip:
+            continue
+        if xs == 0 or ys == 0:
+            return None
+        xcol = [v % p for v in classify.homogeneous_powers(xr, xs, deg_max)]
+        ycol = [v % p for v in classify.homogeneous_powers(yr, ys, deg_max)]
+        rows.append([xcol[i] * ycol[j] % p for i, j in monomials])
+    return rows
+
+
+def test_batched_walk_matches_one_walk_per_prime():
+    rng = random.Random(2424)
+    big = _stream_primes(5, 3)
+    dropped = kept = 0
+    for _ in range(400):
+        num = [rng.randint(-4, 4) for _ in range(rng.choice([2, 3]))] + [rng.randint(1, 3)]
+        fg = [RationalMap(num) if rng.random() < 0.5 else
+                 RationalMap(num, [rng.randint(-3, 3), rng.randint(1, 3)]) for _ in range(2)]
+        points = [ProjPoint(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(2)]
+        deg_max = rng.randint(1, 2)
+        n_rows = rng.randint(1, 6)
+        skip = {n for n in range(1, n_rows + 1) if rng.random() < 0.2}
+        primes = rng.sample(rng.choice([(2, 3, 5, 7, 11, 13), big, (3, 7) + tuple(big)]),
+                            rng.randint(1, 3))
+        args = (*fg, *points, classify._monomials(deg_max), deg_max, skip, n_rows)
+        live, rows = classify._orbit_rows_modp(*args, primes)
+        want = {p: reference_orbit_rows_modp(*args, p) for p in primes}
+        assert live == [p for p in primes if want[p] is not None]
+        for p in live:
+            assert [[v % p for v in row] for row in rows] == want[p]
+        assert live or rows == []
+        dropped += len(primes) - len(live)
+        kept += len(live)
+    assert dropped > 50 and kept > 50
+
+
+def test_generic_pair_is_decided_by_one_elimination(monkeypatch):
+    calls = []
+    real = linalg.kernel_modp
+
+    def counting_kernel(rows, p):
+        calls.append(p)
+        return real(rows, p)
+    monkeypatch.setattr(linalg, "kernel_modp", counting_kernel)
+    for deg_max in (1, 2, 3):
+        calls.clear()
+        assert probe_genericity(X2P1, X2M1, 1, 2, deg_max, 10, seed=7) is None
+        assert len(calls) == 1
+        # modulo the product of the three screening primes
+        assert calls[0] == math.prod(classify._screen_prime(7, i) for i in range(3))
 
 
 def test_special_form_negative_scale_witness():

@@ -520,6 +520,18 @@ def test_mobius_probe_needs_degree_one_maps():
             mobius_invariance_probe(X2P1, X2M1, sigma, tau, 2, 2, samples, 4)
 
 
+def test_mobius_probe_names_the_map_that_sends_its_target_to_infinity():
+    samples = [(Fraction(3), Fraction(5))]
+    x, inv = RationalMap([0, 1]), RationalMap([1], [0, 1])
+    for sigma, tau, alpha, beta, name in ((inv, x, 0, 2, "sigma"), (x, inv, 2, 0, "tau"),
+                                          (inv, inv, 0, 0, "sigma")):
+        with pytest.raises(DomainError, match=f"^{name} sends the target 0 to infinity"):
+            mobius_invariance_probe(X2P1, X2M1, sigma, tau, alpha, beta, samples, 4)
+        # the reference skipped every sample and named no cause
+        with pytest.raises(DomainError, match="no usable samples"):
+            reference_mobius_probe(X2P1, X2M1, sigma, tau, alpha, beta, samples, 4)
+
+
 def reference_mobius_probe(f, g, sigma, tau, alpha, beta, samples, n_max,
                            digit_budget=maps.DEFAULT_ORBIT_DIGIT_BUDGET):
     """The probe as it was before it mapped f's orbit: it forms the
