@@ -6,8 +6,11 @@ for polynomial relations along a pair of orbits.
 None of these touch algebraic numbers: exceptionality reduces to two exact
 one-point tests on one-step fibers, special forms are decided in depressed
 normal form with rational affine conjugations, and the genericity probe
-screens kernels modulo large primes before verifying any candidate
-relation exactly on the rational orbit points.
+screens kernels modulo large primes (its rows reduce the exact orbit
+points it verifies on), reconstructs candidates once modulo the product
+of those primes, and verifies every candidate relation exactly on the
+rational orbit points.  Its None is certified only when a kernel is
+empty; after failed verification it is not.
 """
 
 from __future__ import annotations
@@ -278,33 +281,38 @@ def _monomials(deg_max: int) -> list[tuple[int, int]]:
     )
 
 
-def _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, primes):
-    """(live primes, rows modulo their product) from one walk of both orbits
-    modulo the product of ``primes``.  A prime dies at the first row where
-    either point is (0 : 0) modulo it, or, on a row that is not skipped,
-    where either point is at infinity modulo it."""
+def _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, primes):
+    """(live primes, rows modulo their product) for orbit steps 1..n_rows.
+
+    ``pairs`` holds the exact orbit pairs at steps 0..n_usable.  Rows up to
+    n_usable reduce them modulo the product m of ``primes``, skipping the
+    steps where either point is at infinity; rows past n_usable come from
+    one walk of both orbits modulo m, started at the last exact pair.  A
+    walked pair is the exact one times a unit, so each row is a unit
+    multiple of the exact row and the row space is the same.  A prime dies
+    where a row's point is at infinity modulo it, which includes a walked
+    point that is (0 : 0) modulo it."""
     m = math.prod(primes)
     dead = set()
-
-    def kill(*values):
-        if (d := math.gcd(*values, m)) > 1:
-            dead.update(p for p in primes if d % p == 0)
-    xr, xs = (c % m for c in a.pair())
-    yr, ys = (c % m for c in b.pair())
     rows = []
-    for n in range(1, n_rows + 1):
-        xr, xs = (c % m for c in f.form_values(xr, xs))
-        yr, ys = (c % m for c in g.form_values(yr, ys))
-        kill(xr, xs)
-        kill(yr, ys)
-        if n in skip:
-            continue
-        kill(xs * ys)
+
+    def add_row(xr, xs, yr, ys):
+        if (d := math.gcd(xs * ys, m)) > 1:
+            dead.update(p for p in primes if d % p == 0)
         # the affine row x^i y^j times the unit (xs ys)^deg_max: the same
         # row space, so the same RREF and kernel basis
         xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
         ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
         rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
+    for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]:
+        if xs and ys:
+            add_row(xr % m, xs % m, yr % m, ys % m)
+    (xr, xs), (yr, ys) = pairs[-1]
+    xr, xs, yr, ys = xr % m, xs % m, yr % m, ys % m
+    for _ in range(len(pairs), n_rows + 1):
+        xr, xs = (c % m for c in f.form_values(xr, xs))
+        yr, ys = (c % m for c in g.form_values(yr, ys))
+        add_row(xr, xs, yr, ys)
     live = [p for p in primes if p not in dead]
     if dead:
         m = math.prod(live)
@@ -339,17 +347,23 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     random 61-bit primes drawn from ``seed`` (an integer seed's primes
     are memoized, so a repeated seed skips the prime search and gets the
     same primes, and results, as a fresh draw; seed None draws new primes
-    on every call), iterating the orbits in modular arithmetic from
-    scratch over a window _SCREEN_MARGIN rows past the monomial count (so
-    interpolation artifacts on short windows die).  The primes are drawn
-    in batches of those still needed, and a batch costs one walk of both
-    orbits and one elimination, modulo the product of its primes; a prime
-    at which an orbit degenerates is dropped and the next is drawn, as if
-    the primes were screened one at a time.
+    on every call), over a window _SCREEN_MARGIN rows past the monomial
+    count (so interpolation artifacts on short windows die).  The rows up
+    to ``n_points`` (fewer when the digit budget cuts the orbits short)
+    reduce the exact orbit points; only the rows past them come from a
+    walk of both orbits in modular arithmetic, started at the last exact
+    point.  The primes are drawn in batches of those still needed, and a
+    batch costs one elimination modulo the product of its primes; a prime
+    at which a screened orbit point is at infinity is dropped and the next
+    is drawn, as if the primes were screened one at a time.
     An empty mod-p kernel certifies there is no relation.  Surviving
-    kernel vectors are lifted by rational reconstruction and verified
-    exactly, in integers, at the first ``n_points`` exact orbit points;
-    only a verified relation is ever returned.
+    kernel vectors are lifted by rational reconstruction once, modulo the
+    product of the screening primes (coefficients up to about 2^89), or
+    modulo each prime (about 2^30) when the primes disagree on a pivot,
+    and verified exactly, in integers, at the first ``n_points`` exact
+    orbit points; only a verified relation is ever returned.  A None after
+    every candidate failed verification is not a certificate: a relation
+    with larger coefficients may exist.
     """
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
@@ -365,21 +379,16 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
             return iterate(h, start, n_points, digit_budget)
         except BudgetExceededError as err:
             return err.partial
-    orbit_a = _orbit_with_budget(f, a)
-    orbit_b = _orbit_with_budget(g, b)
-    n_usable = min(len(orbit_a), len(orbit_b)) - 1
+    # the exact orbit pairs at steps 0..n_usable
+    pairs = [(pa.pair(), pb.pair())
+             for pa, pb in zip(_orbit_with_budget(f, a), _orbit_with_budget(g, b))]
+    n_usable = len(pairs) - 1
     if n_usable < 1:
         raise BudgetExceededError(
             "orbit digit budget too small to collect a single probe point"
         )
-    skip = {
-        n for n in range(1, n_usable + 1)
-        if orbit_a[n].is_infinity or orbit_b[n].is_infinity
-    }
-    exact_points = [
-        (orbit_a[n].pair(), orbit_b[n].pair())
-        for n in range(1, n_usable + 1) if n not in skip
-    ]
+    # steps where either point is at infinity are skipped
+    exact_points = [(x, y) for x, y in pairs[1:] if x[1] and y[1]]
     if not exact_points:
         return None
 
@@ -388,33 +397,33 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         primes = (next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in count())
     else:
         primes = (_screen_prime(seed, i) for i in count())
-    collected: list[tuple[int, list[list[int]]]] = []
+    groups: list[tuple[int, list[list[int]]]] = []   # (modulus, kernel basis)
+    screened = 0
     for window in (n_screen, n_usable):
         attempts = 0
-        while (len(collected) < _SCREEN_PRIMES
-               and attempts < 8 * _SCREEN_PRIMES):
+        while screened < _SCREEN_PRIMES and attempts < 8 * _SCREEN_PRIMES:
             # the primes the one-at-a-time screen would surely draw next
-            batch = [next(primes) for _ in range(min(_SCREEN_PRIMES - len(collected),
+            batch = [next(primes) for _ in range(min(_SCREEN_PRIMES - screened,
                                                      8 * _SCREEN_PRIMES - attempts))]
             attempts += len(batch)
-            live, rows = _orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, window,
-                                          batch)
+            live, rows = _orbit_rows_modp(f, g, pairs, monomials, deg_max, window, batch)
             if not rows:
                 continue
-            for p, basis in zip(live, kernels_modp(rows, live)):
+            for modulus, basis in kernels_modp(rows, live):
                 if not basis:
                     return None
-                collected.append((p, basis))
-        if collected:
+                groups.append((modulus, basis))
+            screened += len(live)
+        if groups:
             break
-    if not collected:
+    if not groups:
         raise IndeterminateError("mod-p screening failed for every sampled prime")
 
     candidates: list[BivariatePolynomial] = []
     seen_polys = set()
-    for p, basis in collected:
+    for modulus, basis in groups:
         for vec in basis:
-            lifted = [rational_reconstruct(v, p) for v in vec]
+            lifted = [rational_reconstruct(v, modulus) for v in vec]
             if any(c is None for c in lifted):
                 continue
             ints = primitive(lifted)

@@ -99,18 +99,21 @@ def kernel_modp(rows, p):
 
 
 def kernels_modp(rows, primes):
-    """[kernel_modp(rows, p) for p in primes] for distinct primes, from one
-    elimination modulo their product; when the primes disagree on a pivot
-    (a lead that is not a unit modulo the product), one per prime."""
+    """The kernels modulo distinct primes as (modulus, basis) groups: one
+    group, the kernel modulo their product, from one elimination; when the
+    primes disagree on a pivot (a lead that is not a unit modulo the
+    product), one group per prime.  A group's basis reduced modulo each
+    prime dividing its modulus is kernel_modp(rows, p)."""
+    m = math.prod(primes)
     try:
-        basis = kernel_modp(rows, math.prod(primes))
+        return [(m, kernel_modp(rows, m))]
     except ValueError:
-        return [kernel_modp(rows, p) for p in primes]
-    return [[[v % p for v in vec] for vec in basis] for p in primes]
+        return [(p, kernel_modp(rows, p)) for p in primes]
 
 
 def rational_reconstruct(a, p):
-    """Lift a mod-p residue to n/d with |n|, d <= sqrt(p/2); None if impossible."""
+    """Lift a residue modulo p, a prime or a product of distinct primes, to
+    n/d with |n|, d <= sqrt(p/2); None if impossible."""
     a %= p
     if a == 0:
         return Fraction(0)

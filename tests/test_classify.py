@@ -425,6 +425,8 @@ def _outcome(probe, *args, **kwargs):
 
 
 def _probe_sweep():
+    """(args, kwargs, K) per case: K for the planted y = K x past one prime's
+    reconstruction reach, None for the cases that match reference_probe."""
     rng = random.Random(13)
     cases = []
     for k in range(2, 9):                                  # planted y = K x
@@ -432,34 +434,114 @@ def _probe_sweep():
         g = RationalMap([0, 0, Fraction(1, K)])
         for seed in (0, 1, rng.randrange(10**6)):
             a = rng.randint(2, 9)
-            cases.append(((X2, g, a, K * a, 1, 8), {"seed": seed}))
-    for K in (10**10, 10**20):      # past one prime's reach: wrong lifts, rejected
+            cases.append(((X2, g, a, K * a, 1, 8), {"seed": seed}, None))
+    for K in (10**10, 10**20):      # past one prime's reach, within the product's
         for deg_max in (1, 2):
             g = RationalMap([0, 0, Fraction(1, K)])
-            cases.append(((X2, g, 3, 3 * K, deg_max, 12), {"seed": 0}))
+            cases.append(((X2, g, 3, 3 * K, deg_max, 12), {"seed": 0}, K))
     for c1, c2 in ((1, -1), (-2, 3), (Fraction(1, 3), -1), (2, 2)):   # x^2 + c pairs
         f, g = RationalMap([c1, 0, 1]), RationalMap([c2, 0, 1])
         for deg_max in (1, 2, 3):
             for seed in (0, 7):
-                cases.append(((f, g, 1, 2, deg_max, 10), {"seed": seed}))
+                cases.append(((f, g, 1, 2, deg_max, 10), {"seed": seed}, None))
     for budget in (1, 20, 40, 60):                         # tight digit budgets
-        cases.append(((X3X, X3X, 1, -1, 1, 8), {"seed": 7, "digit_budget": budget}))
-        cases.append(((X2, X2, 125, 25, 3, 12), {"seed": 3, "digit_budget": budget}))
-    cases.append(((X2, X2, 2, 4, 2, 10), {"seed": 5}))      # y = x^2
-    cases.append(((X2, X2, 2, 4, 0, 10), {"seed": 5}))      # deg_max < 1
+        cases.append(((X3X, X3X, 1, -1, 1, 8), {"seed": 7, "digit_budget": budget}, None))
+        cases.append(((X2, X2, 125, 25, 3, 12), {"seed": 3, "digit_budget": budget}, None))
+    cases.append(((X2, X2, 2, 4, 2, 10), {"seed": 5}, None))      # y = x^2
+    cases.append(((X2, X2, 2, 4, 0, 10), {"seed": 5}, None))      # deg_max < 1
     return cases
 
 
 def test_probe_matches_reference_probe():
     outcomes = set()
-    for args, kwargs in _probe_sweep():
+    matched = 0
+    for args, kwargs, planted in _probe_sweep():
         want = _outcome(reference_probe, *args, **kwargs)
-        assert _outcome(probe_genericity, *args, **kwargs) == want, (args, kwargs)
+        got = _outcome(probe_genericity, *args, **kwargs)
+        if planted:
+            # reference_probe reconstructs modulo one 61-bit prime (about 2^30
+            # reach) and rejects the wrong lifts; the product of the three
+            # primes reaches about 2^89, so y = K x is found and verified
+            assert want is None, (args, kwargs)
+            assert got.polynomial.terms == {(0, 1): -1, (1, 0): planted}, (args, kwargs)
+            assert got.points_tested == 12
+            continue
+        assert got == want, (args, kwargs)
+        matched += 1
         outcomes.add(want if want is None or isinstance(want, tuple) else "relation")
+    assert matched == 55
     # the sweep reaches relations, None and both raised errors
     assert {None, "relation"} <= outcomes
     assert {o[0] for o in outcomes if isinstance(o, tuple)} == {BudgetExceededError,
                                                                DomainError}
+
+
+def _planted(K):
+    """x^2 and x^2 / K from 3 and 3 K: y = K x at every orbit step."""
+    return X2, RationalMap([0, 0, Fraction(1, K)]), 3, 3 * K
+
+
+def test_probe_finds_planted_scales_within_the_product_reach():
+    # the kernel vector's entry 1/K reconstructs modulo the product m of the
+    # three 61-bit primes while K <= sqrt(m / 2): at least 2^89.5, and about
+    # 1.7e27 for the primes of seed 0
+    for k in range(2, 28):
+        K = 10**k
+        rel = probe_genericity(*_planted(K), 1, 8, seed=0)
+        assert rel is not None, k
+        assert rel.polynomial.terms == {(0, 1): -1, (1, 0): K}, k
+        assert rel.points_tested == 8
+
+
+def test_probe_past_the_product_reach_returns_an_uncertified_none():
+    # y = 10^28 x holds on the orbit, but 10^28 is past the reconstruction
+    # reach: the kernel modulo the primes is nonempty, no lift verifies, and
+    # the probe returns None.  This None is not a certificate of genericity
+    # (the multi-prime lift that removes it is an open roadmap item).
+    K = 10**28
+    assert probe_genericity(*_planted(K), 1, 8, seed=0) is None
+    m = math.prod(classify._screen_prime(0, i) for i in range(3))
+    assert K > math.isqrt(m // 2)
+
+
+def test_planted_relations_match_sympy_nullspace_over_q():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    monomials = classify._monomials(1)
+    for k in list(range(2, 29)) + [40]:
+        K = 10**k
+        f, g, a, b = _planted(K)
+        xs, ys = iterate(f, ProjPoint(a), 8), iterate(g, ProjPoint(b), 8)
+        matrix = DomainMatrix(
+            [[sympy.QQ(xs[n].value ** i * ys[n].value ** j) for i, j in monomials]
+             for n in range(1, 9)], (8, len(monomials)), sympy.QQ)
+        # over Q the kernel is the line of y - K x, at every scale
+        (null,) = matrix.nullspace().to_Matrix().tolist()
+        want = dict(zip(monomials, null))
+        assert want[(0, 0)] == want[(1, 1)] == 0 and want[(1, 0)] == -K * want[(0, 1)]
+        rel = probe_genericity(f, g, a, b, 1, 8, seed=0)
+        if k <= 27:
+            # the found relation is a nonzero vector of that one-dimensional kernel
+            got = [rel.polynomial.terms.get(mono, 0) for mono in monomials]
+            assert any(got)
+            assert matrix.to_Matrix() * sympy.Matrix(got) == sympy.zeros(8, 1)
+        else:
+            # a relation exists over Q, so this None is uncertified
+            assert rel is None
+
+
+def test_planted_relation_is_reconstructed_once_modulo_the_product(monkeypatch):
+    moduli = []
+    real = classify.rational_reconstruct
+
+    def counting(v, modulus):
+        moduli.append(modulus)
+        return real(v, modulus)
+    monkeypatch.setattr(classify, "rational_reconstruct", counting)
+    rel = probe_genericity(*_planted(10**5), 1, 8, seed=0)
+    assert rel.polynomial.terms == {(0, 1): -1, (1, 0): 10**5}
+    # one kernel vector of four entries, each lifted once
+    assert moduli == [math.prod(classify._screen_prime(0, i) for i in range(3))] * 4
 
 
 def test_vanishes_at_matches_fraction_evaluation():
@@ -542,51 +624,67 @@ def test_degenerate_first_prime_draws_the_next_of_the_stream(monkeypatch):
     assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
 
 
-def reference_orbit_rows_modp(f, g, a, b, monomials, deg_max, skip, n_rows, p):
-    """The screening walk as it was before the primes were batched: one
-    prime, None when either orbit degenerates modulo it."""
-    xr, xs = (c % p for c in a.pair())
-    yr, ys = (c % p for c in b.pair())
+def reference_orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, p):
+    """The screening rows for one prime, in affine coordinates through
+    modular inverses: the exact pairs reduced modulo p at steps up to
+    n_usable (points at infinity skipped), then a walk modulo p from the
+    last exact pair; None when a row's point is at infinity modulo p."""
+    def row(xr, xs, yr, ys):
+        if xs % p == 0 or ys % p == 0:
+            return None
+        x, y = xr * pow(xs, -1, p) % p, yr * pow(ys, -1, p) % p
+        return [pow(x, i, p) * pow(y, j, p) % p for i, j in monomials]
     rows = []
-    for n in range(1, n_rows + 1):
+    for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]:
+        if xs and ys:
+            rows.append(row(xr, xs, yr, ys))
+    (xr, xs), (yr, ys) = pairs[-1]
+    for _ in range(len(pairs), n_rows + 1):
         xr, xs = (c % p for c in f.form_values(xr, xs))
         yr, ys = (c % p for c in g.form_values(yr, ys))
-        if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
-            return None
-        if n in skip:
-            continue
-        if xs == 0 or ys == 0:
-            return None
-        xcol = [v % p for v in classify.homogeneous_powers(xr, xs, deg_max)]
-        ycol = [v % p for v in classify.homogeneous_powers(yr, ys, deg_max)]
-        rows.append([xcol[i] * ycol[j] % p for i, j in monomials])
-    return rows
+        rows.append(row(xr, xs, yr, ys))
+    return None if None in rows else rows
 
 
 def test_batched_walk_matches_one_walk_per_prime():
     rng = random.Random(2424)
     big = _stream_primes(5, 3)
-    dropped = kept = 0
+    dropped = kept = skipped = tails = 0
     for _ in range(400):
         num = [rng.randint(-4, 4) for _ in range(rng.choice([2, 3]))] + [rng.randint(1, 3)]
         fg = [RationalMap(num) if rng.random() < 0.5 else
                  RationalMap(num, [rng.randint(-3, 3), rng.randint(1, 3)]) for _ in range(2)]
         points = [ProjPoint(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(2)]
+        if rng.random() < 0.3:   # start at a pole: the first point is at infinity
+            pole = [p for p in range(-9, 10)
+                    if evaluate(fg[0], ProjPoint(p)).is_infinity]
+            if pole:
+                points[0] = ProjPoint(rng.choice(pole))
         deg_max = rng.randint(1, 2)
-        n_rows = rng.randint(1, 6)
-        skip = {n for n in range(1, n_rows + 1) if rng.random() < 0.2}
+        n_usable = rng.randint(1, 4)
+        n_rows = n_usable + rng.randint(0, 3)
+        # the exact orbits at steps 0..n_usable, as the probe passes them
+        pairs = [(pa.pair(), pb.pair()) for pa, pb in
+                 zip(iterate(fg[0], points[0], n_usable), iterate(fg[1], points[1], n_usable))]
         primes = rng.sample(rng.choice([(2, 3, 5, 7, 11, 13), big, (3, 7) + tuple(big)]),
                             rng.randint(1, 3))
-        args = (*fg, *points, classify._monomials(deg_max), deg_max, skip, n_rows)
+        args = (*fg, pairs, classify._monomials(deg_max), deg_max, n_rows)
         live, rows = classify._orbit_rows_modp(*args, primes)
         want = {p: reference_orbit_rows_modp(*args, p) for p in primes}
         assert live == [p for p in primes if want[p] is not None]
         for p in live:
-            assert [[v % p for v in row] for row in rows] == want[p]
+            got = [[v % p for v in row] for row in rows]
+            assert len(got) == len(want[p])
+            # each row is the affine row times a unit: the (0, 0) entry
+            for row, ref in zip(got, want[p]):
+                assert row[0] and all(v == row[0] * r % p for v, r in zip(row, ref))
+            assert kernel_modp(got, p) == kernel_modp(want[p], p)
         assert live or rows == []
         dropped += len(primes) - len(live)
         kept += len(live)
-    assert dropped > 50 and kept > 50
+        skipped += any(not (x[1] and y[1]) for x, y in pairs[1:])
+        tails += n_rows > n_usable
+    assert dropped > 50 and kept > 50 and skipped > 20 and tails > 100
 
 
 def test_generic_pair_is_decided_by_one_elimination(monkeypatch):

@@ -85,17 +85,30 @@ def _kernel_sweep(n_cases, seed):
     return cases
 
 
+def per_prime_kernels(groups, primes):
+    """{p: the basis of p's group reduced modulo p} for kernels_modp's
+    groups, which are one group modulo the product or one per prime."""
+    moduli = [m for m, _ in groups]
+    assert moduli in ([math.prod(primes)], list(primes)), (moduli, primes)
+    return {p: [[v % p for v in vec] for vec in basis]
+            for m, basis in groups for p in primes if m % p == 0}
+
+
 def test_kernels_match_gauss_jordan_over_every_row():
     fallbacks = 0
     for rows, primes in _kernel_sweep(3000, 24):
-        want = [reference_kernel_modp(rows, p) for p in primes]
-        assert kernels_modp(rows, primes) == want, (rows, primes)
-        for p, basis in zip(primes, want):
+        want = {p: reference_kernel_modp(rows, p) for p in primes}
+        groups = kernels_modp(rows, primes)
+        assert per_prime_kernels(groups, primes) == want, (rows, primes)
+        for p, basis in want.items():
             assert kernel_modp(rows, p) == basis, (rows, p)
         try:
             kernel_modp(rows, math.prod(primes))
         except ValueError:
             fallbacks += 1
+            assert [m for m, _ in groups] == primes
+        else:
+            assert [m for m, _ in groups] == [math.prod(primes)]
     # the primes disagree on a pivot often enough that the fallback runs
     assert fallbacks > 300
 
@@ -111,19 +124,21 @@ def test_kernels_modp_falls_back_per_prime_on_a_zero_divisor(monkeypatch):
     # the lead 5 is a unit modulo 7 but not modulo 35: 7 sees a pivot there
     # and 5 does not
     rows = [[5, 1], [10, 3]]
-    assert kernels_modp(rows, [5, 7]) == [reference_kernel_modp(rows, 5),
-                                          reference_kernel_modp(rows, 7)]
+    assert kernels_modp(rows, [5, 7]) == [(5, reference_kernel_modp(rows, 5)),
+                                          (7, reference_kernel_modp(rows, 7))]
     assert calls == [35, 5, 7]
     calls.clear()
     rows = [[1, 2, 3], [2, 4, 6]]
-    assert kernels_modp(rows, [5, 7]) == [reference_kernel_modp(rows, 5),
-                                          reference_kernel_modp(rows, 7)]
+    groups = kernels_modp(rows, [5, 7])
+    assert [m for m, _ in groups] == [35]
+    assert per_prime_kernels(groups, [5, 7]) == {5: reference_kernel_modp(rows, 5),
+                                                 7: reference_kernel_modp(rows, 7)}
     assert calls == [35]
 
 
 def test_kernel_modp_edge_shapes():
     assert kernel_modp([], 7) == []
-    assert kernels_modp([], [5, 7]) == [[], []]
+    assert kernels_modp([], [5, 7]) == [(35, [])]
     assert kernel_modp([[0, 0]], 7) == [[1, 0], [0, 1]]
     assert kernel_modp([[3, 0], [0, 2]], 7) == []
     # entries need not be reduced, and may be negative
@@ -136,8 +151,8 @@ def test_kernels_match_sympy_nullspace():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     for rows, primes in _kernel_sweep(300, 77):
-        got = kernels_modp(rows, primes)
-        for p, basis in zip(primes, got):
+        got = per_prime_kernels(kernels_modp(rows, primes), primes)
+        for p, basis in got.items():
             field = sympy.GF(p)
             matrix = DomainMatrix([[field(v % p) for v in row] for row in rows],
                                   (len(rows), len(rows[0])), field)
