@@ -22,7 +22,7 @@ from .heights import (HeightEstimate, PlaceSet, bad_places, canonical_height,
                       weil_height)
 from .bivariate import BivariatePolynomial
 from .surface import (AmplenessReport, BlowupSurface, DivisorClass,
-                      canonical_class, curve_multiplicity_at, exceptional_class,
+                      canonical_class, exceptional_class,
                       intersect, is_ample_lemmaAG, perturbed_ample,
                       strict_transform_class)
 from .classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL, POWER_CONJUGATE,

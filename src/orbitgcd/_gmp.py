@@ -11,13 +11,13 @@ and ctypes releases the GIL while GMP runs.  Every function returns
 Python path, which gives the same value.
 
 GMP aborts the process on an allocation failure rather than raising
-``MemoryError``.  Nothing here bounds the operands: ``maps.iterate`` and
-the gcd series check their orbit digit budget (default 10^7 digits)
-after each evaluation, so the last evaluation's products, and the gcds
-of its values, have up to d times the budget in digits for a map of
-degree d (2 * 10^7 digits, about 8 MB, for a quadratic map at the
-default).  Direct calls of ``maps.evaluate`` are bounded only by their
-arguments.
+``MemoryError``.  Nothing here bounds the operands: ``maps.orbit``, the
+one exact orbit walker, raises on its orbit digit budget (default 10^7
+digits) before a step whose points a lower bound puts past it, so a
+step's products pass the budget by at most a constant of the map; above
+degree ``maps._RESULTANT_MAX_DEGREE`` it checks only after the step, so
+the last step's products and gcds can have d times the budget in digits.
+Direct calls of ``maps.evaluate`` are bounded only by their arguments.
 """
 
 from __future__ import annotations

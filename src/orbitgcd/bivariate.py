@@ -1,10 +1,10 @@
-"""Sparse bivariate polynomials over Q, just rich enough for plane-curve
-multiplicities and orbit relation checks."""
+"""Sparse bivariate polynomials over Q, just rich enough for the orbit
+relation checks of the genericity probe."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .errors import DomainError
 
@@ -39,11 +39,6 @@ class BivariatePolynomial:
             raise DomainError("zero polynomial has no degree")
         return max(i + j for i, j in self.terms)
 
-    def min_total_degree(self) -> int:
-        if self.is_zero:
-            raise DomainError("zero polynomial has no order")
-        return min(i + j for i, j in self.terms)
-
     def evaluate(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
@@ -63,20 +58,6 @@ class BivariatePolynomial:
         ycol = homogeneous_powers(*y, degree)
         return sum(c.numerator * (scale // c.denominator) * xcol[i] * ycol[j]
                    for (i, j), c in self.terms.items()) == 0
-
-    def translate(self, px, py) -> "BivariatePolynomial":
-        """The polynomial F(x + px, y + py)."""
-        px, py = Fraction(px), Fraction(py)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            for k in range(i + 1):
-                xk = comb(i, k) * px ** (i - k)
-                for l in range(j + 1):
-                    w = c * xk * comb(j, l) * py ** (j - l)
-                    if w != 0:
-                        key = (k, l)
-                        out[key] = out.get(key, Fraction(0)) + w
-        return BivariatePolynomial(out)
 
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self.terms == other.terms

@@ -15,6 +15,7 @@ empty; after failed verification it is not.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .exact import _iroot, factor, next_prime
 from .heights import _orbit_scan, canonical_height
 from .linalg import kernels_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
-                   RationalMap, compose, conjugate, fiber_polynomial, iterate)
+                   RationalMap, compose, conjugate, fiber_polynomial, orbit)
 from .polys import Polynomial, exact_div, primitive
 
 POWER_CONJUGATE = "power"
@@ -363,7 +364,8 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     and verified exactly, in integers, at the first ``n_points`` exact
     orbit points; only a verified relation is ever returned.  A None after
     every candidate failed verification is not a certificate: a relation
-    with larger coefficients may exist.
+    with larger coefficients may exist.  When no orbit step has both points
+    finite, no point can be tested, and it raises :class:`IndeterminateError`.
     """
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
@@ -373,15 +375,12 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     monomials = _monomials(deg_max)
     n_screen = max(n_points, len(monomials) + _SCREEN_MARGIN)
 
-    # on budget exhaustion, degrade to the points actually collected
-    def _orbit_with_budget(h, start):
-        try:
-            return iterate(h, start, n_points, digit_budget)
-        except BudgetExceededError as err:
-            return err.partial
-    # the exact orbit pairs at steps 0..n_usable
-    pairs = [(pa.pair(), pb.pair())
-             for pa, pb in zip(_orbit_with_budget(f, a), _orbit_with_budget(g, b))]
+    # the exact orbit pairs at steps 0..n_usable, each orbit on the full budget
+    orbits = ([], [])
+    for points, walk in zip(orbits, ((f, a), (g, b))):
+        with contextlib.suppress(BudgetExceededError):
+            points.extend(p for (p,) in orbit([walk], n_points, digit_budget))
+    pairs = [(pa.pair(), pb.pair()) for pa, pb in zip(*orbits)]
     n_usable = len(pairs) - 1
     if n_usable < 1:
         raise BudgetExceededError(
@@ -390,7 +389,8 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     # steps where either point is at infinity are skipped
     exact_points = [(x, y) for x, y in pairs[1:] if x[1] and y[1]]
     if not exact_points:
-        return None
+        raise IndeterminateError("no probe point could be tested: every orbit "
+                                 f"step 1..{n_usable} has a point at infinity")
 
     if seed is None:   # fresh entropy on every call: nothing to memoize
         rng = random.Random()

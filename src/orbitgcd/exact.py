@@ -555,12 +555,6 @@ class LogValue:
                     self.arch * (1 << ARCH_PREC))
         return Real(round(units), 1 << ARCH_PREC)
 
-    def close_to(self, other: "LogValue") -> bool:
-        """Exact equality on the finite part, archimedean parts within
-        2^(-ARCH_PREC/2) of each other."""
-        return (self.finite == other.finite
-                and abs(self.arch - other.arch) <= Fraction(1, 1 << (ARCH_PREC // 2)))
-
 
 def v_plus(place: Place, x) -> LogValue:
     """Local size of a nonzero rational at a place.

@@ -21,7 +21,7 @@ from .errors import BudgetExceededError, DomainError, HypothesisViolationError
 from .exact import int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
-                   digit_count, evaluate, iterate)
+                   digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
 from .polys import _derivative, _pseudo_rem, _yun, exact_div, primitive_gcd, trim
 from .classify import _exponent_vector, is_exceptional
 
@@ -157,21 +157,16 @@ def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
 
 def iter_gcd_series_rows(config: GcdSeriesConfig):
     """Yield rows incrementally for n = 0, 1, ...; stops early (after
-    yielding everything completed) when the orbit digit budget runs out."""
-    d = config.degree
-    pa, pb = config.a, config.b
-    spent = 0
-    n = 0
-    while n <= config.n_max:
-        yield _series_row(config, n, pa, pb, d)
-        if n == config.n_max:
+    yielding everything completed) when the orbit digit budget, charged
+    jointly for both orbits from their starts on, runs out."""
+    walk = orbit([(config.f, config.a), (config.g, config.b)], config.n_max,
+                 config.digit_budget)
+    for n in range(config.n_max + 1):
+        try:
+            pa, pb = next(walk)
+        except BudgetExceededError:
             return
-        pa = evaluate(config.f, pa)
-        pb = evaluate(config.g, pb)
-        spent += sum(digit_count(c) for c in pa.pair() + pb.pair())
-        if spent > config.digit_budget:
-            return
-        n += 1
+        yield _series_row(config, n, pa, pb, config.degree)
 
 
 def gcd_series(config: GcdSeriesConfig) -> GcdSeriesReport:

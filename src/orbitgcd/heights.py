@@ -39,7 +39,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError, DomainError
 from .exact import (ARCH_PREC, LogValue, Place, Real, factor, int_gcd, int_mul,
                     is_prime, log_abs, log_fixed, valuation)
-from .maps import ProjPoint, RationalMap, bezout_record, evaluate, map_resultant
+from .maps import ProjPoint, RationalMap, bezout_record, map_resultant, orbit
 
 DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
 _PREPERIODIC_SCAN_LIMIT = 500
@@ -199,16 +199,14 @@ def _orbit_scan(f: RationalMap, point: ProjPoint, limit: int) -> tuple[str, int]
     n < limit, has (d-1) h > C_f, tested as max(|r|, |s|)^(d-1) > e^C_f (a
     certified wanderer, as |hhat - h| <= C_f/(d-1)), else None."""
     seen = set()
-    cur = point
     ceiling, power = _discrepancy_base(f), f.degree - 1
-    for step in range(limit):
+    for step, (cur,) in enumerate(orbit([(f, point)], limit)):
         if cur in seen:
             return "cycle", step
-        seen.add(cur)
-        if max(map(abs, cur.pair())) ** power > ceiling:
+        if step < limit and max(map(abs, cur.pair())) ** power > ceiling:
             return "escape", step
-        cur = evaluate(f, cur)
-    return ("cycle", limit) if cur in seen else None
+        seen.add(cur)
+    return None
 
 
 def canonical_height(f: RationalMap, point, tol,

@@ -21,9 +21,9 @@ coprime (r, s), gcd(F(r, s), G(r, s)) divides the resultant R of (F, G),
 so :func:`evaluate` puts f(P) in lowest terms with a gcd against |R|
 (up to degree 8, where R is cheap to compute) instead of a gcd of the
 two orbit values; R and the Bezout cofactor height of the heights come
-from one elimination per map (:func:`bezout_record`).  Orbits are
-computed point-wise on these pairs, and classification never composes (it
-reads one-step fibers, as integer lists, and critical orbits).
+from one elimination per map (:func:`bezout_record`).  Orbits are walked
+point-wise on these pairs by :func:`orbit`, and classification never
+composes (it reads one-step fibers, as integer lists, and critical orbits).
 Composition serves conjugation and the commuting test; it packs
 polynomials into big integers (Kronecker substitution), so each product
 is one big-integer multiplication, and self-composition sits behind a
@@ -267,32 +267,79 @@ def evaluate(f: RationalMap, point) -> ProjPoint:
     return ProjPoint.from_coprime(x, y)
 
 
+def _digit_floor(f: RationalMap, point: ProjPoint) -> int:
+    """A lower bound on the digits of f(point), numerator plus denominator,
+    for f of degree d <= _RESULTANT_MAX_DEGREE, and at most d + 1 times the
+    digits of point.  For coprime (r, s), M = max(|r|, |s|) of b bits:
+    R r^(2d-1) = u F + v G (and so for s), |u(r, s)|, |v(r, s)| <=
+    d H_u M^(d-1) (:func:`bezout_record`) and gcd(F, G) | R, so f(point)
+    has a coordinate >= M^d / (2 d H_u) >= 2^e, e = d (b-1) - c for
+    2 d H_u < 2^c, of floor(e log10 2) + 1 digits or more (the float
+    product less 10^-6 stays below), and the other has one more."""
+    d = f.degree
+    r, s = point.pair()
+    c = (2 * d * bezout_record(f)[1]).bit_length()
+    e = d * (max(r.bit_length(), s.bit_length()) - 1) - c
+    return int(max(e, 0) * _LOG10_2 - 1e-6) + 2
+
+
+def orbit(walks, n: int, digit_budget: int | None = None):
+    """The one exact orbit walker: yields the tuple of the points of each
+    (map, start) pair of ``walks`` at steps 0, 1, ..., n, in lockstep,
+    taking a step only when the tuple before it has been taken.
+
+    With a ``digit_budget``, every point it yields, starts included, is
+    charged its digits (numerator plus denominator) to one total; a step
+    that passes the budget raises :class:`BudgetExceededError` with the
+    total as ``digits`` and the steps completed as ``steps``.  A step sure
+    to pass, by the total plus :func:`_digit_floor` of its points, raises
+    before its products reach GMP (which aborts on a failed allocation),
+    with "at least" that sum; a walk with a map above degree
+    _RESULTANT_MAX_DEGREE, which has no Bezout record, has only the check
+    after the step.
+    """
+    fs, starts = zip(*walks)
+    points = tuple(map(ProjPoint.of, starts))
+    precheck = (digit_budget is not None
+                and all(f.degree <= _RESULTANT_MAX_DEGREE for f in fs))
+    spent = 0
+    for k in range(n + 1):
+        if k:
+            # a floor is at most 9 times its point's digits, which spent holds
+            if (precheck and 10 * spent > digit_budget
+                    and (least := spent + sum(map(_digit_floor, fs, points))) > digit_budget):
+                raise BudgetExceededError(
+                    f"orbit digit budget exceeded at step {k}: "
+                    f"at least {least} > {digit_budget}", digits=least, steps=k - 1)
+            points = tuple(map(evaluate, fs, points))
+        if digit_budget is not None:
+            for p in points:
+                r, s = p.pair()
+                spent += digit_count(r) + digit_count(s)
+            if k and spent > digit_budget:
+                raise BudgetExceededError(
+                    f"orbit digit budget exceeded at step {k}: "
+                    f"{spent} > {digit_budget}", digits=spent, steps=k - 1)
+        yield points
+
+
 def iterate(f: RationalMap, point, n: int,
             digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET) -> list[ProjPoint]:
-    """The orbit [P, f(P), ..., f^n(P)] by repeated point evaluation.
-
-    Orbit values have Theta(d^k) digits, so a cumulative digit budget
-    (numerators plus denominators, default 10^7) guards the computation;
-    exceeding it raises :class:`BudgetExceededError` with the digit count
-    reached and the last completed step.
+    """The orbit [P, f(P), ..., f^n(P)], walked by :func:`orbit` on the
+    digit budget (numerators plus denominators, default 10^7); exhausting
+    it raises :class:`BudgetExceededError` with the points completed as
+    ``partial``.
     """
     if n < 0:
         raise DomainError("iteration count must be >= 0")
-    point = ProjPoint.of(point)
-    orbit = [point]
-    digits = sum(digit_count(c) for c in point.pair())
-    for k in range(n):
-        point = evaluate(f, point)
-        r, s = point.pair()
-        digits += digit_count(r) + digit_count(s)
-        if digits > digit_budget:
-            raise BudgetExceededError(
-                f"orbit digit budget exceeded at step {k + 1}: "
-                f"{digits} > {digit_budget}",
-                partial=orbit, digits=digits, steps=k,
-            )
-        orbit.append(point)
-    return orbit
+    points = []
+    try:
+        for (p,) in orbit([(f, point)], n, digit_budget):
+            points.append(p)
+    except BudgetExceededError as err:
+        err.partial = points
+        raise
+    return points
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:

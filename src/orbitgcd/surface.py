@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bivariate import BivariatePolynomial
 from .errors import DomainError
 
 
@@ -157,18 +156,3 @@ def is_ample_lemmaAG(surface: BlowupSurface, n: int) -> AmplenessReport:
     witness = {"check": kind, **info}
     return AmplenessReport(ample=value > 0, witness=witness)
 
-
-def curve_multiplicity_at(curve: BivariatePolynomial, point) -> int:
-    """Multiplicity of a plane curve at a point: translate the point to the
-    origin and take the least total degree with a nonzero homogeneous part.
-
-    >>> curve_multiplicity_at(BivariatePolynomial({(2, 0): 1, (0, 2): 1}), (0, 0))
-    2
-    """
-    if curve.is_zero:
-        raise DomainError("multiplicity of the zero curve")
-    px, py = point
-    shifted = curve.translate(px, py)
-    if shifted.is_zero:
-        raise DomainError("translation annihilated the polynomial")
-    return shifted.min_total_degree()

@@ -332,6 +332,15 @@ def test_probe_partial_result_under_tight_budget():
     assert 1 <= rel.points_tested < 8
 
 
+def test_probe_with_no_finite_step_is_indeterminate():
+    # x^2 + 1 fixes oo, so every step pairs oo with a point of x^2 - 1's
+    # orbit: no point can be tested (the orbit lies on the line x = oo),
+    # and the probe says so instead of returning a bare None
+    for deg_max, n_points in ((1, 8), (2, 12)):
+        with pytest.raises(IndeterminateError, match="no probe point could be tested"):
+            probe_genericity(X2P1, X2M1, INFINITY, 2, deg_max, n_points)
+
+
 def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
                     digit_budget=DEFAULT_ORBIT_DIGIT_BUDGET):
     """The probe as it was before its primes were memoized: a fresh prime

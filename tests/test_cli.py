@@ -327,6 +327,19 @@ def test_cli_probe_genericity(capsys, map_file):
     assert relation["monomials"] == {"0,1": "1", "1,0": "1"}
 
 
+def test_cli_probe_with_no_finite_step_exits_indeterminate(capsys, map_file):
+    x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
+    x2m1 = map_file("x2m1.json", {"coeffs": ["-1", "0", "1"]})
+    code, out, err = run_cli(capsys, [
+        "probe-genericity", "--f", x2p1, "--g", x2m1, "-a", "oo", "-b", "2",
+        "--deg-max", "1", "--points", "8",
+    ])
+    assert code == 4 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "indeterminate"
+    assert payload["message"].startswith("no probe point could be tested")
+
+
 def test_cli_choose_depth_and_exit_codes(capsys, map_file):
     x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
     code, out, _ = run_cli(capsys, [

@@ -157,8 +157,6 @@ def test_logvalue_arithmetic_and_equality():
     assert (a - a).finite == {}
     scaled = a.scale(Fraction(1, 2))
     assert scaled.finite == {2: Fraction(3, 2), 3: Fraction(1, 2)}
-    assert a.close_to(LogValue.from_finite({2: 3, 3: 1}))
-    assert not a.close_to(b)
     total = float(a.total())
     assert abs(total - (3 * math.log(2) + math.log(3))) < 1e-12
 
@@ -175,8 +173,6 @@ def test_logvalue_arch_arithmetic_keeps_full_precision():
     assert type(third.arch) is Real and third.arch == Fraction(1, 3)
     assert (third + third + third).arch == 1
     assert LogValue({}, 0.5).arch == Fraction(1, 2)
-    assert a.close_to(a + LogValue({}, Fraction(1, 2**70)))
-    assert not a.close_to(a + LogValue({}, Fraction(1, 2**60)))
     # total() rounds c_p log p plus the archimedean term once, to 2^-128
     ref = mpmath.MPContext()
     ref.prec = 400

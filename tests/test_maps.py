@@ -1,8 +1,10 @@
 import copy
 import math
 import operator
+import os
 import pickle
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -13,12 +15,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import _gmp
+from orbitgcd import maps as maps_module
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import _GMP_BITS
 from orbitgcd.linalg import det_fraction
-from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _sylvester_rows, compose,
-                           conjugate, digit_count, evaluate, fiber_polynomial,
-                           iterate, map_resultant, self_compose)
+from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _digit_floor, _sylvester_rows,
+                           bezout_record, compose, conjugate, digit_count, evaluate,
+                           fiber_polynomial, iterate, map_resultant, orbit, self_compose)
 from orbitgcd.polys import Polynomial, kronecker_pack, kronecker_unpack
 
 X2 = RationalMap([0, 0, 1])
@@ -441,15 +444,97 @@ def test_form_values_square_orbit_sized_values_in_gmp(monkeypatch):
 
 @pytest.mark.parametrize("f", [X2, X3X], ids=["x^2", "x^3+x"])
 def test_orbit_budget_is_checked_after_the_products(f, monkeypatch):
-    # one evaluation of a start point just inside the budget: its products
-    # reach GMP past the budget, and stay within d times it
+    # the exact check after each step is preceded by a lower bound on the
+    # step's points, so no product that reaches GMP passes the budget by
+    # more than a constant of the map: the products of f at (r : s) have
+    # at most d b bits, b the bit length of max(|r|, |s|), and the bound
+    # 2^(d (b-1) - c) with 2 d H_u < 2^c
+    d = f.degree
+    c = (2 * d * bezout_record(f)[1]).bit_length()
+    slack = math.ceil((d + c) * math.log10(2)) + 1
     digits = []
     recording_mul(monkeypatch, lambda x, y, p: digits.append(digit_count(p)))
-    budget = 9600
-    start = 3**20000                                 # 9,543 digits
-    with pytest.raises(BudgetExceededError):
-        iterate(f, start, 3, digit_budget=budget)
-    assert budget < max(digits) <= f.degree * budget
+    largest = 0.0
+    # starts of 4,295 to 12,405 digits, among them 3^20000 (9,543 digits)
+    # just inside 9,600, whose square has 19,086
+    for budget in (9600, 20000, 40000):
+        for k in range(9000, 26001, 1000):
+            digits.clear()
+            with pytest.raises(BudgetExceededError) as err:
+                iterate(f, 3**k, 3, digit_budget=budget)
+            assert err.value.digits > budget
+            assert all(n <= budget + slack for n in digits), (budget, k, max(digits))
+            largest = max(largest, max(digits, default=0) / budget)
+    assert largest > 0.6
+
+
+def test_digit_floor_bounds_every_image():
+    # the Bezout bound max(|x|, |y|) >= M^d / (2 d H_u) on random maps of
+    # degree 2-5 and points of up to 300 bits, the digit floor under it,
+    # and the floor within d + 1 times the point's digits, which lets the
+    # walker skip it until 10 times its total passes the budget
+    rng = random.Random(26)
+    for _ in range(1500):
+        f = rand_map(rng, rng.randint(2, 5))
+        d, h_u = f.degree, bezout_record(f)[1]
+        bits = rng.choice([1, 8, 40, 300])
+        r, s = rng.randint(-2**bits, 2**bits), rng.randint(0, 2**bits)
+        point = ProjPoint(Fraction(r, s)) if s else INFINITY
+        x, y = evaluate(f, point).pair()
+        m = max(map(abs, point.pair()))
+        assert max(abs(x), abs(y)) * 2 * d * h_u >= m**d
+        floor = _digit_floor(f, point)
+        assert floor <= digit_count(x) + digit_count(y)
+        assert floor <= (d + 1) * sum(map(digit_count, point.pair()))
+
+
+def test_orbit_walks_pairs_in_lockstep_on_one_budget():
+    walk = orbit([(X2, 3), (X3X, INFINITY)], 3)
+    assert next(walk) == (ProjPoint(3), INFINITY)
+    assert [p for p, _ in walk] == [ProjPoint(9), ProjPoint(81), ProjPoint(6561)]
+    # one budget for both orbits, their starts included: 3/1 and 2/1 charge
+    # 4 digits, 9/1 and 10/1 five more, then 81/1 and 1010/1 reach 17
+    walk = orbit([(X2, 3), (X3X, 2)], 5, digit_budget=15)
+    assert [next(walk), next(walk)] == [(ProjPoint(3), ProjPoint(2)),
+                                        (ProjPoint(9), ProjPoint(10))]
+    with pytest.raises(BudgetExceededError) as err:
+        next(walk)
+    assert (err.value.digits, err.value.steps) == (17, 1)
+    assert str(err.value) == "orbit digit budget exceeded at step 2: 17 > 15"
+    # with no budget nothing is charged, and nothing runs ahead of the caller
+    calls = []
+    with mock.patch.object(maps_module, "digit_count", side_effect=calls.append):
+        walk = orbit([(X2, 2)], 10**6)
+        assert [next(walk)[0].value for _ in range(5)] == [2, 4, 16, 256, 65536]
+    assert calls == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_budget_raises_before_gmp_can_abort_under_a_memory_limit():
+    # x^2 from 2^(10^8): the square asks GMP for 25 MB, past the 32 MB of
+    # address space the child leaves itself, and GMP aborts (SIGABRT) on a
+    # failed allocation; the bound on the square raises before it is formed
+    child = """if True:
+        import resource, sys
+        from orbitgcd.errors import BudgetExceededError
+        from orbitgcd.maps import RationalMap, iterate
+        start = 1 << 10**8
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+        resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20), resource.RLIM_INFINITY))
+        try:
+            iterate(RationalMap([0, 0, 1]), start, 3)
+        except BudgetExceededError as err:
+            print(err)
+            sys.exit(0)
+        sys.exit(1)
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maps_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, (done.returncode, done.stderr[-400:])
+    assert done.stdout.startswith("orbit digit budget exceeded at step 1: at least ")
 
 
 # --- evaluate/iterate against a Fraction evaluator ---

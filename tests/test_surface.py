@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from orbitgcd.bivariate import BivariatePolynomial
 from orbitgcd.errors import DomainError
 from orbitgcd.surface import (BlowupSurface, DivisorClass, canonical_class,
-                              curve_multiplicity_at, exceptional_class,
-                              intersect, is_ample_lemmaAG, perturbed_ample,
-                              strict_transform_class)
+                              exceptional_class, intersect, is_ample_lemmaAG,
+                              perturbed_ample, strict_transform_class)
 
 
 def test_pairing_spec_examples():
@@ -117,38 +115,3 @@ def test_ample_witness_reports_minimizing_case():
     assert report.witness["value"] == 0
     ok = is_ample_lemmaAG(BlowupSurface(0), 1)
     assert ok.ample and ok.witness["value"] > 0
-
-
-def test_curve_multiplicity_examples():
-    assert curve_multiplicity_at(BivariatePolynomial({(2, 0): 1, (0, 2): 1}), (0, 0)) == 2
-    assert curve_multiplicity_at(BivariatePolynomial({(0, 1): 1, (2, 0): -1}), (0, 0)) == 1
-    # x y (x - y) = x^2 y - x y^2
-    cusp = BivariatePolynomial({(2, 1): 1, (1, 2): -1})
-    assert curve_multiplicity_at(cusp, (0, 0)) == 3
-    # away from the curve the multiplicity is 0
-    assert curve_multiplicity_at(cusp, (1, 2)) == 0
-    # translated singular point: (x-3)^2 + (y-5)^2 built two ways
-    shifted = BivariatePolynomial({(2, 0): 1, (0, 2): 1}).translate(-3, -5)
-    circleish = BivariatePolynomial({(2, 0): 1, (0, 2): 1, (1, 0): -6, (0, 1): -10, (0, 0): 34})
-    assert shifted == circleish
-    assert curve_multiplicity_at(circleish, (3, 5)) == 2
-    with pytest.raises(DomainError):
-        curve_multiplicity_at(BivariatePolynomial.zero(), (0, 0))
-
-
-def test_curve_multiplicity_bounded_by_degree():
-    rng = random.Random(66)
-    for _ in range(50):
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = rng.randint(-5, 5)
-        poly = BivariatePolynomial(terms)
-        if poly.is_zero:
-            continue
-        point = (rng.randint(-2, 2), rng.randint(-2, 2))
-        mult = curve_multiplicity_at(poly, point)
-        assert 0 <= mult <= poly.total_degree()
-        # equality exactly when the translate is homogeneous
-        shifted = poly.translate(point[0], point[1])
-        homogeneous = shifted.min_total_degree() == shifted.total_degree()
-        assert (mult == poly.total_degree()) == homogeneous
