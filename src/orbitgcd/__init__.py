@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (BudgetExceededError, DomainError, HypothesisViolationError,
                      IndeterminateError, OrbitgcdError, PartialFactorizationError)
-from .exact import (Factorization, LogValue, Place, Rational, factor, is_prime,
+from .exact import (Factorization, LogValue, Place, factor, is_prime,
                     next_prime, v_plus, valuation)
 from .polys import (Polynomial, max_multiplicity, multiplicity_at, poly_gcd,
                     radical, squarefree_decomposition)

@@ -26,10 +26,6 @@ class BivariatePolynomial:
                 cleaned[(int(i), int(j))] = c
         self.terms = cleaned
 
-    @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls({})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -250,16 +250,16 @@ def commutes(h: Polynomial, f: Polynomial, k_max: int,
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     h, f = RationalMap(h), RationalMap(f)
-    fk = f
+    # f^k and f^k o h, each built with f as the outer map: compose costs
+    # grow with the outer degree, which f^k would make d^k
+    fk, fkh = RationalMap([0, 1]), h
     for k in range(1, k_max + 1):
-        if fk.degree * h.degree > degree_budget:
-            raise BudgetExceededError(
-                f"symbolic degree {fk.degree * h.degree} exceeds budget at k={k}"
-            )
-        if compose(h, fk) == compose(fk, h):
+        degree = fk.degree * f.degree * h.degree
+        if degree > degree_budget:
+            raise BudgetExceededError(f"symbolic degree {degree} exceeds budget at k={k}")
+        fk, fkh = compose(f, fk), compose(f, fkh)
+        if compose(h, fk) == fkh:
             return k
-        if k < k_max:
-            fk = compose(fk, f)
     return None
 
 

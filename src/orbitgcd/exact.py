@@ -42,8 +42,6 @@ from itertools import compress
 from . import _gmp
 from .errors import DomainError, PartialFactorizationError
 
-Rational = Fraction
-
 ARCH_PREC = 128                   # bits carried by archimedean parts
 # total rho iterations allowed per factor() call; rho finds every prime
 # factor above 2^10, a prime p in about sqrt(p) iterations
@@ -254,9 +252,8 @@ class Factorization:
 
 
 def _pollard_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
-    """Return (factor, iterations_used); factor == n signals failure."""
-    if n % 2 == 0:
-        return 2, 0
+    """Return (factor, iterations_used) for an odd composite n; factor == n
+    signals failure."""
     used = 0
     while used < budget:
         y = rng.randrange(1, n)

@@ -22,12 +22,15 @@ import json
 import os
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__, _gmp
 from .errors import DomainError
-from .experiments import GcdSeriesConfig, GcdSeriesReport
 from .maps import DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap, digit_count
 from .polys import Polynomial
+
+if TYPE_CHECKING:     # annotations only: no import of experiments at run time
+    from .experiments import GcdSeriesConfig, GcdSeriesReport, GcdSeriesRow
 
 JSON_ELIDE_DIGITS = 10**6
 CSV_ELIDE_DIGITS = 10**4
@@ -257,28 +260,27 @@ def _int_field(value: int | None, threshold: int) -> object:
     return int_to_str(value)
 
 
+CSV_HEADER = ["n", "digits_f", "digits_g", "gcd", "log_gcd", "ratio",
+              "hgcd_fin", "hgcd_S", "flags"]
+
+
+def _row_dict(row: GcdSeriesRow, gcd_digit_threshold: int) -> dict:
+    """A gcd-series row keyed by ``CSV_HEADER``, its gcd as :func:`_int_field`
+    writes it."""
+    return dict(zip(CSV_HEADER, (
+        row.n, row.digits_f, row.digits_g, _int_field(row.gcd, gcd_digit_threshold),
+        row.log_gcd, row.ratio, row.hgcd_fin, row.hgcd_excluded, list(row.flags))))
+
+
 def report_to_dict(report: GcdSeriesReport, manifest: dict,
                    gcd_digit_threshold: int = JSON_ELIDE_DIGITS) -> dict:
-    rows = []
-    for row in report.rows:
-        rows.append({
-            "n": row.n,
-            "digits_f": row.digits_f,
-            "digits_g": row.digits_g,
-            "gcd": _int_field(row.gcd, gcd_digit_threshold),
-            "log_gcd": row.log_gcd,
-            "ratio": row.ratio,
-            "hgcd_fin": row.hgcd_fin,
-            "hgcd_S": row.hgcd_excluded,
-            "flags": list(row.flags),
-        })
     return {
         "manifest": manifest,
         "degree": report.degree,
         "truncated": report.truncated,
         "last_n": report.last_n,
         "ratio_summary": report.ratio_summary,
-        "rows": rows,
+        "rows": [_row_dict(row, gcd_digit_threshold) for row in report.rows],
     }
 
 
@@ -287,34 +289,20 @@ def report_to_json(report: GcdSeriesReport, manifest: dict) -> str:
                       sort_keys=False) + "\n"
 
 
-CSV_HEADER = ["n", "digits_f", "digits_g", "gcd", "log_gcd", "ratio",
-              "hgcd_fin", "hgcd_S", "flags"]
-
-
 def report_to_csv(report: GcdSeriesReport,
                   gcd_digit_threshold: int = CSV_ELIDE_DIGITS) -> str:
+    """The rows of :func:`report_to_dict` under a ``CSV_HEADER`` line: a
+    missing value is an empty cell, flags are joined by ";", and an elided
+    gcd is the cell ``elided:digits=...:log=...``."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    writer = csv.DictWriter(buf, CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
     for row in report.rows:
-        gcd_field = ""
-        if row.gcd is not None:
-            digits = digit_count(row.gcd)
-            if digits >= gcd_digit_threshold:
-                gcd_field = f"elided:digits={digits}:log={row.log_gcd}"
-            else:
-                gcd_field = int_to_str(row.gcd)
-        writer.writerow([
-            row.n,
-            "" if row.digits_f is None else row.digits_f,
-            "" if row.digits_g is None else row.digits_g,
-            gcd_field,
-            "" if row.log_gcd is None else repr(row.log_gcd),
-            "" if row.ratio is None else repr(row.ratio),
-            "" if row.hgcd_fin is None else repr(row.hgcd_fin),
-            "" if row.hgcd_excluded is None else repr(row.hgcd_excluded),
-            ";".join(row.flags),
-        ])
+        cells = _row_dict(row, gcd_digit_threshold)
+        if isinstance(cells["gcd"], dict):
+            cells["gcd"] = f"elided:digits={cells['gcd']['digits']}:log={row.log_gcd}"
+        cells["flags"] = ";".join(row.flags)
+        writer.writerow(cells)
     return buf.getvalue()
 
 

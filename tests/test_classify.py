@@ -16,8 +16,9 @@ from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
 from orbitgcd.errors import BudgetExceededError, DomainError, IndeterminateError
 from orbitgcd.exact import next_prime
 from orbitgcd.linalg import kernel_modp, rational_reconstruct
-from orbitgcd.maps import (DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint, RationalMap,
-                           conjugate, evaluate, fiber_polynomial, iterate, self_compose)
+from orbitgcd.maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY,
+                           ProjPoint, RationalMap, compose, conjugate, evaluate,
+                           fiber_polynomial, iterate, self_compose)
 from orbitgcd.polys import Polynomial, multiplicity_at, primitive
 
 X2 = RationalMap([0, 0, 1])
@@ -278,6 +279,47 @@ def test_commutes_examples():
                  degree_budget=100)
 
 
+def reference_commutes(h, f, k_max, degree_budget=DEFAULT_DEGREE_BUDGET):
+    """commutes with f^k grown as f^(k-1) o f and compared against f^k o h:
+    the same identities, with f^k as the outer map."""
+    h, f = RationalMap(h), RationalMap(f)
+    fk = f
+    for k in range(1, k_max + 1):
+        if fk.degree * h.degree > degree_budget:
+            raise BudgetExceededError(
+                f"symbolic degree {fk.degree * h.degree} exceeds budget at k={k}")
+        if compose(h, fk) == compose(fk, h):
+            return k
+        if k < k_max:
+            fk = compose(fk, f)
+    return None
+
+
+def test_commutes_matches_reference_order():
+    rng = random.Random(29)
+
+    def rand_poly(degree):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(degree)]
+        return Polynomial(coeffs + [rng.choice([-2, -1, 1, 2])])
+
+    pairs = [(rand_poly(rng.randint(1, 3)), rand_poly(2)) for _ in range(12)]
+    pairs += [(Polynomial([0, -1]), rand_poly(3)),                  # -x, random cubic
+              (Polynomial([0, -1]), Polynomial([0, 2, 0, -1])),     # -x, an odd cubic
+              (Polynomial([0, 0, 1]), Polynomial([0, 0, 0, -1])),   # x^2, -x^3: k = 2
+              (chebyshev_polynomial(3), chebyshev_polynomial(2)),
+              (Polynomial([1, 0, 1]), Polynomial([2, 0, 1]))]
+    f = rand_poly(2)
+    pairs.append((Polynomial(self_compose(RationalMap(f), 2).num.coeffs), f))   # f^2, f
+    answers = set()
+    for h, f in pairs:
+        k_max = 6 if f.degree == 2 else 4
+        for budget in (DEFAULT_DEGREE_BUDGET, 50):
+            want = _outcome(reference_commutes, h, f, k_max, budget)
+            assert _outcome(commutes, h, f, k_max, budget) == want, (h, f, budget)
+            answers.add(want if want is None or isinstance(want, int) else want[0])
+    assert {None, 1, 2, BudgetExceededError} <= answers
+
+
 def test_probe_detects_odd_symmetry_relation():
     rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=7)
     assert rel is not None
@@ -458,6 +500,9 @@ def _probe_sweep():
         cases.append(((X2, X2, 125, 25, 3, 12), {"seed": 3, "digit_budget": budget}, None))
     cases.append(((X2, X2, 2, 4, 2, 10), {"seed": 5}, None))      # y = x^2
     cases.append(((X2, X2, 2, 4, 0, 10), {"seed": 5}, None))      # deg_max < 1
+    # 1/(x^2 - 1) takes 0 to -1 to oo to 0: every screening walk reaches oo
+    # modulo its primes, so the probe falls back to the n_usable window
+    cases.append(((RationalMap([1], [-1, 0, 1]), X2P1, 0, 1, 1, 2), {"seed": 0}, None))
     return cases
 
 
@@ -478,7 +523,7 @@ def test_probe_matches_reference_probe():
         assert got == want, (args, kwargs)
         matched += 1
         outcomes.add(want if want is None or isinstance(want, tuple) else "relation")
-    assert matched == 55
+    assert matched == 56
     # the sweep reaches relations, None and both raised errors
     assert {None, "relation"} <= outcomes
     assert {o[0] for o in outcomes if isinstance(o, tuple)} == {BudgetExceededError,

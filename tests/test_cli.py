@@ -221,6 +221,18 @@ def test_cli_hgcd_decimal(capsys):
     assert json.loads(out)["hgcd"]["finite"] == {}
 
 
+def test_cli_hgcd_fin_drops_the_archimedean_part(capsys):
+    # 5/12 and 10/21 are both near 0: log 5 at the finite places, and
+    # log min(12/5, 21/10) = log(21/10) at the archimedean place
+    code, out, _ = run_cli(capsys, ["hgcd", "-x", "5/12", "-y", "10/21", "--fin"])
+    assert code == 0
+    payload = json.loads(out)["hgcd"]
+    assert payload["arch"] == 0.0 and payload["finite"] == {"5": "1"}
+    code, out, _ = run_cli(capsys, ["hgcd", "-x", "5/12", "-y", "10/21"])
+    payload = json.loads(out)["hgcd"]
+    assert abs(payload["arch"] - 0.7419373447) < 1e-9 and payload["finite"] == {"5": "1"}
+
+
 def test_cli_gcd_series_and_round_trip(capsys, map_file, tmp_path):
     x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
     out_path = str(tmp_path / "report.json")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -100,12 +101,45 @@ def test_ample_iff_n_greater_than_s_exhaustive():
         for n in range(1, 13):
             report = is_ample_lemmaAG(BlowupSurface(s), n)
             assert report.ample == (n > s), (s, n)
-            if n < s and report.witness["check"] == "curve":
-                # type_sum is the least t >= 2 with a negative value
-                t = report.witness["type_sum"]
-                value = [k * (1 - Fraction(s, n)) + Fraction(s, n) for k in (t - 1, t)]
-                assert t >= 2 and value[1] == report.witness["value"] < 0, (s, n)
-                assert t == 2 or value[0] >= 0, (s, n)
+            if 0 < s < n:
+                assert report.witness == {"check": "exceptional", "value": Fraction(1, n),
+                                          "index": "any"}, (s, n)
+            else:
+                # the ruling line through all s points
+                assert report.witness == {"check": "curve", "type_sum": 1, "mu_sum": s,
+                                          "value": 1 - Fraction(s, n)}, (s, n)
+
+
+def test_ample_witness_is_the_ruling_line_through_the_points():
+    # with the s points on one ruling line, its strict transform has class
+    # (1, 0; 1, ..., 1) and pairs with A to the reported value
+    for s in range(0, 13):
+        surf = BlowupSurface(s)
+        for n in range(1, s + 1):
+            report = is_ample_lemmaAG(surf, n)
+            line = strict_transform_class(surf, 1, 0, [1] * s)
+            assert report.witness["value"] == intersect(surf, perturbed_ample(surf, n), line)
+            assert report.witness["value"] <= 0, (s, n)
+
+
+def test_ample_witness_is_the_least_pairing():
+    # every irreducible curve: the exceptional curves, ruling lines through
+    # some of the points, and type-(a, b) curves with a, b >= 1 and each
+    # multiplicity at most min(a, b); none pairs with A below the witness
+    for s in range(0, 5):
+        surf = BlowupSurface(s)
+        curves = [exceptional_class(surf, i) for i in range(s)]
+        for a, b in product(range(7), repeat=2):
+            top = 1 if a + b == 1 else min(a, b)
+            for mults in combinations_with_replacement(range(top + 1), s):
+                if a + b:
+                    curves.append(strict_transform_class(surf, a, b, mults))
+        for n in range(s + 1, s + 4):
+            a_tilde = perturbed_ample(surf, n)
+            report = is_ample_lemmaAG(surf, n)
+            least = min(intersect(surf, a_tilde, c) for c in curves)
+            assert least == report.witness["value"] > 0, (s, n)
+            assert intersect(surf, a_tilde, a_tilde) > report.witness["value"]
 
 
 def test_ample_witness_reports_minimizing_case():
