@@ -226,9 +226,10 @@ class DepthCertificate:
         return lhs < self.bound
 
 
-# Cap on the decimal digits of the two critical portraits.  Their
-# coordinates grow by a factor of about d per depth, and one more step
-# costs about d^2 times the last, so the cap bounds the next step too.
+# Cap on the decimal digits of the two critical portraits, counting only
+# the classes still walked (settled ones are dropped).  Their coordinates
+# grow by a factor of about d per depth, and one more step costs about
+# d^2 times the last, so the cap bounds the next step too.
 _PORTRAIT_DIGIT_CAP = 100_000
 
 
@@ -240,6 +241,10 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    return trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
 def _form_at(cs, x: list[int], y: list[int]) -> list[int]:
     # sum cs[i] x^i y^(k-i) in Z[t], k = len(cs) - 1, by Horner's rule
     acc, ypow = [cs[-1]], [1]
@@ -249,10 +254,59 @@ def _form_at(cs, x: list[int], y: list[int]) -> list[int]:
     return trim(acc)
 
 
+def _class_norm(p: list[int], x: list[int], y: list[int]) -> list[int]:
+    """N(z) = Res_t(P, z Y - X) up to sign, for monic P: the integer
+    polynomial whose roots are the class's points X/Y, as the fraction-free
+    (Bareiss) determinant of z M_Y - M_X over Z[z], with M_X and M_Y the
+    matrices of multiplication by X and Y in Z[t]/(P)."""
+    n = len(p) - 1
+
+    def columns(v):
+        cols = []
+        for _ in range(n):
+            v = v + [0] * (n - len(v))
+            cols.append(v)
+            v = [0] + v       # times t, then reduced by the monic P
+            v = [c - v[n] * q for c, q in zip(v[:n], p)]
+        return cols
+    m = [[trim([-u, w]) for u, w in zip(cx, cy)]
+         for cx, cy in zip(columns(x), columns(y))]
+    prev = [1]
+    for k in range(n - 1):
+        pivot = next(i for i in range(k, n) if m[i][k])   # N != 0: X, Y share no root of P
+        m[k], m[pivot] = m[pivot], m[k]
+        for i in range(k + 1, n):
+            m[i] = m[i][:k + 1] + [
+                exact_div(_sub(_mul(m[k][k], m[i][j]), _mul(m[i][k], m[k][j])), prev)
+                for j in range(k + 1, n)]
+        prev = m[k][k]
+    return m[n - 1][n - 1]
+
+
+def _escape_radius(f: RationalMap, target: Fraction) -> Fraction | None:
+    """R with |z| > R => |f(z)| > |z| > R >= |target|, for a polynomial map
+    f = (a_0 + ... + a_d x^d)/c: R = max(1, |target|, (|a_0| + ... +
+    |a_(d-1)| + |c|)/|a_d|); None for a map that is not a polynomial."""
+    if not f.is_polynomial:
+        return None
+    a, c = f.forms[0], f.forms[1][0]
+    return max(Fraction(1), abs(target),
+               Fraction(sum(map(abs, a[:-1])) + abs(c), abs(a[-1])))
+
+
+def _beyond(norm: list[int], radius: Fraction) -> bool:
+    # |n_0| > sum_k |n_k| R^k: no root of N in the closed disc |z| <= R
+    u, v = radius.numerator, radius.denominator
+    k = len(norm) - 1
+    return bool(norm) and abs(norm[0]) * v**k > sum(
+        abs(c) * u**i * v**(k - i) for i, c in enumerate(norm) if i)
+
+
 def _critical_walk(f: RationalMap, target: Fraction):
     """Yield (M'_D, bits) for D = 1, 2, ...: the largest ramification index
-    over the fiber f^-D(target), and the total bit length of the critical
-    portrait's coordinates at depth D.
+    over the fiber f^-D(target), and the total bit length of the
+    coordinates of the critical classes still walked at depth D (0 once
+    every class has settled).
 
     Ramification indices multiply along orbits and only critical points
     have e > 1 (Silverman, The Arithmetic of Dynamical Systems), so M'_D is
@@ -265,45 +319,72 @@ def _critical_walk(f: RationalMap, target: Fraction):
     Della Dora, Dicrescenzo and Duval 1985), so no factorization and no
     polynomial of degree d^D is needed.
 
+    A class that can never meet the target again is dropped, which leaves
+    every M'_D as it was:
+
+    - cycle: its point equals, exactly (X Y' - X' Y = 0 mod P), its point
+      at a checkpoint, with no hit since.  Checkpoints are taken 1, 2, 4,
+      8, ... steps after the class was made or last split (Brent, BIT 20,
+      1980); meeting a critical class as a whole keeps them;
+    - escape, for a polynomial map f = (a_0 + ... + a_d x^d)/c: with
+      R = max(1, |target|, (|a_0| + ... + |a_(d-1)| + |c|)/|a_d|),
+      |a_d| |z| > sum_(k<d) |a_k| + |c| gives |f(z)| > |z| for |z| > R, so
+      an orbit past R never returns to the target.  Every point of the
+      class is past R when its norm N(z) = Res_t(P(t), z Y(t) - X(t))
+      has |n_0| > sum_(k>=1) |n_k| R^k; for a class of degree 1 that is
+      |X| > R |Y|.
+
     >>> walk = _critical_walk(RationalMap([-1, 0, 1]), Fraction(0))
     >>> [m for m, _ in (next(walk) for _ in range(6))]     # x^2 - 1 at 0
     [1, 2, 2, 4, 4, 8]
     """
     a, b = f.forms
-    wronskian = trim([p - q for p, q in zip(_mul(_derivative(a), b),
-                                            _mul(a, _derivative(b)))])
+    wronskian = _sub(_mul(_derivative(a), b), _mul(a, _derivative(b)))
     critical = [(q, k + 1) for q, k in _yun(wronskian)]
-    classes = []
+    classes = []    # (P, X, Y, product of e, steps since made or split, checkpoint)
     for q, e in critical:
         # monic, so that reducing mod P never scales X and Y apart
         n, lc = len(q) - 1, q[-1]
         monic = [c * lc ** (n - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-        classes.append((monic, _pseudo_rem([0, 1], monic), [lc], e))
+        classes.append((monic, _pseudo_rem([0, 1], monic), [lc], e, 0, None))
     e_inf = 2 * f.degree - len(wronskian)      # 2d - 1 - deg W
     if e_inf > 1:
         critical.append(((1, 0), e_inf))        # the form Y vanishes at infinity
-        classes.append(([0, 1], [1], [], e_inf))
+        classes.append(([0, 1], [1], [], e_inf, 0, None))
     hit_form = (-target.numerator, target.denominator)     # v X - u Y for u/v
+    radius = _escape_radius(f, target)
     best = 1
     while True:
         stepped = []
-        for p, x, y, prod in classes:
+        for p, x, y, prod, age, mark in classes:
             x, y = _pseudo_rem(_form_at(a, x, y), p), _pseudo_rem(_form_at(b, x, y), p)
             g = math.gcd(*x, *y)
             x, y = [c // g for c in x], [c // g for c in y]
             if len(primitive_gcd(p, _form_at(hit_form, x, y))) > 1:
-                best = max(best, prod)
-            rest = p
+                best, mark = max(best, prod), None    # a checkpoint before a hit proves nothing
+            elif mark and not _pseudo_rem(_sub(_mul(x, mark[1]), _mul(mark[0], y)), p):
+                continue
+            age += 1
+            if age & (age - 1) == 0:
+                mark = (x, y)
+            if radius is not None and _beyond(_class_norm(p, x, y), radius):
+                continue
+            rest, pieces = p, []
             for q, e in critical:
                 h = primitive_gcd(rest, _form_at(q, x, y))
                 if len(h) > 1:
                     h = h if h[-1] > 0 else [-c for c in h]
                     rest = exact_div(rest, h)
-                    stepped.append((h, _pseudo_rem(x, h), _pseudo_rem(y, h), prod * e))
+                    pieces.append((h, prod * e))
             if len(rest) > 1:
-                stepped.append((rest, _pseudo_rem(x, rest), _pseudo_rem(y, rest), prod))
+                pieces.append((rest, prod))
+            if len(pieces) == 1:    # met as a whole: P is unchanged
+                stepped.append((p, x, y, pieces[0][1], age, mark))
+                continue
+            stepped.extend((h, _pseudo_rem(x, h), _pseudo_rem(y, h), e, 0, None)
+                           for h, e in pieces)
         classes = stepped
-        yield best, sum(c.bit_length() for _, x, y, _ in classes for c in x + y)
+        yield best, sum(c.bit_length() for _, x, y, *_ in classes for c in x + y)
 
 
 def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
@@ -318,7 +399,9 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     2 (C_f + C_g)/(d - 1).  Exceptional alpha or beta violate the
     hypothesis that makes the selector converge and are rejected up front.
     The search stops with :class:`BudgetExceededError` at ``depth_max`` or
-    when the critical portraits pass a fixed digit cap.
+    when the critical classes still walked pass a fixed digit cap; once
+    every class has settled, M' is final and the error says from which
+    depth.
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("need equal degrees >= 2")
@@ -344,6 +427,7 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     factor_heights = (4 * float(ha.value + ha.error_bound)
                       + 4 * float(hb.value + hb.error_bound) + c_aggregate)
     walks = zip(_critical_walk(f, alpha), _critical_walk(g, beta))
+    settled = None      # the depth from which no critical class is walked
     for depth, ((m_f, bits_f), (m_g, bits_g)) in zip(range(1, depth_max + 1), walks):
         m_prime = max(m_f, m_g)
         lhs = m_prime / d**depth * factor_heights
@@ -354,13 +438,19 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
                 hhat_g_b=float(hb.value), hhat_g_b_error=float(hb.error_bound),
                 constant=c_aggregate, lhs=lhs,
             )
-        digits = int((bits_f + bits_g) * _LOG10_2) + 1
+        bits = bits_f + bits_g
+        if not bits:
+            settled = settled or depth
+        digits = int(bits * _LOG10_2) + 1 if bits else 0
         if digits > _PORTRAIT_DIGIT_CAP:
             break
+    spent = (f"every critical class settled by depth {settled}, so M' = {m_prime} at "
+             f"every depth (depth_max {depth_max})" if settled else
+             f"the critical portraits reached {digits} digits (cap {_PORTRAIT_DIGIT_CAP}, "
+             f"depth_max {depth_max})")
     raise BudgetExceededError(
         f"no depth up to {depth} satisfies the inequality: M' = {m_prime} gives "
-        f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; the critical portraits reached "
-        f"{digits} digits (cap {_PORTRAIT_DIGIT_CAP}, depth_max {depth_max})",
+        f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; {spent}",
         digits=digits, steps=depth,
     )
 

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd import _gmp, experiments, heights, maps
+from orbitgcd.classify import is_exceptional
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
-                                  _critical_walk, ap_structure, choose_depth,
+                                  _critical_walk, _form_at, _mul, ap_structure, choose_depth,
                                   gcd_series, inversion_deviation_bound,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
@@ -20,7 +21,8 @@ from orbitgcd.heights import PlaceSet, discrepancy_bound
 from orbitgcd.linalg import solve_fraction
 from orbitgcd.maps import (ProjPoint, RationalMap, evaluate, fiber_polynomial, map_resultant,
                            self_compose)
-from orbitgcd.polys import Polynomial, max_multiplicity
+from orbitgcd.polys import (Polynomial, _derivative, _pseudo_rem, _yun, exact_div,
+                            max_multiplicity, primitive_gcd, trim)
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -243,17 +245,50 @@ def test_choose_depth_budget_error():
 
 
 def test_choose_depth_budget_error_says_what_was_spent():
-    # x^3 + 1, x^3 + x - 1 at epsilon 1e-6 needs D >= 17; the critical
-    # portraits pass the digit cap first
+    # x^3 + 1, x^3 + x - 1 at epsilon 1e-6 needs D = 17; every critical class
+    # has settled by depth 3 (cycles and escaped orbits), so the walk reaches
+    # depth_max with an empty portrait and the error says M' is final
     with pytest.raises(BudgetExceededError) as info:
         choose_depth(RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]),
                      1, 2, 1, 1, 1e-6)
     err = info.value
+    assert err.steps == 16 and err.digits == 0
+    message = str(err)
+    assert "no depth up to 16 " in message
+    assert "M' = 3" in message and "epsilon/2 = 5e-07" in message
+    assert "every critical class settled by depth 3" in message
+    assert "depth_max 16" in message
+
+
+def test_choose_depth_budget_error_at_the_digit_cap():
+    # (x^3 + 2)/x, (x^3 - 1)/x: rational maps whose critical classes neither
+    # cycle nor escape by a polynomial's radius, so the portraits pass the
+    # digit cap before depth_max
+    with pytest.raises(BudgetExceededError) as info:
+        choose_depth(RationalMap([2, 0, 0, 1], [0, 1]), RationalMap([-1, 0, 0, 1], [0, 1]),
+                     1, 2, 1, 1, 1e-12)
+    err = info.value
     assert 1 <= err.steps < 16 and err.digits > experiments._PORTRAIT_DIGIT_CAP
     message = str(err)
-    assert f"no depth up to {err.steps} " in message
-    assert "M' = 3" in message and "epsilon/2 = 5e-07" in message
-    assert f"{err.digits} digits" in message
+    assert f"no depth up to {err.steps} " in message and "M' = 1" in message
+    assert f"{err.digits} digits (cap {experiments._PORTRAIT_DIGIT_CAP}, depth_max 16)" in message
+
+
+def test_choose_depth_cubic_pair_answers_once_its_portrait_settles():
+    # x^3 + 1, x^3 + x - 1 at 1e-4: every critical class settles by depth 3,
+    # so the portrait stays far below the digit cap up to D = 12
+    cert = choose_depth(RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]),
+                        1, 2, 1, 1, 1e-4)
+    assert (cert.depth, cert.m_prime) == (12, 3)
+    assert cert.replay()
+
+
+def test_choose_depth_quadratic_pair_needs_more_than_depth_max():
+    # x^2 + 1, x^2 - 1 at 1e-4 needs D = 19: M' = 2 is final from depth 4
+    with pytest.raises(BudgetExceededError) as info:
+        choose_depth(X2P1, X2M1, 1, 2, 1, 1, 1e-4)
+    assert info.value.steps == 16
+    assert "M' = 2" in str(info.value) and "depth_max 16" in str(info.value)
 
 
 @pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan])
@@ -427,6 +462,140 @@ def test_critical_walk_matches_sympy_sqf_list(num, den, alpha, depth):
         affine = max((e for h, e in factors if h.degree() > 0), default=1)
         expected.append(max(affine, f.degree**D - sympy.degree(top, x)))
     assert walk_m_primes(f, alpha, depth) == expected
+
+
+# --- settling critical classes: the walk against a walk that drops none ---
+
+
+def reference_critical_walk(f, target):
+    """The critical walk without its drop rules: every class is walked at
+    every depth.  Yields M'_D and the portrait's bit length."""
+    a, b = f.forms
+    wronskian = trim([p - q for p, q in zip(_mul(_derivative(a), b),
+                                            _mul(a, _derivative(b)))])
+    critical = [(q, k + 1) for q, k in _yun(wronskian)]
+    classes = []
+    for q, e in critical:
+        n, lc = len(q) - 1, q[-1]
+        monic = [c * lc ** (n - 1 - i) for i, c in enumerate(q[:-1])] + [1]
+        classes.append((monic, _pseudo_rem([0, 1], monic), [lc], e))
+    e_inf = 2 * f.degree - len(wronskian)
+    if e_inf > 1:
+        critical.append(((1, 0), e_inf))
+        classes.append(([0, 1], [1], [], e_inf))
+    hit_form = (-target.numerator, target.denominator)
+    best = 1
+    while True:
+        stepped = []
+        for p, x, y, prod in classes:
+            x, y = _pseudo_rem(_form_at(a, x, y), p), _pseudo_rem(_form_at(b, x, y), p)
+            g = math.gcd(*x, *y)
+            x, y = [c // g for c in x], [c // g for c in y]
+            if len(primitive_gcd(p, _form_at(hit_form, x, y))) > 1:
+                best = max(best, prod)
+            rest = p
+            for q, e in critical:
+                h = primitive_gcd(rest, _form_at(q, x, y))
+                if len(h) > 1:
+                    h = h if h[-1] > 0 else [-c for c in h]
+                    rest = exact_div(rest, h)
+                    stepped.append((h, _pseudo_rem(x, h), _pseudo_rem(y, h), prod * e))
+            if len(rest) > 1:
+                stepped.append((rest, _pseudo_rem(x, rest), _pseudo_rem(y, rest), prod))
+        classes = stepped
+        yield best, sum(c.bit_length() for _, x, y, _ in classes for c in x + y)
+
+
+def assert_walks_agree(f, alpha, depth=12, max_bits=math.inf):
+    """M'_D of the settling walk and of the reference agree for D <= depth,
+    or until the reference's portrait passes max_bits; returns the last D."""
+    alpha = Fraction(alpha)
+    for D, ((m, _), (m_ref, bits)) in enumerate(
+            zip(_critical_walk(f, alpha), reference_critical_walk(f, alpha)), 1):
+        assert m == m_ref, (f, alpha, D)
+        if D == depth or bits > max_bits:
+            return D
+
+
+SMALL_C = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@st.composite
+def unicritical_targets(draw):
+    """(x^d + c, alpha) for d = 2, 3, |c| <= 5, with alpha a point of the
+    critical orbit 0, c, f(c), ... or a small rational."""
+    d, c = draw(st.sampled_from((2, 3))), draw(SMALL_C)
+    f = RationalMap([c] + [0] * (d - 1) + [1])
+    point = ProjPoint(0)
+    for _ in range(draw(st.integers(1, 3))):
+        point = evaluate(f, point)
+    alpha = draw(st.one_of(st.just(point.value), SMALL_C))
+    assume(not is_exceptional(f, alpha))
+    return f, alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(unicritical_targets())
+def test_settling_walk_matches_the_reference_unicritical(case):
+    assert_walks_agree(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(SMALL, min_size=3, max_size=4), st.lists(SMALL, min_size=1, max_size=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=2))
+def test_settling_walk_matches_the_reference_rational(num, den, alpha):
+    try:
+        f = RationalMap(num, den)
+    except DomainError:
+        assume(False)
+    assume(f.degree in (2, 3) and not is_exceptional(f, alpha))
+    # classes of a rational map do not escape, and their coordinates grow
+    # about d-fold per step: the reference stops at 2^14 bits (depth 6 to 12)
+    assert_walks_agree(f, alpha, max_bits=1 << 14)
+
+
+@pytest.mark.parametrize("f", [X2P1, X2M1, RationalMap([1, 0, 0, 1]),
+                               RationalMap([-1, 1, 0, 1]), RationalMap([-3, 0, 1], [0, 2])])
+def test_critical_walk_settles_the_benchmark_maps(f):
+    # at target 1: x^2 + 1 and x^3 + 1 escape after hitting it, x^2 - 1 and
+    # (x^2 - 3)/2x end in cycles, the classes of x^3 + x - 1 escape
+    walk = _critical_walk(f, Fraction(1))
+    bits = [next(walk)[1] for _ in range(12)]
+    assert bits[0] > 0 and bits[3:] == [0] * 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=3, max_size=4).filter(lambda a: a[-1]),
+       st.integers(1, 5), st.fractions(-3, 3, max_denominator=3),
+       st.fractions(0, 1, max_denominator=8).filter(bool),
+       st.sampled_from([(1, 0), (-1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5))]))
+def test_escape_radius_pushes_every_point_outward(a, c, alpha, excess, unit):
+    # |f(z)| > |z| at z = (R + excess) u for a unit u of Q(i): |F(z)| > |c| |z|
+    f = RationalMap(a, [c])
+    num, (den, *_) = f.forms
+    r = experiments._escape_radius(f, alpha) + excess
+    assert r > abs(alpha)
+    z = (r * unit[0], r * unit[1])
+    w = (0, 0)
+    for coeff in reversed(num):     # Horner's rule in Q(i)
+        w = (w[0] * z[0] - w[1] * z[1] + coeff, w[0] * z[1] + w[1] * z[0])
+    assert w[0] ** 2 + w[1] ** 2 > (den * r) ** 2
+
+
+def test_class_norm_is_the_resultant():
+    sympy = pytest.importorskip("sympy")
+    t, z = sympy.symbols("t z")
+    rng = random.Random(28)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        p = [rng.randint(-5, 5) for _ in range(n)] + [1]
+        x, y = ([rng.randint(-9, 9) for _ in range(n)] for _ in range(2))
+        expected = sympy.Poly(sympy.resultant(
+            sympy.Poly(list(reversed(p)), t).as_expr(),
+            z * sympy.Poly(list(reversed(y)), t).as_expr()
+            - sympy.Poly(list(reversed(x)), t).as_expr(), t), z)
+        norm = [int(c) for c in reversed(expected.all_coeffs())]
+        assert experiments._class_norm(p, trim(x), trim(y)) in (norm, [-c for c in norm])
 
 
 def test_large_index_set_examples():
