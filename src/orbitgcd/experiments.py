@@ -226,10 +226,10 @@ class DepthCertificate:
         return lhs < self.bound
 
 
-# Cap on the decimal digits of the two critical portraits, counting only
-# the classes still walked (settled ones are dropped).  Their coordinates
-# grow by a factor of about d per depth, and one more step costs about
-# d^2 times the last, so the cap bounds the next step too.
+# The depth selector's one budget: the decimal digits of the two critical
+# portraits, counting only classes still walked (a settled portrait has
+# none).  Coordinates grow about d-fold per depth and a step costs about d^2
+# times the last, so the cap bounds the next step too.
 _PORTRAIT_DIGIT_CAP = 100_000
 
 
@@ -388,7 +388,7 @@ def _critical_walk(f: RationalMap, target: Fraction):
 
 
 def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
-                 epsilon: float, depth_max: int = 16) -> DepthCertificate:
+                 epsilon: float) -> DepthCertificate:
     """Least depth D whose fiber multiplicities make
     M'/d^D * (4 hhat_f(a) + 4 hhat_g(b) + C) < epsilon/2.
 
@@ -398,17 +398,22 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     upper bounds, and C is the computable discrepancy aggregate
     2 (C_f + C_g)/(d - 1).  Exceptional alpha or beta violate the
     hypothesis that makes the selector converge and are rejected up front.
-    The search stops with :class:`BudgetExceededError` at ``depth_max`` or
-    when the critical classes still walked pass a fixed digit cap; once
-    every class has settled, M' is final and the error says from which
-    depth.
+
+    The search stops at that D, or with :class:`BudgetExceededError` when
+    the critical classes still walked pass a digit cap.  It needs no depth
+    bound, as M'_D/d^D -> 0 for a target that is not exceptional: a
+    critical point meets a chain x, ..., f^(D-1)(x) into the target at most
+    once unless it lies on a cycle through the target, so the classes the
+    walk drops (cycles that miss it, at a Brent checkpoint, and escapes)
+    leave M' bounded and then cost nothing; a cycle through it of period p
+    gains at most E = prod e < d^p per period, since by Riemann-Hurwitz at
+    most two points are totally ramified and a cycle of them would make
+    the target exceptional (Silverman, GTM 241).
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("need equal degrees >= 2")
-    if not 0 < epsilon < math.inf:
-        raise DomainError("epsilon must be finite and positive")
-    if depth_max < 1:
-        raise DomainError("depth_max must be >= 1")
+    if not 0 < epsilon / 2 < math.inf:    # 5e-324 halves to 0, which no lhs is below
+        raise DomainError("epsilon must be finite and positive, with epsilon/2 > 0")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if is_exceptional(f, alpha):
         raise HypothesisViolationError(
@@ -419,7 +424,7 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
             f"beta = {beta} is exceptional for the second map"
         )
     d = f.degree
-    tol = min(1e-8, epsilon / 100)
+    tol = max(min(1e-8, epsilon / 100), math.ulp(0.0))
     ha = canonical_height(f, a, tol)
     hb = canonical_height(g, b, tol)
     # each sum rounds once, to a float
@@ -427,8 +432,7 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     factor_heights = (4 * float(ha.value + ha.error_bound)
                       + 4 * float(hb.value + hb.error_bound) + c_aggregate)
     walks = zip(_critical_walk(f, alpha), _critical_walk(g, beta))
-    settled = None      # the depth from which no critical class is walked
-    for depth, ((m_f, bits_f), (m_g, bits_g)) in zip(range(1, depth_max + 1), walks):
+    for depth, ((m_f, bits_f), (m_g, bits_g)) in enumerate(walks, 1):
         m_prime = max(m_f, m_g)
         lhs = m_prime / d**depth * factor_heights
         if lhs < epsilon / 2:
@@ -438,21 +442,14 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
                 hhat_g_b=float(hb.value), hhat_g_b_error=float(hb.error_bound),
                 constant=c_aggregate, lhs=lhs,
             )
-        bits = bits_f + bits_g
-        if not bits:
-            settled = settled or depth
-        digits = int(bits * _LOG10_2) + 1 if bits else 0
+        digits = int((bits_f + bits_g) * _LOG10_2) + 1
         if digits > _PORTRAIT_DIGIT_CAP:
-            break
-    spent = (f"every critical class settled by depth {settled}, so M' = {m_prime} at "
-             f"every depth (depth_max {depth_max})" if settled else
-             f"the critical portraits reached {digits} digits (cap {_PORTRAIT_DIGIT_CAP}, "
-             f"depth_max {depth_max})")
-    raise BudgetExceededError(
-        f"no depth up to {depth} satisfies the inequality: M' = {m_prime} gives "
-        f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; {spent}",
-        digits=digits, steps=depth,
-    )
+            raise BudgetExceededError(
+                f"no depth up to {depth} satisfies the inequality: M' = {m_prime} gives "
+                f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; the critical portraits "
+                f"reached {digits} digits (cap {_PORTRAIT_DIGIT_CAP})",
+                digits=digits, steps=depth,
+            )
 
 
 # --- index sets and arithmetic-progression structure ---

@@ -36,12 +36,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 from .exact import (ARCH_PREC, LogValue, Place, Real, factor, int_gcd, int_mul,
                     is_prime, log_abs, log_fixed, valuation)
 from .maps import ProjPoint, RationalMap, bezout_record, map_resultant, orbit
 
-DEFAULT_MAX_HEIGHT_ITERATIONS = 10_000
 _PREPERIODIC_SCAN_LIMIT = 500
 
 
@@ -209,9 +208,26 @@ def _orbit_scan(f: RationalMap, point: ProjPoint, limit: int) -> tuple[str, int]
     return None
 
 
-def canonical_height(f: RationalMap, point, tol,
-                     max_iterations: int = DEFAULT_MAX_HEIGHT_ITERATIONS,
-                     ) -> HeightEstimate:
+def _tail_steps(f: RationalMap, tol: float) -> tuple[int, int]:
+    """The working precision and the step count N of canonical_height."""
+    d = f.degree
+    num, den = tol.as_integer_ratio()
+    # the bit length k of floor((d+1)/(d tol)) is the least k with
+    # 2^-k < tol - tol/(d+1), the room error_bound leaves beside the tail
+    prec = max(ARCH_PREC, 2 * ((d + 1) * den // (d * num)).bit_length())
+    # with C_f in units and tol = num/den, N is the least n with d^n >= q:
+    # a float estimate of log_d q, confirmed by exact tests at n and n - 1
+    c_f = log_fixed(_discrepancy_base(f), prec)
+    q = -(-c_f * (d + 1) * den // ((num * (d - 1)) << prec))
+    n_steps = math.ceil(math.log(q) / math.log(d))
+    while d**n_steps < q:
+        n_steps += 1
+    while n_steps and d ** (n_steps - 1) >= q:
+        n_steps -= 1
+    return prec, n_steps
+
+
+def canonical_height(f: RationalMap, point, tol) -> HeightEstimate:
     """Canonical height of a point under a degree >= 2 rational map.
 
     Returns h(f^N(P)) / d^N for the least N whose geometric tail bound
@@ -233,6 +249,10 @@ def canonical_height(f: RationalMap, point, tol,
     same rounding, and the same p-adic exponents exactly; iterations_used
     and error_bound still count all N.
 
+    N needs no budget: N <= log_d(C_f (d+1) / ((d-1) tol)) + 1, tol >= 2^-1074
+    and C_f grows with the log of the coefficients, so N stays near 1,100
+    at d = 2 for any map that fits in memory (1,077 for x^2 + 1 at 5e-324).
+
     >>> canonical_height(RationalMap([0, 0, 1]), 1, 1e-9).is_exact_zero
     True
     """
@@ -243,32 +263,13 @@ def canonical_height(f: RationalMap, point, tol,
     if not 0 < tol < math.inf:
         raise DomainError("tolerance must be finite and positive")
     point = ProjPoint.of(point)
-    num, den = tol.as_integer_ratio()
-    # the bit length k of floor((d+1)/(d tol)) is the least k with
-    # 2^-k < tol - tol/(d+1), the room error_bound leaves beside the tail
-    prec = max(ARCH_PREC, 2 * ((d + 1) * den // (d * num)).bit_length())
 
     # a cycle makes the height exactly 0; an escape or nothing goes on below
     scan = _orbit_scan(f, point, _PREPERIODIC_SCAN_LIMIT)
     if scan is not None and scan[0] == "cycle":
         return HeightEstimate(Real(0), Real(0), scan[1])
 
-    # the least n whose tail C_f / (d^n (d-1)) is within tol/(d+1), with
-    # C_f in units and tol = num/den, is the least n with d^n >= q: a float
-    # estimate of log_d q, confirmed by exact tests at n and n - 1
-    c_f = log_fixed(_discrepancy_base(f), prec)
-    q = -(-c_f * (d + 1) * den // ((num * (d - 1)) << prec))
-    n_steps = math.ceil(math.log(q) / math.log(d))
-    while d**n_steps < q:
-        n_steps += 1
-    while n_steps and d ** (n_steps - 1) >= q:
-        n_steps -= 1
-    if n_steps > max_iterations:
-        raise BudgetExceededError(
-            f"needed more than {max_iterations} iterations to reach "
-            f"tolerance {tol}", steps=max_iterations,
-        )
-
+    prec, n_steps = _tail_steps(f, tol)
     r0, s0 = point.pair()
     wide, scale = prec + 64, d**n_steps
     # the division by d^N leaves a log within d^N units within one unit
@@ -280,6 +281,7 @@ def canonical_height(f: RationalMap, point, tol,
             if gamma:
                 slog -= gamma * log_fixed(p, wide)
     # the tail tol/(d+1) rounded up, plus the rounding allowance
+    num, den = tol.as_integer_ratio()
     err = -(-(num << wide) // (den * (d + 1))) + (1 << (wide - prec // 2))
     return HeightEstimate(Real(slog // scale, 1 << wide), Real(err, 1 << wide), n_steps)
 

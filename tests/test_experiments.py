@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
@@ -238,40 +238,18 @@ def test_choose_depth_m_prime_at_depth_one():
     assert cert.depth == 1 and cert.m_prime == 1
 
 
-def test_choose_depth_budget_error():
-    with pytest.raises(BudgetExceededError) as info:
-        choose_depth(X2, X2, 3, 2, 1, 1, 0.1, depth_max=2)
-    assert info.value.steps == 2 and "depth_max 2" in str(info.value)
-
-
-def test_choose_depth_budget_error_says_what_was_spent():
-    # x^3 + 1, x^3 + x - 1 at epsilon 1e-6 needs D = 17; every critical class
-    # has settled by depth 3 (cycles and escaped orbits), so the walk reaches
-    # depth_max with an empty portrait and the error says M' is final
-    with pytest.raises(BudgetExceededError) as info:
-        choose_depth(RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]),
-                     1, 2, 1, 1, 1e-6)
-    err = info.value
-    assert err.steps == 16 and err.digits == 0
-    message = str(err)
-    assert "no depth up to 16 " in message
-    assert "M' = 3" in message and "epsilon/2 = 5e-07" in message
-    assert "every critical class settled by depth 3" in message
-    assert "depth_max 16" in message
-
-
 def test_choose_depth_budget_error_at_the_digit_cap():
     # (x^3 + 2)/x, (x^3 - 1)/x: rational maps whose critical classes neither
     # cycle nor escape by a polynomial's radius, so the portraits pass the
-    # digit cap before depth_max
+    # digit cap, the selector's one budget
     with pytest.raises(BudgetExceededError) as info:
         choose_depth(RationalMap([2, 0, 0, 1], [0, 1]), RationalMap([-1, 0, 0, 1], [0, 1]),
                      1, 2, 1, 1, 1e-12)
     err = info.value
-    assert 1 <= err.steps < 16 and err.digits > experiments._PORTRAIT_DIGIT_CAP
+    assert err.steps >= 1 and err.digits > experiments._PORTRAIT_DIGIT_CAP
     message = str(err)
     assert f"no depth up to {err.steps} " in message and "M' = 1" in message
-    assert f"{err.digits} digits (cap {experiments._PORTRAIT_DIGIT_CAP}, depth_max 16)" in message
+    assert message.endswith(f"reached {err.digits} digits (cap {experiments._PORTRAIT_DIGIT_CAP})")
 
 
 def test_choose_depth_cubic_pair_answers_once_its_portrait_settles():
@@ -283,16 +261,36 @@ def test_choose_depth_cubic_pair_answers_once_its_portrait_settles():
     assert cert.replay()
 
 
-def test_choose_depth_quadratic_pair_needs_more_than_depth_max():
-    # x^2 + 1, x^2 - 1 at 1e-4 needs D = 19: M' = 2 is final from depth 4
-    with pytest.raises(BudgetExceededError) as info:
-        choose_depth(X2P1, X2M1, 1, 2, 1, 1, 1e-4)
-    assert info.value.steps == 16
-    assert "M' = 2" in str(info.value) and "depth_max 16" in str(info.value)
+@pytest.mark.parametrize("f, g, a, b, target, epsilon, expected", [
+    (X2P1, X2M1, 1, 2, 1, 1e-4, (19, 2)),
+    (X2P1, X2M1, 1, 2, 1, 1e-5, (22, 2)),
+    (X2P1, X2M1, 1, 2, 1, 1e-6, (26, 2)),
+    (X2P1, X2M1, 1, 2, 1, 1e-322, (1075, 2)),
+    (X2P1, X2M1, 1, 2, 1, 1e-323, (1076, 2)),
+    (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 1, 2, 1, 1e-6, (17, 3)),
+    (X2M1, X2M1, 3, 2, 0, 1e-2, (23, 2048)),
+], ids=["quad-1e-4", "quad-1e-5", "quad-1e-6", "quad-1e-322", "quad-1e-323",
+        "cubic-1e-6", "critical-cycle-1e-2"])
+def test_choose_depth_answers_past_depth_16(f, g, a, b, target, epsilon, expected):
+    # the benchmark's polynomial pairs from 1 and 2 at alpha = beta = 1 settle
+    # by depth 4, so M' is final and only d^D grows; at the smallest epsilons
+    # the height tolerance epsilon/100 is clamped to the least float.  x^2 - 1
+    # at 0 lies on its critical cycle 0 -> -1 -> 0, a class never dropped,
+    # and M' doubles every second depth
+    cert = choose_depth(f, g, a, b, target, target, epsilon)
+    assert (cert.depth, cert.m_prime) == expected
+    assert cert.replay()
+    # D is least: the inequality fails at D - 1, with M' read from the walk
+    walks = zip(_critical_walk(f, Fraction(target)), _critical_walk(g, Fraction(target)))
+    (m_f, _), (m_g, _) = next(islice(walks, cert.depth - 2, None))
+    factor_heights = (4 * (cert.hhat_f_a + cert.hhat_f_a_error)
+                      + 4 * (cert.hhat_g_b + cert.hhat_g_b_error) + cert.constant)
+    assert max(m_f, m_g) / f.degree ** (cert.depth - 1) * factor_heights >= epsilon / 2
 
 
-@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan, 5e-324])
 def test_choose_depth_rejects_epsilon_not_finite_and_positive(epsilon):
+    # 5e-324 halves to 0.0, a bound no lhs is below
     with pytest.raises(DomainError):
         choose_depth(X2, X2, 3, 2, 1, 1, epsilon)
 

@@ -12,7 +12,7 @@ from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import Place, Real, factor, log_abs, log_fixed, v_plus, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
                               _discrepancy_base, _padic_gcd_exponent, _renormalize,
-                              bad_places, canonical_height,
+                              _tail_steps, bad_places, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
 from orbitgcd.linalg import solve_fraction
@@ -281,11 +281,6 @@ def test_escaping_orbits_stop_at_the_fixed_point(monkeypatch):
     assert len(calls) >= 2 * est.iterations_used > 600
 
 
-def test_canonical_height_budget_error():
-    with pytest.raises(BudgetExceededError):
-        canonical_height(X2P1, 5, 1e-12, max_iterations=3)
-
-
 def linear_step_count(f, tol):
     """The least n with C_f / (d^n (d-1)) <= tol / (d+1), by counting up
     from 0 in exact rationals, with C_f to 2^-600."""
@@ -304,24 +299,15 @@ STEP_MAPS = (X2P1, RationalMap([1, 0, 0, 1]), RationalMap([-1, 0, 0, 0, 2], [0, 
 
 @pytest.mark.parametrize("f", STEP_MAPS, ids=lambda f: f"d{f.degree}")
 def test_canonical_height_step_count_matches_linear_search(f):
-    # the budget is checked before the orbit runs, so a budget one short
-    # of the oracle exposes the step count without the height's cost
-    tols = [10.0**-k for k in range(3, 301)] + [3.7 * 10.0**-k for k in range(3, 301, 7)]
+    # the step count is read before the orbit runs, so every tolerance is
+    # checked without the height's cost, down to the least float
+    tols = ([10.0**-k for k in range(3, 301)] + [3.7 * 10.0**-k for k in range(3, 301, 7)]
+            + [math.ulp(0.0)])
     for tol in tols:
-        n = linear_step_count(f, tol)
-        with pytest.raises(BudgetExceededError) as info:
-            canonical_height(f, 3, tol, max_iterations=n - 1)
-        assert info.value.steps == n - 1
-        assert str(info.value) == (f"needed more than {n - 1} iterations to "
-                                   f"reach tolerance {tol}")
+        assert _tail_steps(f, tol)[1] == linear_step_count(f, tol), tol
     for tol in (1e-3, 1e-10, 1e-50, 1e-100, 1e-300):
         n = linear_step_count(f, tol)
-        assert canonical_height(f, 3, tol, max_iterations=n).iterations_used == n
-    # a budget far below the estimate raises at once, with the same payload
-    with pytest.raises(BudgetExceededError) as info:
-        canonical_height(f, 3, 1e-300, max_iterations=3)
-    assert info.value.steps == 3
-    assert str(info.value) == "needed more than 3 iterations to reach tolerance 1e-300"
+        assert canonical_height(f, 3, tol).iterations_used == n
 
 
 def exact_orbit_log(f, r, s, n_steps, ctx):
