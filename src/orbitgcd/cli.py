@@ -283,12 +283,14 @@ def _cmd_choose_depth(args) -> dict:
         rational_from_str(args.alpha), rational_from_str(args.beta),
         args.epsilon,
     )
+    # json writes and reads ints below 4300 digits only: a longer M' goes as digits
+    m_prime = cert.m_prime if cert.m_prime.bit_length() <= 10_000 else rational_to_str(cert.m_prime)
     return {
         "depth": cert.depth,
-        "m_prime": cert.m_prime,
+        "m_prime": m_prime,
         "lhs": cert.lhs,
         "bound": cert.bound,
-        "certificate": dataclasses.asdict(cert) | {"replays": cert.replay()},
+        "certificate": dataclasses.asdict(cert) | {"m_prime": m_prime, "replays": cert.replay()},
         "manifest": build_manifest("choose-depth", {
             "f": args.f, "g": args.g, "a": args.a, "b": args.b,
             "alpha": args.alpha, "beta": args.beta, "epsilon": args.epsilon}),

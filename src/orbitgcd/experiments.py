@@ -13,6 +13,7 @@ division suffices.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -226,10 +227,10 @@ class DepthCertificate:
         return lhs < self.bound
 
 
-# The depth selector's one budget: the decimal digits of the two critical
-# portraits, counting only classes still walked (a settled portrait has
-# none).  Coordinates grow about d-fold per depth and a step costs about d^2
-# times the last, so the cap bounds the next step too.
+# The depth selector's one budget: the decimal digits of the classes still
+# walked (a step costs about d^2 times the last, so it bounds the next step),
+# plus d per depth, which bounds M' <= d^D and a walk of small classes (a cycle
+# through the target with gain near d^p needs about p d ln(2F/epsilon) depths).
 _PORTRAIT_DIGIT_CAP = 100_000
 
 
@@ -400,20 +401,22 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     hypothesis that makes the selector converge and are rejected up front.
 
     The search stops at that D, or with :class:`BudgetExceededError` when
-    the critical classes still walked pass a digit cap.  It needs no depth
-    bound, as M'_D/d^D -> 0 for a target that is not exceptional: a
-    critical point meets a chain x, ..., f^(D-1)(x) into the target at most
-    once unless it lies on a cycle through the target, so the classes the
-    walk drops (cycles that miss it, at a Brent checkpoint, and escapes)
-    leave M' bounded and then cost nothing; a cycle through it of period p
-    gains at most E = prod e < d^p per period, since by Riemann-Hurwitz at
-    most two points are totally ramified and a cycle of them would make
+    the digits of the critical classes still walked, plus d per depth, pass
+    a cap.  It needs no depth bound, as M'_D/d^D -> 0 for a target that is
+    not exceptional: a critical point meets a chain x, ..., f^(D-1)(x) into
+    the target at most once unless it lies on a cycle through the target,
+    so the classes the walk drops (cycles that miss it, at a Brent
+    checkpoint, and escapes) leave M' bounded; a cycle through it of period
+    p gains at most E = prod e < d^p per period, since by Riemann-Hurwitz
+    at most two points are totally ramified and a cycle of them would make
     the target exceptional (Silverman, GTM 241).
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("need equal degrees >= 2")
-    if not 0 < epsilon / 2 < math.inf:    # 5e-324 halves to 0, which no lhs is below
-        raise DomainError("epsilon must be finite and positive, with epsilon/2 > 0")
+    # the lhs is a float: below a normal epsilon/2, an M'/d^D that underflows
+    # (loses up to 2^-1075) would certify a false inequality
+    if not sys.float_info.min <= epsilon / 2 < math.inf:
+        raise DomainError(f"epsilon must be finite, with epsilon/2 >= {sys.float_info.min}")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if is_exceptional(f, alpha):
         raise HypothesisViolationError(
@@ -424,7 +427,7 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
             f"beta = {beta} is exceptional for the second map"
         )
     d = f.degree
-    tol = max(min(1e-8, epsilon / 100), math.ulp(0.0))
+    tol = min(1e-8, epsilon / 100)
     ha = canonical_height(f, a, tol)
     hb = canonical_height(g, b, tol)
     # each sum rounds once, to a float
@@ -442,12 +445,14 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
                 hhat_g_b=float(hb.value), hhat_g_b_error=float(hb.error_bound),
                 constant=c_aggregate, lhs=lhs,
             )
-        digits = int((bits_f + bits_g) * _LOG10_2) + 1
+        digits = int((bits_f + bits_g) * _LOG10_2) + 1 + d * depth
         if digits > _PORTRAIT_DIGIT_CAP:
+            m_text = m_prime if m_prime.bit_length() <= 10_000 else \
+                f"an integer of {digit_count(m_prime)} digits"    # str() stops at 4300
             raise BudgetExceededError(
-                f"no depth up to {depth} satisfies the inequality: M' = {m_prime} gives "
-                f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; the critical portraits "
-                f"reached {digits} digits (cap {_PORTRAIT_DIGIT_CAP})",
+                f"no depth up to {depth} satisfies the inequality: M' = {m_text} gives "
+                f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; the critical portraits, with "
+                f"{d} digits per depth, reached {digits} digits (cap {_PORTRAIT_DIGIT_CAP})",
                 digits=digits, steps=depth,
             )
 

@@ -370,6 +370,20 @@ def test_cli_choose_depth_and_exit_codes(capsys, map_file):
     assert json.loads(err)["error"] == "hypothesis-violation"
 
 
+def test_cli_choose_depth_writes_a_long_m_prime_as_digits(capsys, map_file):
+    # x^19 (x - 20) at 0 has a fixed critical point of index 19, so M' = 19^D
+    # at D = 4554, past the 4300 digits json writes and reads as a number
+    f = map_file("slow.json", {"coeffs": ["0"] * 19 + ["-20", "1"]})
+    code, out, _ = run_cli(capsys, [
+        "choose-depth", "--f", f, "--g", f, "-a", "0", "-b", "0",
+        "--alpha", "0", "--beta", "0", "--epsilon", "1e-100",
+    ])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["depth"] == 4554 and payload["certificate"]["replays"] is True
+    assert payload["m_prime"] == payload["certificate"]["m_prime"] == int_to_str(19**4554)
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_non_finite_epsilon_and_tol_exit_2(capsys, map_file, tmp_path, value):
     x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, zip_longest
 
@@ -249,7 +250,22 @@ def test_choose_depth_budget_error_at_the_digit_cap():
     assert err.steps >= 1 and err.digits > experiments._PORTRAIT_DIGIT_CAP
     message = str(err)
     assert f"no depth up to {err.steps} " in message and "M' = 1" in message
-    assert message.endswith(f"reached {err.digits} digits (cap {experiments._PORTRAIT_DIGIT_CAP})")
+    assert message.endswith(f"with 3 digits per depth, reached {err.digits} digits "
+                            f"(cap {experiments._PORTRAIT_DIGIT_CAP})")
+
+
+def test_choose_depth_budget_error_on_a_slow_cycle_through_the_target():
+    # x^19 (x - 20) at 0: the critical point 0 (e = 19) is fixed, so M' = 19^D
+    # and M'/d^D = (19/20)^D needs D of about 20 ln(2F/epsilon); its class
+    # stays one digit, and the d digits the cap charges per depth stop the
+    # walk at depth cap/d, with an M' too long for str()
+    f = RationalMap([0] * 19 + [-20, 1])
+    with pytest.raises(BudgetExceededError) as info:
+        choose_depth(f, f, 0, 0, 0, 0, 1e-300)
+    err = info.value
+    assert err.steps == experiments._PORTRAIT_DIGIT_CAP // 20
+    assert err.digits > experiments._PORTRAIT_DIGIT_CAP
+    assert f"M' = an integer of {maps.digit_count(19**err.steps)} digits gives" in str(err)
 
 
 def test_choose_depth_cubic_pair_answers_once_its_portrait_settles():
@@ -265,16 +281,15 @@ def test_choose_depth_cubic_pair_answers_once_its_portrait_settles():
     (X2P1, X2M1, 1, 2, 1, 1e-4, (19, 2)),
     (X2P1, X2M1, 1, 2, 1, 1e-5, (22, 2)),
     (X2P1, X2M1, 1, 2, 1, 1e-6, (26, 2)),
-    (X2P1, X2M1, 1, 2, 1, 1e-322, (1075, 2)),
-    (X2P1, X2M1, 1, 2, 1, 1e-323, (1076, 2)),
+    (X2P1, X2M1, 1, 2, 1, 2 * sys.float_info.min, (1027, 2)),
     (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 1, 2, 1, 1e-6, (17, 3)),
     (X2M1, X2M1, 3, 2, 0, 1e-2, (23, 2048)),
-], ids=["quad-1e-4", "quad-1e-5", "quad-1e-6", "quad-1e-322", "quad-1e-323",
+], ids=["quad-1e-4", "quad-1e-5", "quad-1e-6", "quad-least-normal",
         "cubic-1e-6", "critical-cycle-1e-2"])
 def test_choose_depth_answers_past_depth_16(f, g, a, b, target, epsilon, expected):
     # the benchmark's polynomial pairs from 1 and 2 at alpha = beta = 1 settle
-    # by depth 4, so M' is final and only d^D grows; at the smallest epsilons
-    # the height tolerance epsilon/100 is clamped to the least float.  x^2 - 1
+    # by depth 4, so M' is final and only d^D grows, down to the least
+    # epsilon whose half is a normal float.  x^2 - 1
     # at 0 lies on its critical cycle 0 -> -1 -> 0, a class never dropped,
     # and M' doubles every second depth
     cert = choose_depth(f, g, a, b, target, target, epsilon)
@@ -288,9 +303,11 @@ def test_choose_depth_answers_past_depth_16(f, g, a, b, target, epsilon, expecte
     assert max(m_f, m_g) / f.degree ** (cert.depth - 1) * factor_heights >= epsilon / 2
 
 
-@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan, 5e-324])
+@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan, 5e-324, 1e-322,
+                                     sys.float_info.min])
 def test_choose_depth_rejects_epsilon_not_finite_and_positive(epsilon):
-    # 5e-324 halves to 0.0, a bound no lhs is below
+    # 5e-324 halves to 0.0, a bound no lhs is below; below the normal range
+    # an M'/d^D that underflows to 0 would certify a false inequality
     with pytest.raises(DomainError):
         choose_depth(X2, X2, 3, 2, 1, 1, epsilon)
 
