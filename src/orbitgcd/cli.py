@@ -13,16 +13,18 @@ ORBITGCD_TEST_MODE (normalizes manifest timestamps for byte-identical
 reruns).
 
 Each command is one ``_COMMANDS`` entry (help line, handler, options), and
-``classify`` and ``surface`` nest theirs the same way.  ``dispatch`` builds
-only the command that argv names, or all of them when it names none (no
-arguments, ``-h``, ``--version``, an unknown name).  The text before this
-paragraph is the description ``orbitgcd -h`` prints.
+``classify`` and ``surface`` nest theirs the same way.  ``dispatch`` parses
+with a parser for only the command that argv names, or for all of them when
+it names none (no arguments, ``-h``, ``--version``, an unknown name), and
+builds each such parser once per process.  The text before this paragraph
+is the description ``orbitgcd -h`` prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -397,29 +399,44 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser: _Parser, dest: str, commands: dict, argv) -> None:
-    """Subparsers for the one of ``commands`` that ``argv[0]`` names, or for
-    all of them when it names none, so that help and invalid-choice errors
-    list every command."""
+def _command_path(argv) -> tuple:
+    """The command names that argv opens with, down the table: ``()`` when
+    argv[0] names no command, ``("classify", "special")`` for a nested one.
+    Only names in ``_COMMANDS`` enter, so there is one path per table entry."""
+    path, commands = (), _COMMANDS
+    for arg in argv:
+        if not isinstance(commands, dict) or arg not in commands:
+            break
+        path += (arg,)
+        commands = commands[arg].run
+    return path
+
+
+def _add_commands(parser: _Parser, dest: str, commands: dict, path: tuple) -> None:
+    """Subparsers for the one of ``commands`` that ``path[0]`` names, or for
+    all of them when the path is empty, so that help and invalid-choice
+    errors list every command."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    rest = []
-    if argv and argv[0] in commands:
-        commands, rest = {argv[0]: commands[argv[0]]}, argv[1:]
+    if path:
+        commands = {path[0]: commands[path[0]]}
     for name, command in commands.items():
         p = sub.add_parser(name, help=command.help)
         for flags, keywords in command.options:
             p.add_argument(*flags, **keywords)
         if isinstance(command.run, dict):
-            _add_commands(p, f"{name}_command", command.run, rest)
+            _add_commands(p, f"{name}_command", command.run, path[1:])
         else:
             p.set_defaults(run=command.run)
 
 
-def _build_parser(argv) -> _Parser:
+@functools.lru_cache(maxsize=None)
+def _build_parser(path: tuple) -> _Parser:
+    """The parser for one command path, built once per process: parsing
+    only reads a parser, so every call and thread shares it."""
     parser = _Parser(prog="orbitgcd", description=_DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    _add_commands(parser, "command", _COMMANDS, argv)
+    _add_commands(parser, "command", _COMMANDS, path)
     return parser
 
 
@@ -430,7 +447,7 @@ def _fail(label: str, err: Exception, code: int) -> int:
 
 
 def dispatch(argv) -> int:
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser(_command_path(argv)).parse_args(argv)
     try:
         _emit(args.run(args), getattr(args, "out", None))
         return EXIT_OK

@@ -9,17 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from orbitgcd import cli
+from orbitgcd import _gmp, cli
 from orbitgcd.cli import dispatch
 from orbitgcd.errors import DomainError, IndeterminateError
 from orbitgcd.experiments import GcdSeriesConfig, gcd_series
 from orbitgcd.maps import ProjPoint, RationalMap, conjugate, digit_count
 from orbitgcd.polys import Polynomial
-from orbitgcd.serialize import (build_manifest, map_from_json, map_to_json,
-                                point_from_str, point_to_str, poly_from_json,
-                                int_to_str, poly_to_json, rational_from_str,
-                                rational_to_str, report_to_csv, report_to_dict,
-                                report_to_json)
+from orbitgcd.serialize import (_GMP_DIGITS, _digits_by_division, build_manifest,
+                                map_from_json, map_to_json, point_from_str,
+                                point_to_str, poly_from_json, int_to_str,
+                                poly_to_json, rational_from_str, rational_to_str,
+                                report_to_csv, report_to_dict, report_to_json)
 
 X2 = RationalMap([0, 0, 1])
 
@@ -68,6 +68,31 @@ def test_int_to_str_matches_str():
     got = [int_to_str(n) for n in values]
     with unlimited_str_digits():
         assert got == [str(n) for n in values]
+
+
+def _decimal_oracle(n):
+    # str within the interpreter's 4300-digit limit, division past it
+    m = abs(n)
+    digits = str(m) if m < 10**4300 else _digits_by_division(m)
+    return "-" + digits if n < 0 else digits
+
+
+@pytest.mark.parametrize("gmp", [True, False], ids=["libgmp", "no-libgmp"])
+def test_int_to_str_on_both_sides_of_the_gmp_crossover(monkeypatch, gmp):
+    if not gmp:
+        monkeypatch.setattr(_gmp, "_load", lambda: None)
+    rng = random.Random(30)
+    values = []
+    for k in sorted({1, 999, 1000, 1001, _GMP_DIGITS - 1, _GMP_DIGITS, _GMP_DIGITS + 1,
+                     3599, 3600, 3601, 4299, 4300, 4301}):
+        values += [rng.randrange(10**(k - 1), 10**k), 10**k, 10**k - 1]
+    values += [-n for n in values]
+    assert [int_to_str(n) for n in values] == [_decimal_oracle(n) for n in values]
+    x = Fraction(rng.randrange(10**1999, 10**2000), rng.randrange(10**1999, 10**2000))
+    assert len(str(x.numerator)) == 2000
+    for y in (x, -x):
+        expected = f"{_decimal_oracle(y.numerator)}/{_decimal_oracle(y.denominator)}"
+        assert rational_to_str(y) == expected
 
 
 def test_rational_from_str_past_the_int_str_limit():
@@ -550,25 +575,50 @@ def test_cli_builds_only_the_parsers_it_runs(capsys, map_file, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
     x2 = map_file("x2.json", {"coeffs": ["0", "0", "1"]})
     x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
     argv = ["choose-depth", "--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2",
             "--alpha", "1", "--beta", "1", "--epsilon", "0.1"]
     assert run_cli(capsys, argv)[0] == 0
     assert len(built) == 2
-    built.clear()
-    assert run_cli(capsys, ["classify", "exceptional", "--map", x2, "--point", "0"])[0] == 0
-    assert len(built) == 3
-    # help builds them all: the top level, ten commands and seven nested ones
-    built.clear()
-    with pytest.raises(SystemExit):
-        dispatch(["-h"])
-    capsys.readouterr()
-    assert len(built) == 18
-    # and each call builds its own
+    # a repeat parses with the parsers the first call built
     built.clear()
     assert run_cli(capsys, argv)[0] == 0
-    assert len(built) == 2
+    assert len(built) == 0
+    assert run_cli(capsys, ["classify", "exceptional", "--map", x2, "--point", "0"])[0] == 0
+    assert len(built) == 3
+    # help builds them all: the top level, ten commands and seven nested ones;
+    # the second help builds none and prints the same bytes
+    helps = []
+    for count in (18, 0):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["-h"])
+        helps.append(capsys.readouterr().out)
+        assert exc.value.code == 0 and len(built) == count
+    assert helps[0] == helps[1]
+
+
+def _table_paths(commands=cli._COMMANDS, prefix=()):
+    """Every command path in the table, nested ones included."""
+    for name, command in commands.items():
+        yield prefix + (name,)
+        if isinstance(command.run, dict):
+            yield from _table_paths(command.run, prefix + (name,))
+
+
+def test_cli_parser_memo_holds_one_parser_per_table_path(capsys):
+    paths = list(_table_paths())
+    assert len(paths) == len(COMMANDS) + sum(map(len, NESTED.values()))
+    for i in range(1000):
+        for argv in ([f"bogus-{i}"], ["classify", f"bogus-{i}"], ["surface", f"bogus-{i}"]):
+            with pytest.raises(SystemExit) as exc:
+                dispatch(argv)
+            assert exc.value.code == 2
+    capsys.readouterr()
+    # the empty path, for argv that names no command, is the one more
+    assert cli._build_parser.cache_info().currsize <= len(paths) + 1
 
 
 def test_cli_indeterminate_is_labelled_as_itself(capsys, map_file, monkeypatch):

@@ -110,7 +110,8 @@ def test_goldens_without_libgmp(tmp_path, monkeypatch):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_deep_gcd_series_same_bytes_without_libgmp(fmt, tmp_path, monkeypatch):
     # rows 12 and 13 take their gcds past 2^14 bits, and row 13 prints a
-    # 5,727-digit gcd, past the 3,600 digits where int_to_str leaves str()
+    # 5,727-digit gcd, past the 3,600 digits where int_to_str without libgmp
+    # leaves str()
     monkeypatch.setenv("ORBITGCD_TEST_MODE", "1")
     monkeypatch.chdir(tmp_path)
     _write_files(tmp_path)

@@ -1,14 +1,15 @@
-"""Heights, logs, genericity probes and the GMP-backed product, gcd and
-decimal conversion computed in several threads at once equal the serial
-results exactly."""
+"""Heights, logs, genericity probes, the GMP-backed product, gcd and
+decimal conversion, and CLI parsing with the shared parsers computed in
+several threads at once equal the serial results exactly."""
 
+import argparse
 import math
 import random
 import sys
 import threading
 from fractions import Fraction
 
-from orbitgcd import _gmp, classify, exact
+from orbitgcd import _gmp, classify, cli, exact
 from orbitgcd.classify import probe_genericity
 from orbitgcd.exact import _GMP_BITS, factor, int_gcd, int_mul, log_abs
 from orbitgcd.heights import canonical_height, hgcd
@@ -199,3 +200,97 @@ def test_two_threads_make_the_first_gmp_call_together(monkeypatch):
     _run_threads(worker, 2)
     assert results == [math.gcd(x, y)] * 2
     assert binds == [1]
+
+
+def _command_argvs(commands=cli._COMMANDS, prefix=()):
+    """One argv per command in the table, every option given a value."""
+    for name, command in commands.items():
+        if isinstance(command.run, dict):
+            yield from _command_argvs(command.run, prefix + (name,))
+            continue
+        argv = [*prefix, name]
+        for flags, keywords in command.options:
+            if keywords.get("action") == "store_true":
+                argv.append(flags[0])
+            elif "choices" in keywords:
+                argv += [flags[0], keywords["choices"][-1]]
+            else:
+                value = {int: "5", float: "1e-3"}.get(keywords.get("type"), "-3/4")
+                argv += [flags[0], value]
+        yield argv
+
+
+def _parse(argv):
+    try:
+        return vars(cli._build_parser(cli._command_path(argv)).parse_args(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+def _parser_state(parser):
+    """What parsing could change in a parser, nested parsers included."""
+    state = [dict(parser._defaults)]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            state.append({name: _parser_state(sub) for name, sub in action.choices.items()})
+            choices = tuple(action.choices)
+        else:
+            choices = action.choices
+        state.append((tuple(action.option_strings), action.dest, action.default,
+                      action.type, choices, action.required, action.nargs))
+    return state
+
+
+def test_threads_parse_with_the_shared_parsers(capsys):
+    argvs = list(_command_argvs())
+    assert len(argvs) == 15
+    argvs += [[], ["bogus"], ["classify", "bogus"], ["surface"],
+              ["gcd-series", "--max-n", "x"], ["height", "-x", "3", "extra"]]
+    # fresh parsers, read before any parse
+    cli._build_parser.cache_clear()
+    parsers = {path: cli._build_parser(path) for path in map(cli._command_path, argvs)}
+    before = {path: _parser_state(parser) for path, parser in parsers.items()}
+    serial = [_parse(argv) for argv in argvs]
+    assert all(isinstance(result, dict) for result in serial[:15])
+    assert serial[15:] == [("exit", 2)] * 6
+    start = threading.Barrier(THREADS)
+    mismatches = []
+
+    def worker(k):
+        start.wait()
+        for r in range(ROUNDS):
+            for i in range(len(argvs)):
+                j = (i + 5 * k + r) % len(argvs)
+                if _parse(argvs[j]) != serial[j]:
+                    mismatches.append((k, r, j))
+
+    _run_threads(worker, THREADS)
+    capsys.readouterr()
+    assert mismatches == []
+    assert all(cli._build_parser(path) is parser for path, parser in parsers.items())
+    assert {path: _parser_state(parser) for path, parser in parsers.items()} == before
+
+
+def test_threads_dispatching_gcd_series_write_the_serial_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("ORBITGCD_TEST_MODE", "1")
+    x2 = tmp_path / "x2.json"
+    x2.write_text('{"coeffs": ["0", "0", "1"]}')
+
+    def argv(out):
+        return ["gcd-series", "--f", str(x2), "--g", str(x2), "-a", "125", "-b", "25",
+                "--alpha", "1", "--beta", "1", "--max-n", "10", "--out", str(out)]
+
+    assert cli.dispatch(argv(tmp_path / "serial.json")) == 0
+    serial = (tmp_path / "serial.json").read_bytes()
+    start = threading.Barrier(THREADS)
+    mismatches = []
+
+    def worker(k):
+        start.wait()
+        out = tmp_path / f"thread{k}.json"
+        for r in range(ROUNDS):
+            if cli.dispatch(argv(out)) != 0 or out.read_bytes() != serial:
+                mismatches.append((k, r))
+
+    _run_threads(worker, THREADS)
+    assert mismatches == []
