@@ -17,9 +17,8 @@ from .polys import (Polynomial, max_multiplicity, multiplicity_at, poly_gcd,
                     radical, squarefree_decomposition)
 from .maps import (INFINITY, ProjPoint, RationalMap, compose, conjugate, digit_count,
                    evaluate, fiber_polynomial, iterate, map_resultant, self_compose)
-from .heights import (HeightEstimate, PlaceSet, bad_places, canonical_height,
-                      discrepancy_bound, hgcd, hgcd_excluding, hgcd_fin,
-                      weil_height)
+from .heights import (HeightEstimate, PlaceSet, canonical_height, discrepancy_bound,
+                      hgcd, hgcd_excluding, hgcd_fin, weil_height)
 from .bivariate import BivariatePolynomial
 from .surface import (AmplenessReport, BlowupSurface, DivisorClass,
                       canonical_class, exceptional_class,

@@ -287,12 +287,15 @@ def _cmd_choose_depth(args) -> dict:
     )
     # json writes and reads ints below 4300 digits only: a longer M' goes as digits
     m_prime = cert.m_prime if cert.m_prime.bit_length() <= 10_000 else rational_to_str(cert.m_prime)
+    lhs = float(cert.lhs)
+    fields = {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+    fields = {k: float(v) if isinstance(v, Fraction) else v for k, v in fields.items()}
     return {
         "depth": cert.depth,
         "m_prime": m_prime,
-        "lhs": cert.lhs,
+        "lhs": lhs,
         "bound": cert.bound,
-        "certificate": dataclasses.asdict(cert) | {"m_prime": m_prime, "replays": cert.replay()},
+        "certificate": fields | {"m_prime": m_prime, "lhs": lhs, "replays": cert.replay()},
         "manifest": build_manifest("choose-depth", {
             "f": args.f, "g": args.g, "a": args.a, "b": args.b,
             "alpha": args.alpha, "beta": args.beta, "epsilon": args.epsilon}),

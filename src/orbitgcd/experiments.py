@@ -13,13 +13,13 @@ division suffices.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import int_gcd, log_abs, valuation
+from .exact import ARCH_PREC, int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
                    digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
@@ -199,32 +199,47 @@ def gcd_series(config: GcdSeriesConfig) -> GcdSeriesReport:
 
 @dataclass(frozen=True)
 class DepthCertificate:
-    """Witness for the chosen depth: replaying the inequality
-    m_prime / d**depth * (4*hhat_a_upper + 4*hhat_b_upper + constant)
-    < epsilon / 2 must succeed from these numbers alone."""
+    """Witness for the chosen depth: lhs = m_prime / d**depth * bracket <
+    epsilon / 2 replays from these numbers alone, exactly (epsilon as the
+    value of its float).  The height errors are canonical_height's
+    error_bound, which still carries its heuristic rounding allowance."""
 
     depth: int
     m_prime: int
     degree: int
     epsilon: float
-    hhat_f_a: float
-    hhat_f_a_error: float
-    hhat_g_b: float
-    hhat_g_b_error: float
-    constant: float
-    lhs: float
+    hhat_f_a: Fraction
+    hhat_f_a_error: Fraction
+    hhat_g_b: Fraction
+    hhat_g_b_error: Fraction
+    constant: Fraction
 
     @property
     def bound(self) -> float:
         return self.epsilon / 2
 
+    @cached_property
+    def bracket(self) -> Fraction:
+        """4 (hhat_f_a + its error + hhat_g_b + its error) + constant, summed in
+        ints over one denominator: a Fraction normalizes after every step."""
+        terms = ((4, self.hhat_f_a), (4, self.hhat_f_a_error), (4, self.hhat_g_b),
+                 (4, self.hhat_g_b_error), (1, self.constant))
+        den = math.lcm(*(x.denominator for _, x in terms))
+        return Fraction(sum(w * x.numerator * (den // x.denominator) for w, x in terms), den)
+
+    @property
+    def lhs(self) -> Fraction:
+        return self.m_prime * self.bracket / self.degree**self.depth
+
     def replay(self) -> bool:
-        lhs = (self.m_prime / self.degree**self.depth) * (
-            4 * (self.hhat_f_a + self.hhat_f_a_error)
-            + 4 * (self.hhat_g_b + self.hhat_g_b_error)
-            + self.constant
-        )
-        return lhs < self.bound
+        return self._test()(self.m_prime, self.degree**self.depth)
+
+    def _test(self):
+        """lhs < epsilon/2 as a test of the ints M' and d^D, cross-multiplied
+        once by the denominators: each depth the search tries is one int compare."""
+        num, den = self.epsilon.as_integer_ratio()       # epsilon/2 = num / (2 den)
+        left, right = self.bracket.numerator * 2 * den, num * self.bracket.denominator
+        return lambda m_prime, power: m_prime * left < right * power
 
 
 # The depth selector's one budget: the decimal digits of the classes still
@@ -395,10 +410,12 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
 
     M' is the largest ramification index over the D-th fibers of alpha and
     beta, read exactly from the forward orbits of the critical points
-    (:func:`_critical_walk`), the canonical heights enter through certified
-    upper bounds, and C is the computable discrepancy aggregate
-    2 (C_f + C_g)/(d - 1).  Exceptional alpha or beta violate the
-    hypothesis that makes the selector converge and are rejected up front.
+    (:func:`_critical_walk`), the heights as value + error_bound at tolerance
+    1e-8 (error_bound keeps its heuristic rounding term), and C = 2 (C_f +
+    C_g)/(d - 1), each C_f raised by 2^-ARCH_PREC to bound it.  All are exact
+    and :meth:`DepthCertificate.replay` decides, so any finite epsilon > 0 is
+    searched.  Exceptional alpha or beta violate the hypothesis that makes
+    the selector converge and are rejected up front.
 
     The search stops at that D, or with :class:`BudgetExceededError` when
     the digits of the critical classes still walked, plus d per depth, pass
@@ -413,10 +430,8 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("need equal degrees >= 2")
-    # the lhs is a float: below a normal epsilon/2, an M'/d^D that underflows
-    # (loses up to 2^-1075) would certify a false inequality
-    if not sys.float_info.min <= epsilon / 2 < math.inf:
-        raise DomainError(f"epsilon must be finite, with epsilon/2 >= {sys.float_info.min}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError("epsilon must be finite and positive")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if is_exceptional(f, alpha):
         raise HypothesisViolationError(
@@ -427,28 +442,23 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
             f"beta = {beta} is exceptional for the second map"
         )
     d = f.degree
-    tol = min(1e-8, epsilon / 100)
-    ha = canonical_height(f, a, tol)
-    hb = canonical_height(g, b, tol)
-    # each sum rounds once, to a float
-    c_aggregate = 2 * float(discrepancy_bound(f) + discrepancy_bound(g)) / (d - 1)
-    factor_heights = (4 * float(ha.value + ha.error_bound)
-                      + 4 * float(hb.value + hb.error_bound) + c_aggregate)
+    ha, hb = canonical_height(f, a, 1e-8), canonical_height(g, b, 1e-8)
+    two_units = Fraction(2, 1 << ARCH_PREC)   # C_f is within 1/2 + 2^-9 units: +1 bounds it
+    constant = 2 * (discrepancy_bound(f) + discrepancy_bound(g) + two_units) / (d - 1)
+    # the certificate at depth 0, where M' = d^D = 1
+    cert = DepthCertificate(0, 1, d, float(epsilon), ha.value, ha.error_bound,
+                            hb.value, hb.error_bound, constant)
+    holds, power = cert._test(), 1
     walks = zip(_critical_walk(f, alpha), _critical_walk(g, beta))
     for depth, ((m_f, bits_f), (m_g, bits_g)) in enumerate(walks, 1):
-        m_prime = max(m_f, m_g)
-        lhs = m_prime / d**depth * factor_heights
-        if lhs < epsilon / 2:
-            return DepthCertificate(
-                depth=depth, m_prime=m_prime, degree=d, epsilon=float(epsilon),
-                hhat_f_a=float(ha.value), hhat_f_a_error=float(ha.error_bound),
-                hhat_g_b=float(hb.value), hhat_g_b_error=float(hb.error_bound),
-                constant=c_aggregate, lhs=lhs,
-            )
+        m_prime, power = max(m_f, m_g), power * d
+        if holds(m_prime, power):
+            return replace(cert, depth=depth, m_prime=m_prime)
         digits = int((bits_f + bits_g) * _LOG10_2) + 1 + d * depth
         if digits > _PORTRAIT_DIGIT_CAP:
             m_text = m_prime if m_prime.bit_length() <= 10_000 else \
                 f"an integer of {digit_count(m_prime)} digits"    # str() stops at 4300
+            lhs = float(replace(cert, depth=depth, m_prime=m_prime).lhs)
             raise BudgetExceededError(
                 f"no depth up to {depth} satisfies the inequality: M' = {m_text} gives "
                 f"lhs {lhs} >= epsilon/2 = {epsilon / 2}; the critical portraits, with "

@@ -339,17 +339,3 @@ def hgcd_excluding(places: PlaceSet, x, y) -> LogValue:
     finite = _gcd_exponents(Fraction(x), Fraction(y))
     return LogValue.from_finite({p: c for p, c in finite.items() if p not in places})
 
-
-def bad_places(f_deep: RationalMap, g_deep: RationalMap) -> PlaceSet:
-    """Primes dividing a leading coefficient of either map's numerator or
-    denominator (the places where top-degree terms can lose integrality).
-
-    >>> sorted(bad_places(RationalMap([1, 0, 6]), RationalMap([0, 0, 1])).primes)
-    [2, 3]
-    """
-    primes: set[int] = set()
-    for form in f_deep.forms + g_deep.forms:
-        lead = abs(next(c for c in reversed(form) if c))
-        if lead > 1:
-            primes.update(factor(lead).exponents())
-    return PlaceSet(primes)

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -266,7 +267,7 @@ def test_cli_gcd_series_and_round_trip(capsys, map_file, tmp_path):
         "--alpha", "1", "--beta", "1", "--max-n", "3", "--out", out_path,
     ])
     assert code == 0
-    blob = json.loads(open(out_path).read())
+    blob = json.loads(Path(out_path).read_text())
     assert [row["gcd"] for row in blob["rows"]] == ["4", "24", "624", "390624"]
     # the config echo parses back to the same map
     assert map_from_json(blob["manifest"]["config"]["f"]) == X2
@@ -276,7 +277,7 @@ def test_cli_gcd_series_and_round_trip(capsys, map_file, tmp_path):
         "gcd-series", "--f", x2, "--g", x2, "-a", "125", "-b", "25",
         "--alpha", "1", "--beta", "1", "--max-n", "3", "--out", out2,
     ])
-    assert open(out_path, "rb").read() == open(out2, "rb").read()
+    assert Path(out_path).read_bytes() == Path(out2).read_bytes()
 
 
 def test_cli_gcd_series_csv_and_plot_data(capsys, map_file, tmp_path):
@@ -289,7 +290,7 @@ def test_cli_gcd_series_csv_and_plot_data(capsys, map_file, tmp_path):
     ])
     assert code == 0
     assert out.splitlines()[0].startswith("n,digits_f")
-    lines = open(plot).read().strip().splitlines()
+    lines = Path(plot).read_text().strip().splitlines()
     assert len(lines) == 3 and lines[0].startswith("0 ")
 
 

@@ -1,6 +1,7 @@
-"""Heights, logs, genericity probes, the GMP-backed product, gcd and
-decimal conversion, and CLI parsing with the shared parsers computed in
-several threads at once equal the serial results exactly."""
+"""Heights, logs, genericity probes, depth certificates, the GMP-backed
+product, gcd and decimal conversion, and CLI parsing with the shared
+parsers computed in several threads at once equal the serial results
+exactly."""
 
 import argparse
 import math
@@ -9,9 +10,10 @@ import sys
 import threading
 from fractions import Fraction
 
-from orbitgcd import _gmp, classify, cli, exact
+from orbitgcd import _gmp, classify, cli, exact, maps
 from orbitgcd.classify import probe_genericity
 from orbitgcd.exact import _GMP_BITS, factor, int_gcd, int_mul, log_abs
+from orbitgcd.experiments import choose_depth
 from orbitgcd.heights import canonical_height, hgcd
 from orbitgcd.maps import RationalMap
 from orbitgcd.serialize import _digits_by_division, int_to_str
@@ -110,6 +112,32 @@ def test_threads_first_reaching_a_precision_match_later_serial_results():
     _run_threads(worker, THREADS)
     serial = [_exact(canonical_height(*job)) for job in jobs]
     assert results == [serial] * THREADS
+
+
+def test_threads_choosing_depths_match_the_serial_certificates():
+    # the benchmark's three pairs from 1 and 2 at alpha = beta = 1, with cold
+    # Bezout records, so the threads also fill that cache concurrently
+    jobs = [(RationalMap([1, 0, 1]), RationalMap([-1, 0, 1]), 0.05),
+            (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 0.1),
+            (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 0.1)]
+    serial = [choose_depth(f, g, 1, 2, 1, 1, eps) for f, g, eps in jobs]
+    assert all(cert.replay() for cert in serial)
+    maps.bezout_record.cache_clear()
+    start = threading.Barrier(THREADS)
+    mismatches = []
+
+    def worker(k):
+        start.wait()
+        for r in range(ROUNDS):
+            for i in range(len(jobs)):
+                j = (i + k + r) % len(jobs)
+                f, g, eps = jobs[j]
+                cert = choose_depth(f, g, 1, 2, 1, 1, eps)
+                if cert != serial[j] or not cert.replay():
+                    mismatches.append((k, r, j))
+
+    _run_threads(worker, THREADS)
+    assert mismatches == []
 
 
 def test_two_threads_on_one_cold_probe_seed():

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, zip_longest
 
@@ -303,13 +304,50 @@ def test_choose_depth_answers_past_depth_16(f, g, a, b, target, epsilon, expecte
     assert max(m_f, m_g) / f.degree ** (cert.depth - 1) * factor_heights >= epsilon / 2
 
 
-@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan, 5e-324, 1e-322,
-                                     sys.float_info.min])
+@pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan])
 def test_choose_depth_rejects_epsilon_not_finite_and_positive(epsilon):
-    # 5e-324 halves to 0.0, a bound no lhs is below; below the normal range
-    # an M'/d^D that underflows to 0 would certify a false inequality
     with pytest.raises(DomainError):
         choose_depth(X2, X2, 3, 2, 1, 1, epsilon)
+
+
+def oracle_lhs(f, g, a, b, alpha, beta, depth):
+    """M'/d^D (4 (hhat_f(a) + e_a) + 4 (hhat_g(b) + e_b) + C) at D - 1 and D,
+    in Fractions: heights at tolerance 1e-8, C from discrepancy_bound with a
+    unit of 2^-128 added per map, M' from the critical walks."""
+    ha, hb = heights.canonical_height(f, a, 1e-8), heights.canonical_height(g, b, 1e-8)
+    unit = Fraction(1, 2**128)
+    c = 2 * (discrepancy_bound(f) + unit + discrepancy_bound(g) + unit) / (f.degree - 1)
+    bracket = 4 * (ha.value + ha.error_bound) + 4 * (hb.value + hb.error_bound) + c
+    walks = zip(_critical_walk(f, Fraction(alpha)), _critical_walk(g, Fraction(beta)))
+    m = [max(m_f, m_g) for (m_f, _), (m_g, _) in islice(walks, depth)]
+    return [Fraction(m[D - 1], f.degree**D) * bracket for D in (depth - 1, depth)]
+
+
+CUBIC_PAIR = (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]))
+NEAR_TIE = 0.06168518581886171
+
+
+@pytest.mark.parametrize("f, g, epsilon, expected", [
+    (*CUBIC_PAIR, NEAR_TIE, 6),
+    (X2P1, X2M1, 5e-324, 1080),
+    (X2P1, X2M1, 1e-322, 1075),
+    (X2P1, X2M1, 2.0**-1022, 1028),
+], ids=["cubic-near-tie", "quad-5e-324", "quad-1e-322", "quad-2^-1022"])
+def test_choose_depth_decides_exactly(f, g, epsilon, expected):
+    # every epsilon > 0 is searched, the subnormal ones too: the decision is
+    # exact, and D holds while D - 1 fails against the Fraction oracle
+    cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
+    assert cert.depth == expected and cert.replay()
+    before, at = oracle_lhs(f, g, 1, 2, 1, 1, expected)
+    assert cert.lhs == at < Fraction(epsilon) / 2 <= before
+    assert not replace(cert, depth=cert.depth - 1).replay()
+
+
+def test_choose_depth_near_tie_a_float_lhs_would_miss():
+    # at D = 6 the exact lhs is below epsilon/2 but rounds to it as a float,
+    # so a float decision would answer D = 7
+    cert = choose_depth(*CUBIC_PAIR, 1, 2, 1, 1, NEAR_TIE)
+    assert cert.lhs < Fraction(NEAR_TIE) / 2 and float(cert.lhs) == NEAR_TIE / 2
 
 
 def test_choose_depth_ramified_fiber_m_prime():

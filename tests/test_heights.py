@@ -12,7 +12,7 @@ from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import Place, Real, factor, log_abs, log_fixed, v_plus, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
                               _discrepancy_base, _padic_gcd_exponent, _renormalize,
-                              _tail_steps, bad_places, canonical_height,
+                              _tail_steps, canonical_height,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
 from orbitgcd.linalg import solve_fraction
@@ -665,15 +665,6 @@ def test_hgcd_excluding_monotone_in_excluded_set():
         large = PlaceSet([2, 3, 5])
         assert float(hgcd_excluding(large, x, y).total()) <= \
             float(hgcd_excluding(small, x, y).total()) + 1e-12
-
-
-def test_bad_places_examples():
-    assert bad_places(RationalMap([0] * 8 + [1]), RationalMap([0] * 8 + [1])).primes == frozenset()
-    assert bad_places(RationalMap([1, 0, 6]), X2).primes == frozenset({2, 3})
-    assert bad_places(X3X, X2P1).primes == frozenset()
-    # forms with trailing zeros: (7x^3 + 1)/2x and 5/3x^2 lead with 2 and 5
-    assert bad_places(RationalMap([1, 0, 0, 7], [0, 2]), X2).primes == frozenset({2, 7})
-    assert bad_places(X2, RationalMap([5], [0, 0, 3])).primes == frozenset({3, 5})
 
 
 def test_placeset_validation_and_dedup():
