@@ -13,11 +13,10 @@ Python path, which gives the same value.
 GMP aborts the process on an allocation failure rather than raising
 ``MemoryError``.  Nothing here bounds the operands: ``maps.orbit``, the
 one exact orbit walker, raises on its orbit digit budget (default 10^7
-digits) before a step whose points a lower bound puts past it, so a
-step's products pass the budget by at most a constant of the map; above
-degree ``maps._RESULTANT_MAX_DEGREE`` it checks only after the step, so
-the last step's products and gcds can have d times the budget in digits.
-Direct calls of ``maps.evaluate`` are bounded only by their arguments.
+digits) before a step whose points a lower bound puts past it, at every
+degree, so a step's products pass the budget by at most a constant of
+the map.  Direct calls of ``maps.evaluate`` are bounded only by their
+arguments.
 """
 
 from __future__ import annotations

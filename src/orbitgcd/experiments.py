@@ -23,7 +23,7 @@ from .exact import ARCH_PREC, int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
                    digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
-from .polys import _derivative, _pseudo_rem, _yun, exact_div, primitive_gcd, trim
+from .polys import _derivative, _mul, _pseudo_rem, _sub, _yun, exact_div, primitive_gcd, trim
 from .classify import _exponent_vector, is_exceptional
 
 
@@ -249,18 +249,6 @@ class DepthCertificate:
 _PORTRAIT_DIGIT_CAP = 100_000
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    return trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
 def _form_at(cs, x: list[int], y: list[int]) -> list[int]:
     # sum cs[i] x^i y^(k-i) in Z[t], k = len(cs) - 1, by Horner's rule
     acc, ypow = [cs[-1]], [1]
@@ -271,32 +259,22 @@ def _form_at(cs, x: list[int], y: list[int]) -> list[int]:
 
 
 def _class_norm(p: list[int], x: list[int], y: list[int]) -> list[int]:
-    """N(z) = Res_t(P, z Y - X) up to sign, for monic P: the integer
-    polynomial whose roots are the class's points X/Y, as the fraction-free
-    (Bareiss) determinant of z M_Y - M_X over Z[z], with M_X and M_Y the
-    matrices of multiplication by X and Y in Z[t]/(P)."""
+    """N(z) = Res_t(P, z Y - X) up to sign, for monic P and a constant Y
+    (the walk asks only for polynomial maps, where Y is one): the integer
+    polynomial prod (Y z - X(theta)) over the roots theta of P, whose roots
+    are the class's points X/Y.  It is the characteristic polynomial of X
+    in Z[t]/(P) at Y z, with coefficients e_k from the traces Tr(X^j) =
+    sum_i (X^j mod P)_i Tr(t^i) by Newton's identities."""
     n = len(p) - 1
-
-    def columns(v):
-        cols = []
-        for _ in range(n):
-            v = v + [0] * (n - len(v))
-            cols.append(v)
-            v = [0] + v       # times t, then reduced by the monic P
-            v = [c - v[n] * q for c, q in zip(v[:n], p)]
-        return cols
-    m = [[trim([-u, w]) for u, w in zip(cx, cy)]
-         for cx, cy in zip(columns(x), columns(y))]
-    prev = [1]
-    for k in range(n - 1):
-        pivot = next(i for i in range(k, n) if m[i][k])   # N != 0: X, Y share no root of P
-        m[k], m[pivot] = m[pivot], m[k]
-        for i in range(k + 1, n):
-            m[i] = m[i][:k + 1] + [
-                exact_div(_sub(_mul(m[k][k], m[i][j]), _mul(m[i][k], m[k][j])), prev)
-                for j in range(k + 1, n)]
-        prev = m[k][k]
-    return m[n - 1][n - 1]
+    sums = [n]      # Tr(t^k), the power sums of the roots of P
+    for k in range(1, n):
+        sums.append(-k * p[n - k] - sum(p[n - i] * sums[k - i] for i in range(1, k)))
+    traces, e, power = [], [1], [1]
+    for k in range(1, n + 1):
+        power = _pseudo_rem(_mul(power, x), p)
+        traces.append(sum(c * s for c, s in zip(power, sums)))
+        e.append(sum((-1) ** i * e[k - 1 - i] * traces[i] for i in range(k)) // k)
+    return trim([(-1) ** (n - j) * e[n - j] * (y[0] if y else 0) ** j for j in range(n + 1)])
 
 
 def _escape_radius(f: RationalMap, target: Fraction) -> Fraction | None:

@@ -6,8 +6,8 @@ The canonical height of P under a degree-d map is the limit of
 h(f^n(P)) / d^n.  The per-step discrepancy |h(f(x)) - d*h(x)| is bounded
 by an explicit constant computed from the coefficients, the resultant
 of the homogenized pair and its Bezout cofactor height (both read from
-``maps.bezout_record``, one elimination per map), which turns the limit
-into a finite computation with a geometric tail bound.  The orbit
+``maps.bezout_record``, a subresultant PRS per chart), which turns the
+limit into a finite computation with a geometric tail bound.  The orbit
 heights themselves are evaluated in renormalized form, so no doubly
 exponential integers are ever
 materialized: the archimedean part runs in power-of-two fixed point (an

@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers: one fraction-free Gauss-Jordan
 elimination over Z, which gives a determinant and the adjugate solves
-together (once per map, for the resultant and the Bezout cofactors of
-its Sylvester matrix), and kernels modulo a prime or modulo a product of
-distinct primes."""
+together (the tests' reference for the resultants and Bezout cofactors
+that ``polys.resultant`` computes), and kernels modulo a prime or modulo
+a product of distinct primes."""
 
 from __future__ import annotations
 

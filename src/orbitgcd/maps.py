@@ -19,9 +19,9 @@ A :class:`ProjPoint` is a coprime integer pair (r, s) with s >= 0, and
 infinity is (1, 0); ``.value`` is the rational view for callers.  For
 coprime (r, s), gcd(F(r, s), G(r, s)) divides the resultant R of (F, G),
 so :func:`evaluate` puts f(P) in lowest terms with a gcd against |R|
-(up to degree 8, where R is cheap to compute) instead of a gcd of the
-two orbit values; R and the Bezout cofactor height of the heights come
-from one elimination per map (:func:`bezout_record`).  Orbits are walked
+instead of a gcd of the two orbit values; R and the Bezout cofactor
+height of the heights come from two subresultant PRSs per map, one in
+each affine chart (:func:`bezout_record`).  Orbits are walked
 point-wise on these pairs by :func:`orbit`, and classification never
 composes (it reads one-step fibers, as integer lists, and critical orbits).
 Composition serves conjugation and the commuting test; it packs
@@ -37,18 +37,12 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError
-from .exact import _GMP_BITS, int_gcd, int_mul
-from .linalg import solve_fraction
+from .exact import _GMP_BITS, int_mul
 from .polys import (Polynomial, exact_div, kronecker_pack, kronecker_unpack, primitive,
-                    primitive_gcd, trim)
+                    primitive_gcd, resultant, trim)
 
 DEFAULT_ORBIT_DIGIT_BUDGET = 10**7
 DEFAULT_DEGREE_BUDGET = 4096
-# Above this degree evaluate reduces by a plain gcd: the elimination behind
-# bezout_record takes 0.03 / 1.2 / 30 ms / 3.3 s at degree 2 / 8 / 16 / 32 on
-# (-2+9x+8x^2)/(-5+2x+6x^2) composed with itself (2-core Xeon VM).  Where it
-# starts to cost more than the gcds it saves is not measured.
-_RESULTANT_MAX_DEGREE = 8
 
 _LOG10_2 = math.log10(2)
 
@@ -219,27 +213,22 @@ class RationalMap:
         return evaluate(self, point)
 
 
-def _sylvester_rows(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
-    # rows indexed by X^k Y^(2d-1-k); unknowns: u_0..u_{d-1}, v_0..v_{d-1}
-    d = len(a) - 1
-    return [[c[k - j] if 0 <= k - j <= d else 0 for c in (a, b) for j in range(d)]
-            for k in range(2 * d)]
-
-
 @functools.lru_cache(maxsize=256)
 def bezout_record(f: RationalMap) -> tuple[int, int]:
     """(R, H_u): the resultant of the homogenized pair (F, G), nonzero as
-    the representation is coprime, and the largest |coefficient| (at least
-    1) of the Bezout cofactors u, v with u F + v G = R X^(2d-1) and
-    R Y^(2d-1), the columns R S^-1 e_k of the Sylvester matrix S: one
-    elimination gives both.  Cached per (immutable) map."""
-    rows = _sylvester_rows(*f.forms)
-    n = len(rows)
-    res, cols = solve_fraction(rows, [[int(i == k) for i in range(n)] for k in (n - 1, 0)])
+    the representation is coprime, and the largest |coefficient| of the
+    Bezout cofactors u, v (unique, of degree d - 1) with u F + v G =
+    R Y^(2d-1) and R X^(2d-1).  With m, n the degrees of F(x, 1), G(x, 1),
+    R = (-1)^(d m) Res(F(x, 1), G(x, 1)) lc_F^(d-n) lc_G^(d-m), and the
+    cofactors of :func:`~orbitgcd.polys.resultant` in the charts Y = 1 and
+    X = 1, times R / Res_chart, are u and v there.  Cached per map."""
+    d, (p, q) = f.degree, [trim(list(c)) for c in f.forms]
+    m, n = len(p) - 1, len(q) - 1
+    records = [resultant(p, q), resultant(*(trim(list(c[::-1])) for c in f.forms))]
+    res = (-1) ** (d * m) * records[0][0] * p[-1] ** (d - n) * q[-1] ** (d - m)
     if res == 0:
         raise DomainError("vanishing resultant: map representation not coprime")
-    assert cols is not None
-    return res, max(1, max(abs(c) for col in cols for c in col))
+    return res, max(abs(res // r) * max(map(abs, s + t)) for r, s, t in records)
 
 
 def map_resultant(f: RationalMap) -> int:
@@ -250,18 +239,15 @@ def map_resultant(f: RationalMap) -> int:
 def evaluate(f: RationalMap, point) -> ProjPoint:
     """Projective evaluation; indeterminacy is impossible because the
     representation is coprime.  The common factor of (F(r, s), G(r, s))
-    divides R = Res(F, G), so up to degree _RESULTANT_MAX_DEGREE it is
-    found as gcd(F mod R, G mod R, R), in time linear in the size of F and G.
+    divides R = Res(F, G), so it is found as gcd(F mod R, G mod R, R), in
+    time linear in the size of F and G.
 
     >>> evaluate(RationalMap([1, 0, 1], [0, 1]), ProjPoint(0))  # (x^2+1)/x at 0
     ProjPoint(oo)
     """
     x, y = f.form_values(*ProjPoint.of(point).pair())
-    if f.degree > _RESULTANT_MAX_DEGREE:
-        g = int_gcd(x, y)
-    else:
-        res = abs(map_resultant(f))
-        g = math.gcd(x % res, y % res, res) if res > 1 else 1
+    res = abs(map_resultant(f))
+    g = math.gcd(x % res, y % res, res) if res > 1 else 1
     if g > 1:
         x, y = x // g, y // g
     return ProjPoint.from_coprime(x, y)
@@ -269,13 +255,13 @@ def evaluate(f: RationalMap, point) -> ProjPoint:
 
 def _digit_floor(f: RationalMap, point: ProjPoint) -> int:
     """A lower bound on the digits of f(point), numerator plus denominator,
-    for f of degree d <= _RESULTANT_MAX_DEGREE, and at most d + 1 times the
-    digits of point.  For coprime (r, s), M = max(|r|, |s|) of b bits:
-    R r^(2d-1) = u F + v G (and so for s), |u(r, s)|, |v(r, s)| <=
-    d H_u M^(d-1) (:func:`bezout_record`) and gcd(F, G) | R, so f(point)
-    has a coordinate >= M^d / (2 d H_u) >= 2^e, e = d (b-1) - c for
-    2 d H_u < 2^c, of floor(e log10 2) + 1 digits or more (the float
-    product less 10^-6 stays below), and the other has one more."""
+    for f of degree d, and at most d + 1 times the digits of point.  For
+    coprime (r, s), M = max(|r|, |s|) of b bits: R r^(2d-1) = u F + v G
+    (and so for s), |u(r, s)|, |v(r, s)| <= d H_u M^(d-1)
+    (:func:`bezout_record`) and gcd(F, G) | R, so f(point) has a
+    coordinate >= M^d / (2 d H_u) >= 2^e, e = d (b-1) - c for 2 d H_u <
+    2^c, of floor(e log10 2) + 1 digits or more (the float product less
+    10^-6 stays below), and the other has one more."""
     d = f.degree
     r, s = point.pair()
     c = (2 * d * bezout_record(f)[1]).bit_length()
@@ -294,19 +280,16 @@ def orbit(walks, n: int, digit_budget: int | None = None):
     total as ``digits`` and the steps completed as ``steps``.  A step sure
     to pass, by the total plus :func:`_digit_floor` of its points, raises
     before its products reach GMP (which aborts on a failed allocation),
-    with "at least" that sum; a walk with a map above degree
-    _RESULTANT_MAX_DEGREE, which has no Bezout record, has only the check
-    after the step.
+    with "at least" that sum.
     """
     fs, starts = zip(*walks)
     points = tuple(map(ProjPoint.of, starts))
-    precheck = (digit_budget is not None
-                and all(f.degree <= _RESULTANT_MAX_DEGREE for f in fs))
+    reach = max(f.degree for f in fs) + 2
     spent = 0
     for k in range(n + 1):
         if k:
-            # a floor is at most 9 times its point's digits, which spent holds
-            if (precheck and 10 * spent > digit_budget
+            # a floor is at most d + 1 times its point's digits, which spent holds
+            if (digit_budget is not None and reach * spent > digit_budget
                     and (least := spent + sum(map(_digit_floor, fs, points))) > digit_budget):
                 raise BudgetExceededError(
                     f"orbit digit budget exceeded at step {k}: "

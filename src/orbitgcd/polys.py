@@ -5,17 +5,19 @@ algebra inside.
 polynomial has degree -1 (a sentinel, never a valid exponent).  It carries
 no arithmetic.  Every computation runs on integer coefficient lists:
 :func:`primitive` takes coefficients to Z, :func:`exact_div` divides in
-Z[x], gcds follow a primitive pseudo-remainder sequence, and squarefree
-structure comes from Yun's algorithm, which is all the factorization this
-package ever needs.  Results come back as monic polynomials, which are
-unique.  The same lists carry the Kronecker substitution that composes
-maps, and the critical-orbit walk of the depth selector.
+Z[x], gcds follow a primitive pseudo-remainder sequence, resultants and
+their Bezout cofactors a subresultant one, and squarefree structure comes
+from Yun's algorithm, which is all the factorization this package ever
+needs.  Results come back as monic polynomials, which are unique.  The
+same lists carry the Kronecker substitution that composes maps, and the
+critical-orbit walk of the depth selector.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DomainError
 
@@ -132,6 +134,18 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    return trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
 def _derivative(cs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
@@ -146,6 +160,44 @@ def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, primitive(_pseudo_rem(a, b))
     return a
+
+
+def resultant(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """(Res, s, t) for nonzero trimmed integer lists, not both constant: the
+    Sylvester determinant Res = lc(a)^deg b prod b(theta) over the roots
+    theta of a, and s a + t b = Res with deg s < deg b and deg t < deg a
+    (unique when Res != 0); (0, [], []) when a and b share a root.  A
+    subresultant PRS (Collins, JACM 14, 1967; Brown and Traub, JACM 18,
+    1971) that carries s: its members and their cofactors are
+    subresultants, so every division is exact.
+
+    >>> resultant([1, -5], [0, 4, 3, -2])       # 1 - 5x, 4x + 3x^2 - 2x^3
+    (-113, [-113, -65, 50], [-125])
+    """
+    (x, sx), (y, sy), sign = (a, [1]), (b, []), 1       # sx, sy: the cofactors of a
+    if len(a) < len(b):     # Res(a, b) = (-1)^(deg a deg b) Res(b, a)
+        (x, sx), (y, sy), sign = (y, sy), (x, sx), (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = 1
+    while len(y) > 1:
+        delta, lc = len(x) - len(y), y[-1]
+        if (len(x) - 1) * (len(y) - 1) % 2:
+            sign = -sign
+        # lc^(delta+1) x = q y + r, with q in Z[t]: each quotient digit is exact
+        r, q = [c * lc ** (delta + 1) for c in x], []
+        for i in range(delta, -1, -1):
+            q.append(top := r.pop() // lc)
+            r[i:] = [u - top * c for u, c in zip(r[i:], y)]
+        if not trim(r):
+            return 0, [], []
+        sr = _sub([c * lc ** (delta + 1) for c in sx], _mul(q[::-1], sy))
+        div = g * h**delta
+        (x, sx), (y, sy) = (y, sy), ([c // div for c in r], [c // div for c in sr])
+        g = x[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    k = len(x) - 1          # y is the constant S_0: Res = sign y^k / h^(k-1)
+    w, v = sign * y[0] ** (k - 1), h ** (k - 1)
+    res, s = w * y[0] // v, [c * w // v for c in sy]
+    return res, s, exact_div(_sub([res], _mul(s, a)), b)
 
 
 def _monic(cs: list[int]) -> Polynomial:

@@ -20,11 +20,10 @@ from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
                                   mobius_invariance_probe)
 from orbitgcd.exact import _GMP_BITS, log_abs
 from orbitgcd.heights import PlaceSet, discrepancy_bound
-from orbitgcd.linalg import solve_fraction
 from orbitgcd.maps import (ProjPoint, RationalMap, evaluate, fiber_polynomial, map_resultant,
                            self_compose)
 from orbitgcd.polys import (Polynomial, _derivative, _pseudo_rem, _yun, exact_div,
-                            max_multiplicity, primitive_gcd, trim)
+                            max_multiplicity, primitive_gcd, resultant, trim)
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -296,12 +295,10 @@ def test_choose_depth_answers_past_depth_16(f, g, a, b, target, epsilon, expecte
     cert = choose_depth(f, g, a, b, target, target, epsilon)
     assert (cert.depth, cert.m_prime) == expected
     assert cert.replay()
-    # D is least: the inequality fails at D - 1, with M' read from the walk
-    walks = zip(_critical_walk(f, Fraction(target)), _critical_walk(g, Fraction(target)))
-    (m_f, _), (m_g, _) = next(islice(walks, cert.depth - 2, None))
-    factor_heights = (4 * (cert.hhat_f_a + cert.hhat_f_a_error)
-                      + 4 * (cert.hhat_g_b + cert.hhat_g_b_error) + cert.constant)
-    assert max(m_f, m_g) / f.degree ** (cert.depth - 1) * factor_heights >= epsilon / 2
+    # D is least: the inequality fails at D - 1, decided exactly against the
+    # Fraction oracle, with M' read from the walk
+    before, at = oracle_lhs(f, g, a, b, target, target, cert.depth)
+    assert before >= Fraction(epsilon) / 2 > at == cert.lhs
 
 
 @pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan])
@@ -380,25 +377,26 @@ def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
 
 def test_choose_depth_solves_each_maps_bezout_systems_once(monkeypatch):
     # the resultant and the Bezout cofactor height behind the discrepancy
-    # constant come from one cached elimination per map (maps.bezout_record),
-    # read by both canonical heights, discrepancy_bound and map_resultant
+    # constant come from one cached record per map (maps.bezout_record, a
+    # subresultant PRS in each of the charts Y = 1 and X = 1), read by both
+    # canonical heights, discrepancy_bound and map_resultant
     calls = []
 
-    def counting_solve(rows, columns=()):
-        calls.append(len(rows))
-        return solve_fraction(rows, columns)
-    monkeypatch.setattr(maps, "solve_fraction", counting_solve)
+    def counting_resultant(a, b):
+        calls.append((len(a) - 1, len(b) - 1))
+        return resultant(a, b)
+    monkeypatch.setattr(maps, "resultant", counting_resultant)
     f, g = RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1])
     for pair, distinct in (((f, g), 2), ((f, f), 1)):
         maps.bezout_record.cache_clear()
         calls.clear()
         cold = choose_depth(*pair, 1, 2, 1, 1, 0.1)
-        assert calls == [6] * distinct
+        assert calls == [(3, 0), (3, 3)] * distinct
         assert choose_depth(*pair, 1, 2, 1, 1, 0.1) == cold
         for h in pair:
             map_resultant(h)
             discrepancy_bound(h)
-        assert calls == [6] * distinct
+        assert calls == [(3, 0), (3, 3)] * distinct
 
 
 @pytest.mark.parametrize("g, a, epsilon, expected", [
@@ -636,19 +634,22 @@ def test_escape_radius_pushes_every_point_outward(a, c, alpha, excess, unit):
 
 
 def test_class_norm_is_the_resultant():
+    # Y is a constant, the only kind the walk passes (polynomial maps)
     sympy = pytest.importorskip("sympy")
     t, z = sympy.symbols("t z")
     rng = random.Random(28)
     for _ in range(30):
         n = rng.randint(1, 4)
         p = [rng.randint(-5, 5) for _ in range(n)] + [1]
-        x, y = ([rng.randint(-9, 9) for _ in range(n)] for _ in range(2))
+        x, y = [rng.randint(-9, 9) for _ in range(n)], [rng.randint(-9, 9)]
         expected = sympy.Poly(sympy.resultant(
             sympy.Poly(list(reversed(p)), t).as_expr(),
             z * sympy.Poly(list(reversed(y)), t).as_expr()
             - sympy.Poly(list(reversed(x)), t).as_expr(), t), z)
         norm = [int(c) for c in reversed(expected.all_coeffs())]
         assert experiments._class_norm(p, trim(x), trim(y)) in (norm, [-c for c in norm])
+    # the class at infinity of a polynomial map has Y = 0: N is the constant X
+    assert experiments._class_norm([0, 1], [5], []) in ([5], [-5])
 
 
 def test_large_index_set_examples():

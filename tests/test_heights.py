@@ -16,7 +16,7 @@ from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
                               discrepancy_bound, hgcd, hgcd_excluding,
                               hgcd_fin, map_resultant, weil_height)
 from orbitgcd.linalg import solve_fraction
-from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _sylvester_rows, bezout_record,
+from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, bezout_record, compose,
                            evaluate, iterate, self_compose)
 
 X2 = RationalMap([0, 0, 1])
@@ -492,6 +492,14 @@ def fraction_solve(matrix, rhs):
     return x
 
 
+def _sylvester_rows(a, b):
+    # the Bezout system u F + v G = w of the forms a, b of degree d: rows
+    # indexed by X^k Y^(2d-1-k); unknowns u_0..u_{d-1}, v_0..v_{d-1}
+    d = len(a) - 1
+    return [[c[k - j] if 0 <= k - j <= d else 0 for c in (a, b) for j in range(d)]
+            for k in range(2 * d)]
+
+
 def poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
@@ -504,7 +512,15 @@ def poly_mul(p, q):
 @given(f=bezout_maps())
 @example(f=RationalMap([1, 1, 1]))                  # an odd number of row swaps
 @example(f=RationalMap([-1, -1, 1], [-1, 0, 2]))
+@example(f=compose(RationalMap([0, 1, 0, 1]), RationalMap([1, 0, 0, 2])))      # degree 9
+@example(f=compose(RationalMap([1, 0, -2], [0, 3, 1]),
+                   RationalMap([1, 2, 0, 0, 0, -1], [3, 0, 1])))           # degree 10
+@example(f=compose(RationalMap([2, -1, 0, 1], [1, 0, 3]),
+                   RationalMap([0, 3, 0, -1, 1], [1, 0, 2])))                # degree 12
+@example(f=self_compose(RationalMap([-2, 9, 8], [-5, 2, 6]), 4))           # degree 16
 def test_bezout_cofactors_from_one_elimination(f):
+    # the record, from a subresultant PRS in each chart, against the
+    # fraction-free elimination of the Sylvester system
     a, b = f.forms
     d, (res, height_u) = f.degree, bezout_record(f)
     rows = _sylvester_rows(a, b)

@@ -19,9 +19,9 @@ from orbitgcd import maps as maps_module
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import _GMP_BITS
 from orbitgcd.linalg import det_fraction
-from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _digit_floor, _sylvester_rows,
-                           bezout_record, compose, conjugate, digit_count, evaluate,
-                           fiber_polynomial, iterate, map_resultant, orbit, self_compose)
+from orbitgcd.maps import (INFINITY, ProjPoint, RationalMap, _digit_floor, bezout_record,
+                           compose, conjugate, digit_count, evaluate, fiber_polynomial, iterate,
+                           map_resultant, orbit, self_compose)
 from orbitgcd.polys import Polynomial, kronecker_pack, kronecker_unpack
 
 X2 = RationalMap([0, 0, 1])
@@ -468,6 +468,14 @@ def test_orbit_budget_is_checked_after_the_products(f, monkeypatch):
     assert largest > 0.6
 
 
+def test_orbit_budget_bound_is_weighed_by_the_degree():
+    # x^20 from 10^100: the step's floor, near 20 times the 102 digits
+    # spent, passes a budget of 1,100 that ten times the digits spent do not
+    with pytest.raises(BudgetExceededError) as err:
+        iterate(RationalMap([0] * 20 + [1]), 10**100, 1, digit_budget=1100)
+    assert str(err.value).startswith("orbit digit budget exceeded at step 1: at least ")
+
+
 def test_digit_floor_bounds_every_image():
     # the Bezout bound max(|x|, |y|) >= M^d / (2 d H_u) on random maps of
     # degree 2-5 and points of up to 300 bits, the digit floor under it,
@@ -513,28 +521,35 @@ def test_orbit_walks_pairs_in_lockstep_on_one_budget():
 def test_budget_raises_before_gmp_can_abort_under_a_memory_limit():
     # x^2 from 2^(10^8): the square asks GMP for 25 MB, past the 32 MB of
     # address space the child leaves itself, and GMP aborts (SIGABRT) on a
-    # failed allocation; the bound on the square raises before it is formed
+    # failed allocation; the bound on the square raises before it is formed.
+    # The same at degree 9, (x^3 + x) o (2x^3 + 1) from 2^(3 10^7), whose
+    # powers up to the fourth already ask for 34 MB
     child = """if True:
         import resource, sys
         from orbitgcd.errors import BudgetExceededError
-        from orbitgcd.maps import RationalMap, iterate
-        start = 1 << 10**8
+        from orbitgcd.maps import RationalMap, compose, iterate
+        deep = compose(RationalMap([0, 1, 0, 1]), RationalMap([1, 0, 0, 2]))
+        cases = [(RationalMap([0, 0, 1]), 1 << 10**8), (deep, 1 << 3 * 10**7)]
         with open("/proc/self/statm") as fh:
             size = int(fh.read().split()[0]) * resource.getpagesize()
         resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20), resource.RLIM_INFINITY))
-        try:
-            iterate(RationalMap([0, 0, 1]), start, 3)
-        except BudgetExceededError as err:
-            print(err)
-            sys.exit(0)
-        sys.exit(1)
+        for f, start in cases:
+            try:
+                iterate(f, start, 3)
+            except BudgetExceededError as err:
+                print(err)
+                continue
+            sys.exit(1)
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(maps_module.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, (done.returncode, done.stderr[-400:])
-    assert done.stdout.startswith("orbit digit budget exceeded at step 1: at least ")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("orbit digit budget exceeded at step 1: at least ")
+               for line in lines)
 
 
 # --- evaluate/iterate against a Fraction evaluator ---
@@ -614,7 +629,7 @@ def test_evaluate_reduces_by_the_resultant():
     assert evaluate(half_x, INFINITY).pair() == (1, 0)
     deficit = RESULTANT_MAPS[4]
     assert evaluate(deficit, 1) == INFINITY and evaluate(deficit, INFINITY) == INFINITY
-    # above the resultant's degree cap the plain gcd reduces
+    # at degree 9 too the resultant reduces
     deep = compose(RESULTANT_MAPS[5], RESULTANT_MAPS[5])
     assert deep.degree == 9
     for x in (None, Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2)):
@@ -641,6 +656,14 @@ def sylvester_maps(draw):
 
 COMPOSED = [self_compose(f, k) for f in (RationalMap([-4, 1], [-5, -3, 5]),
                                          RESULTANT_MAPS[4]) for k in (2, 3, 4)]
+
+
+def _sylvester_rows(a, b):
+    # the Bezout system u F + v G = w of the forms a, b of degree d: rows
+    # indexed by X^k Y^(2d-1-k); unknowns u_0..u_{d-1}, v_0..v_{d-1}
+    d = len(a) - 1
+    return [[c[k - j] if 0 <= k - j <= d else 0 for c in (a, b) for j in range(d)]
+            for k in range(2 * d)]
 
 
 def sympy_resultant(f):

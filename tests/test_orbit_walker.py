@@ -94,7 +94,7 @@ def random_map(rng, degree):
             return f
 
 
-# degree 9: above the resultant's degree cap, so only the check after each step
+# degree 9, (x^3 + x) o (2x^3 + 1): the bound before each step holds at every degree
 DEEP = compose(RationalMap([0, 1, 0, 1]), RationalMap([1, 0, 0, 2]))
 
 
@@ -119,7 +119,7 @@ def random_cases(seed, count):
 
 
 def test_iterate_matches_the_old_loop_but_for_the_precheck():
-    same = prechecked = completed = 0
+    same = prechecked = completed = deep_prechecked = 0
     for _, f, start, n, budget in random_cases(2601, 600):
         try:
             want = old_iterate(f, start, n, budget)
@@ -139,12 +139,12 @@ def test_iterate_matches_the_old_loop_but_for_the_precheck():
             assert budget < got.digits <= want.digits
             assert str(got) == (f"orbit digit budget exceeded at step {want.steps + 1}: "
                                 f"at least {got.digits} > {budget}")
-            assert f.degree <= 8
             prechecked += 1
+            deep_prechecked += f is DEEP
         else:
             assert (got.digits, str(got)) == (want.digits, str(want))
             same += 1
-    assert (completed, same, prechecked) == (205, 78, 317)
+    assert (completed, same, prechecked, deep_prechecked) == (205, 56, 339, 22)
 
 
 def test_gcd_series_matches_the_old_loop_but_where_the_starts_tip_the_budget():

@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
+from orbitgcd.linalg import det_fraction
 from orbitgcd.polys import (Polynomial, exact_div, max_multiplicity, multiplicity_at,
-                            poly_gcd, primitive, radical, squarefree_decomposition)
+                            poly_gcd, primitive, radical, resultant, squarefree_decomposition)
 
 # --- plain coefficient-list arithmetic (ascending), the tests' own oracle ---
 
@@ -233,3 +234,30 @@ def test_exact_div_inverts_multiplication(a, b, r):
     if r:
         ab = mul(a, b)
         assert exact_div([x + (r[i] if i < len(r) else 0) for i, x in enumerate(ab)], b) is None
+
+
+def sylvester(a, b):
+    """The Sylvester matrix of ascending integer lists of degrees m, n: n
+    shifted rows of a's coefficients, then m of b's, highest degree first."""
+    m, n = len(a) - 1, len(b) - 1
+    return ([[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)])
+
+
+RESULTANT_POLY = st.lists(st.integers(-9, 9), min_size=1, max_size=9).filter(lambda cs: cs[-1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=RESULTANT_POLY, b=RESULTANT_POLY,
+       shared=st.sampled_from([[1], [1], [1], [-1, 1], [2, 0, -3]]))
+@example(a=[1, -5], b=[0, 4, 3, -2], shared=[1])   # sympy.resultant answers +113
+def test_resultant_is_the_sylvester_determinant_with_its_cofactors(a, b, shared):
+    # degrees 0-8 either way round, constants included (not both), and a
+    # shared factor that makes Res = 0
+    assume(len(a) + len(b) > 2)
+    a, b = mul(a, shared), mul(b, shared)
+    res, s, t = resultant(a, b)
+    assert res == det_fraction(sylvester(a, b))
+    combo = [x + y for x, y in zip(mul(s, a) + [0] * len(b), mul(t, b) + [0] * len(a))]
+    assert combo[:len(a) + len(b) - 1] == [res] + [0] * (len(a) + len(b) - 2)
+    assert len(s) < len(b) and len(t) < len(a)
