@@ -505,7 +505,10 @@ def log_abs(x, den: int = 1) -> Real:
         x, den = x.numerator, x.denominator
     if x == 0:
         raise DomainError("log|0| is -infinity; handle upstream")
-    return Real(log_fixed(abs(x), ARCH_PREC) - log_fixed(den, ARCH_PREC), 1 << ARCH_PREC)
+    arch = log_fixed(abs(x), ARCH_PREC)
+    if den != 1:    # log 1 is exactly 0
+        arch -= log_fixed(den, ARCH_PREC)
+    return Real(arch, 1 << ARCH_PREC)
 
 
 @dataclass(frozen=True)

@@ -249,32 +249,60 @@ class DepthCertificate:
 _PORTRAIT_DIGIT_CAP = 100_000
 
 
-def _form_at(cs, x: list[int], y: list[int]) -> list[int]:
-    # sum cs[i] x^i y^(k-i) in Z[t], k = len(cs) - 1, by Horner's rule
-    acc, ypow = [cs[-1]], [1]
-    for c in reversed(cs[:-1]):
-        ypow = _mul(ypow, y)
-        acc = [p + c * q for p, q in zip_longest(_mul(acc, x), ypow, fillvalue=0)]
+def _form_at(cs, x: list[int], y: list[int], p: list[int]) -> list[int]:
+    # sum cs[i] x^i y^(k-i), k = len(cs) - 1, in Z[t]/(P) for a monic P, by
+    # Horner's rule reduced as it multiplies, so that no list grows past
+    # deg P.  A constant Y (every class of a polynomial map) keeps its powers
+    # as ints, and Horner's rule starts at the top nonzero cs[m], as
+    # cs[m] y^(k-m); a constant X as well (every class of degree 1) makes the
+    # whole form one int
+    if len(y) > 1:
+        ypows = [y]
+        for _ in range(len(cs) - 2):
+            ypows.append(_mul(ypows[-1], y, p))
+        acc = [cs[-1]]
+        for c, ypow in zip(reversed(cs[:-1]), ypows):
+            acc = [u + c * v for u, v in zip_longest(_mul(acc, x, p), ypow, fillvalue=0)]
+        return trim(acc)
+    m = len(cs) - 1
+    while not cs[m]:
+        m -= 1
+    y = y[0] if y else 0
+    ypow = y ** (len(cs) - 1 - m)
+    if len(x) <= 1:
+        x, acc = (x[0] if x else 0), cs[m] * ypow
+        for c in reversed(cs[:m]):
+            ypow *= y
+            acc = acc * x + c * ypow
+        return [acc] if acc else []
+    acc = [cs[m] * ypow]
+    for c in reversed(cs[:m]):
+        ypow *= y
+        acc = _mul(acc, x, p) or [0]
+        acc[0] += c * ypow
     return trim(acc)
 
 
 def _class_norm(p: list[int], x: list[int], y: list[int]) -> list[int]:
-    """N(z) = Res_t(P, z Y - X) up to sign, for monic P and a constant Y
-    (the walk asks only for polynomial maps, where Y is one): the integer
-    polynomial prod (Y z - X(theta)) over the roots theta of P, whose roots
-    are the class's points X/Y.  It is the characteristic polynomial of X
-    in Z[t]/(P) at Y z, with coefficients e_k from the traces Tr(X^j) =
-    sum_i (X^j mod P)_i Tr(t^i) by Newton's identities."""
+    """N(z) = Res_t(P, z Y - X) up to sign, for monic P, X reduced mod P
+    (deg X < deg P) and a constant Y (the walk asks only for polynomial
+    maps, where Y is one): the integer polynomial prod (Y z - X(theta)) over
+    the roots theta of P, whose roots are the class's points X/Y.  It is the
+    characteristic polynomial z^n + c_1 z^(n-1) + ... + c_n of X in Z[t]/(P)
+    at Y z, with k c_k = -(T_1 c_(k-1) + ... + T_k c_0) from the traces
+    T_j = Tr(X^j) = sum_i (X^j mod P)_i Tr(t^i) by Newton's identities."""
     n = len(p) - 1
     sums = [n]      # Tr(t^k), the power sums of the roots of P
     for k in range(1, n):
         sums.append(-k * p[n - k] - sum(p[n - i] * sums[k - i] for i in range(1, k)))
-    traces, e, power = [], [1], [1]
+    traces, c, power = [], [1], x
     for k in range(1, n + 1):
-        power = _pseudo_rem(_mul(power, x), p)
-        traces.append(sum(c * s for c, s in zip(power, sums)))
-        e.append(sum((-1) ** i * e[k - 1 - i] * traces[i] for i in range(k)) // k)
-    return trim([(-1) ** (n - j) * e[n - j] * (y[0] if y else 0) ** j for j in range(n + 1)])
+        traces.append(sum(u * s for u, s in zip(power, sums)))
+        c.append(-sum(u * v for u, v in zip(traces, reversed(c))) // k)
+        if k < n:
+            power = _mul(power, x, p)
+    y = y[0] if y else 0
+    return trim([c[n - j] * y**j for j in range(n + 1)])
 
 
 def _escape_radius(f: RationalMap, target: Fraction) -> Fraction | None:
@@ -351,12 +379,14 @@ def _critical_walk(f: RationalMap, target: Fraction):
     while True:
         stepped = []
         for p, x, y, prod, age, mark in classes:
-            x, y = _pseudo_rem(_form_at(a, x, y), p), _pseudo_rem(_form_at(b, x, y), p)
+            # the step (X, Y) -> (F(X, Y), G(X, Y)) / content, all in Z[t]/(P)
+            x, y = _form_at(a, x, y, p), _form_at(b, x, y, p)
             g = math.gcd(*x, *y)
-            x, y = [c // g for c in x], [c // g for c in y]
-            if len(primitive_gcd(p, _form_at(hit_form, x, y))) > 1:
+            if g > 1:
+                x, y = [c // g for c in x], [c // g for c in y]
+            if len(primitive_gcd(p, _form_at(hit_form, x, y, p))) > 1:
                 best, mark = max(best, prod), None    # a checkpoint before a hit proves nothing
-            elif mark and not _pseudo_rem(_sub(_mul(x, mark[1]), _mul(mark[0], y)), p):
+            elif mark and not _sub(_mul(x, mark[1], p), _mul(mark[0], y, p)):
                 continue
             age += 1
             if age & (age - 1) == 0:
@@ -365,7 +395,7 @@ def _critical_walk(f: RationalMap, target: Fraction):
                 continue
             rest, pieces = p, []
             for q, e in critical:
-                h = primitive_gcd(rest, _form_at(q, x, y))
+                h = primitive_gcd(rest, _form_at(q, x, y, p))     # rest divides P
                 if len(h) > 1:
                     h = h if h[-1] > 0 else [-c for c in h]
                     rest = exact_div(rest, h)

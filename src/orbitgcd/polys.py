@@ -11,6 +11,15 @@ from Yun's algorithm, which is all the factorization this package ever
 needs.  Results come back as monic polynomials, which are unique.  The
 same lists carry the Kronecker substitution that composes maps, and the
 critical-orbit walk of the depth selector.
+
+The kernels cost what their inputs need.  The content of an int list is
+one gcd; only Fractions pay for clearing denominators.  A remainder
+sequence ends at its first constant, whose sign is the gcd.  The walk's
+classes are monic, and a pseudo-remainder by a monic P is the remainder
+itself: each top term t^n is replaced by -(p_0 + ... + p_(n-1) t^(n-1)),
+all in Z, so nothing is ever rescaled by the leading coefficient.
+:func:`_mul` reduces its product mod such a P, so arithmetic in Z[t]/(P)
+keeps every list shorter than P.
 """
 
 from __future__ import annotations
@@ -84,11 +93,19 @@ class Polynomial:
 def primitive(cs) -> list[int]:
     """Integer primitive part of rational coefficients (ints or Fractions):
     denominators cleared, then divided by the positive content, so signs
-    are kept.  Same length as ``cs`` (no trimming); all zeros stay zeros.
+    are kept.  A new list of the same length as ``cs`` (no trimming); all
+    zeros stay zeros.  The content of an int list is one gcd.
 
     >>> primitive([Fraction(2, 3), 0, Fraction(-4, 3)])
     [1, 0, -2]
     """
+    if cs and type(cs[0]) is int:
+        try:
+            g = math.gcd(*cs)
+        except TypeError:       # a Fraction further on
+            pass
+        else:
+            return [c // g for c in cs] if g > 1 else list(cs)
     scale = math.lcm(*(c.denominator for c in cs))
     ints = [c.numerator * (scale // c.denominator) for c in cs]
     g = math.gcd(*ints)
@@ -121,6 +138,8 @@ def exact_div(a: list[int], b: list[int]) -> list[int] | None:
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     # remainder of a by b over Z up to a power of lc(b); ascending coeffs
+    if b[-1] == 1:
+        return _reduce(list(a), b)
     db = len(b) - 1
     lc = b[-1]
     r = list(a)
@@ -134,12 +153,26 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
+def _reduce(r: list[int], p: list[int]) -> list[int]:
+    # r mod a monic p, in place and trimmed: t^n = -(p_0 + ... + p_(n-1) t^(n-1))
+    # cancels each top term with integer coefficients, so nothing is rescaled
+    n = len(p) - 1
+    for k in range(len(r) - 1 - n, -1, -1):
+        top = r.pop()
+        if top:
+            for i in range(n):
+                r[k + i] -= top * p[i]
+    return trim(r)
+
+
+def _mul(a: list[int], b: list[int], p: list[int] | None = None) -> list[int]:
+    """The product of two int lists; with a monic ``p``, its remainder mod p,
+    trimmed (the product in Z[t]/(p))."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return out
+    return out if p is None else _reduce(out, p)
 
 
 def _sub(a: list[int], b: list[int]) -> list[int]:
@@ -153,13 +186,14 @@ def _derivative(cs: list[int]) -> list[int]:
 def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     """A primitive gcd in Z[x] (sign not fixed) of two trimmed coefficient
     sequences (ints or Fractions, not both zero), by a primitive
-    pseudo-remainder sequence."""
+    pseudo-remainder sequence.  A nonzero constant in it, an operand
+    included, ends it: the gcd is that constant's sign, [1] or [-1]."""
     if len(a) < len(b):
         a, b = b, a
     a, b = primitive(a), primitive(b)
-    while b:
+    while len(b) > 1:
         a, b = b, primitive(_pseudo_rem(a, b))
-    return a
+    return b or a
 
 
 def resultant(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:

@@ -14,7 +14,7 @@ from orbitgcd.classify import is_exceptional
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
 from orbitgcd.experiments import (APStructure, GcdSeriesConfig, IndexSet,
-                                  _critical_walk, _form_at, _mul, ap_structure, choose_depth,
+                                  _critical_walk, _mul, ap_structure, choose_depth,
                                   gcd_series, inversion_deviation_bound,
                                   iter_gcd_series_rows, large_index_set,
                                   mobius_invariance_probe)
@@ -365,11 +365,15 @@ def test_choose_depth_ramified_fiber_m_prime():
 @pytest.mark.parametrize("f, g, epsilon, expected", [
     (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 0.1, (6, 3)),
     (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 0.1, (9, 1)),
+    (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 0.01, (12, 1)),
+    (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 1e-3, (16, 1)),
 ])
 def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
     # x^3 + 1, x^3 + x - 1 and (x^2 - 3)/2x, (x^2 + 2)/x; a = 1, b = 2,
     # alpha = beta = 1: fibers of degree 729 and 512, which a mod-p
-    # multiplicity tower could only bound from above
+    # multiplicity tower could only bound from above.  The rational pair has
+    # no drop rule, so at 1e-3 its walk carries a class of degree 2 with a
+    # non-constant Y through 16 depths
     cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
     assert (cert.depth, cert.m_prime) == expected
     assert cert.replay()
@@ -518,6 +522,16 @@ def test_critical_walk_matches_sympy_sqf_list(num, den, alpha, depth):
 # --- settling critical classes: the walk against a walk that drops none ---
 
 
+def form_at(cs, x, y):
+    """sum cs[i] x^i y^(k-i) in Z[t], k = len(cs) - 1, by plain Horner's rule,
+    with no reduction and no constant shortcuts: the reference's own."""
+    acc, ypow = [cs[-1]], [1]
+    for c in reversed(cs[:-1]):
+        ypow = _mul(ypow, y)
+        acc = [p + c * q for p, q in zip_longest(_mul(acc, x), ypow, fillvalue=0)]
+    return trim(acc)
+
+
 def reference_critical_walk(f, target):
     """The critical walk without its drop rules: every class is walked at
     every depth.  Yields M'_D and the portrait's bit length."""
@@ -539,14 +553,14 @@ def reference_critical_walk(f, target):
     while True:
         stepped = []
         for p, x, y, prod in classes:
-            x, y = _pseudo_rem(_form_at(a, x, y), p), _pseudo_rem(_form_at(b, x, y), p)
+            x, y = _pseudo_rem(form_at(a, x, y), p), _pseudo_rem(form_at(b, x, y), p)
             g = math.gcd(*x, *y)
             x, y = [c // g for c in x], [c // g for c in y]
-            if len(primitive_gcd(p, _form_at(hit_form, x, y))) > 1:
+            if len(primitive_gcd(p, form_at(hit_form, x, y))) > 1:
                 best = max(best, prod)
             rest = p
             for q, e in critical:
-                h = primitive_gcd(rest, _form_at(q, x, y))
+                h = primitive_gcd(rest, form_at(q, x, y))
                 if len(h) > 1:
                     h = h if h[-1] > 0 else [-c for c in h]
                     rest = exact_div(rest, h)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
 from orbitgcd.linalg import det_fraction
-from orbitgcd.polys import (Polynomial, exact_div, max_multiplicity, multiplicity_at,
-                            poly_gcd, primitive, radical, resultant, squarefree_decomposition)
+from orbitgcd.polys import (Polynomial, _mul, _pseudo_rem, exact_div, max_multiplicity,
+                            multiplicity_at, poly_gcd, primitive, primitive_gcd, radical,
+                            resultant, squarefree_decomposition)
 
 # --- plain coefficient-list arithmetic (ascending), the tests' own oracle ---
 
@@ -234,6 +235,9 @@ def test_exact_div_inverts_multiplication(a, b, r):
     if r:
         ab = mul(a, b)
         assert exact_div([x + (r[i] if i < len(r) else 0) for i, x in enumerate(ab)], b) is None
+    if len(b) == 1 and abs(b[0]) > 1:     # a constant that does not divide a b + 1
+        ab = mul(a, b)
+        assert exact_div([ab[0] + 1] + ab[1:], b) is None
 
 
 def sylvester(a, b):
@@ -261,3 +265,92 @@ def test_resultant_is_the_sylvester_determinant_with_its_cofactors(a, b, shared)
     combo = [x + y for x, y in zip(mul(s, a) + [0] * len(b), mul(t, b) + [0] * len(a))]
     assert combo[:len(a) + len(b) - 1] == [res] + [0] * (len(a) + len(b) - 2)
     assert len(s) < len(b) and len(t) < len(a)
+
+
+# --- the integer-list kernels, on the short lists the critical walk passes ---
+
+KERNEL_POLY = st.lists(st.integers(-30, 30), min_size=1, max_size=6).map(
+    lambda cs: cs[:-1] + [cs[-1] or 1])
+SHARED = st.sampled_from([[1], [1], [-1], [3], [-1, 1], [2, 0, -3], [1, 1, 1]])
+
+
+def sympy_int_poly(sympy, cs):
+    return sympy.Poly(list(reversed(cs)), sympy.Symbol("x"), domain="ZZ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=KERNEL_POLY, b=KERNEL_POLY, shared=SHARED, zero=st.sampled_from([None, "a", "b"]))
+@example(a=[3, 1], b=[-4], shared=[1], zero=None)
+@example(a=[-4], b=[3, 1], shared=[1], zero=None)
+@example(a=[5], b=[-7], shared=[1], zero=None)
+@example(a=[-6], b=[1], shared=[1], zero="b")
+def test_primitive_gcd_matches_sympy_up_to_content_and_sign(a, b, shared, zero):
+    # constants and a zero operand included; a nonzero constant answers [1] or
+    # [-1] with its own sign, which Yun's algorithm divides by
+    sympy = pytest.importorskip("sympy")
+    a, b = mul(a, shared), mul(b, shared)
+    if zero == "a":
+        a = []
+    elif zero == "b":
+        b = []
+    g = primitive_gcd(a, b)
+    expected = [int(c) for c in reversed(sympy_int_poly(sympy, a or [0]).gcd(
+        sympy_int_poly(sympy, b or [0])).primitive()[1].all_coeffs())]
+    assert g in (expected, [-c for c in expected])
+    constants = [c for c in (b, a) if len(c) == 1]
+    if len(a) != len(b) and constants:
+        assert g == [1 if constants[0][0] > 0 else -1]
+    assert primitive_gcd([-5], [3, 0, 1]) == [-1] == primitive_gcd([7], [-2])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.lists(st.integers(-40, 40), max_size=8), b=KERNEL_POLY, monic=st.booleans())
+def test_pseudo_remainder_is_a_multiple_of_a_power_of_lc(a, b, monic):
+    # r = lc^k a mod b for some k >= 0, with deg r < deg b; a monic divisor
+    # gives the remainder itself, unscaled
+    sympy = pytest.importorskip("sympy")
+    while a and a[-1] == 0:
+        a.pop()
+    if monic:
+        b[-1] = 1
+    r = _pseudo_rem(a, b)
+    lc = b[-1]
+    assert len(r) < len(b) and (not r or r[-1] != 0)
+    x = sympy.Symbol("x")
+    pa, pb, pr = (sympy.Poly(list(reversed(cs or [0])), x, domain="QQ") for cs in (a, b, r))
+    assert any((lc**k * pa - pr).rem(pb).is_zero for k in range(len(a) + 1))
+    if monic:
+        assert pr == pa.rem(pb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cs=st.lists(st.integers(-60, 60), max_size=6), den=st.integers(1, 9))
+def test_primitive_is_the_same_on_ints_and_on_equal_fractions(cs, den):
+    fractions = [Fraction(c * den, den) for c in cs]
+    got = primitive(cs)
+    assert got == primitive(fractions) == primitive([Fraction(c, den) for c in cs])
+    assert got is not cs and all(type(c) is int for c in got)
+    mixed = cs + [Fraction(1, 2)]
+    assert primitive(mixed) == primitive([Fraction(c) for c in mixed])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.lists(st.integers(-30, 30), max_size=5), b=st.lists(st.integers(-30, 30), max_size=5),
+       p=st.lists(st.integers(-9, 9), max_size=4))
+@example(a=[7], b=[1, 2, 3], p=[])
+@example(a=[1, 2, 3], b=[-2], p=[])
+@example(a=[0], b=[4, 5], p=[3, 0])
+def test_mul_with_length_one_operands_and_mod_a_monic_p(a, b, p):
+    # the plain product, lengths and zeros as the schoolbook product has
+    # them; with a monic p, that product's remainder mod p, trimmed
+    sympy = pytest.importorskip("sympy")
+    assert _mul(a, b) == mul(a, b) == _mul(b, a)
+    p = p + [1]
+    r = _mul(a, b, p)
+    expected = rem(mul(a, b), p) if a and b else []
+    assert r == expected and all(type(c) is int for c in r)
+    x = sympy.Symbol("x")
+    if a and b and any(mul(a, b)):
+        product = sympy.Poly(list(reversed(mul(a, b))), x, domain="ZZ")
+        assert sympy.Poly(list(reversed(r or [0])), x, domain="ZZ") == product.rem(
+            sympy.Poly(list(reversed(p)), x, domain="ZZ"))
