@@ -1,12 +1,14 @@
-"""Sparse bivariate polynomials over Q, just rich enough for the orbit
-relation checks of the genericity probe."""
+"""Sparse bivariate polynomials with primitive integer coefficients (ints
+with gcd 1, signs kept), just rich enough for the orbit relation checks of
+the genericity probe.  The constructor takes rationals and normalizes them
+once, so a polynomial and its positive multiples are equal."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError
+from .polys import primitive
 
 
 def homogeneous_powers(r: int, s: int, degree: int) -> list[int]:
@@ -24,7 +26,7 @@ class BivariatePolynomial:
             c = Fraction(c)
             if c != 0:
                 cleaned[(int(i), int(j))] = c
-        self.terms = cleaned
+        self.terms = dict(zip(cleaned, primitive(list(cleaned.values()))))
 
     @property
     def is_zero(self) -> bool:
@@ -36,6 +38,7 @@ class BivariatePolynomial:
         return max(i + j for i, j in self.terms)
 
     def evaluate(self, x, y) -> Fraction:
+        """The value of the stored, normalized polynomial at rationals x, y."""
         x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
                    Fraction(0))
@@ -44,16 +47,13 @@ class BivariatePolynomial:
         """Whether F(xr/xs, yr/ys) = 0 for integer pairs x = (xr, xs) and
         y = (yr, ys) with xs, ys nonzero.  Decided in integers as
         sum c_ij xr^i xs^(D-i) yr^j ys^(D-j) == 0, with D the largest
-        exponent of F: F at the point times (xs ys)^D with the denominators
-        cleared."""
+        exponent of F: F at the point times (xs ys)^D."""
         if not (x[1] and y[1]):
             raise DomainError("vanishes_at needs finite points")
         degree = max((max(m) for m in self.terms), default=0)
-        scale = lcm(*(c.denominator for c in self.terms.values()))
         xcol = homogeneous_powers(*x, degree)
         ycol = homogeneous_powers(*y, degree)
-        return sum(c.numerator * (scale // c.denominator) * xcol[i] * ycol[j]
-                   for (i, j), c in self.terms.items()) == 0
+        return sum(c * xcol[i] * ycol[j] for (i, j), c in self.terms.items()) == 0
 
     def __eq__(self, other):
         return isinstance(other, BivariatePolynomial) and self.terms == other.terms

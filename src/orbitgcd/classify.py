@@ -30,7 +30,7 @@ from .heights import _orbit_scan, canonical_height
 from .linalg import kernels_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
                    RationalMap, compose, conjugate, fiber_polynomial, orbit)
-from .polys import Polynomial, exact_div, primitive
+from .polys import Polynomial, exact_div
 
 POWER_CONJUGATE = "power"
 CHEBYSHEV_CONJUGATE = "chebyshev"
@@ -419,21 +419,15 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     if not groups:
         raise IndeterminateError("mod-p screening failed for every sampled prime")
 
-    candidates: list[BivariatePolynomial] = []
-    seen_polys = set()
+    # distinct candidates in order of first appearance; positive multiples are one key
+    candidates: dict[BivariatePolynomial, None] = {}
     for modulus, basis in groups:
         for vec in basis:
             lifted = [rational_reconstruct(v, modulus) for v in vec]
-            if any(c is None for c in lifted):
-                continue
-            ints = primitive(lifted)
-            poly = BivariatePolynomial({
-                m: c for m, c in zip(monomials, ints) if c
-            })
-            if poly.is_zero or poly in seen_polys:
-                continue
-            seen_polys.add(poly)
-            candidates.append(poly)
+            if all(c is not None for c in lifted):
+                poly = BivariatePolynomial(zip(monomials, lifted))
+                if not poly.is_zero:
+                    candidates[poly] = None
 
     verified = [
         poly for poly in candidates

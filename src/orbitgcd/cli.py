@@ -69,9 +69,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
-        json.dump({"error": "usage", "message": message}, sys.stderr)
-        sys.stderr.write("\n")
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_fail("usage", message, EXIT_USAGE))
 
 
 def _digit_budget() -> int:
@@ -443,7 +441,7 @@ def _build_parser(path: tuple) -> _Parser:
     return parser
 
 
-def _fail(label: str, err: Exception, code: int) -> int:
+def _fail(label: str, err: Exception | str, code: int) -> int:
     json.dump({"error": label, "message": str(err)}, sys.stderr)
     sys.stderr.write("\n")
     return code

@@ -151,7 +151,8 @@ def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
     gcd_val = g if integral else None
     ratio = None
     if "one_zero" not in flags:
-        ratio = log_gcd / d**n
+        # the exact quotient, rounded once: d**n as a float overflows past 1.8e308
+        ratio = float(Fraction(log_gcd) / d**n)
     return GcdSeriesRow(n, digit_count(u[0]), digit_count(v[0]), gcd_val, log_gcd,
                         ratio, fin, excl, tuple(flags))
 

@@ -617,6 +617,40 @@ def test_vanishes_at_matches_fraction_evaluation():
         BivariatePolynomial({(1, 0): 1}).vanishes_at((1, 0), (1, 1))
 
 
+_MONOMIAL = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_COEFFICIENT = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_POSITIVE = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.dictionaries(_MONOMIAL, _COEFFICIENT, max_size=6), st.integers(1, 60),
+       st.tuples(st.integers(-20, 20), st.integers(1, 20)),
+       st.tuples(st.integers(-20, 20), st.integers(-20, 20).filter(bool)),
+       st.booleans(), _POSITIVE)
+def test_relations_are_stored_in_primitive_integers(coeffs, shared, x, y, plant, unit):
+    # the input polynomial, its coefficients sharing the factor ``shared``,
+    # evaluated in Fractions without the class
+    coeffs = {m: shared * c for m, c in coeffs.items()}
+    xv, yv = Fraction(*x), Fraction(*y)
+
+    def value(cs):
+        return sum((c * xv**i * yv**j for (i, j), c in cs.items()), Fraction(0))
+    if plant:
+        # move the constant term so that the point is a root (it may become 0)
+        coeffs[0, 0] = coeffs.get((0, 0), 0) - value(coeffs)
+    poly = BivariatePolynomial(coeffs)
+    nonzero = {m: c for m, c in coeffs.items() if c}
+    assert set(poly.terms) == set(nonzero)
+    assert all(type(c) is int for c in poly.terms.values())
+    assert all((c > 0) == (nonzero[m] > 0) for m, c in poly.terms.items())
+    assert math.gcd(*poly.terms.values()) == (1 if nonzero else 0)
+    assert poly.vanishes_at(x, y) is (value(coeffs) == 0)
+    multiple = BivariatePolynomial({m: unit * c for m, c in coeffs.items()})
+    assert multiple == poly and hash(multiple) == hash(poly)
+    if nonzero:
+        assert BivariatePolynomial({m: -c for m, c in coeffs.items()}) != poly
+
+
 def _stream_primes(seed, count):
     rng = random.Random(seed)
     return [next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in range(count)]

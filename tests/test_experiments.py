@@ -100,6 +100,23 @@ def test_gcd_series_rows_past_the_gmp_threshold(monkeypatch):
     assert len(sizes) == 4 and len(squares) == 4
 
 
+def test_gcd_series_ratio_is_the_exact_quotient_rounded_once():
+    # x^2 - 1 cycles 0 -> -1 -> 0, so from a = b = 0 with alpha = beta = 3 the
+    # gcds stay 3 and 4 while 2^n passes the float range at n = 1024
+    rows = gcd_series(GcdSeriesConfig(X2M1, X2M1, 0, 0, 3, 3, n_max=1100)).rows
+    assert len(rows) == 1101
+    for n, row in enumerate(rows):
+        assert row.gcd == (4 if n % 2 else 3)
+        assert row.ratio == float(Fraction(row.log_gcd) / 2**n)
+    assert rows[1024].ratio == 6.111233710375447e-309 and rows[-1].ratio == 0.0
+    # x^3 fixes 1, alpha = beta = 4: from n = 34 on 3^n passes 2^53, and the
+    # quotient by the float of 3^n would round twice
+    rows = gcd_series(GcdSeriesConfig(RationalMap([0, 0, 0, 1]), RationalMap([0, 0, 0, 1]),
+                                      1, 1, 4, 4, n_max=60)).rows
+    for n, row in enumerate(rows):
+        assert row.gcd == 3 and row.ratio == float(Fraction(row.log_gcd) / 3**n)
+
+
 def test_gcd_series_zero_collision_flags():
     # g(2) = 3 = beta at n = 1: one-sided zero, flagged, ratio suppressed
     cfg = GcdSeriesConfig(X2P1, X2M1, 1, 2, 3, 3, n_max=2)
