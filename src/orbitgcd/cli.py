@@ -14,9 +14,10 @@ reruns).
 
 Each command is one ``_COMMANDS`` entry (help line, handler, options), and
 ``classify`` and ``surface`` nest theirs the same way.  ``dispatch`` parses
-with a parser for only the command that argv names, or for all of them when
-it names none (no arguments, ``-h``, ``--version``, an unknown name), and
-builds each such parser once per process.  The text before this paragraph
+the arguments after a command's names on that command's own parser, and an
+argv that names none (``-h``, ``--version``, an unknown name, ``classify``
+alone) on the root parser, which holds every command; each parser is built
+once per process.  The text before this paragraph
 is the description ``orbitgcd -h`` prints.
 """
 
@@ -401,44 +402,52 @@ _COMMANDS = {
 
 
 def _command_path(argv) -> tuple:
-    """The command names that argv opens with, down the table: ``()`` when
-    argv[0] names no command, ``("classify", "special")`` for a nested one.
-    Only names in ``_COMMANDS`` enter, so there is one path per table entry."""
-    path, commands = (), _COMMANDS
+    """The names of the command that argv opens with, down the table to its
+    handler (``("classify", "special")``), or ``()`` when they reach none."""
+    path, run = (), _COMMANDS
     for arg in argv:
-        if not isinstance(commands, dict) or arg not in commands:
+        if arg not in run:
             break
-        path += (arg,)
-        commands = commands[arg].run
-    return path
+        path, run = path + (arg,), run[arg].run
+        if not isinstance(run, dict):
+            return path
+    return ()
 
 
-def _add_commands(parser: _Parser, dest: str, commands: dict, path: tuple) -> None:
-    """Subparsers for the one of ``commands`` that ``path[0]`` names, or for
-    all of them when the path is empty, so that help and invalid-choice
-    errors list every command."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    if path:
-        commands = {path[0]: commands[path[0]]}
-    for name, command in commands.items():
-        p = sub.add_parser(name, help=command.help)
-        for flags, keywords in command.options:
-            p.add_argument(*flags, **keywords)
-        if isinstance(command.run, dict):
-            _add_commands(p, f"{name}_command", command.run, path[1:])
-        else:
-            p.set_defaults(run=command.run)
+def _add_command(parser: _Parser, command: _Command, dest: str = "command") -> None:
+    for flags, keywords in command.options:
+        parser.add_argument(*flags, **keywords)
+    if isinstance(command.run, dict):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, nested in command.run.items():
+            _add_command(sub.add_parser(name, help=nested.help), nested, f"{name}_command")
+    else:
+        parser.set_defaults(run=command.run)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser(path: tuple) -> _Parser:
-    """The parser for one command path, built once per process: parsing
-    only reads a parser, so every call and thread shares it."""
-    parser = _Parser(prog="orbitgcd", description=_DESCRIPTION,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=__version__)
-    _add_commands(parser, "command", _COMMANDS, path)
+    """The parser of the command at ``path``, or at ``()`` of them all, built
+    once per process: parsing only reads a parser, so every call and thread
+    shares it."""
+    command = _Command("", _COMMANDS)
+    for name in path:
+        command = command.run[name]
+    if path:
+        parser = _Parser(prog=" ".join(("orbitgcd", *path)))
+    else:
+        parser = _Parser(prog="orbitgcd", description=_DESCRIPTION,
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
+        parser.add_argument("--version", action="version", version=__version__)
+    _add_command(parser, command)
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed on its command's own parser, which gives the root parser's
+    namespace less ``command`` and ``*_command``, or else on the root parser."""
+    path = _command_path(argv)
+    return _build_parser(path).parse_args(argv[len(path):])
 
 
 def _fail(label: str, err: Exception | str, code: int) -> int:
@@ -448,7 +457,7 @@ def _fail(label: str, err: Exception | str, code: int) -> int:
 
 
 def dispatch(argv) -> int:
-    args = _build_parser(_command_path(argv)).parse_args(argv)
+    args = _parse(argv)
     try:
         _emit(args.run(args), getattr(args, "out", None))
         return EXIT_OK

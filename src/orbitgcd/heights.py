@@ -32,6 +32,7 @@ that the stated error bound stays within it.  Results are those ints over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,7 @@ def weil_height(point) -> Real:
 
 # --- discrepancy constant |h(f(x)) - d h(x)| <= C_f ---
 
+@functools.lru_cache(maxsize=256)
 def discrepancy_bound(f: RationalMap) -> Real:
     """A constant C_f with |h(f(x)) - d*h(x)| <= C_f on all of P^1(Q).
 
@@ -100,7 +102,7 @@ def discrepancy_bound(f: RationalMap) -> Real:
     side: the Bezout identities u*F + v*G = R*X^(2d-1) (and Y^(2d-1)) give
     max(|F|,|G|) >= |R| M^d / (2 d H_u) and bound the gcd of the value
     pair by |R|.  Any finite valid constant is acceptable; tightness is not
-    a goal.  In units of 2^-ARCH_PREC.
+    a goal.  In units of 2^-ARCH_PREC, cached per map.
     """
     if f.degree < 2:
         raise DomainError("discrepancy bound needs degree >= 2")
@@ -217,7 +219,8 @@ def _tail_steps(f: RationalMap, tol: float) -> tuple[int, int]:
     prec = max(ARCH_PREC, 2 * ((d + 1) * den // (d * num)).bit_length())
     # with C_f in units and tol = num/den, N is the least n with d^n >= q:
     # a float estimate of log_d q, confirmed by exact tests at n and n - 1
-    c_f = log_fixed(_discrepancy_base(f), prec)
+    c_f = (int(discrepancy_bound(f) * (1 << prec)) if prec == ARCH_PREC
+           else log_fixed(_discrepancy_base(f), prec))
     q = -(-c_f * (d + 1) * den // ((num * (d - 1)) << prec))
     n_steps = math.ceil(math.log(q) / math.log(d))
     while d**n_steps < q:

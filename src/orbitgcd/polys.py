@@ -252,7 +252,10 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     # deg w < deg v all along, so w is padded to the length of v'
     df = _derivative(f)
     u = primitive_gcd(f, df)
-    v, w = exact_div(f, u), exact_div(df, u)
+    v = exact_div(f, u)
+    if len(u) == 1:     # squarefree: the loop's one pass finds y = 0, h = primitive(v)
+        return [(primitive(v), 1)]
+    w = exact_div(df, u)
     out = []
     i = 1
     while len(v) > 1:

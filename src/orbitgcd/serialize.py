@@ -127,6 +127,7 @@ def int_from_digits(digits: str) -> int:
 _DIGITS = r"\d+(?:_\d+)*"
 _RATIONAL = re.compile(rf"([+-]?)(?=\.?\d)((?:{_DIGITS})?)(?:\s*/\s*({_DIGITS})"
                        rf"|(?:\.((?:{_DIGITS})?))?(?:[eE]([+-]?{_DIGITS}))?)")
+_INT = re.compile(r"-?[0-9]+")
 
 
 def _check_shift(shift: int) -> int:
@@ -185,10 +186,17 @@ def poly_to_json(poly: Polynomial) -> dict:
     return {"coeffs": [rational_to_str(c) for c in poly.coeffs]}
 
 
-def poly_from_json(obj: dict) -> Polynomial:
+def _coeffs_from_json(obj: dict) -> list:
+    """The coefficients of polynomial JSON: ``int`` of an integer string of
+    at most 4300 characters (its default limit), else rational_from_str's."""
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise DomainError("polynomial JSON needs a 'coeffs' array")
-    return Polynomial([rational_from_str(str(c)) for c in obj["coeffs"]])
+    return [int(c) if len(c) <= 4300 and _INT.fullmatch(c) else rational_from_str(c)
+            for c in map(str, obj["coeffs"])]
+
+
+def poly_from_json(obj: dict) -> Polynomial:
+    return Polynomial(_coeffs_from_json(obj))
 
 
 def map_to_json(f: RationalMap) -> dict:
@@ -202,11 +210,11 @@ def map_from_json(obj: dict) -> RationalMap:
     if not isinstance(obj, dict):
         raise DomainError("map JSON must be an object")
     if "coeffs" in obj:
-        return RationalMap(poly_from_json(obj))
+        return RationalMap(_coeffs_from_json(obj))
     if "num" not in obj:
         raise DomainError("map JSON needs 'num' (and optionally 'den')")
-    den = poly_from_json(obj["den"]) if "den" in obj else None
-    return RationalMap(poly_from_json(obj["num"]), den)
+    den = _coeffs_from_json(obj["den"]) if "den" in obj else None
+    return RationalMap(_coeffs_from_json(obj["num"]), den)
 
 
 def load_map(path: str) -> RationalMap:

@@ -9,6 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli_golden import CASES
+from test_concurrency import _command_argvs
 
 from orbitgcd import _gmp, cli
 from orbitgcd.cli import dispatch
@@ -183,6 +187,62 @@ def test_poly_and_map_json_roundtrip():
     assert map_from_json(echo) == g
     # a bare polynomial object is accepted as a polynomial map
     assert map_from_json({"coeffs": ["0", "0", "1"]}) == X2
+
+
+def map_from_json_via_polynomials(obj):
+    # the loader that reads every coefficient as a rational_from_str Fraction
+    # into a Polynomial: the reference for map_from_json's integer strings
+    def poly(o):
+        if not isinstance(o, dict) or not isinstance(o.get("coeffs"), list):
+            raise DomainError("polynomial JSON needs a 'coeffs' array")
+        return Polynomial([rational_from_str(str(c)) for c in o["coeffs"]])
+
+    if not isinstance(obj, dict):
+        raise DomainError("map JSON must be an object")
+    if "coeffs" in obj:
+        return RationalMap(poly(obj))
+    if "num" not in obj:
+        raise DomainError("map JSON needs 'num' (and optionally 'den')")
+    den = poly(obj["den"]) if "den" in obj else None
+    return RationalMap(poly(obj["num"]), den)
+
+
+def _loaded(load, obj):
+    try:
+        return load(obj).forms
+    except DomainError as err:
+        return str(err)
+
+
+COEFFS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(-10**30, 10**30),
+    st.sampled_from(["-0", "007", "+5", " 5", "5 ", "1_000", "-1_0", "\u0663", "-\u0663",
+                     "3/4", "-6/4", "0/5", "5/0", "1.5", "-2.5e3", "1e-3", "1E2", "",
+                     "-", "--5", "5-", "0x10", "abc", 3, 0.5, 1e3, -2.0, True, None]),
+    st.sampled_from([4299, 4300, 4301, 10_000]).flatmap(
+        lambda n: st.sampled_from(["9" * n, "-" + "9" * n, "1" + "0" * (n - 1)])),
+    st.text("0123456789-+/._ eE\u0663", max_size=8),
+)
+COEFF_LISTS = st.lists(COEFFS, min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=COEFF_LISTS, den=st.none() | COEFF_LISTS, bare=st.booleans())
+@example(num=["-0", "007", "+5"], den=[" 5", "1_000"], bare=False)
+@example(num=["\u0663", "1"], den=None, bare=True)
+@example(num=["9" * 4299, "9" * 4300, "-" + "9" * 4300], den=["9" * 4301], bare=False)
+@example(num=["1" * 10_000, "1"], den=None, bare=True)
+@example(num=["1/3", "0.25", "-2e-3", "3E2"], den=["7/2", "1"], bare=False)
+@example(num=[3, 0.5, 1e3], den=[True, 1], bare=False)
+@example(num=["0", "-0"], den=["1", "1"], bare=False)
+@example(num=["1", "1"], den=["0", "-0"], bare=False)
+def test_map_from_json_matches_the_polynomial_loader(num, den, bare):
+    if bare:
+        obj = {"coeffs": num}
+    else:
+        obj = {"num": {"coeffs": num}} | ({} if den is None else {"den": {"coeffs": den}})
+    assert _loaded(map_from_json, obj) == _loaded(map_from_json_via_polynomials, obj)
 
 
 def test_report_json_and_csv_shape():
@@ -581,14 +641,15 @@ def test_cli_builds_only_the_parsers_it_runs(capsys, map_file, monkeypatch):
     x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
     argv = ["choose-depth", "--f", x2p1, "--g", x2p1, "-a", "3", "-b", "2",
             "--alpha", "1", "--beta", "1", "--epsilon", "0.1"]
+    # a command parses on its own parser, nested ones included
     assert run_cli(capsys, argv)[0] == 0
-    assert len(built) == 2
-    # a repeat parses with the parsers the first call built
+    assert len(built) == 1
+    # a repeat parses with the parser the first call built
     built.clear()
     assert run_cli(capsys, argv)[0] == 0
     assert len(built) == 0
     assert run_cli(capsys, ["classify", "exceptional", "--map", x2, "--point", "0"])[0] == 0
-    assert len(built) == 3
+    assert len(built) == 1
     # help builds them all: the top level, ten commands and seven nested ones;
     # the second help builds none and prints the same bytes
     helps = []
@@ -607,6 +668,30 @@ def _table_paths(commands=cli._COMMANDS, prefix=()):
         yield prefix + (name,)
         if isinstance(command.run, dict):
             yield from _table_paths(command.run, prefix + (name,))
+
+
+def _root_parse(argv):
+    return cli._build_parser(()).parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [*CASES.values(), *_command_argvs()])
+def test_cli_leaf_parse_gives_the_root_namespace(argv):
+    root, leaf = vars(_root_parse(argv)), vars(cli._parse(argv))
+    assert root.pop("command") == argv[0]
+    assert {k: v for k, v in root.items() if not k.endswith("_command")} == leaf
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([*path, "-h"] for path in _table_paths()),
+                                  *(argv for argv, _ in USAGE_ERRORS)], ids=" ".join)
+def test_cli_leaf_help_and_usage_errors_match_the_root_parser(capsys, argv):
+    assert _exit(capsys, cli._parse, argv) == _exit(capsys, _root_parse, argv)
 
 
 def test_cli_parser_memo_holds_one_parser_per_table_path(capsys):

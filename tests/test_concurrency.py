@@ -10,7 +10,7 @@ import sys
 import threading
 from fractions import Fraction
 
-from orbitgcd import _gmp, classify, cli, exact, maps
+from orbitgcd import _gmp, classify, cli, exact, heights, maps
 from orbitgcd.classify import probe_genericity
 from orbitgcd.exact import _GMP_BITS, factor, int_gcd, int_mul, log_abs
 from orbitgcd.experiments import choose_depth
@@ -116,13 +116,15 @@ def test_threads_first_reaching_a_precision_match_later_serial_results():
 
 def test_threads_choosing_depths_match_the_serial_certificates():
     # the benchmark's three pairs from 1 and 2 at alpha = beta = 1, with cold
-    # Bezout records, so the threads also fill that cache concurrently
+    # Bezout records and discrepancy constants, so the threads also fill
+    # those caches concurrently
     jobs = [(RationalMap([1, 0, 1]), RationalMap([-1, 0, 1]), 0.05),
             (RationalMap([1, 0, 0, 1]), RationalMap([-1, 1, 0, 1]), 0.1),
             (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 0.1)]
     serial = [choose_depth(f, g, 1, 2, 1, 1, eps) for f, g, eps in jobs]
     assert all(cert.replay() for cert in serial)
     maps.bezout_record.cache_clear()
+    heights.discrepancy_bound.cache_clear()
     start = threading.Barrier(THREADS)
     mismatches = []
 
@@ -250,7 +252,7 @@ def _command_argvs(commands=cli._COMMANDS, prefix=()):
 
 def _parse(argv):
     try:
-        return vars(cli._build_parser(cli._command_path(argv)).parse_args(argv))
+        return vars(cli._parse(argv))
     except SystemExit as exc:
         return ("exit", exc.code)
 

@@ -420,6 +420,27 @@ def test_choose_depth_solves_each_maps_bezout_systems_once(monkeypatch):
         assert calls == [(3, 0), (3, 3)] * distinct
 
 
+def test_choose_depth_takes_each_maps_discrepancy_log_once(monkeypatch):
+    # discrepancy_bound is cached per map, and the canonical heights at tol
+    # 1e-8 (working precision ARCH_PREC) read C_f from it, so one command
+    # takes the log of each map's discrepancy base once
+    logs = []
+    for name in ("log_abs", "log_fixed"):
+        def counting(n, *args, _log=getattr(heights, name)):
+            logs.append(abs(n))
+            return _log(n, *args)
+        monkeypatch.setattr(heights, name, counting)
+    f, g = RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1])
+    bases = {h: heights._discrepancy_base(h) for h in (f, g)}
+    assert bases == {f: 72, g: 16}
+    for pair in ((f, g), (f, f)):
+        heights.discrepancy_bound.cache_clear()
+        logs.clear()
+        choose_depth(*pair, 1, 2, 1, 1, 0.1)
+        expected = sorted(bases[h] for h in set(pair))
+        assert sorted(n for n in logs if n in bases.values()) == expected
+
+
 @pytest.mark.parametrize("g, a, epsilon, expected", [
     (RationalMap([3, 1, 1]), 3, 0.01, (13, 2)),     # x^2 + x + 3
     (X2M1, 1, 0.001, (16, 2)),

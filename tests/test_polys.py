@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
 from orbitgcd.linalg import det_fraction
-from orbitgcd.polys import (Polynomial, _mul, _pseudo_rem, exact_div, max_multiplicity,
-                            multiplicity_at, poly_gcd, primitive, primitive_gcd, radical,
-                            resultant, squarefree_decomposition)
+from orbitgcd.polys import (Polynomial, _derivative, _mul, _pseudo_rem, _yun, exact_div,
+                            max_multiplicity, multiplicity_at, poly_gcd, primitive,
+                            primitive_gcd, radical, resultant, squarefree_decomposition,
+                            trim)
 
 # --- plain coefficient-list arithmetic (ascending), the tests' own oracle ---
 
@@ -131,6 +132,42 @@ def test_yun_decomposition_reconstructs():
             rebuilt = mul(rebuilt, power(h.coeffs, i))
         assert monic(rebuilt) == monic(p)
         assert max_multiplicity(Polynomial(p)) >= 3
+
+
+def yun_loop(f):
+    # Yun's loop on every input, squarefree ones included: the reference for
+    # _yun, which answers a squarefree f without it
+    df = _derivative(f)
+    u = primitive_gcd(f, df)
+    v, w = exact_div(f, u), exact_div(df, u)
+    out = []
+    i = 1
+    while len(v) > 1:
+        dv = _derivative(v)
+        y = trim([x - c for x, c in zip(w + [0] * len(dv), dv)])
+        h = primitive_gcd(v, y)
+        if len(h) > 1:
+            out.append((h, i))
+        v, w = exact_div(v, h), exact_div(y, h)
+        i += 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.integers(-12, 12).filter(bool),
+       a=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda cs: cs[-1]),
+       b=st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda cs: cs[-1]),
+       k=st.integers(1, 3))
+@example(content=1, a=[1, 0, 3], b=[1], k=1)        # x^3 + x - 1's Wronskian
+@example(content=-4, a=[1, 0, 3], b=[1], k=1)       # negative, not primitive
+@example(content=6, a=[-1, 0, 1], b=[1], k=1)
+@example(content=-1, a=[1], b=[0, 1], k=2)          # -x^2: not squarefree
+def test_yun_matches_the_loop_on_every_input(content, a, b, k):
+    # f = content * a * b^k, of degree >= 1, squarefree or not, with either
+    # sign of leading coefficient and any content
+    f = [content * c for c in mul(a, power(b, k))]
+    assume(len(f) > 1)
+    assert _yun(f) == yun_loop(f)
 
 
 def test_primitive_clears_denominators_and_content():
