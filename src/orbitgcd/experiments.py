@@ -23,7 +23,7 @@ from .exact import ARCH_PREC, int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
                    digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
-from .polys import _derivative, _mul, _pseudo_rem, _sub, _yun, exact_div, primitive_gcd, trim
+from .polys import _derivative, _mul, _reduce, _sub, _yun, exact_div, primitive_gcd, trim
 from .classify import _exponent_vector, is_exceptional
 
 
@@ -369,7 +369,7 @@ def _critical_walk(f: RationalMap, target: Fraction):
         # monic, so that reducing mod P never scales X and Y apart
         n, lc = len(q) - 1, q[-1]
         monic = [c * lc ** (n - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-        classes.append((monic, _pseudo_rem([0, 1], monic), [lc], e, 0, None))
+        classes.append((monic, _reduce([0, 1], monic), [lc], e, 0, None))
     e_inf = 2 * f.degree - len(wronskian)      # 2d - 1 - deg W
     if e_inf > 1:
         critical.append(((1, 0), e_inf))        # the form Y vanishes at infinity
@@ -398,6 +398,7 @@ def _critical_walk(f: RationalMap, target: Fraction):
             for q, e in critical:
                 h = primitive_gcd(rest, _form_at(q, x, y, p))     # rest divides P
                 if len(h) > 1:
+                    # a primitive factor of the monic P has lc +-1 (Gauss): h is monic
                     h = h if h[-1] > 0 else [-c for c in h]
                     rest = exact_div(rest, h)
                     pieces.append((h, prod * e))
@@ -406,7 +407,7 @@ def _critical_walk(f: RationalMap, target: Fraction):
             if len(pieces) == 1:    # met as a whole: P is unchanged
                 stepped.append((p, x, y, pieces[0][1], age, mark))
                 continue
-            stepped.extend((h, _pseudo_rem(x, h), _pseudo_rem(y, h), e, 0, None)
+            stepped.extend((h, _reduce(x[:], h), _reduce(y[:], h), e, 0, None)
                            for h, e in pieces)
         classes = stepped
         yield best, sum(c.bit_length() for _, x, y, *_ in classes for c in x + y)

@@ -3,30 +3,31 @@ algebra inside.
 
 :class:`Polynomial` holds exact rational coefficients, ascending; the zero
 polynomial has degree -1 (a sentinel, never a valid exponent).  It carries
-no arithmetic.  Every computation runs on integer coefficient lists:
-:func:`primitive` takes coefficients to Z, :func:`exact_div` divides in
-Z[x], gcds follow a primitive pseudo-remainder sequence, resultants and
-their Bezout cofactors a subresultant one, and squarefree structure comes
-from Yun's algorithm, which is all the factorization this package ever
-needs.  Results come back as monic polynomials, which are unique.  The
-same lists carry the Kronecker substitution that composes maps, and the
-critical-orbit walk of the depth selector.
+no arithmetic.  Every computation runs on integer coefficient lists, and
+three functions divide them, one job each: :func:`exact_div` takes the
+exact quotient, :func:`_reduce` the remainder by a monic divisor, and
+:func:`_pseudo_divmod` is the one pseudo-division, which gcds (a primitive
+pseudo-remainder sequence) and resultants (a subresultant one) share.
+:func:`primitive` takes coefficients to Z; squarefree structure comes from
+Yun's algorithm, which is all the factorization this package ever needs.
+Results come back as monic polynomials, which are unique.  The same lists
+carry the Kronecker substitution that composes maps, and the critical-orbit
+walk of the depth selector.
 
 The kernels cost what their inputs need.  The content of an int list is
 one gcd; only Fractions pay for clearing denominators.  A remainder
 sequence ends at its first constant, whose sign is the gcd.  The walk's
-classes are monic, and a pseudo-remainder by a monic P is the remainder
-itself: each top term t^n is replaced by -(p_0 + ... + p_(n-1) t^(n-1)),
-all in Z, so nothing is ever rescaled by the leading coefficient.
-:func:`_mul` reduces its product mod such a P, so arithmetic in Z[t]/(P)
-keeps every list shorter than P.
+classes are monic, as are many gcd divisors, and the remainder by a monic P
+replaces each top term t^n by -(p_0 + ... + p_(n-1) t^(n-1)), all in Z,
+with no power of lc.  :func:`_mul` reduces its product mod such a P, so
+arithmetic in Z[t]/(P) keeps every list shorter than P.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 
 from .errors import DomainError
 
@@ -136,23 +137,6 @@ def exact_div(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r) else q
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # remainder of a by b over Z up to a power of lc(b); ascending coeffs
-    if b[-1] == 1:
-        return _reduce(list(a), b)
-    db = len(b) - 1
-    lc = b[-1]
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        top = r[-1]
-        k = len(r) - 1 - db
-        r = [c * lc for c in r]
-        for i, c in enumerate(b):
-            r[k + i] -= top * c
-        trim(r)
-    return r
-
-
 def _reduce(r: list[int], p: list[int]) -> list[int]:
     # r mod a monic p, in place and trimmed: t^n = -(p_0 + ... + p_(n-1) t^(n-1))
     # cancels each top term with integer coefficients, so nothing is rescaled
@@ -183,6 +167,22 @@ def _derivative(cs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r, deg r < deg b and r
+    trimmed, for trimmed a, b in Z[x] with deg a >= deg b >= 1.  Division-free
+    (Knuth, TAOCP 2, 4.6.1, Algorithm R): each step scales by lc, and each
+    coefficient of a takes the power of lc it missed when b first reaches it."""
+    delta, lc = len(a) - len(b), b[-1]
+    powers = list(accumulate(repeat(lc, delta), int.__mul__, initial=1))
+    r, q = list(a), [0] * (delta + 1)
+    for i in range(delta, -1, -1):
+        top = r.pop()
+        q[i] = top * powers[i]
+        r[i] *= powers[delta - i]
+        r[i:] = [lc * u - top * c for u, c in zip(r[i:], b)]
+    return q, trim(r)
+
+
 def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     """A primitive gcd in Z[x] (sign not fixed) of two trimmed coefficient
     sequences (ints or Fractions, not both zero), by a primitive
@@ -192,7 +192,8 @@ def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
         a, b = b, a
     a, b = primitive(a), primitive(b)
     while len(b) > 1:
-        a, b = b, primitive(_pseudo_rem(a, b))
+        r = _reduce(list(a), b) if b[-1] == 1 else _pseudo_divmod(a, b)[1]
+        a, b = b, primitive(r)
     return b or a
 
 
@@ -213,17 +214,14 @@ def resultant(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
         (x, sx), (y, sy), sign = (y, sy), (x, sx), (-1) ** ((len(a) - 1) * (len(b) - 1))
     g = h = 1
     while len(y) > 1:
-        delta, lc = len(x) - len(y), y[-1]
+        delta = len(x) - len(y)
         if (len(x) - 1) * (len(y) - 1) % 2:
             sign = -sign
-        # lc^(delta+1) x = q y + r, with q in Z[t]: each quotient digit is exact
-        r, q = [c * lc ** (delta + 1) for c in x], []
-        for i in range(delta, -1, -1):
-            q.append(top := r.pop() // lc)
-            r[i:] = [u - top * c for u, c in zip(r[i:], y)]
-        if not trim(r):
+        q, r = _pseudo_divmod(x, y)
+        if not r:
             return 0, [], []
-        sr = _sub([c * lc ** (delta + 1) for c in sx], _mul(q[::-1], sy))
+        scale = y[-1] ** (delta + 1)        # scale x = q y + r carries over to the cofactors
+        sr = _sub([c * scale for c in sx], _mul(q, sy))
         div = g * h**delta
         (x, sx), (y, sy) = (y, sy), ([c // div for c in r], [c // div for c in sr])
         g = x[-1]
@@ -248,8 +246,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     # f trimmed, degree >= 1.  v and w are divided by the same primitive
-    # divisors throughout, so they keep one common scalar and stay in Z[x];
-    # deg w < deg v all along, so w is padded to the length of v'
+    # divisors throughout, so they keep one common scalar and stay in Z[x]
     df = _derivative(f)
     u = primitive_gcd(f, df)
     v = exact_div(f, u)
@@ -259,8 +256,7 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     out = []
     i = 1
     while len(v) > 1:
-        dv = _derivative(v)
-        y = trim([x - c for x, c in zip(w + [0] * len(dv), dv)])
+        y = _sub(w, _derivative(v))
         h = primitive_gcd(v, y)
         if len(h) > 1:
             out.append((h, i))

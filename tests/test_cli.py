@@ -757,6 +757,20 @@ def test_cli_usage_and_budget_exit_codes(capsys, map_file, tmp_path):
     assert code == 2
 
 
+def test_cli_commutes_under_the_degree_budget(capsys, map_file, monkeypatch):
+    # -x commutes with x^3 + x at k = 1, where h o f is already past degree 2
+    argv = ["classify", "commutes", "--h", map_file("h.json", {"coeffs": ["0", "-1"]}),
+            "--f", map_file("f.json", {"coeffs": ["0", "1", "0", "1"]}), "--k-max", "2"]
+    monkeypatch.setenv("ORBITGCD_DEGREE_BUDGET", "2")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "budget-exhausted",
+                               "message": "symbolic degree 3 exceeds budget at k=1"}
+    monkeypatch.delenv("ORBITGCD_DEGREE_BUDGET")
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["commutes_at"] == 1
+
+
 MALFORMED_FILES = [
     (["iterate", "--start", "1", "--steps", "1", "--map"], {"coeffs": 5}),
     (["iterate", "--start", "1", "--steps", "1", "--map"], {"coeffs": "123"}),

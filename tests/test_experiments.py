@@ -22,8 +22,7 @@ from orbitgcd.exact import _GMP_BITS, log_abs
 from orbitgcd.heights import PlaceSet, discrepancy_bound
 from orbitgcd.maps import (ProjPoint, RationalMap, evaluate, fiber_polynomial, map_resultant,
                            self_compose)
-from orbitgcd.polys import (Polynomial, _derivative, _pseudo_rem, _yun, exact_div,
-                            max_multiplicity, primitive_gcd, resultant, trim)
+from orbitgcd.polys import Polynomial, _derivative, max_multiplicity, resultant, trim
 
 X2 = RationalMap([0, 0, 1])
 X2P1 = RationalMap([1, 0, 1])
@@ -570,18 +569,66 @@ def form_at(cs, x, y):
     return trim(acc)
 
 
+def ref_divmod(a, b):
+    """Quotient and remainder of a by b over Q, by schoolbook long division
+    in Fractions: the reference's own."""
+    q, r = [Fraction(0)] * max(len(a) - len(b) + 1, 0), [Fraction(c) for c in a]
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r.pop() / b[-1]
+        for i, c in enumerate(b[:-1]):
+            r[k + i] -= q[k] * c
+    return q, trim(r)
+
+
+def ref_gcd(a, b):
+    """Monic gcd over Q by Euclid's algorithm, in Fractions."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def ref_ints(cs):
+    """Fractions that are integers, as ints."""
+    assert all(c.denominator == 1 for c in cs)
+    return [int(c) for c in cs]
+
+
+def ref_primitive(cs):
+    """Nonzero Fractions scaled to a primitive list in Z[x], signs kept."""
+    ints = ref_ints([c * math.lcm(*(c.denominator for c in cs)) for c in cs])
+    return [c // math.gcd(*ints) for c in ints]
+
+
+def ref_squarefree(f):
+    """Yun's algorithm over Q on the reference's own gcd: [(h, k)] with h the
+    k-fold factor of f, primitive in Z[x] with lc > 0, trivial h omitted."""
+    u = ref_gcd(f, _derivative(f))
+    v, w = ref_divmod(f, u)[0], ref_divmod(_derivative(f), u)[0]
+    out, k = [], 1
+    while len(v) > 1:
+        y = trim([p - q for p, q in zip_longest(w, _derivative(v), fillvalue=0)])
+        h = ref_gcd(v, y)
+        if len(h) > 1:
+            out.append((ref_primitive(h), k))
+        v, w = ref_divmod(v, h)[0], ref_divmod(y, h)[0]
+        k += 1
+    return out
+
+
 def reference_critical_walk(f, target):
     """The critical walk without its drop rules: every class is walked at
-    every depth.  Yields M'_D and the portrait's bit length."""
+    every depth.  Yields M'_D and the portrait's bit length.  Its classes
+    are monic, so their remainders, quotients and gcds are integral; all are
+    its own, over Q, and share no division with the code under test."""
     a, b = f.forms
     wronskian = trim([p - q for p, q in zip(_mul(_derivative(a), b),
                                             _mul(a, _derivative(b)))])
-    critical = [(q, k + 1) for q, k in _yun(wronskian)]
+    critical = [(q, k + 1) for q, k in ref_squarefree(wronskian)]
     classes = []
     for q, e in critical:
         n, lc = len(q) - 1, q[-1]
         monic = [c * lc ** (n - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-        classes.append((monic, _pseudo_rem([0, 1], monic), [lc], e))
+        classes.append((monic, ref_ints(ref_divmod([0, 1], monic)[1]), [lc], e))
     e_inf = 2 * f.degree - len(wronskian)
     if e_inf > 1:
         critical.append(((1, 0), e_inf))
@@ -591,20 +638,21 @@ def reference_critical_walk(f, target):
     while True:
         stepped = []
         for p, x, y, prod in classes:
-            x, y = _pseudo_rem(form_at(a, x, y), p), _pseudo_rem(form_at(b, x, y), p)
+            x, y = (ref_ints(ref_divmod(form_at(c, x, y), p)[1]) for c in (a, b))
             g = math.gcd(*x, *y)
             x, y = [c // g for c in x], [c // g for c in y]
-            if len(primitive_gcd(p, form_at(hit_form, x, y))) > 1:
+            if len(ref_gcd(p, form_at(hit_form, x, y))) > 1:
                 best = max(best, prod)
             rest = p
             for q, e in critical:
-                h = primitive_gcd(rest, form_at(q, x, y))
+                h = ref_ints(ref_gcd(rest, form_at(q, x, y)))
                 if len(h) > 1:
-                    h = h if h[-1] > 0 else [-c for c in h]
-                    rest = exact_div(rest, h)
-                    stepped.append((h, _pseudo_rem(x, h), _pseudo_rem(y, h), prod * e))
+                    rest = ref_ints(ref_divmod(rest, h)[0])
+                    stepped.append((h, ref_ints(ref_divmod(x, h)[1]),
+                                    ref_ints(ref_divmod(y, h)[1]), prod * e))
             if len(rest) > 1:
-                stepped.append((rest, _pseudo_rem(x, rest), _pseudo_rem(y, rest), prod))
+                stepped.append((rest, ref_ints(ref_divmod(x, rest)[1]),
+                                ref_ints(ref_divmod(y, rest)[1]), prod))
         classes = stepped
         yield best, sum(c.bit_length() for _, x, y, _ in classes for c in x + y)
 
@@ -805,6 +853,16 @@ def test_mobius_probe_names_the_map_that_sends_its_target_to_infinity():
         # the reference skipped every sample and named no cause
         with pytest.raises(DomainError, match="no usable samples"):
             reference_mobius_probe(X2P1, X2M1, sigma, tau, alpha, beta, samples, 4)
+
+
+def test_mobius_probe_skips_rows_where_both_gcd_arguments_vanish():
+    # x^2 fixes 1 = alpha = beta: the sample (1, 1) gives gcd(0, 0) at every n
+    sigma = RationalMap([1, 1])
+    with pytest.raises(DomainError, match="no usable samples"):
+        mobius_invariance_probe(X2, X2, sigma, sigma, 1, 1, [(1, 1)], 4)
+    res = mobius_invariance_probe(X2, X2, sigma, sigma, 1, 1, [(1, 1), (2, 3)], 4)
+    assert (res.samples_used, res.rows_skipped) == (2, 4)
+    assert res.attained_sample == (2, 3)
 
 
 def reference_mobius_probe(f, g, sigma, tau, alpha, beta, samples, n_max,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orbitgcd import heights
 from orbitgcd.errors import BudgetExceededError, DomainError
 from orbitgcd.exact import Place, Real, factor, log_abs, log_fixed, v_plus, valuation
 from orbitgcd.heights import (HeightEstimate, PlaceSet, _arch_green_log,
@@ -308,6 +309,27 @@ def test_canonical_height_step_count_matches_linear_search(f):
     for tol in (1e-3, 1e-10, 1e-50, 1e-100, 1e-300):
         n = linear_step_count(f, tol)
         assert canonical_height(f, 3, tol).iterations_used == n
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_tail_steps_corrects_a_float_estimate_one_step_off(monkeypatch, shift):
+    # a float log that puts ceil(log q / log d) one step high or low: the exact
+    # tests at N and N - 1 bring the step count back
+    cases = [(f, tol) for f in (X2P1, X3X) for tol in (1e-3, 1e-10, 1e-50)]
+    want = [_tail_steps(f, tol) for f, tol in cases]
+
+    class ShiftedMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            return math.log(x) + (0 if x == self.d else shift * math.log(self.d))
+
+    shifted = ShiftedMath()
+    monkeypatch.setattr(heights, "math", shifted)
+    for (f, tol), expected in zip(cases, want):
+        shifted.d = f.degree
+        assert _tail_steps(f, tol) == expected, (f, tol)
 
 
 def exact_orbit_log(f, r, s, n_steps, ctx):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
 from orbitgcd.linalg import det_fraction
-from orbitgcd.polys import (Polynomial, _derivative, _mul, _pseudo_rem, _yun, exact_div,
-                            max_multiplicity, multiplicity_at, poly_gcd, primitive,
+from orbitgcd.polys import (Polynomial, _derivative, _mul, _pseudo_divmod, _reduce, _yun,
+                            exact_div, max_multiplicity, multiplicity_at, poly_gcd, primitive,
                             primitive_gcd, radical, resultant, squarefree_decomposition,
                             trim)
 
@@ -341,23 +341,26 @@ def test_primitive_gcd_matches_sympy_up_to_content_and_sign(a, b, shared, zero):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(a=st.lists(st.integers(-40, 40), max_size=8), b=KERNEL_POLY, monic=st.booleans())
+@given(a=KERNEL_POLY, b=KERNEL_POLY.filter(lambda cs: len(cs) > 1), monic=st.booleans())
+@example(a=[3], b=[1, 2], monic=False)
+@example(a=[1, 0, 0, 0, 1], b=[0, 0, -2], monic=False)
 def test_pseudo_remainder_is_a_multiple_of_a_power_of_lc(a, b, monic):
-    # r = lc^k a mod b for some k >= 0, with deg r < deg b; a monic divisor
-    # gives the remainder itself, unscaled
-    sympy = pytest.importorskip("sympy")
-    while a and a[-1] == 0:
-        a.pop()
+    # lc^(delta+1) a = q b + r exactly in Z[x], delta = deg a - deg b, with
+    # deg r < deg b and r trimmed; a monic divisor gives the remainder itself
+    a = [0] * (len(b) - len(a)) + a         # times x^k, so that deg a >= deg b
     if monic:
         b[-1] = 1
-    r = _pseudo_rem(a, b)
-    lc = b[-1]
-    assert len(r) < len(b) and (not r or r[-1] != 0)
+    q, r = _pseudo_divmod(a, b)
+    lc, delta = b[-1], len(a) - len(b)
+    assert len(q) == delta + 1 and len(r) < len(b) and (not r or r[-1] != 0)
+    assert [lc ** (delta + 1) * c for c in a] == [
+        u + v for u, v in zip(mul(q, b), r + [0] * len(a))]
+    if monic:
+        assert r == _reduce(list(a), b)
+    sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     pa, pb, pr = (sympy.Poly(list(reversed(cs or [0])), x, domain="QQ") for cs in (a, b, r))
-    assert any((lc**k * pa - pr).rem(pb).is_zero for k in range(len(a) + 1))
-    if monic:
-        assert pr == pa.rem(pb)
+    assert pr == (lc ** (delta + 1) * pa).rem(pb)
 
 
 @settings(max_examples=100, deadline=None)
