@@ -4,13 +4,15 @@ and Chebyshev normal forms, commuting polynomials, and a desk-scale probe
 for polynomial relations along a pair of orbits.
 
 None of these touch algebraic numbers: exceptionality reduces to two exact
-one-point tests on one-step fibers, special forms are decided in depressed
-normal form with rational affine conjugations, and the genericity probe
-screens kernels modulo large primes (its rows reduce the exact orbit
-points it verifies on), reconstructs candidates once modulo the product
-of those primes, and verifies every candidate relation exactly on the
-rational orbit points.  Its None is certified only when a kernel is
-empty; after failed verification it is not.
+one-point tests on one-step fibers, multiplicative independence is decided
+by gcds (Euclid's algorithm on the exponents, with no factoring and no
+budget), special forms are decided in depressed normal form with
+rational affine conjugations, and the genericity probe screens kernels
+modulo large primes (its rows reduce the exact orbit points it verifies
+on), reconstructs candidates once modulo the product of those primes,
+and verifies every candidate relation exactly on the rational orbit
+points.  Its None is certified only when a kernel is empty; after
+failed verification it is not.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import count
 
 from .bivariate import BivariatePolynomial, homogeneous_powers
 from .errors import BudgetExceededError, DomainError, IndeterminateError
-from .exact import _iroot, factor, next_prime
+from .exact import _iroot, next_prime
 from .heights import _orbit_scan, canonical_height
 from .linalg import kernels_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
@@ -104,23 +106,13 @@ def is_preperiodic(f: RationalMap, point, budget: int = 64) -> bool:
     )
 
 
-def _exponent_vector(x: Fraction) -> dict[int, int]:
-    vec: dict[int, int] = {}
-    num, den = abs(x.numerator), x.denominator
-    if num > 1:
-        vec.update(factor(num).exponents())
-    if den > 1:
-        for p, e in factor(den).exponents().items():
-            vec[p] = vec.get(p, 0) - e
-    return vec
-
-
 def mult_indep(a, b) -> bool:
     """Multiplicative independence of two nonzero rationals: no relation
     a^m * b^n = 1 with (m, n) != (0, 0).
 
-    Equivalent to the prime exponent vectors being nonzero and not
-    rationally parallel; +-1 are torsion and therefore dependent.
+    Decided by Euclid's algorithm on exponents, with no factoring: +-1 are
+    torsion and therefore dependent, and otherwise a and b are dependent
+    exactly when |a|^+-1 = c^i and |b|^+-1 = c^j for one rational c > 1.
 
     >>> mult_indep(125, 25)
     False
@@ -130,16 +122,25 @@ def mult_indep(a, b) -> bool:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise DomainError("multiplicative independence needs nonzero inputs")
-    if abs(a) == 1 or abs(b) == 1:
-        return False
-    va = _exponent_vector(a)
-    vb = _exponent_vector(b)
-    primes = sorted(set(va) | set(vb))
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            p, q = primes[i], primes[j]
-            if va.get(p, 0) * vb.get(q, 0) != va.get(q, 0) * vb.get(p, 0):
-                return True
+    # xn/xd = max(|a|, 1/|a|) in lowest terms, which is 1 exactly when xn is
+    (xn, xd), (yn, yd) = (sorted((abs(v.numerator), v.denominator), reverse=True)
+                          for v in (a, b))
+    while xn > 1 and yn > 1:
+        if xn < yn:
+            xn, xd, yn, yd = yn, yd, xn, xd
+        # if x = c^i and y = c^j, the largest k with yn^k <= xn is i // j;
+        # c's numerator is at least 2, so the float estimate is well conditioned
+        k = max(1, int(math.log(xn) / math.log(yn)))
+        while yn ** k > xn:
+            k -= 1
+        while yn ** (k + 1) <= xn:
+            k += 1
+        (qn, rn), (qd, rd) = divmod(xn, yn ** k), divmod(xd, yd ** k)
+        if rn or rd:
+            return True      # were x = c^i and y = c^j, y^k = c^(jk) would divide x
+        # x / y^k and y generate what x and y do, and 1 makes both powers of y;
+        # xn xd shrinks by (yn yd)^k >= 2, so the loop ends
+        xn, xd = sorted((qn, qd), reverse=True)
     return False
 
 

@@ -465,6 +465,10 @@ def dispatch(argv) -> int:
         return _fail("hypothesis-violation", err, EXIT_HYPOTHESIS)
     except BudgetExceededError as err:
         return _fail("budget-exhausted", err, EXIT_BUDGET)
+    except MemoryError as err:      # its str() is usually empty
+        detail = str(err)
+        return _fail("budget-exhausted", "memory ran out" + (f": {detail}" if detail else ""),
+                     EXIT_BUDGET)
     except IndeterminateError as err:
         return _fail("indeterminate", err, EXIT_BUDGET)
     except (DomainError, OrbitgcdError, OSError, json.JSONDecodeError,

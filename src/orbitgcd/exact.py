@@ -1,6 +1,8 @@
 """Exact arithmetic over the rationals: certified prime factorization,
-p-adic valuations, and the local size functions v+ that every height
-computation in this package is built from.
+p-adic valuations, logarithms in fixed point, and the local size
+functions v+.  The heights are built from :func:`log_fixed` and
+:func:`valuation` directly; v+ is the definition the tests check hgcd
+against.
 
 Conventions
 -----------

@@ -24,7 +24,7 @@ from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_boun
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
                    digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
 from .polys import _derivative, _mul, _reduce, _sub, _yun, exact_div, primitive_gcd, trim
-from .classify import _exponent_vector, is_exceptional
+from .classify import is_exceptional
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,13 @@ def _finite_part(x: int, y: int) -> tuple[int, float]:
     return g, float(log_abs(g))
 
 
-def _excluded_sum(x: int, y: int, places: PlaceSet) -> float:
-    # x, y: nonzero numerators in lowest terms, so v_p of the rational is
-    # v_p of its numerator wherever it is positive
+def _excluded_sum(g: int, places: PlaceSet) -> float:
+    # g > 0 is the gcd of the numerators in lowest terms, so v_p(g) is the
+    # min of the two rationals' v_p wherever that min is positive
     total = 0.0
     for p in places:
-        if x % p:
-            continue
-        m = min(valuation(p, x), valuation(p, y))
-        if m:
-            total += m * float(log_abs(p))
+        if g % p == 0:
+            total += valuation(p, g) * float(log_abs(p))
     return total
 
 
@@ -146,8 +143,7 @@ def _series_row(config: GcdSeriesConfig, n: int, pa: ProjPoint, pb: ProjPoint,
         flags.append("rational_data")
     g, fin = _finite_part(u[0], v[0])
     log_gcd = fin + float(arch_gcd_term(u, v))
-    # a zero argument has v+ = +infinity at every place: only the other counts
-    excl = fin - _excluded_sum(u[0] or v[0], v[0] or u[0], config.place_exclusions)
+    excl = fin - _excluded_sum(g, config.place_exclusions)
     gcd_val = g if integral else None
     ratio = None
     if "one_zero" not in flags:
@@ -571,15 +567,10 @@ class MobiusProbeResult:
 def inversion_deviation_bound(alpha, beta) -> float:
     """Explicit constant bounding the finite gcd-height deviation under
     x -> 1/x on both coordinates: sum over primes of
-    max(v_p(a1^2 a2^2), v_p(b1^2 b2^2)) log p for alpha = a1/a2, beta = b1/b2."""
-    # v_p(x1^2 x2^2) = 2 |v_p(x)|; primes go in in increasing order, which
-    # fixes the set's iteration order and so the float sum's
-    ea, eb = ({p: 2 * abs(e) for p, e in sorted(_exponent_vector(Fraction(x)).items())}
-              for x in (alpha, beta))
-    total = 0.0
-    for p in set(ea) | set(eb):
-        total += max(ea.get(p, 0), eb.get(p, 0)) * float(log_abs(p))
-    return total
+    max(v_p(a1^2 a2^2), v_p(b1^2 b2^2)) log p for alpha = a1/a2, beta = b1/b2,
+    which is 2 log lcm(|a1 a2|, |b1 b2|), a zero product counting as 1."""
+    ea, eb = (abs(x.numerator * x.denominator) or 1 for x in map(Fraction, (alpha, beta)))
+    return 2 * float(log_abs(math.lcm(ea, eb)))
 
 
 def mobius_invariance_probe(f: RationalMap, g: RationalMap,

@@ -183,6 +183,72 @@ def test_mult_indep_examples_and_invariances():
         assert mult_indep(a**k, b) == base
 
 
+# the primes after 10^40, 10^41 and 10^42
+P40, P41, P42 = (next_prime(10**k) for k in (40, 41, 42))
+
+
+def exponent_rank_oracle(sympy, a: Fraction, b: Fraction) -> bool:
+    """True when the prime exponent vectors of a and b have rank 2."""
+    def vector(x):
+        vec = dict(sympy.factorint(abs(x.numerator)))
+        for p, e in sympy.factorint(x.denominator).items():
+            vec[p] = -e
+        return vec
+
+    va, vb = vector(a), vector(b)
+    return any(va.get(p, 0) * vb.get(q, 0) != va.get(q, 0) * vb.get(p, 0)
+               for p in va.keys() | vb.keys() for q in va.keys() | vb.keys())
+
+
+@st.composite
+def power_pairs(draw):
+    """(a, b, rank 2?): a = +-p^i q^j and b = +-p^k q^l for distinct primes p
+    and q, planted as a = +-c^m, b = +-c^n for c = p^s q^t half the time, or
+    (a, b, None) for two random small rationals.  Planted powers m, n reach
+    60 over the 40-digit primes and 20,000 over the small ones."""
+    sign = st.sampled_from((1, -1))
+    if draw(st.integers(0, 3)) == 0:
+        a, b = (draw(sign) * Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**4)))
+                for _ in range(2))
+        return a, b, None
+    big = draw(st.booleans())
+    pool = (P40, P41, P42, 2, 7) if big else (2, 3, 5, 7)
+    p, q = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        s, t = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        top = 60 if big else 20000
+        m, n = draw(st.integers(-top, top)), draw(st.integers(-top, top))
+        ea, eb = (s * m, t * m), (s * n, t * n)
+    else:
+        ea, eb = (draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9))) for _ in range(2))
+    a, b = (draw(sign) * Fraction(p) ** i * Fraction(q) ** j for i, j in (ea, eb))
+    return a, b, ea[0] * eb[1] != ea[1] * eb[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(power_pairs())
+def test_mult_indep_is_the_rank_of_the_exponent_vectors(case):
+    sympy = pytest.importorskip("sympy")
+    a, b, independent = case
+    got = mult_indep(a, b)
+    if independent is not None:
+        assert got is independent
+        assert mult_indep(b, a) is independent
+    if all(abs(x.numerator) < 10**20 and x.denominator < 10**20 for x in (a, b)):
+        assert got is exponent_rank_oracle(sympy, a, b)
+
+
+def test_mult_indep_answers_for_40_digit_primes():
+    # factoring (pq)^3 needs rho to find a 40-digit prime: far past any budget
+    p, q, r = P40, P41, P42
+    assert mult_indep(p * q, (p * q) ** 3) is False
+    assert mult_indep(p * q, p * r) is True
+    assert mult_indep(p * q**2, p**2 * q**4) is False
+    assert mult_indep(Fraction(p * q, 7) ** 200, Fraction(7, p * q) ** 3) is False
+    assert mult_indep(Fraction(p * q, 7) ** 200, Fraction(p * q, 5) ** 3) is True
+    assert mult_indep(Fraction(2) ** 20000, 2) is False
+
+
 def test_special_form_examples():
     assert special_form(Polynomial([0, 0, 0, 1])).tag == POWER_CONJUGATE
     res = special_form(Polynomial([-2, 0, 1]))

@@ -720,6 +720,18 @@ def test_cli_indeterminate_is_labelled_as_itself(capsys, map_file, monkeypatch):
                                "message": "neither outcome certified"}
 
 
+@pytest.mark.parametrize("err, message", [(MemoryError(), "memory ran out"),
+                                          (MemoryError("no room"), "memory ran out: no room")])
+def test_cli_memory_error_is_budget_exhaustion(capsys, monkeypatch, err, message):
+    def exhausted(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(cli, "mult_indep", exhausted)
+    code, out, stderr = run_cli(capsys, ["classify", "mult-indep", "-a", "2", "-b", "3"])
+    assert code == 4 and out == ""
+    assert json.loads(stderr) == {"error": "budget-exhausted", "message": message}
+
+
 def test_cli_special_form_huge_coefficient(capsys, map_file):
     # 10^400 x^2: a float root estimate overflows; x -> 10^400 x is the witness
     poly = map_file("big.json", {"coeffs": ["0", "0", str(10**400)]})

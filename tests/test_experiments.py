@@ -977,3 +977,31 @@ def test_inversion_deviation_bound_values():
     assert inversion_deviation_bound(1, 1) == 0.0
     assert abs(inversion_deviation_bound(Fraction(3, 2), 1) -
                2 * math.log(6)) < 1e-12
+
+
+def test_inversion_deviation_bound_is_the_per_prime_sum():
+    sympy = pytest.importorskip("sympy")
+
+    def doubled_abs_valuations(x):
+        # 2 |v_p(x)|; a zero argument has none
+        if x == 0:
+            return {}
+        vec = {p: 2 * e for p, e in sympy.factorint(abs(x.numerator)).items()}
+        vec.update({p: 2 * e for p, e in sympy.factorint(x.denominator).items()})
+        return vec
+
+    rng = random.Random(38)
+    pairs = [(Fraction(0), Fraction(3, 4)), (Fraction(-5, 8), Fraction(0)), (Fraction(0),) * 2]
+    pairs += [tuple(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                    for _ in range(2)) for _ in range(400)]
+    for alpha, beta in pairs:
+        ea, eb = doubled_abs_valuations(alpha), doubled_abs_valuations(beta)
+        want = math.fsum(max(ea.get(p, 0), eb.get(p, 0)) * math.log(p)
+                         for p in ea.keys() | eb.keys())
+        got = inversion_deviation_bound(alpha, beta)
+        assert abs(got - want) <= 1e-12 * want, (alpha, beta)
+    # pq / 7 with 40- and 41-digit primes p and q: no factoring is needed
+    p, q = sympy.nextprime(10**40), sympy.nextprime(10**41)
+    want = 2 * (math.log(p) + math.log(q)) + 4 * math.log(7)     # 7 from beta's 49
+    got = inversion_deviation_bound(Fraction(p * q, 7), Fraction(-1, 49))
+    assert abs(got - want) <= 1e-12 * want
