@@ -284,46 +284,41 @@ def _monomials(deg_max: int) -> list[tuple[int, int]]:
 
 
 def _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, primes):
-    """(live primes, rows modulo their product) for orbit steps 1..n_rows.
+    """Rows modulo the product m of ``primes`` for orbit steps 1..n_rows,
+    or None when the batch is void.
 
     ``pairs`` holds the exact orbit pairs at steps 0..n_usable.  Rows up to
-    n_usable reduce them modulo the product m of ``primes``, skipping the
-    steps where either point is at infinity; rows past n_usable come from
-    one walk of both orbits modulo m, started at the last exact pair.  A
-    walked pair is the exact one times a unit, so each row is a unit
-    multiple of the exact row and the row space is the same.  A prime dies
-    where a row's point is at infinity modulo it, which includes a walked
-    point that is (0 : 0) modulo it."""
+    n_usable reduce them modulo m; rows past n_usable come from one walk of
+    both orbits modulo m, started at the last exact pair.  A walked pair is
+    the exact one times a unit, so each row is a unit multiple of the exact
+    row, until a walked point is (0 : 0) modulo one of the primes, which
+    voids the batch.  A step whose point is at infinity modulo any of the
+    primes, exactly or only there, gives no row: a dropped row only widens
+    the kernel."""
     m = math.prod(primes)
-    dead = set()
-    rows = []
-
-    def add_row(xr, xs, yr, ys):
-        if (d := math.gcd(xs * ys, m)) > 1:
-            dead.update(p for p in primes if d % p == 0)
-        # the affine row x^i y^j times the unit (xs ys)^deg_max: the same
-        # row space, so the same RREF and kernel basis
-        xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
-        ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
-        rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
-    for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]:
-        if xs and ys:
-            add_row(xr % m, xs % m, yr % m, ys % m)
+    steps = [(xr % m, xs % m, yr % m, ys % m) for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]]
     (xr, xs), (yr, ys) = pairs[-1]
     xr, xs, yr, ys = xr % m, xs % m, yr % m, ys % m
     for _ in range(len(pairs), n_rows + 1):
         xr, xs = (c % m for c in f.form_values(xr, xs))
         yr, ys = (c % m for c in g.form_values(yr, ys))
-        add_row(xr, xs, yr, ys)
-    live = [p for p in primes if p not in dead]
-    if dead:
-        m = math.prod(live)
-        rows = [[v % m for v in row] for row in rows] if live else []
-    return live, rows
+        if math.gcd(xr, xs, m) > 1 or math.gcd(yr, ys, m) > 1:
+            return None
+        steps.append((xr, xs, yr, ys))
+    rows = []
+    for xr, xs, yr, ys in steps:
+        if math.gcd(xs * ys, m) == 1:
+            # the affine row x^i y^j times the unit (xs ys)^deg_max: the same
+            # row space, so the same RREF and kernel basis
+            xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
+            ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
+            rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
+    return rows
 
 
 _SCREEN_MARGIN = 8   # mod-p window rows beyond the monomial count
 _SCREEN_PRIMES = 3   # random 61-bit primes whose kernels are screened
+_SCREEN_BATCHES = 8  # batches of them drawn before the screen gives up
 
 
 @lru_cache(maxsize=256)
@@ -354,10 +349,13 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     to ``n_points`` (fewer when the digit budget cuts the orbits short)
     reduce the exact orbit points; only the rows past them come from a
     walk of both orbits in modular arithmetic, started at the last exact
-    point.  The primes are drawn in batches of those still needed, and a
-    batch costs one elimination modulo the product of its primes; a prime
-    at which a screened orbit point is at infinity is dropped and the next
-    is drawn, as if the primes were screened one at a time.
+    point.  The primes come in batches of _SCREEN_PRIMES, and a batch costs
+    one elimination modulo the product of its primes.  A step whose point
+    is at infinity modulo any prime of the batch gives no row (a dropped
+    row only widens the kernel), and a batch whose walk reaches (0 : 0)
+    modulo one of its primes, or that leaves no row, is void: the next
+    batch is drawn, up to _SCREEN_BATCHES of them, and then it raises
+    :class:`IndeterminateError`.
     An empty mod-p kernel certifies there is no relation.  Surviving
     kernel vectors are lifted by rational reconstruction once, modulo the
     product of the screening primes (coefficients up to about 2^89), or
@@ -398,27 +396,17 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         primes = (next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in count())
     else:
         primes = (_screen_prime(seed, i) for i in count())
-    groups: list[tuple[int, list[list[int]]]] = []   # (modulus, kernel basis)
-    screened = 0
-    for window in (n_screen, n_usable):
-        attempts = 0
-        while screened < _SCREEN_PRIMES and attempts < 8 * _SCREEN_PRIMES:
-            # the primes the one-at-a-time screen would surely draw next
-            batch = [next(primes) for _ in range(min(_SCREEN_PRIMES - screened,
-                                                     8 * _SCREEN_PRIMES - attempts))]
-            attempts += len(batch)
-            live, rows = _orbit_rows_modp(f, g, pairs, monomials, deg_max, window, batch)
-            if not rows:
-                continue
-            for modulus, basis in kernels_modp(rows, live):
-                if not basis:
-                    return None
-                groups.append((modulus, basis))
-            screened += len(live)
-        if groups:
+    for _ in range(_SCREEN_BATCHES):
+        batch = [next(primes) for _ in range(_SCREEN_PRIMES)]
+        rows = _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_screen, batch)
+        if rows:   # neither void nor empty
             break
-    if not groups:
-        raise IndeterminateError("mod-p screening failed for every sampled prime")
+    else:
+        raise IndeterminateError("mod-p screening failed for every sampled prime "
+                                 f"({_SCREEN_BATCHES * _SCREEN_PRIMES} primes)")
+    groups = kernels_modp(rows, batch)   # (modulus, kernel basis)
+    if not all(basis for _, basis in groups):
+        return None
 
     # distinct candidates in order of first appearance; positive multiples are one key
     candidates: dict[BivariatePolynomial, None] = {}

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
-from .exact import ARCH_PREC, int_gcd, log_abs, valuation
+from .exact import int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
                    digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
@@ -418,7 +418,7 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     beta, read exactly from the forward orbits of the critical points
     (:func:`_critical_walk`), the heights as value + error_bound at tolerance
     1e-8 (error_bound keeps its heuristic rounding term), and C = 2 (C_f +
-    C_g)/(d - 1), each C_f raised by 2^-ARCH_PREC to bound it.  All are exact
+    C_g)/(d - 1), each C_f rounded up by :func:`discrepancy_bound`.  All are exact
     and :meth:`DepthCertificate.replay` decides, so any finite epsilon > 0 is
     searched.  Exceptional alpha or beta violate the hypothesis that makes
     the selector converge and are rejected up front.
@@ -449,8 +449,7 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
         )
     d = f.degree
     ha, hb = canonical_height(f, a, 1e-8), canonical_height(g, b, 1e-8)
-    two_units = Fraction(2, 1 << ARCH_PREC)   # C_f is within 1/2 + 2^-9 units: +1 bounds it
-    constant = 2 * (discrepancy_bound(f) + discrepancy_bound(g) + two_units) / (d - 1)
+    constant = 2 * (discrepancy_bound(f) + discrepancy_bound(g)) / (d - 1)
     # the certificate at depth 0, where M' = d^D = 1
     cert = DepthCertificate(0, 1, d, float(epsilon), ha.value, ha.error_bound,
                             hb.value, hb.error_bound, constant)

@@ -26,8 +26,9 @@ the stated error.
 Weil, canonical and discrepancy heights are ints in units of 2^-prec, and
 the tail and escape decisions compare ints: prec is ARCH_PREC = 128, or for
 canonical heights a precision derived from the tolerance, high enough
-that the stated error bound stays within it.  Results are those ints over
-2^prec as exact Fractions (:class:`~orbitgcd.exact.Real`).
+that the stated error bound stays within it; C_f is taken once per map,
+at 128 bits and rounded up, and read at any precision.  Results are those
+ints over 2^prec as exact Fractions (:class:`~orbitgcd.exact.Real`).
 """
 
 from __future__ import annotations
@@ -102,11 +103,13 @@ def discrepancy_bound(f: RationalMap) -> Real:
     side: the Bezout identities u*F + v*G = R*X^(2d-1) (and Y^(2d-1)) give
     max(|F|,|G|) >= |R| M^d / (2 d H_u) and bound the gcd of the value
     pair by |R|.  Any finite valid constant is acceptable; tightness is not
-    a goal.  In units of 2^-ARCH_PREC, cached per map.
+    a goal.  In units of 2^-ARCH_PREC, cached per map, and rounded up: the
+    log of the larger side's argument to the nearest unit (within 1/2 +
+    2^-9), plus one unit, so it is a proven upper bound.
     """
     if f.degree < 2:
         raise DomainError("discrepancy bound needs degree >= 2")
-    return log_abs(_discrepancy_base(f))
+    return Real(log_fixed(_discrepancy_base(f), ARCH_PREC) + 1, 1 << ARCH_PREC)
 
 
 def _discrepancy_base(f: RationalMap) -> int:
@@ -217,11 +220,10 @@ def _tail_steps(f: RationalMap, tol: float) -> tuple[int, int]:
     # the bit length k of floor((d+1)/(d tol)) is the least k with
     # 2^-k < tol - tol/(d+1), the room error_bound leaves beside the tail
     prec = max(ARCH_PREC, 2 * ((d + 1) * den // (d * num)).bit_length())
-    # with C_f in units and tol = num/den, N is the least n with d^n >= q:
+    # with C_f = cn/cd and tol = num/den, N is the least n with d^n >= q:
     # a float estimate of log_d q, confirmed by exact tests at n and n - 1
-    c_f = (int(discrepancy_bound(f) * (1 << prec)) if prec == ARCH_PREC
-           else log_fixed(_discrepancy_base(f), prec))
-    q = -(-c_f * (d + 1) * den // ((num * (d - 1)) << prec))
+    c_f = discrepancy_bound(f)
+    q = -(-c_f.numerator * (d + 1) * den // (c_f.denominator * num * (d - 1)))
     n_steps = math.ceil(math.log(q) / math.log(d))
     while d**n_steps < q:
         n_steps += 1
@@ -241,16 +243,16 @@ def canonical_height(f: RationalMap, point, tol) -> HeightEstimate:
     Preperiodic points found by the exact orbit pre-scan return value 0
     with error_bound 0.
 
-    The tail test runs in units of 2^-prec, prec = max(ARCH_PREC,
-    2 log2((d+1)/(d tol))) bits, the last rounded up so that
-    2^-(prec//2) < tol - tol/(d+1), and the height in units of
-    2^-(prec + 64), from an integer pair of prec + 64 bits and an exact
-    binary exponent: a step is one exact form evaluation and a shift, and
-    the archimedean part takes one logarithm.  When G(1, 0) = 0 (oo fixed,
-    as for every polynomial) and the pair reaches (x, 0), the k steps left
-    are the closed form d^k log|x| + (d^k - 1)/(d - 1) log|a_d|, within the
-    same rounding, and the same p-adic exponents exactly; iterations_used
-    and error_bound still count all N.
+    The tail test is exact, on C_f as :func:`discrepancy_bound` rounds it
+    up.  prec = max(ARCH_PREC, 2 log2((d+1)/(d tol))) bits, the last
+    rounded up so that 2^-(prec//2) < tol - tol/(d+1), and the height runs
+    in units of 2^-(prec + 64), from an integer pair of prec + 64 bits and
+    an exact binary exponent: a step is one exact form evaluation and a
+    shift, and the archimedean part takes one logarithm.  When G(1, 0) = 0
+    (oo fixed, as for every polynomial) and the pair reaches (x, 0), the k
+    steps left are the closed form d^k log|x| + (d^k - 1)/(d - 1) log|a_d|,
+    within the same rounding, and the same p-adic exponents exactly;
+    iterations_used and error_bound still count all N.
 
     N needs no budget: N <= log_d(C_f (d+1) / ((d-1) tol)) + 1, tol >= 2^-1074
     and C_f grows with the log of the coefficients, so N stays near 1,100

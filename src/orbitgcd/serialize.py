@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from . import __version__, _gmp
 from .errors import DomainError
 from .maps import DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap, digit_count
-from .polys import Polynomial
+from .polys import Polynomial, trim
 
 if TYPE_CHECKING:     # annotations only: no import of experiments at run time
     from .experiments import GcdSeriesConfig, GcdSeriesReport, GcdSeriesRow
@@ -200,9 +200,11 @@ def poly_from_json(obj: dict) -> Polynomial:
 
 
 def map_to_json(f: RationalMap) -> dict:
-    out = {"num": poly_to_json(f.num)}
-    if not (f.den.degree == 0 and f.den.coeff(0) == 1):
-        out["den"] = poly_to_json(f.den)
+    """The map's integer forms as map JSON, with no "den" when it is 1."""
+    num, den = (trim(list(form)) for form in f.forms)
+    out = {"num": {"coeffs": [int_to_str(c) for c in num]}}
+    if den != [1]:
+        out["den"] = {"coeffs": [int_to_str(c) for c in den]}
     return out
 
 

@@ -14,7 +14,8 @@ from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
                                commutes, is_exceptional, is_preperiodic, mult_indep,
                                probe_genericity, special_form)
 from orbitgcd.errors import BudgetExceededError, DomainError, IndeterminateError
-from orbitgcd.exact import next_prime
+from orbitgcd.exact import Real, next_prime
+from orbitgcd.heights import HeightEstimate
 from orbitgcd.linalg import kernel_modp, rational_reconstruct
 from orbitgcd.maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY,
                            ProjPoint, RationalMap, compose, conjugate, evaluate,
@@ -162,6 +163,15 @@ def test_preperiodic_examples():
     assert is_preperiodic(X2, 3, budget=1) is False
 
 
+def test_preperiodic_with_an_uncertified_height_is_indeterminate(monkeypatch):
+    # budget 1 leaves the decision to the canonical height; a value inside
+    # its error bound certifies neither side
+    uncertain = HeightEstimate(Real(1, 100), Real(1, 10), 5)
+    monkeypatch.setattr(classify, "canonical_height", lambda f, point, tol: uncertain)
+    with pytest.raises(IndeterminateError, match="cannot be certified positive"):
+        is_preperiodic(X2, 3, budget=1)
+
+
 def test_mult_indep_examples_and_invariances():
     assert mult_indep(125, 25) is False
     assert mult_indep(2, 3) is True
@@ -247,6 +257,10 @@ def test_mult_indep_answers_for_40_digit_primes():
     assert mult_indep(Fraction(p * q, 7) ** 200, Fraction(7, p * q) ** 3) is False
     assert mult_indep(Fraction(p * q, 7) ** 200, Fraction(p * q, 5) ** 3) is True
     assert mult_indep(Fraction(2) ** 20000, 2) is False
+    # log(7^40 - 1) / log 7 rounds to 40, but 7^40 > 7^40 - 1: k comes down
+    # to 39, and the remainder of 7^40 - 1 by 7^39 makes the pair independent
+    assert int(math.log(7**40 - 1) / math.log(7)) == 40
+    assert mult_indep(7**40 - 1, 7) is True
 
 
 def test_special_form_examples():
@@ -451,9 +465,11 @@ def test_probe_with_no_finite_step_is_indeterminate():
 
 def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
                     digit_budget=DEFAULT_ORBIT_DIGIT_BUDGET):
-    """The probe as it was before its primes were memoized: a fresh prime
-    search per call, affine mod-p rows through modular inverses, and
-    Fraction verification by ``BivariatePolynomial.evaluate``."""
+    """The probe as it was before its primes were memoized, screening one
+    prime at a time: a fresh prime search per call, affine mod-p rows
+    through modular inverses (a step at infinity modulo p gives no row, and
+    a walk that reaches (0 : 0) modulo p rejects p), and Fraction
+    verification by ``BivariatePolynomial.evaluate``."""
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
     if n_points < 1:
@@ -479,39 +495,34 @@ def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
     if not exact_points:
         return None
 
-    def rows_modp(window, p):
+    def rows_modp(p):
         xr, xs = (c % p for c in a.pair())
         yr, ys = (c % p for c in b.pair())
         rows = []
-        for n in range(1, window + 1):
+        for _ in range(n_screen):
             xr, xs = (c % p for c in f.form_values(xr, xs))
             yr, ys = (c % p for c in g.form_values(yr, ys))
             if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
                 return None
-            if n in skip:
-                continue
             if xs == 0 or ys == 0:
-                return None
+                continue
             xv, yv = xr * pow(xs, -1, p) % p, yr * pow(ys, -1, p) % p
             rows.append([pow(xv, i, p) * pow(yv, j, p) % p for i, j in monomials])
         return rows
 
     rng = random.Random(seed)
     collected = []
-    for window in (n_screen, n_usable):
-        attempts = 0
-        while len(collected) < 3 and attempts < 24:
-            attempts += 1
-            p = next_prime(rng.randrange(1 << 60, 1 << 61))
-            rows = rows_modp(window, p)
-            if not rows:
-                continue
-            basis = kernel_modp(rows, p)
-            if not basis:
-                return None
-            collected.append((p, basis))
-        if collected:
-            break
+    attempts = 0
+    while len(collected) < 3 and attempts < 24:
+        attempts += 1
+        p = next_prime(rng.randrange(1 << 60, 1 << 61))
+        rows = rows_modp(p)
+        if not rows:
+            continue
+        basis = kernel_modp(rows, p)
+        if not basis:
+            return None
+        collected.append((p, basis))
     if not collected:
         raise IndeterminateError("mod-p screening failed for every sampled prime")
     candidates = []
@@ -566,8 +577,8 @@ def _probe_sweep():
         cases.append(((X2, X2, 125, 25, 3, 12), {"seed": 3, "digit_budget": budget}, None))
     cases.append(((X2, X2, 2, 4, 2, 10), {"seed": 5}, None))      # y = x^2
     cases.append(((X2, X2, 2, 4, 0, 10), {"seed": 5}, None))      # deg_max < 1
-    # 1/(x^2 - 1) takes 0 to -1 to oo to 0: every screening walk reaches oo
-    # modulo its primes, so the probe falls back to the n_usable window
+    # 1/(x^2 - 1) takes 0 to -1 to oo to 0: the steps at oo give no row, and
+    # the 8 rows left have an empty kernel (y runs 2, 5, 26, 677, ...)
     cases.append(((RationalMap([1], [-1, 0, 1]), X2P1, 0, 1, 1, 2), {"seed": 0}, None))
     return cases
 
@@ -761,49 +772,79 @@ def test_seed_none_draws_fresh_primes_on_every_call(monkeypatch):
     assert classify._screen_prime.cache_info().currsize == 0
 
 
-def test_degenerate_first_prime_draws_the_next_of_the_stream(monkeypatch):
+def test_degenerate_batch_draws_the_next_of_the_stream(monkeypatch):
     seed = 99
-    stream = _stream_primes(seed, 5)
+    stream = _stream_primes(seed, 6)
     real_rows = classify._orbit_rows_modp
     used = []
 
-    def rows_failing_the_first_prime(*args):
-        # the batched walk, with stream[0] degenerate: dropped from the live primes
+    def rows_voiding_the_first_batch(*args):
+        # the batched walk, with the first batch void
         *walk, batch = args
         used.extend(batch)
-        return real_rows(*walk, [p for p in batch if p != stream[0]])
-    monkeypatch.setattr(classify, "_orbit_rows_modp", rows_failing_the_first_prime)
+        return None if batch == stream[:3] else real_rows(*walk, batch)
+    monkeypatch.setattr(classify, "_orbit_rows_modp", rows_voiding_the_first_batch)
     rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=seed)
-    assert used == stream[:4]
+    assert used == stream[:6]
     assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
 
 
+def test_every_batch_void_is_indeterminate_after_24_primes(monkeypatch):
+    used = []
+
+    def void(*args):
+        used.extend(args[-1])
+    monkeypatch.setattr(classify, "_orbit_rows_modp", void)
+    with pytest.raises(IndeterminateError, match="24 primes"):
+        probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=99)
+    assert used == _stream_primes(99, 24)
+
+
+def test_steps_at_infinity_give_no_row(monkeypatch):
+    # 1/(x^2 - 1) from 0 runs -1, oo, 0, -1, oo, ...; x^2 + 1 from 1 runs
+    # 2, 5, 26, 677, ...: no relation, though step 1 alone fits y = 2.  The
+    # 12 screening steps lose the four at oo, and the 8 rows left have an
+    # empty kernel modulo the first three primes
+    used = []
+    real_rows = classify._orbit_rows_modp
+
+    def counting(*args):
+        used.extend(args[-1])
+        rows = real_rows(*args)
+        assert len(rows) == 8
+        return rows
+    monkeypatch.setattr(classify, "_orbit_rows_modp", counting)
+    assert probe_genericity(RationalMap([1], [-1, 0, 1]), X2P1, 0, 1, 1, 2) is None
+    assert used == [classify._screen_prime(0, i) for i in range(3)]
+
+
 def reference_orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, p):
-    """The screening rows for one prime, in affine coordinates through
-    modular inverses: the exact pairs reduced modulo p at steps up to
-    n_usable (points at infinity skipped), then a walk modulo p from the
-    last exact pair; None when a row's point is at infinity modulo p."""
+    """The screening rows for one prime, one per orbit step 1..n_rows, in
+    affine coordinates through modular inverses: the exact pairs reduced
+    modulo p at steps up to n_usable, then a walk modulo p from the last
+    exact pair.  A step whose point is at infinity modulo p gives None in
+    place of its row, and the whole is None when a walked point is (0 : 0)
+    modulo p."""
     def row(xr, xs, yr, ys):
         if xs % p == 0 or ys % p == 0:
             return None
         x, y = xr * pow(xs, -1, p) % p, yr * pow(ys, -1, p) % p
         return [pow(x, i, p) * pow(y, j, p) % p for i, j in monomials]
-    rows = []
-    for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]:
-        if xs and ys:
-            rows.append(row(xr, xs, yr, ys))
+    rows = [row(xr, xs, yr, ys) for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]]
     (xr, xs), (yr, ys) = pairs[-1]
     for _ in range(len(pairs), n_rows + 1):
         xr, xs = (c % p for c in f.form_values(xr, xs))
         yr, ys = (c % p for c in g.form_values(yr, ys))
+        if xr == xs == 0 or yr == ys == 0:
+            return None
         rows.append(row(xr, xs, yr, ys))
-    return None if None in rows else rows
+    return rows
 
 
 def test_batched_walk_matches_one_walk_per_prime():
     rng = random.Random(2424)
     big = _stream_primes(5, 3)
-    dropped = kept = skipped = tails = 0
+    void = dropped = kept = skipped = tails = 0
     for _ in range(400):
         num = [rng.randint(-4, 4) for _ in range(rng.choice([2, 3]))] + [rng.randint(1, 3)]
         fg = [RationalMap(num) if rng.random() < 0.5 else
@@ -823,22 +864,29 @@ def test_batched_walk_matches_one_walk_per_prime():
         primes = rng.sample(rng.choice([(2, 3, 5, 7, 11, 13), big, (3, 7) + tuple(big)]),
                             rng.randint(1, 3))
         args = (*fg, pairs, classify._monomials(deg_max), deg_max, n_rows)
-        live, rows = classify._orbit_rows_modp(*args, primes)
+        rows = classify._orbit_rows_modp(*args, primes)
         want = {p: reference_orbit_rows_modp(*args, p) for p in primes}
-        assert live == [p for p in primes if want[p] is not None]
-        for p in live:
+        if None in want.values():
+            # a walk that reaches (0 : 0) modulo one prime voids the batch
+            assert rows is None
+            void += 1
+            continue
+        # a step gives a row where its point is finite modulo every prime
+        steps = [n for n in range(n_rows) if all(want[p][n] for p in primes)]
+        assert len(rows) == len(steps)
+        for p in primes:
             got = [[v % p for v in row] for row in rows]
-            assert len(got) == len(want[p])
+            ref = [want[p][n] for n in steps]
             # each row is the affine row times a unit: the (0, 0) entry
-            for row, ref in zip(got, want[p]):
-                assert row[0] and all(v == row[0] * r % p for v, r in zip(row, ref))
-            assert kernel_modp(got, p) == kernel_modp(want[p], p)
-        assert live or rows == []
-        dropped += len(primes) - len(live)
-        kept += len(live)
+            for row, r in zip(got, ref):
+                assert row[0] and all(v == row[0] * x % p for v, x in zip(row, r))
+            assert kernel_modp(got, p) == kernel_modp(ref, p)
+        dropped += n_rows - len(steps)
+        kept += len(steps)
         skipped += any(not (x[1] and y[1]) for x, y in pairs[1:])
         tails += n_rows > n_usable
-    assert dropped > 50 and kept > 50 and skipped > 20 and tails > 100
+    assert void > 20 and dropped > 50 and kept > 50 and skipped > 20 and tails > 100, \
+        (void, dropped, kept, skipped, tails)
 
 
 def test_generic_pair_is_decided_by_one_elimination(monkeypatch):

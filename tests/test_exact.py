@@ -371,14 +371,19 @@ def test_factor_stops_trial_division_at_a_prime_cofactor(monkeypatch):
 
 def test_factor_budget_exhaustion_on_a_40_bit_semiprime():
     # the early-out must leave rho the same cofactor and seed, so the same
-    # partial factorization and cofactor as full trial division
+    # partial factorization and cofactor as full trial division; (pq)^k
+    # stacks k copies of pq, and the cofactor is the one rho failed on
+    # times the copies still stacked
     p, q = 549755826239, 824633721649
-    for n, partial in ((p * q, ()), (12 * p * q, ((2, 2), (3, 1))), (-7 * p * q, ((7, 1),))):
+    for n, partial, k in ((p * q, (), 1), (12 * p * q, ((2, 2), (3, 1)), 1),
+                          (-7 * p * q, ((7, 1),), 1), (-12 * (p * q) ** 2, ((2, 2), (3, 1)), 2),
+                          ((p * q) ** 3, (), 3)):
         with pytest.raises(PartialFactorizationError) as err:
             factor(n, budget=1000)
         assert err.value.partial.factors == partial
         assert err.value.partial.sign == (1 if n > 0 else -1)
-        assert err.value.cofactor == p * q
+        assert err.value.cofactor == (p * q) ** k
+        assert err.value.partial.value() * err.value.cofactor == n
 
 
 def test_no_module_imports_mpmath():

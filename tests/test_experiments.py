@@ -325,11 +325,10 @@ def test_choose_depth_rejects_epsilon_not_finite_and_positive(epsilon):
 
 def oracle_lhs(f, g, a, b, alpha, beta, depth):
     """M'/d^D (4 (hhat_f(a) + e_a) + 4 (hhat_g(b) + e_b) + C) at D - 1 and D,
-    in Fractions: heights at tolerance 1e-8, C from discrepancy_bound with a
-    unit of 2^-128 added per map, M' from the critical walks."""
+    in Fractions: heights at tolerance 1e-8, C from discrepancy_bound (an
+    upper bound already), M' from the critical walks."""
     ha, hb = heights.canonical_height(f, a, 1e-8), heights.canonical_height(g, b, 1e-8)
-    unit = Fraction(1, 2**128)
-    c = 2 * (discrepancy_bound(f) + unit + discrepancy_bound(g) + unit) / (f.degree - 1)
+    c = 2 * (discrepancy_bound(f) + discrepancy_bound(g)) / (f.degree - 1)
     bracket = 4 * (ha.value + ha.error_bound) + 4 * (hb.value + hb.error_bound) + c
     walks = zip(_critical_walk(f, Fraction(alpha)), _critical_walk(g, Fraction(beta)))
     m = [max(m_f, m_g) for (m_f, _), (m_g, _) in islice(walks, depth)]

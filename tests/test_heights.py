@@ -69,6 +69,21 @@ def test_discrepancy_bound_random_property():
             assert disc <= c + 1e-9
 
 
+def test_discrepancy_bound_is_the_log_rounded_up():
+    # C_f is at least the log of its base, checked against mpmath at 600
+    # bits, and within 2 units of 2^-128 of it
+    rng = random.Random(39)
+    ctx = mpmath.MPContext()
+    ctx.prec = 600
+    for _ in range(300):
+        num = [rng.randint(-10**rng.randint(1, 30), 10**rng.randint(1, 30)) for _ in range(3)]
+        f = RationalMap(num[:2] + [num[2] or 1])
+        exact = ctx.log(_discrepancy_base(f)) * 2**128
+        units = discrepancy_bound(f) * 2**128
+        assert units.denominator == 1
+        assert exact <= units.numerator < exact + 2
+
+
 def test_discrepancy_bound_degree_one_rejected():
     with pytest.raises(DomainError):
         discrepancy_bound(RationalMap([1, 1]))
