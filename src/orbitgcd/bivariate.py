@@ -43,14 +43,14 @@ class BivariatePolynomial:
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
                    Fraction(0))
 
-    def vanishes_at(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
-        """Whether F(xr/xs, yr/ys) = 0 for integer pairs x = (xr, xs) and
-        y = (yr, ys) with xs, ys nonzero.  Decided in integers as
-        sum c_ij xr^i xs^(D-i) yr^j ys^(D-j) == 0, with D the largest
-        exponent of F: F at the point times (xs ys)^D."""
-        if not (x[1] and y[1]):
-            raise DomainError("vanishes_at needs finite points")
-        degree = max((max(m) for m in self.terms), default=0)
+    def vanishes_at(self, x: tuple[int, int], y: tuple[int, int], degree: int) -> bool:
+        """Whether F, read as the form of bidegree (D, D) with D = ``degree``,
+        vanishes at the point ((xr : xs), (yr : ys)) of P^1 x P^1: whether
+        sum c_ij xr^i xs^(D-i) yr^j ys^(D-j) == 0 in integers.  At a finite
+        point that is F(xr/xs, yr/ys) times (xs ys)^D; at (oo, y) it is
+        sum_j c_Dj y^j times (xr ys)^D, and at (x, oo) sum_i c_iD x^i times (xs yr)^D."""
+        if any(max(m) > degree for m in self.terms):
+            raise DomainError(f"an exponent of the polynomial exceeds the bidegree {degree}")
         xcol = homogeneous_powers(*x, degree)
         ycol = homogeneous_powers(*y, degree)
         return sum(c * xcol[i] * ycol[j] for (i, j), c in self.terms.items()) == 0

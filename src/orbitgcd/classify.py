@@ -10,9 +10,9 @@ budget), special forms are decided in depressed normal form with
 rational affine conjugations, and the genericity probe screens kernels
 modulo large primes (its rows reduce the exact orbit points it verifies
 on), reconstructs candidates once modulo the product of those primes,
-and verifies every candidate relation exactly on the rational orbit
-points.  Its None is certified only when a kernel is empty; after
-failed verification it is not.
+and verifies every candidate form exactly on the orbit points of
+P^1 x P^1, infinity included.  Its None is certified by an empty kernel;
+a nonempty kernel with no verified candidate raises.
 """
 
 from __future__ import annotations
@@ -269,7 +269,8 @@ def commutes(h: Polynomial, f: Polynomial, k_max: int,
 
 @dataclass(frozen=True)
 class CurveRelation:
-    """A verified polynomial relation along the tested orbit window."""
+    """A verified relation along the tested orbit window, ``polynomial``
+    read as a form of bidegree (D, D) on P^1 x P^1, D = ``degree_bound``."""
 
     polynomial: BivariatePolynomial
     degree_bound: int
@@ -292,9 +293,9 @@ def _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, primes):
     both orbits modulo m, started at the last exact pair.  A walked pair is
     the exact one times a unit, so each row is a unit multiple of the exact
     row, until a walked point is (0 : 0) modulo one of the primes, which
-    voids the batch.  A step whose point is at infinity modulo any of the
-    primes, exactly or only there, gives no row: a dropped row only widens
-    the kernel."""
+    voids the batch.  Every step gives its homogeneous row
+    x_r^i x_s^(D-i) y_r^j y_s^(D-j), D = deg_max, points at infinity
+    included, so the kernel is that of the exact rows."""
     m = math.prod(primes)
     steps = [(xr % m, xs % m, yr % m, ys % m) for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]]
     (xr, xs), (yr, ys) = pairs[-1]
@@ -307,12 +308,9 @@ def _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, primes):
         steps.append((xr, xs, yr, ys))
     rows = []
     for xr, xs, yr, ys in steps:
-        if math.gcd(xs * ys, m) == 1:
-            # the affine row x^i y^j times the unit (xs ys)^deg_max: the same
-            # row space, so the same RREF and kernel basis
-            xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
-            ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
-            rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
+        xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
+        ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
+        rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
     return rows
 
 
@@ -337,8 +335,8 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
                      deg_max: int, n_points: int, seed: int | None = 0,
                      *, digit_budget: int = DEFAULT_ORBIT_DIGIT_BUDGET,
                      ) -> CurveRelation | None:
-    """Search for a polynomial relation (box degrees <= deg_max) along the
-    paired orbits of a and b.
+    """Search for a relation of bidegree (deg_max, deg_max) along the
+    paired orbits of a and b, as points of P^1 x P^1.
 
     Kernels of the monomial matrix are screened modulo _SCREEN_PRIMES
     random 61-bit primes drawn from ``seed`` (an integer seed's primes
@@ -350,21 +348,20 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     reduce the exact orbit points; only the rows past them come from a
     walk of both orbits in modular arithmetic, started at the last exact
     point.  The primes come in batches of _SCREEN_PRIMES, and a batch costs
-    one elimination modulo the product of its primes.  A step whose point
-    is at infinity modulo any prime of the batch gives no row (a dropped
-    row only widens the kernel), and a batch whose walk reaches (0 : 0)
-    modulo one of its primes, or that leaves no row, is void: the next
-    batch is drawn, up to _SCREEN_BATCHES of them, and then it raises
+    one elimination modulo the product of its primes.  Every step gives a
+    homogeneous row, points at infinity included, and a batch whose walk
+    reaches (0 : 0) modulo one of its primes is void: the next batch is
+    drawn, up to _SCREEN_BATCHES of them, and then it raises
     :class:`IndeterminateError`.
-    An empty mod-p kernel certifies there is no relation.  Surviving
-    kernel vectors are lifted by rational reconstruction once, modulo the
-    product of the screening primes (coefficients up to about 2^89), or
-    modulo each prime (about 2^30) when the primes disagree on a pivot,
-    and verified exactly, in integers, at the first ``n_points`` exact
-    orbit points; only a verified relation is ever returned.  A None after
-    every candidate failed verification is not a certificate: a relation
-    with larger coefficients may exist.  When no orbit step has both points
-    finite, no point can be tested, and it raises :class:`IndeterminateError`.
+    An empty mod-p kernel certifies there is no relation, and is the only
+    None returned.  Surviving kernel vectors are lifted by rational
+    reconstruction once, modulo the product of the screening primes
+    (coefficients up to about 2^89), or modulo each prime (about 2^30) when
+    the primes disagree on a pivot, and verified exactly, in integers, at
+    every exact orbit step 1..``n_points`` (fewer when the digit budget cuts
+    the orbits short); only a verified relation is ever returned.  When no
+    candidate verifies, a relation with larger coefficients may exist, and
+    it raises :class:`IndeterminateError`.
     """
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
@@ -385,11 +382,6 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
         raise BudgetExceededError(
             "orbit digit budget too small to collect a single probe point"
         )
-    # steps where either point is at infinity are skipped
-    exact_points = [(x, y) for x, y in pairs[1:] if x[1] and y[1]]
-    if not exact_points:
-        raise IndeterminateError("no probe point could be tested: every orbit "
-                                 f"step 1..{n_usable} has a point at infinity")
 
     if seed is None:   # fresh entropy on every call: nothing to memoize
         rng = random.Random()
@@ -399,7 +391,7 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     for _ in range(_SCREEN_BATCHES):
         batch = [next(primes) for _ in range(_SCREEN_PRIMES)]
         rows = _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_screen, batch)
-        if rows:   # neither void nor empty
+        if rows is not None:
             break
     else:
         raise IndeterminateError("mod-p screening failed for every sampled prime "
@@ -420,12 +412,16 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
 
     verified = [
         poly for poly in candidates
-        if all(poly.vanishes_at(x, y) for x, y in exact_points)
+        if all(poly.vanishes_at(x, y, deg_max) for x, y in pairs[1:])
     ]
     if not verified:
-        return None
+        raise IndeterminateError(
+            f"no candidate relation verifies on the {n_usable} window points: "
+            f"{len(candidates)} tried from kernel dimension "
+            f"{'/'.join(str(len(basis)) for _, basis in groups)} modulo "
+            f"{'/'.join(str(m.bit_length()) for m, _ in groups)} bits")
     verified.sort(key=lambda poly: (
         len(poly.terms), poly.total_degree(),
         sorted(poly.terms, key=lambda m: (m[0] + m[1], m[0], m[1])),
     ))
-    return CurveRelation(verified[0], deg_max, len(exact_points))
+    return CurveRelation(verified[0], deg_max, n_usable)

@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -309,11 +310,12 @@ def _cmd_ap_structure(args) -> dict:
     if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
             and all(type(v) is int for v in (data.get("degree"), data.get("last_n"),
                                               *(row.get("n") for row in rows)))
-            and all(type(row.get("log_gcd")) in (int, float, type(None)) for row in rows)
-            and all(0 <= row["n"] <= data["last_n"] for row in rows)):
-        raise DomainError("report JSON needs integer 'degree' and 'last_n', and "
-                          "'rows' with integer 'n' in [0, last_n] and numeric or "
-                          "null 'log_gcd'")
+            and all(type(v := row.get("log_gcd")) in (int, type(None))
+                    or type(v) is float and math.isfinite(v) for row in rows)
+            and data["degree"] >= 2 and all(0 <= row["n"] <= data["last_n"] for row in rows)):
+        raise DomainError("report JSON needs integer 'degree' >= 2 and 'last_n', and "
+                          "'rows' with integer 'n' in [0, last_n] and finite numeric "
+                          "or null 'log_gcd'")
     report = SimpleNamespace(
         degree=data["degree"], last_n=data["last_n"],
         rows=[SimpleNamespace(n=row["n"], log_gcd=row.get("log_gcd")) for row in rows])

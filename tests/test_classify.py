@@ -161,6 +161,10 @@ def test_preperiodic_examples():
     # its exact zero (-1 -> 1 -> 1) and by its numeric sign test
     assert is_preperiodic(X2, -1, budget=1) is True
     assert is_preperiodic(X2, 3, budget=1) is False
+    with pytest.raises(DomainError, match="degree >= 2"):
+        is_preperiodic(RationalMap([1, 2]), 1)
+    with pytest.raises(DomainError, match="budget must be >= 1"):
+        is_preperiodic(X2, 1, budget=0)
 
 
 def test_preperiodic_with_an_uncertified_height_is_indeterminate(monkeypatch):
@@ -341,6 +345,9 @@ def test_chebyshev_polynomial_recurrence_and_defining_property():
     assert chebyshev_polynomial(2) == Polynomial([-2, 0, 1])
     assert chebyshev_polynomial(3) == Polynomial([0, -3, 0, 1])
     assert chebyshev_polynomial(4) == Polynomial([2, 0, -4, 0, 1])
+    assert chebyshev_polynomial(0) == Polynomial([2])
+    with pytest.raises(DomainError):
+        chebyshev_polynomial(-1)
     # T_d(z + 1/z) = z^d + 1/z^d at sample rational z
     for d in (2, 3, 4, 5):
         td = chebyshev_polynomial(d)
@@ -357,6 +364,10 @@ def test_commutes_examples():
     with pytest.raises(BudgetExceededError):
         commutes(Polynomial([1, 0, 1]), Polynomial([0] * 8 + [1]), 5,
                  degree_budget=100)
+    with pytest.raises(DomainError, match="deg h >= 1"):
+        commutes(Polynomial([3]), Polynomial([0, 0, 1]), 1)
+    with pytest.raises(DomainError, match="k_max must be >= 1"):
+        commutes(Polynomial([0, -1]), Polynomial([0, 1, 0, 1]), 0)
 
 
 def reference_commutes(h, f, k_max, degree_budget=DEFAULT_DEGREE_BUDGET):
@@ -454,22 +465,49 @@ def test_probe_partial_result_under_tight_budget():
     assert 1 <= rel.points_tested < 8
 
 
-def test_probe_with_no_finite_step_is_indeterminate():
+def test_probe_with_no_finite_step_finds_the_line_at_infinity():
     # x^2 + 1 fixes oo, so every step pairs oo with a point of x^2 - 1's
-    # orbit: no point can be tested (the orbit lies on the line x = oo),
-    # and the probe says so instead of returning a bare None
+    # orbit: the orbit lies on the line x = oo.  The constant 1, read as a
+    # form of bidegree (D, D), is x_s^D y_s^D, which vanishes there
     for deg_max, n_points in ((1, 8), (2, 12)):
-        with pytest.raises(IndeterminateError, match="no probe point could be tested"):
-            probe_genericity(X2P1, X2M1, INFINITY, 2, deg_max, n_points)
+        rel = probe_genericity(X2P1, X2M1, INFINITY, 2, deg_max, n_points)
+        assert rel.polynomial.terms == {(0, 0): 1}
+        assert (rel.degree_bound, rel.points_tested) == (deg_max, n_points)
+        assert rel == reference_probe(X2P1, X2M1, INFINITY, 2, deg_max, n_points)
+
+
+def _value_at(terms, x, y, deg_max):
+    """The form of bidegree (D, D), D = deg_max, with coefficients ``terms``
+    at the point x = (xr, xs), y = (yr, ys) of P^1 x P^1, in Fractions, up
+    to a nonzero factor: F(xr/xs, yr/ys) at finite points, sum_j c_Dj y^j
+    at (oo, y), sum_i c_iD x^i at (x, oo), and c_DD at (oo, oo)."""
+    def power(point, k):
+        r, s = point
+        return Fraction(r, s) ** k if s else int(k == deg_max)
+    return sum((c * power(x, i) * power(y, j) for (i, j), c in terms.items()), Fraction(0))
+
+
+def _row_modp(xr, xs, yr, ys, monomials, deg_max, p):
+    """The screening row of (xr : xs), (yr : ys) modulo p by the same route:
+    the affine row through modular inverses, where a point at infinity
+    modulo p keeps only the monomials of degree deg_max in it."""
+    def powers(r, s):
+        if s % p == 0:
+            return [int(i == deg_max) for i in range(deg_max + 1)]
+        v = r * pow(s, -1, p) % p
+        return [pow(v, i, p) for i in range(deg_max + 1)]
+    xcol, ycol = powers(xr, xs), powers(yr, ys)
+    return [xcol[i] * ycol[j] % p for i, j in monomials]
 
 
 def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
                     digit_budget=DEFAULT_ORBIT_DIGIT_BUDGET):
     """The probe as it was before its primes were memoized, screening one
     prime at a time: a fresh prime search per call, affine mod-p rows
-    through modular inverses (a step at infinity modulo p gives no row, and
-    a walk that reaches (0 : 0) modulo p rejects p), and Fraction
-    verification by ``BivariatePolynomial.evaluate``."""
+    through modular inverses (a walk that reaches (0 : 0) modulo p rejects
+    p), and Fraction verification.  Rows come from ``_row_modp`` and values
+    from ``_value_at``, so a step at infinity, exactly or modulo p, gives a
+    row and a test point."""
     if deg_max < 1:
         raise DomainError("deg_max must be >= 1")
     if n_points < 1:
@@ -488,12 +526,7 @@ def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
     if n_usable < 1:
         raise BudgetExceededError(
             "orbit digit budget too small to collect a single probe point")
-    skip = {n for n in range(1, n_usable + 1)
-            if orbit_a[n].is_infinity or orbit_b[n].is_infinity}
-    exact_points = [(orbit_a[n].value, orbit_b[n].value)
-                    for n in range(1, n_usable + 1) if n not in skip]
-    if not exact_points:
-        return None
+    exact_points = [(orbit_a[n].pair(), orbit_b[n].pair()) for n in range(1, n_usable + 1)]
 
     def rows_modp(p):
         xr, xs = (c % p for c in a.pair())
@@ -504,10 +537,7 @@ def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
             yr, ys = (c % p for c in g.form_values(yr, ys))
             if (xr == 0 and xs == 0) or (yr == 0 and ys == 0):
                 return None
-            if xs == 0 or ys == 0:
-                continue
-            xv, yv = xr * pow(xs, -1, p) % p, yr * pow(ys, -1, p) % p
-            rows.append([pow(xv, i, p) * pow(yv, j, p) % p for i, j in monomials])
+            rows.append(_row_modp(xr, xs, yr, ys, monomials, deg_max, p))
         return rows
 
     rng = random.Random(seed)
@@ -536,7 +566,7 @@ def reference_probe(f, g, a, b, deg_max, n_points, seed=0, *,
             if not poly.is_zero and poly not in candidates:
                 candidates.append(poly)
     verified = [poly for poly in candidates
-                if all(poly.evaluate(x, y) == 0 for x, y in exact_points)]
+                if all(_value_at(poly.terms, x, y, deg_max) == 0 for x, y in exact_points)]
     if not verified:
         return None
     verified.sort(key=lambda poly: (
@@ -577,9 +607,13 @@ def _probe_sweep():
         cases.append(((X2, X2, 125, 25, 3, 12), {"seed": 3, "digit_budget": budget}, None))
     cases.append(((X2, X2, 2, 4, 2, 10), {"seed": 5}, None))      # y = x^2
     cases.append(((X2, X2, 2, 4, 0, 10), {"seed": 5}, None))      # deg_max < 1
-    # 1/(x^2 - 1) takes 0 to -1 to oo to 0: the steps at oo give no row, and
-    # the 8 rows left have an empty kernel (y runs 2, 5, 26, 677, ...)
+    cases.append(((X2, X2, 2, 4, 2, 0), {"seed": 5}, None))       # n_points < 1
+    # 1/(x^2 - 1) takes 0 to -1 to oo to 0: the 12 rows, the steps at oo
+    # included, have an empty kernel (y runs 2, 5, 26, 677, ...)
     cases.append(((RationalMap([1], [-1, 0, 1]), X2P1, 0, 1, 1, 2), {"seed": 0}, None))
+    # x^2 + 1 fixes oo: the orbit lies on the line x = oo, the relation 1
+    for deg_max, n_points in ((1, 8), (2, 12)):
+        cases.append(((X2P1, X2M1, INFINITY, 2, deg_max, n_points), {"seed": 0}, None))
     return cases
 
 
@@ -600,7 +634,7 @@ def test_probe_matches_reference_probe():
         assert got == want, (args, kwargs)
         matched += 1
         outcomes.add(want if want is None or isinstance(want, tuple) else "relation")
-    assert matched == 56
+    assert matched == 59
     # the sweep reaches relations, None and both raised errors
     assert {None, "relation"} <= outcomes
     assert {o[0] for o in outcomes if isinstance(o, tuple)} == {BudgetExceededError,
@@ -624,15 +658,19 @@ def test_probe_finds_planted_scales_within_the_product_reach():
         assert rel.points_tested == 8
 
 
-def test_probe_past_the_product_reach_returns_an_uncertified_none():
+def test_probe_past_the_product_reach_is_indeterminate():
     # y = 10^28 x holds on the orbit, but 10^28 is past the reconstruction
-    # reach: the kernel modulo the primes is nonempty, no lift verifies, and
-    # the probe returns None.  This None is not a certificate of genericity
-    # (the multi-prime lift that removes it is an open roadmap item).
+    # reach: the kernel modulo the primes is nonempty and no lift verifies.
+    # A None here would not certify genericity, so the probe raises and
+    # says what it spent (the multi-prime lift that finds the relation is an
+    # open roadmap item)
     K = 10**28
-    assert probe_genericity(*_planted(K), 1, 8, seed=0) is None
     m = math.prod(classify._screen_prime(0, i) for i in range(3))
     assert K > math.isqrt(m // 2)
+    with pytest.raises(IndeterminateError) as err:
+        probe_genericity(*_planted(K), 1, 8, seed=0)
+    assert str(err.value) == ("no candidate relation verifies on the 8 window points: "
+                              f"0 tried from kernel dimension 1 modulo {m.bit_length()} bits")
 
 
 def test_planted_relations_match_sympy_nullspace_over_q():
@@ -650,15 +688,16 @@ def test_planted_relations_match_sympy_nullspace_over_q():
         (null,) = matrix.nullspace().to_Matrix().tolist()
         want = dict(zip(monomials, null))
         assert want[(0, 0)] == want[(1, 1)] == 0 and want[(1, 0)] == -K * want[(0, 1)]
-        rel = probe_genericity(f, g, a, b, 1, 8, seed=0)
         if k <= 27:
             # the found relation is a nonzero vector of that one-dimensional kernel
+            rel = probe_genericity(f, g, a, b, 1, 8, seed=0)
             got = [rel.polynomial.terms.get(mono, 0) for mono in monomials]
             assert any(got)
             assert matrix.to_Matrix() * sympy.Matrix(got) == sympy.zeros(8, 1)
         else:
-            # a relation exists over Q, so this None is uncertified
-            assert rel is None
+            # a relation exists over Q, so a None would be uncertified
+            with pytest.raises(IndeterminateError, match="no candidate relation verifies"):
+                probe_genericity(f, g, a, b, 1, 8, seed=0)
 
 
 def test_planted_relation_is_reconstructed_once_modulo_the_product(monkeypatch):
@@ -677,21 +716,41 @@ def test_planted_relation_is_reconstructed_once_modulo_the_product(monkeypatch):
 
 def test_vanishes_at_matches_fraction_evaluation():
     rng = random.Random(5)
-    for _ in range(200):
+    roots = {"finite": 0, "infinite": 0}
+    for _ in range(400):
         poly = BivariatePolynomial({
             (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             for _ in range(rng.randint(0, 4))})
-        x = (rng.randint(-20, 20), rng.randint(1, 20))
-        y = (rng.randint(-20, 20), rng.choice([-1, 1]) * rng.randint(1, 20))
+        degree = max((max(m) for m in poly.terms), default=1) + rng.randint(0, 1)
+        x = (rng.randint(-20, 20), rng.choice([0, 1, 1, 1]) * rng.randint(1, 20))
+        y = (rng.choice([-1, 1]) * rng.randint(1, 20), rng.choice([-1, 0, 1, 1]) * rng.randint(1, 20))
+        if not x[1]:   # (0 : 0) is no point
+            x = (rng.choice([-1, 1]) * rng.randint(1, 20), 0)
         if rng.random() < 0.5 and not poly.is_zero:
-            # move the constant term so that the point is a root
+            # move the one coefficient whose monomial is 1 at the point, so
+            # that the point is a root: x^0 or x^D, and y^0 or y^D
+            mono = (0 if x[1] else degree, 0 if y[1] else degree)
             poly = BivariatePolynomial({
-                **poly.terms, (0, 0): poly.terms.get((0, 0), 0)
-                - poly.evaluate(Fraction(*x), Fraction(*y))})
-        want = poly.evaluate(Fraction(*x), Fraction(*y)) == 0
-        assert poly.vanishes_at(x, y) is want
+                **poly.terms, mono: poly.terms.get(mono, 0) - _value_at(poly.terms, x, y, degree)})
+        want = _value_at(poly.terms, x, y, degree) == 0
+        if x[1] and y[1]:
+            assert want is (poly.evaluate(Fraction(*x), Fraction(*y)) == 0)
+        assert poly.vanishes_at(x, y, degree) is want
+        roots["finite" if x[1] and y[1] else "infinite"] += want
+    assert min(roots.values()) > 40, roots
+    # the bidegree bounds every exponent of the polynomial
     with pytest.raises(DomainError):
-        BivariatePolynomial({(1, 0): 1}).vanishes_at((1, 0), (1, 1))
+        BivariatePolynomial({(2, 0): 1}).vanishes_at((1, 1), (1, 1), 1)
+
+
+def test_bivariate_repr_and_total_degree():
+    poly = BivariatePolynomial({(0, 0): -4, (1, 0): 2, (0, 2): 6, (1, 1): 0, (2, 3): 8})
+    assert repr(poly) == "BivariatePolynomial(-2 + 1*x + 3*y^2 + 4*x^2y^3)"
+    assert poly.total_degree() == 5
+    zero = BivariatePolynomial({(1, 0): 0})
+    assert zero.is_zero and repr(zero) == "BivariatePolynomial(0)"
+    with pytest.raises(DomainError, match="zero polynomial has no degree"):
+        zero.total_degree()
 
 
 _MONOMIAL = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -721,7 +780,12 @@ def test_relations_are_stored_in_primitive_integers(coeffs, shared, x, y, plant,
     assert all(type(c) is int for c in poly.terms.values())
     assert all((c > 0) == (nonzero[m] > 0) for m, c in poly.terms.items())
     assert math.gcd(*poly.terms.values()) == (1 if nonzero else 0)
-    assert poly.vanishes_at(x, y) is (value(coeffs) == 0)
+    assert poly.vanishes_at(x, y, 3) is (value(coeffs) == 0)
+    # as a form of bidegree (3, 3): sum_j c_3j y^j at (oo, y), sum_i c_i3 x^i at (x, oo)
+    at_x_infinity = sum((c * yv**j for (i, j), c in coeffs.items() if i == 3), Fraction(0))
+    at_y_infinity = sum((c * xv**i for (i, j), c in coeffs.items() if j == 3), Fraction(0))
+    assert poly.vanishes_at((1, 0), y, 3) is (at_x_infinity == 0)
+    assert poly.vanishes_at(x, (-1, 0), 3) is (at_y_infinity == 0)
     multiple = BivariatePolynomial({m: unit * c for m, c in coeffs.items()})
     assert multiple == poly and hash(multiple) == hash(poly)
     if nonzero:
@@ -800,18 +864,18 @@ def test_every_batch_void_is_indeterminate_after_24_primes(monkeypatch):
     assert used == _stream_primes(99, 24)
 
 
-def test_steps_at_infinity_give_no_row(monkeypatch):
+def test_steps_at_infinity_give_homogeneous_rows(monkeypatch):
     # 1/(x^2 - 1) from 0 runs -1, oo, 0, -1, oo, ...; x^2 + 1 from 1 runs
-    # 2, 5, 26, 677, ...: no relation, though step 1 alone fits y = 2.  The
-    # 12 screening steps lose the four at oo, and the 8 rows left have an
-    # empty kernel modulo the first three primes
+    # 2, 5, 26, 677, ...: no relation, though step 1 alone fits y = 2.  Each
+    # of the 12 screening steps gives a row, the four at oo included, and
+    # the kernel is empty modulo the first three primes
     used = []
     real_rows = classify._orbit_rows_modp
 
     def counting(*args):
         used.extend(args[-1])
         rows = real_rows(*args)
-        assert len(rows) == 8
+        assert len(rows) == 12
         return rows
     monkeypatch.setattr(classify, "_orbit_rows_modp", counting)
     assert probe_genericity(RationalMap([1], [-1, 0, 1]), X2P1, 0, 1, 1, 2) is None
@@ -819,17 +883,14 @@ def test_steps_at_infinity_give_no_row(monkeypatch):
 
 
 def reference_orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, p):
-    """The screening rows for one prime, one per orbit step 1..n_rows, in
-    affine coordinates through modular inverses: the exact pairs reduced
-    modulo p at steps up to n_usable, then a walk modulo p from the last
-    exact pair.  A step whose point is at infinity modulo p gives None in
-    place of its row, and the whole is None when a walked point is (0 : 0)
-    modulo p."""
+    """The screening rows for one prime, one per orbit step 1..n_rows, by
+    ``_row_modp``: in affine coordinates through modular inverses, and at a
+    point at infinity modulo p the row of its monomials of degree deg_max.
+    The exact pairs are reduced modulo p at steps up to n_usable, then
+    walked modulo p from the last exact pair, and the whole is None when a
+    walked point is (0 : 0) modulo p."""
     def row(xr, xs, yr, ys):
-        if xs % p == 0 or ys % p == 0:
-            return None
-        x, y = xr * pow(xs, -1, p) % p, yr * pow(ys, -1, p) % p
-        return [pow(x, i, p) * pow(y, j, p) % p for i, j in monomials]
+        return _row_modp(xr, xs, yr, ys, monomials, deg_max, p)
     rows = [row(xr, xs, yr, ys) for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]]
     (xr, xs), (yr, ys) = pairs[-1]
     for _ in range(len(pairs), n_rows + 1):
@@ -844,7 +905,7 @@ def reference_orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, p):
 def test_batched_walk_matches_one_walk_per_prime():
     rng = random.Random(2424)
     big = _stream_primes(5, 3)
-    void = dropped = kept = skipped = tails = 0
+    void = at_infinity = kept = exact_infinity = tails = 0
     for _ in range(400):
         num = [rng.randint(-4, 4) for _ in range(rng.choice([2, 3]))] + [rng.randint(1, 3)]
         fg = [RationalMap(num) if rng.random() < 0.5 else
@@ -871,22 +932,23 @@ def test_batched_walk_matches_one_walk_per_prime():
             assert rows is None
             void += 1
             continue
-        # a step gives a row where its point is finite modulo every prime
-        steps = [n for n in range(n_rows) if all(want[p][n] for p in primes)]
-        assert len(rows) == len(steps)
+        # every step gives a row, points at infinity included
+        assert len(rows) == n_rows
         for p in primes:
             got = [[v % p for v in row] for row in rows]
-            ref = [want[p][n] for n in steps]
-            # each row is the affine row times a unit: the (0, 0) entry
+            ref = want[p]
+            # each row is the reference row times a unit: compare at the
+            # first nonzero entry of the reference row (1 at a finite point)
             for row, r in zip(got, ref):
-                assert row[0] and all(v == row[0] * x % p for v, x in zip(row, r))
+                k = next(k for k, x in enumerate(r) if x)
+                assert row[k] and all(v * r[k] % p == row[k] * x % p for v, x in zip(row, r))
             assert kernel_modp(got, p) == kernel_modp(ref, p)
-        dropped += n_rows - len(steps)
-        kept += len(steps)
-        skipped += any(not (x[1] and y[1]) for x, y in pairs[1:])
+            at_infinity += sum(not r[0] for r in ref)
+        kept += n_rows
+        exact_infinity += any(not (x[1] and y[1]) for x, y in pairs[1:])
         tails += n_rows > n_usable
-    assert void > 20 and dropped > 50 and kept > 50 and skipped > 20 and tails > 100, \
-        (void, dropped, kept, skipped, tails)
+    assert (void > 20 and at_infinity > 50 and kept > 50 and exact_infinity > 20
+            and tails > 100), (void, at_infinity, kept, exact_infinity, tails)
 
 
 def test_generic_pair_is_decided_by_one_elimination(monkeypatch):

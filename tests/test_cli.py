@@ -294,6 +294,13 @@ def test_cli_surface_intersect(capsys):
     ])
     assert code == 0
     assert json.loads(out)["intersection"] == "1/5"
+    # a divisor needs both a and b
+    code, out, err = run_cli(capsys, [
+        "surface", "intersect", "--s", "2", "--d1", "1", "--d2", "0,0:-1,0",
+    ])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-input",
+                               "message": "divisor '1': expected 'a,b[:m1,...]'"}
 
 
 def test_cli_hgcd_decimal(capsys):
@@ -425,17 +432,21 @@ def test_cli_probe_genericity(capsys, map_file):
     assert relation["monomials"] == {"0,1": "1", "1,0": "1"}
 
 
-def test_cli_probe_with_no_finite_step_exits_indeterminate(capsys, map_file):
+def test_cli_probe_with_no_finite_step_prints_the_line_at_infinity(capsys, map_file):
+    # x^2 + 1 fixes oo: every step lies on the line x = oo, where the
+    # constant 1, read as a form of bidegree (D, D), vanishes
     x2p1 = map_file("x2p1.json", {"coeffs": ["1", "0", "1"]})
     x2m1 = map_file("x2m1.json", {"coeffs": ["-1", "0", "1"]})
-    code, out, err = run_cli(capsys, [
-        "probe-genericity", "--f", x2p1, "--g", x2m1, "-a", "oo", "-b", "2",
-        "--deg-max", "1", "--points", "8",
-    ])
-    assert code == 4 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "indeterminate"
-    assert payload["message"].startswith("no probe point could be tested")
+    for deg_max, points in (("1", "8"), ("2", "12")):
+        code, out, _ = run_cli(capsys, [
+            "probe-genericity", "--f", x2p1, "--g", x2m1, "-a", "oo", "-b", "2",
+            "--deg-max", deg_max, "--points", points,
+        ])
+        assert code == 0
+        relation = json.loads(out)["relation"]
+        assert relation["monomials"] == {"0,0": "1"}
+        assert (relation["degree_bound"], relation["points_tested"]) == (int(deg_max),
+                                                                          int(points))
 
 
 def test_cli_choose_depth_and_exit_codes(capsys, map_file):
@@ -787,6 +798,8 @@ MALFORMED_FILES = [
     (["iterate", "--start", "1", "--steps", "1", "--map"], {"coeffs": 5}),
     (["iterate", "--start", "1", "--steps", "1", "--map"], {"coeffs": "123"}),
     (["iterate", "--start", "1", "--steps", "1", "--map"], {"num": {"coeffs": None}}),
+    (["iterate", "--start", "1", "--steps", "1", "--map"], ["0", "0", "1"]),
+    (["iterate", "--start", "1", "--steps", "1", "--map"], {}),
     (["classify", "special", "--poly"], {"coeffs": {"0": 1}}),
     (["ap-structure", "--eta", "0.3", "--report"], {}),
     (["ap-structure", "--eta", "0.3", "--report"], [1]),
@@ -800,6 +813,15 @@ MALFORMED_FILES = [
      {"degree": 2, "last_n": 3, "rows": [{"n": 100000, "log_gcd": 1.0}]}),
     (["ap-structure", "--eta", "0.3", "--report"],
      {"degree": 2, "last_n": 3, "rows": [{"n": -1, "log_gcd": 1.0}]}),
+    # json writes these as Infinity and NaN, which json.load reads back
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": 2, "last_n": 3, "rows": [{"n": 0, "log_gcd": math.inf}]}),
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": 2, "last_n": 3, "rows": [{"n": 2, "log_gcd": math.nan}]}),
+    # a gcd-series report is of a map of degree >= 2
+    (["ap-structure", "--eta", "0.3", "--report"], {"degree": 0, "last_n": 3, "rows": []}),
+    (["ap-structure", "--eta", "0.3", "--report"],
+     {"degree": -2, "last_n": 3, "rows": [{"n": 1, "log_gcd": 1.0}]}),
 ]
 
 

@@ -96,6 +96,8 @@ def test_canonical_height_examples():
     assert canonical_height(X2, 1, 1e-8).is_exact_zero
     assert canonical_height(X2M1, 0, 1e-6).is_exact_zero
     assert canonical_height(X2, INFINITY, 1e-8).is_exact_zero
+    with pytest.raises(DomainError, match="degree >= 2"):
+        canonical_height(RationalMap([1, 3]), 5, 1e-9)
 
 
 def test_canonical_height_functional_equation_100_points():
