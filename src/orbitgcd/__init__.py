@@ -1,6 +1,7 @@
 """orbitgcd: exact arithmetic for gcd's along polynomial orbits.
 
-Building blocks: certified factorization and p-adic valuations (exact),
+Building blocks: factorization (its primes proven below psi_13 ~ 3.3e24,
+BPSW-probable at or above) and p-adic valuations (exact),
 polynomials and rational self-maps of P^1 over Q (maps), Weil/canonical
 heights and generalized gcd heights (heights), intersection theory on
 blowups of P^1 x P^1 (surface), dynamical classification predicates

@@ -7,12 +7,12 @@ None of these touch algebraic numbers: exceptionality reduces to two exact
 one-point tests on one-step fibers, multiplicative independence is decided
 by gcds (Euclid's algorithm on the exponents, with no factoring and no
 budget), special forms are decided in depressed normal form with
-rational affine conjugations, and the genericity probe screens kernels
-modulo large primes (its rows reduce the exact orbit points it verifies
-on), reconstructs candidates once modulo the product of those primes,
-and verifies every candidate form exactly on the orbit points of
-P^1 x P^1, infinity included.  Its None is certified by an empty kernel;
-a nonempty kernel with no verified candidate raises.
+rational affine conjugations, and the genericity probe screens a kernel
+modulo one 182-bit prime (its rows reduce the exact orbit points it
+verifies on), reconstructs candidates modulo that prime, and verifies
+every candidate form exactly on the orbit points of P^1 x P^1, infinity
+included.  Its None is certified by an empty kernel; a nonempty kernel
+with no verified candidate raises.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 
 from .bivariate import BivariatePolynomial, homogeneous_powers
 from .errors import BudgetExceededError, DomainError, IndeterminateError
 from .exact import _iroot, next_prime
 from .heights import _orbit_scan, canonical_height
-from .linalg import kernels_modp, rational_reconstruct
+from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
                    RationalMap, compose, conjugate, fiber_polynomial, orbit)
 from .polys import Polynomial, exact_div
@@ -284,51 +284,57 @@ def _monomials(deg_max: int) -> list[tuple[int, int]]:
     )
 
 
-def _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, primes):
-    """Rows modulo the product m of ``primes`` for orbit steps 1..n_rows,
-    or None when the batch is void.
+def _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, p):
+    """Rows modulo p for orbit steps 1..n_rows, or None when the draw of p
+    is void.
 
     ``pairs`` holds the exact orbit pairs at steps 0..n_usable.  Rows up to
-    n_usable reduce them modulo m; rows past n_usable come from one walk of
-    both orbits modulo m, started at the last exact pair.  A walked pair is
+    n_usable reduce them modulo p; rows past n_usable come from one walk of
+    both orbits modulo p, started at the last exact pair.  A walked pair is
     the exact one times a unit, so each row is a unit multiple of the exact
-    row, until a walked point is (0 : 0) modulo one of the primes, which
-    voids the batch.  Every step gives its homogeneous row
-    x_r^i x_s^(D-i) y_r^j y_s^(D-j), D = deg_max, points at infinity
-    included, so the kernel is that of the exact rows."""
-    m = math.prod(primes)
-    steps = [(xr % m, xs % m, yr % m, ys % m) for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]]
+    row, until a walked point is (0 : 0) modulo p, or modulo a factor of p
+    should p be a composite that passed BPSW, which voids the draw.  Every
+    step gives its homogeneous row x_r^i x_s^(D-i) y_r^j y_s^(D-j),
+    D = deg_max, points at infinity included, so the kernel is that of the
+    exact rows."""
+    steps = [(xr % p, xs % p, yr % p, ys % p) for (xr, xs), (yr, ys) in pairs[1:n_rows + 1]]
     (xr, xs), (yr, ys) = pairs[-1]
-    xr, xs, yr, ys = xr % m, xs % m, yr % m, ys % m
+    xr, xs, yr, ys = xr % p, xs % p, yr % p, ys % p
     for _ in range(len(pairs), n_rows + 1):
-        xr, xs = (c % m for c in f.form_values(xr, xs))
-        yr, ys = (c % m for c in g.form_values(yr, ys))
-        if math.gcd(xr, xs, m) > 1 or math.gcd(yr, ys, m) > 1:
+        xr, xs = (c % p for c in f.form_values(xr, xs))
+        yr, ys = (c % p for c in g.form_values(yr, ys))
+        if math.gcd(xr, xs, p) > 1 or math.gcd(yr, ys, p) > 1:
             return None
         steps.append((xr, xs, yr, ys))
     rows = []
     for xr, xs, yr, ys in steps:
-        xcol = [v % m for v in homogeneous_powers(xr, xs, deg_max)]
-        ycol = [v % m for v in homogeneous_powers(yr, ys, deg_max)]
-        rows.append([xcol[i] * ycol[j] % m for i, j in monomials])
+        xcol = [v % p for v in homogeneous_powers(xr, xs, deg_max)]
+        ycol = [v % p for v in homogeneous_powers(yr, ys, deg_max)]
+        rows.append([xcol[i] * ycol[j] % p for i, j in monomials])
     return rows
 
 
 _SCREEN_MARGIN = 8   # mod-p window rows beyond the monomial count
-_SCREEN_PRIMES = 3   # random 61-bit primes whose kernels are screened
-_SCREEN_BATCHES = 8  # batches of them drawn before the screen gives up
+_SCREEN_DRAWS = 8    # screening primes drawn before the screen gives up
+
+
+def _screen_draw(rng: random.Random) -> int:
+    """One draw of a screening stream, from [2^181, 2^182).  The prime after
+    it reconstructs coefficients up to sqrt(p/2), in [2^90, 2^90.5): past
+    10^27 and short of 10^28."""
+    return rng.randrange(1 << 181, 1 << 182)
 
 
 @lru_cache(maxsize=256)
 def _screen_prime(seed, i: int) -> int:
     """The i-th prime of ``seed``'s screening stream: one random.Random(seed)
-    whose k-th draw r from [2^60, 2^61) gives the k-th prime next_prime(r).
-    Searched once per (seed, i) and kept; replaying the i cheap draws before
-    it costs no primality test."""
+    whose k-th draw r gives the k-th prime next_prime(r).  Searched once per
+    (seed, i) and kept; replaying the i cheap draws before it costs no
+    primality test."""
     rng = random.Random(seed)
     for _ in range(i):
-        rng.randrange(1 << 60, 1 << 61)
-    return next_prime(rng.randrange(1 << 60, 1 << 61))
+        _screen_draw(rng)
+    return next_prime(_screen_draw(rng))
 
 
 def probe_genericity(f: RationalMap, g: RationalMap, a, b,
@@ -338,26 +344,25 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     """Search for a relation of bidegree (deg_max, deg_max) along the
     paired orbits of a and b, as points of P^1 x P^1.
 
-    Kernels of the monomial matrix are screened modulo _SCREEN_PRIMES
-    random 61-bit primes drawn from ``seed`` (an integer seed's primes
-    are memoized, so a repeated seed skips the prime search and gets the
-    same primes, and results, as a fresh draw; seed None draws new primes
-    on every call), over a window _SCREEN_MARGIN rows past the monomial
-    count (so interpolation artifacts on short windows die).  The rows up
-    to ``n_points`` (fewer when the digit budget cuts the orbits short)
+    The kernel of the monomial matrix is screened modulo one random
+    182-bit prime p drawn from ``seed`` (an integer seed's primes are
+    memoized, so a repeated seed skips the prime search and gets the same
+    primes, and results, as a fresh draw; seed None draws new primes on
+    every call), over a window _SCREEN_MARGIN rows past the monomial count
+    (so interpolation artifacts on short windows die).  The rows up to
+    ``n_points`` (fewer when the digit budget cuts the orbits short)
     reduce the exact orbit points; only the rows past them come from a
-    walk of both orbits in modular arithmetic, started at the last exact
-    point.  The primes come in batches of _SCREEN_PRIMES, and a batch costs
-    one elimination modulo the product of its primes.  Every step gives a
-    homogeneous row, points at infinity included, and a batch whose walk
-    reaches (0 : 0) modulo one of its primes is void: the next batch is
-    drawn, up to _SCREEN_BATCHES of them, and then it raises
-    :class:`IndeterminateError`.
-    An empty mod-p kernel certifies there is no relation, and is the only
-    None returned.  Surviving kernel vectors are lifted by rational
-    reconstruction once, modulo the product of the screening primes
-    (coefficients up to about 2^89), or modulo each prime (about 2^30) when
-    the primes disagree on a pivot, and verified exactly, in integers, at
+    walk of both orbits modulo p, started at the last exact point.  Every
+    step gives a homogeneous row, points at infinity included.  A draw
+    costs one walk and at most one elimination.  It is void when the walk
+    reaches (0 : 0) modulo p, or when a pivot is not a unit, which only a
+    composite p that passed BPSW can give; then the next prime is drawn,
+    up to _SCREEN_DRAWS of them, and after that it raises
+    :class:`IndeterminateError`.  An empty kernel with unit pivots
+    certifies there is no relation over any modulus, and is the only None
+    returned.  The kernel
+    vectors are lifted by rational reconstruction modulo p (coefficients
+    up to sqrt(p/2), at least 2^90) and verified exactly, in integers, at
     every exact orbit step 1..``n_points`` (fewer when the digit budget cuts
     the orbits short); only a verified relation is ever returned.  When no
     candidate verifies, a relation with larger coefficients may exist, and
@@ -385,30 +390,29 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
 
     if seed is None:   # fresh entropy on every call: nothing to memoize
         rng = random.Random()
-        primes = (next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in count())
+        primes = (next_prime(_screen_draw(rng)) for _ in count())
     else:
         primes = (_screen_prime(seed, i) for i in count())
-    for _ in range(_SCREEN_BATCHES):
-        batch = [next(primes) for _ in range(_SCREEN_PRIMES)]
-        rows = _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_screen, batch)
+    for p in islice(primes, _SCREEN_DRAWS):
+        rows = _orbit_rows_modp(f, g, pairs, monomials, deg_max, n_screen, p)
         if rows is not None:
-            break
+            with contextlib.suppress(ValueError):   # a pivot that is no unit: p is composite
+                basis = kernel_modp(rows, p)
+                break
     else:
         raise IndeterminateError("mod-p screening failed for every sampled prime "
-                                 f"({_SCREEN_BATCHES * _SCREEN_PRIMES} primes)")
-    groups = kernels_modp(rows, batch)   # (modulus, kernel basis)
-    if not all(basis for _, basis in groups):
+                                 f"({_SCREEN_DRAWS} primes)")
+    if not basis:
         return None
 
     # distinct candidates in order of first appearance; positive multiples are one key
     candidates: dict[BivariatePolynomial, None] = {}
-    for modulus, basis in groups:
-        for vec in basis:
-            lifted = [rational_reconstruct(v, modulus) for v in vec]
-            if all(c is not None for c in lifted):
-                poly = BivariatePolynomial(zip(monomials, lifted))
-                if not poly.is_zero:
-                    candidates[poly] = None
+    for vec in basis:
+        lifted = [rational_reconstruct(v, p) for v in vec]
+        if all(c is not None for c in lifted):
+            poly = BivariatePolynomial(zip(monomials, lifted))
+            if not poly.is_zero:
+                candidates[poly] = None
 
     verified = [
         poly for poly in candidates
@@ -417,9 +421,8 @@ def probe_genericity(f: RationalMap, g: RationalMap, a, b,
     if not verified:
         raise IndeterminateError(
             f"no candidate relation verifies on the {n_usable} window points: "
-            f"{len(candidates)} tried from kernel dimension "
-            f"{'/'.join(str(len(basis)) for _, basis in groups)} modulo "
-            f"{'/'.join(str(m.bit_length()) for m, _ in groups)} bits")
+            f"{len(candidates)} tried from kernel dimension {len(basis)} "
+            f"modulo {p.bit_length()} bits")
     verified.sort(key=lambda poly: (
         len(poly.terms), poly.total_degree(),
         sorted(poly.terms, key=lambda m: (m[0] + m[1], m[0], m[1])),

@@ -30,8 +30,9 @@ class BudgetExceededError(OrbitgcdError):
 
 
 class PartialFactorizationError(BudgetExceededError):
-    """Factoring ran out of budget; ``partial`` holds the certified factors
-    found so far and ``cofactor`` the remaining (composite) part."""
+    """Factoring ran out of budget; ``partial`` holds the prime factors
+    found so far (proven below psi_13 ~ 3.3e24, BPSW-probable at or above)
+    and ``cofactor`` the remaining (composite) part."""
 
     def __init__(self, message, *, partial=None, cofactor=None):
         super().__init__(message, partial=partial)

@@ -1,8 +1,8 @@
-"""Exact arithmetic over the rationals: certified prime factorization,
-p-adic valuations, logarithms in fixed point, and the local size
-functions v+.  The heights are built from :func:`log_fixed` and
-:func:`valuation` directly; v+ is the definition the tests check hgcd
-against.
+"""Exact arithmetic over the rationals: prime factorization (its primes
+proven below psi_13 ~ 3.3e24, BPSW-probable at or above), p-adic
+valuations, logarithms in fixed point, and the local size functions v+.
+The heights are built from :func:`log_fixed` and :func:`valuation`
+directly; v+ is the definition the tests check hgcd against.
 
 Conventions
 -----------
@@ -314,7 +314,8 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
-    """Certified prime factorization of a nonzero integer.
+    """Prime factorization of a nonzero integer, its primes proven below
+    psi_13 ~ 3.3e24 and BPSW-probable at or above.
 
     Trial division by the primes below 2^10 up to sqrt|n|, stopping early
     once the cofactor is prime: from 37 on, :func:`is_prime` tests it
@@ -326,7 +327,7 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     below psi_k (Jaeschke 1993; Sorenson and Webster 2017), a proof below
     psi_13 ~ 3.3e24, and BPSW (Baillie and Wagstaff 1980) at or above it.
     If the rho budget runs out a :class:`PartialFactorizationError` is
-    raised carrying the certified part; composites are never silently
+    raised carrying the primes found so far; composites are never silently
     reported.
 
     >>> factor(15624).factors

@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers: one fraction-free Gauss-Jordan
 elimination over Z, which gives a determinant and the adjugate solves
 together (the tests' reference for the resultants and Bezout cofactors
-that ``polys.resultant`` computes), and kernels modulo a prime or modulo
-a product of distinct primes."""
+that ``polys.resultant`` computes), kernels modulo a prime, and rational
+reconstruction of their entries."""
 
 from __future__ import annotations
 
@@ -51,17 +51,18 @@ def det_fraction(matrix) -> int:
 
 
 def kernel_modp(rows, p):
-    """Canonical kernel basis modulo p, one vector per free column of the
-    RREF, for p a prime or a product of distinct primes.
+    """Canonical kernel basis modulo a prime p, one vector per free column
+    of the RREF.
 
     Each row is reduced against the pivot rows found so far, which are
     kept in echelon form with unit pivots, and its first entry nonzero
     modulo p becomes a pivot; the scan stops at full column rank, and
     only a nonempty kernel back-substitutes to the RREF.  The RREF is
     unique, so this is the basis of Gauss-Jordan elimination over every
-    row.  Modulo a product, a pivot that is not a unit raises ValueError
-    (from ``pow``); when every pivot is a unit, each prime factor sees the
-    same steps, so the basis reduced modulo it is that prime's own basis.
+    row.  Modulo a composite p, a pivot that is not a unit raises
+    ValueError (from ``pow``); when every pivot is a unit, each prime
+    factor sees the same steps, so the basis reduced modulo it is that
+    prime's own basis.
     """
     if not rows:
         return []
@@ -98,22 +99,9 @@ def kernel_modp(rows, p):
     return basis
 
 
-def kernels_modp(rows, primes):
-    """The kernels modulo distinct primes as (modulus, basis) groups: one
-    group, the kernel modulo their product, from one elimination; when the
-    primes disagree on a pivot (a lead that is not a unit modulo the
-    product), one group per prime.  A group's basis reduced modulo each
-    prime dividing its modulus is kernel_modp(rows, p)."""
-    m = math.prod(primes)
-    try:
-        return [(m, kernel_modp(rows, m))]
-    except ValueError:
-        return [(p, kernel_modp(rows, p)) for p in primes]
-
-
 def rational_reconstruct(a, p):
-    """Lift a residue modulo p, a prime or a product of distinct primes, to
-    n/d with |n|, d <= sqrt(p/2); None if impossible."""
+    """Lift a residue modulo p to n/d with |n|, d <= sqrt(p/2) and
+    n = d a (mod p); None if impossible."""
     a %= p
     if a == 0:
         return Fraction(0)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import classify, linalg
+from orbitgcd import classify
 from orbitgcd.bivariate import BivariatePolynomial
 from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
                                POWER_CONJUGATE, CurveRelation, chebyshev_polynomial,
@@ -583,8 +584,8 @@ def _outcome(probe, *args, **kwargs):
 
 
 def _probe_sweep():
-    """(args, kwargs, K) per case: K for the planted y = K x past one prime's
-    reconstruction reach, None for the cases that match reference_probe."""
+    """(args, kwargs, K) per case: K for the planted y = K x past the reach
+    of reference_probe's 61-bit primes, None for the cases that match it."""
     rng = random.Random(13)
     cases = []
     for k in range(2, 9):                                  # planted y = K x
@@ -593,7 +594,7 @@ def _probe_sweep():
         for seed in (0, 1, rng.randrange(10**6)):
             a = rng.randint(2, 9)
             cases.append(((X2, g, a, K * a, 1, 8), {"seed": seed}, None))
-    for K in (10**10, 10**20):      # past one prime's reach, within the product's
+    for K in (10**10, 10**20):      # past a 61-bit prime's reach, within a 182-bit one's
         for deg_max in (1, 2):
             g = RationalMap([0, 0, Fraction(1, K)])
             cases.append(((X2, g, 3, 3 * K, deg_max, 12), {"seed": 0}, K))
@@ -624,9 +625,9 @@ def test_probe_matches_reference_probe():
         want = _outcome(reference_probe, *args, **kwargs)
         got = _outcome(probe_genericity, *args, **kwargs)
         if planted:
-            # reference_probe reconstructs modulo one 61-bit prime (about 2^30
-            # reach) and rejects the wrong lifts; the product of the three
-            # primes reaches about 2^89, so y = K x is found and verified
+            # reference_probe reconstructs modulo 61-bit primes (about 2^30
+            # reach) and rejects the wrong lifts; the probe's 182-bit prime
+            # reaches 2^90, so y = K x is found and verified
             assert want is None, (args, kwargs)
             assert got.polynomial.terms == {(0, 1): -1, (1, 0): planted}, (args, kwargs)
             assert got.points_tested == 12
@@ -646,31 +647,33 @@ def _planted(K):
     return X2, RationalMap([0, 0, Fraction(1, K)]), 3, 3 * K
 
 
-def test_probe_finds_planted_scales_within_the_product_reach():
-    # the kernel vector's entry 1/K reconstructs modulo the product m of the
-    # three 61-bit primes while K <= sqrt(m / 2): at least 2^89.5, and about
-    # 1.7e27 for the primes of seed 0
-    for k in range(2, 28):
-        K = 10**k
-        rel = probe_genericity(*_planted(K), 1, 8, seed=0)
-        assert rel is not None, k
-        assert rel.polynomial.terms == {(0, 1): -1, (1, 0): K}, k
-        assert rel.points_tested == 8
+def test_probe_finds_planted_scales_within_the_prime_reach():
+    # the kernel vector's entry K reconstructs modulo the screening prime p
+    # while K <= sqrt(p / 2), which is at least 2^90 > 10^27 for every seed
+    for seed in range(50):
+        for k in range(2, 28) if seed == 0 else (27,):
+            K = 10**k
+            rel = probe_genericity(*_planted(K), 1, 8, seed=seed)
+            assert rel is not None, (seed, k)
+            assert rel.polynomial.terms == {(0, 1): -1, (1, 0): K}, (seed, k)
+            assert rel.points_tested == 8
 
 
-def test_probe_past_the_product_reach_is_indeterminate():
+def test_probe_past_the_prime_reach_is_indeterminate():
     # y = 10^28 x holds on the orbit, but 10^28 is past the reconstruction
-    # reach: the kernel modulo the primes is nonempty and no lift verifies.
-    # A None here would not certify genericity, so the probe raises and
-    # says what it spent (the multi-prime lift that finds the relation is an
-    # open roadmap item)
+    # reach sqrt(p / 2) < 2^91 of every 182-bit prime: the kernel modulo p is
+    # nonempty and no lift verifies.  A None here would not certify
+    # genericity, so the probe raises and says what it spent (the
+    # multi-prime lift that finds the relation is an open roadmap item)
     K = 10**28
-    m = math.prod(classify._screen_prime(0, i) for i in range(3))
-    assert K > math.isqrt(m // 2)
-    with pytest.raises(IndeterminateError) as err:
-        probe_genericity(*_planted(K), 1, 8, seed=0)
-    assert str(err.value) == ("no candidate relation verifies on the 8 window points: "
-                              f"0 tried from kernel dimension 1 modulo {m.bit_length()} bits")
+    for seed in range(50):
+        p = classify._screen_prime(seed, 0)
+        assert p.bit_length() == 182 and K > math.isqrt(p // 2)
+        with pytest.raises(IndeterminateError) as err:
+            probe_genericity(*_planted(K), 1, 8, seed=seed)
+        assert re.fullmatch("no candidate relation verifies on the 8 window points: "
+                            "[01] tried from kernel dimension 1 modulo 182 bits",
+                            str(err.value)), (seed, str(err.value))
 
 
 def test_planted_relations_match_sympy_nullspace_over_q():
@@ -700,7 +703,7 @@ def test_planted_relations_match_sympy_nullspace_over_q():
                 probe_genericity(f, g, a, b, 1, 8, seed=0)
 
 
-def test_planted_relation_is_reconstructed_once_modulo_the_product(monkeypatch):
+def test_planted_relation_is_reconstructed_once_modulo_the_prime(monkeypatch):
     moduli = []
     real = classify.rational_reconstruct
 
@@ -711,7 +714,7 @@ def test_planted_relation_is_reconstructed_once_modulo_the_product(monkeypatch):
     rel = probe_genericity(*_planted(10**5), 1, 8, seed=0)
     assert rel.polynomial.terms == {(0, 1): -1, (1, 0): 10**5}
     # one kernel vector of four entries, each lifted once
-    assert moduli == [math.prod(classify._screen_prime(0, i) for i in range(3))] * 4
+    assert moduli == [classify._screen_prime(0, 0)] * 4
 
 
 def test_vanishes_at_matches_fraction_evaluation():
@@ -794,7 +797,7 @@ def test_relations_are_stored_in_primitive_integers(coeffs, shared, x, y, plant,
 
 def _stream_primes(seed, count):
     rng = random.Random(seed)
-    return [next_prime(rng.randrange(1 << 60, 1 << 61)) for _ in range(count)]
+    return [next_prime(rng.randrange(1 << 181, 1 << 182)) for _ in range(count)]
 
 
 def test_screen_prime_memo_returns_the_seed_stream():
@@ -814,10 +817,10 @@ def test_repeated_probes_search_primes_only_on_the_first_call(monkeypatch):
     monkeypatch.setattr(classify, "next_prime", counting_next_prime)
     classify._screen_prime.cache_clear()
     first = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=424242)
-    assert len(calls) == 3
+    assert len(calls) == 1
     for _ in range(3):
         assert probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=424242) == first
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert first == reference_probe(X3X, X3X, 1, -1, 1, 8, seed=424242)
 
 
@@ -832,54 +835,99 @@ def test_seed_none_draws_fresh_primes_on_every_call(monkeypatch):
     for k in (1, 2):
         rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=None)
         assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
-        assert len(calls) == 3 * k
+        assert len(calls) == k
     assert classify._screen_prime.cache_info().currsize == 0
 
 
 def test_degenerate_batch_draws_the_next_of_the_stream(monkeypatch):
+    # a walk that reaches (0 : 0) modulo the first prime voids that draw
     seed = 99
-    stream = _stream_primes(seed, 6)
+    stream = _stream_primes(seed, 2)
     real_rows = classify._orbit_rows_modp
     used = []
 
-    def rows_voiding_the_first_batch(*args):
-        # the batched walk, with the first batch void
-        *walk, batch = args
-        used.extend(batch)
-        return None if batch == stream[:3] else real_rows(*walk, batch)
-    monkeypatch.setattr(classify, "_orbit_rows_modp", rows_voiding_the_first_batch)
+    def rows_voiding_the_first_draw(*args):
+        *walk, p = args
+        used.append(p)
+        return None if p == stream[0] else real_rows(*walk, p)
+    monkeypatch.setattr(classify, "_orbit_rows_modp", rows_voiding_the_first_draw)
     rel = probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=seed)
-    assert used == stream[:6]
+    assert used == stream
     assert rel is not None and rel.polynomial.terms == {(1, 0): 1, (0, 1): 1}
 
 
-def test_every_batch_void_is_indeterminate_after_24_primes(monkeypatch):
+def test_every_draw_void_is_indeterminate_after_8_primes(monkeypatch):
     used = []
 
     def void(*args):
-        used.extend(args[-1])
+        used.append(args[-1])
     monkeypatch.setattr(classify, "_orbit_rows_modp", void)
-    with pytest.raises(IndeterminateError, match="24 primes"):
+    with pytest.raises(IndeterminateError, match=r"\(8 primes\)"):
         probe_genericity(X3X, X3X, 1, -1, 1, 8, seed=99)
-    assert used == _stream_primes(99, 24)
+    assert used == _stream_primes(99, 8)
+
+
+def _recording_kernels(monkeypatch):
+    """Patch the probe's kernel_modp to log (modulus, whether it raised)."""
+    log = []
+    real = classify.kernel_modp
+
+    def recording(rows, p):
+        try:
+            basis = real(rows, p)
+        except ValueError:
+            log.append((p, True))
+            raise
+        log.append((p, False))
+        return basis
+    monkeypatch.setattr(classify, "kernel_modp", recording)
+    return log
+
+
+_COMPOSITE_DRAWS = [   # (probe arguments, a composite whose elimination meets a zero divisor)
+    ((X2P1, X2M1, 1, 2, 2, 10), 15),                                         # generic: None
+    ((X2, RationalMap([0, 0, Fraction(1, 10**5)]), 3, 3 * 10**5, 1, 8), 21),  # y = 10^5 x
+]
+
+
+def test_composite_draw_is_void_and_the_next_prime_decides(monkeypatch):
+    # only a composite that passed BPSW can give a pivot that is no unit;
+    # the draw is then void, and the next prime of the stream decides
+    for args, composite in _COMPOSITE_DRAWS:
+        want = probe_genericity(*args, seed=0)
+        real_prime = classify._screen_prime
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "_screen_prime",
+                          lambda seed, i: composite if i == 0 else real_prime(seed, i))
+            log = _recording_kernels(patch)
+            assert probe_genericity(*args, seed=0) == want
+        assert log == [(composite, True), (real_prime(0, 1), False)], args
+
+
+def test_every_draw_composite_is_indeterminate_after_8_primes(monkeypatch):
+    monkeypatch.setattr(classify, "_screen_prime", lambda seed, i: 15)
+    log = _recording_kernels(monkeypatch)
+    with pytest.raises(IndeterminateError, match=r"\(8 primes\)"):
+        probe_genericity(X2P1, X2M1, 1, 2, 2, 10, seed=0)
+    assert log == [(15, True)] * 8
 
 
 def test_steps_at_infinity_give_homogeneous_rows(monkeypatch):
     # 1/(x^2 - 1) from 0 runs -1, oo, 0, -1, oo, ...; x^2 + 1 from 1 runs
     # 2, 5, 26, 677, ...: no relation, though step 1 alone fits y = 2.  Each
     # of the 12 screening steps gives a row, the four at oo included, and
-    # the kernel is empty modulo the first three primes
+    # the kernel is empty modulo the first prime
     used = []
     real_rows = classify._orbit_rows_modp
 
     def counting(*args):
-        used.extend(args[-1])
+        used.append(args[-1])
         rows = real_rows(*args)
         assert len(rows) == 12
         return rows
     monkeypatch.setattr(classify, "_orbit_rows_modp", counting)
     assert probe_genericity(RationalMap([1], [-1, 0, 1]), X2P1, 0, 1, 1, 2) is None
-    assert used == [classify._screen_prime(0, i) for i in range(3)]
+    assert used == [classify._screen_prime(0, 0)]
 
 
 def reference_orbit_rows_modp(f, g, pairs, monomials, deg_max, n_rows, p):
@@ -925,10 +973,11 @@ def test_batched_walk_matches_one_walk_per_prime():
         primes = rng.sample(rng.choice([(2, 3, 5, 7, 11, 13), big, (3, 7) + tuple(big)]),
                             rng.randint(1, 3))
         args = (*fg, pairs, classify._monomials(deg_max), deg_max, n_rows)
-        rows = classify._orbit_rows_modp(*args, primes)
+        # modulo a product, as for a composite that passed BPSW
+        rows = classify._orbit_rows_modp(*args, math.prod(primes))
         want = {p: reference_orbit_rows_modp(*args, p) for p in primes}
         if None in want.values():
-            # a walk that reaches (0 : 0) modulo one prime voids the batch
+            # a walk that reaches (0 : 0) modulo one factor voids the draw
             assert rows is None
             void += 1
             continue
@@ -953,18 +1002,16 @@ def test_batched_walk_matches_one_walk_per_prime():
 
 def test_generic_pair_is_decided_by_one_elimination(monkeypatch):
     calls = []
-    real = linalg.kernel_modp
+    real = classify.kernel_modp
 
     def counting_kernel(rows, p):
         calls.append(p)
         return real(rows, p)
-    monkeypatch.setattr(linalg, "kernel_modp", counting_kernel)
+    monkeypatch.setattr(classify, "kernel_modp", counting_kernel)
     for deg_max in (1, 2, 3):
         calls.clear()
         assert probe_genericity(X2P1, X2M1, 1, 2, deg_max, 10, seed=7) is None
-        assert len(calls) == 1
-        # modulo the product of the three screening primes
-        assert calls[0] == math.prod(classify._screen_prime(7, i) for i in range(3))
+        assert calls == [classify._screen_prime(7, 0)]
 
 
 def test_special_form_negative_scale_witness():

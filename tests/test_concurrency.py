@@ -148,7 +148,7 @@ def test_two_threads_on_one_cold_probe_seed():
     classify._screen_prime.cache_clear()
     serial = probe_genericity(x2, g, 7, 7 * 10**6, 1, 8, seed=seed)
     assert serial is not None
-    primes = [classify._screen_prime(seed, i) for i in range(3)]
+    prime = classify._screen_prime(seed, 0)
     classify._screen_prime.cache_clear()
     start = threading.Barrier(2)
     results = [None, None]
@@ -159,7 +159,7 @@ def test_two_threads_on_one_cold_probe_seed():
 
     _run_threads(worker, 2)
     assert results == [serial, serial]
-    assert [classify._screen_prime(seed, i) for i in range(3)] == primes
+    assert classify._screen_prime(seed, 0) == prime
 
 
 def _big_pairs():

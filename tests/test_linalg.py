@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitgcd import linalg
 from orbitgcd.exact import next_prime
-from orbitgcd.linalg import kernel_modp, kernels_modp
+from orbitgcd.linalg import kernel_modp, rational_reconstruct
 
 TINY_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -85,60 +87,26 @@ def _kernel_sweep(n_cases, seed):
     return cases
 
 
-def per_prime_kernels(groups, primes):
-    """{p: the basis of p's group reduced modulo p} for kernels_modp's
-    groups, which are one group modulo the product or one per prime."""
-    moduli = [m for m, _ in groups]
-    assert moduli in ([math.prod(primes)], list(primes)), (moduli, primes)
-    return {p: [[v % p for v in vec] for vec in basis]
-            for m, basis in groups for p in primes if m % p == 0}
-
-
 def test_kernels_match_gauss_jordan_over_every_row():
     fallbacks = 0
     for rows, primes in _kernel_sweep(3000, 24):
         want = {p: reference_kernel_modp(rows, p) for p in primes}
-        groups = kernels_modp(rows, primes)
-        assert per_prime_kernels(groups, primes) == want, (rows, primes)
         for p, basis in want.items():
             assert kernel_modp(rows, p) == basis, (rows, p)
+        # modulo a composite, a pivot that is no unit raises; when every
+        # pivot is a unit, the basis reduced modulo each factor is its own
         try:
-            kernel_modp(rows, math.prod(primes))
+            basis = kernel_modp(rows, math.prod(primes))
         except ValueError:
             fallbacks += 1
-            assert [m for m, _ in groups] == primes
         else:
-            assert [m for m, _ in groups] == [math.prod(primes)]
-    # the primes disagree on a pivot often enough that the fallback runs
+            assert {p: [[v % p for v in vec] for vec in basis] for p in primes} == want
+    # the primes disagree on a pivot often enough that the composite raises
     assert fallbacks > 300
-
-
-def test_kernels_modp_falls_back_per_prime_on_a_zero_divisor(monkeypatch):
-    calls = []
-    real = linalg.kernel_modp
-
-    def counting(rows, p):
-        calls.append(p)
-        return real(rows, p)
-    monkeypatch.setattr(linalg, "kernel_modp", counting)
-    # the lead 5 is a unit modulo 7 but not modulo 35: 7 sees a pivot there
-    # and 5 does not
-    rows = [[5, 1], [10, 3]]
-    assert kernels_modp(rows, [5, 7]) == [(5, reference_kernel_modp(rows, 5)),
-                                          (7, reference_kernel_modp(rows, 7))]
-    assert calls == [35, 5, 7]
-    calls.clear()
-    rows = [[1, 2, 3], [2, 4, 6]]
-    groups = kernels_modp(rows, [5, 7])
-    assert [m for m, _ in groups] == [35]
-    assert per_prime_kernels(groups, [5, 7]) == {5: reference_kernel_modp(rows, 5),
-                                                 7: reference_kernel_modp(rows, 7)}
-    assert calls == [35]
 
 
 def test_kernel_modp_edge_shapes():
     assert kernel_modp([], 7) == []
-    assert kernels_modp([], [5, 7]) == [(35, [])]
     assert kernel_modp([[0, 0]], 7) == [[1, 0], [0, 1]]
     assert kernel_modp([[3, 0], [0, 2]], 7) == []
     # entries need not be reduced, and may be negative
@@ -151,11 +119,35 @@ def test_kernels_match_sympy_nullspace():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     for rows, primes in _kernel_sweep(300, 77):
-        got = per_prime_kernels(kernels_modp(rows, primes), primes)
-        for p, basis in got.items():
+        for p in primes:
+            basis = kernel_modp(rows, p)
             field = sympy.GF(p)
             matrix = DomainMatrix([[field(v % p) for v in row] for row in rows],
                                   (len(rows), len(rows[0])), field)
             want = [[field.to_int(x) % p for x in vec]
                     for vec in matrix.nullspace(divide_last=True).to_list()]
             assert basis == want, (rows, p)
+
+
+# a 182-bit prime, as the genericity probe screens with, and small primes
+_RECONSTRUCTION_PRIMES = (next_prime(1 << 181), 5, 7, 101, 65537, next_prime(10**9))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_RECONSTRUCTION_PRIMES), st.data())
+def test_rational_reconstruct_lifts_every_fraction_within_reach(m, data):
+    bound = math.isqrt(m // 2)
+    d = data.draw(st.integers(1, bound))
+    n = data.draw(st.integers(-bound, bound))
+    assert rational_reconstruct(n * pow(d, -1, m), m) == Fraction(n, d)
+    assert rational_reconstruct(0, m) == 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_RECONSTRUCTION_PRIMES), st.integers())
+def test_rational_reconstruct_results_are_residues(m, a):
+    r = rational_reconstruct(a, m)
+    if r is not None:
+        bound = math.isqrt(m // 2)
+        assert abs(r.numerator) <= bound and r.denominator <= bound
+        assert (r.numerator - r.denominator * a) % m == 0
