@@ -16,14 +16,15 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from .errors import BudgetExceededError, DomainError, HypothesisViolationError
 from .exact import int_gcd, log_abs, valuation
 from .heights import PlaceSet, arch_gcd_term, canonical_height, discrepancy_bound
 from .maps import (_LOG10_2, DEFAULT_ORBIT_DIGIT_BUDGET, ProjPoint, RationalMap,
                    digit_count, evaluate, iterate, orbit)  # perfbench checks evaluate here
-from .polys import _derivative, _mul, _reduce, _sub, _yun, exact_div, primitive_gcd, trim
+from .polys import (_derivative, _mul, _reduce, _sub, _unit_mod, _yun, exact_div,
+                    primitive_gcd, trim)
 from .classify import is_exceptional
 
 
@@ -239,11 +240,14 @@ class DepthCertificate:
         return lambda m_prime, power: m_prime * left < right * power
 
 
-# The depth selector's one budget: the decimal digits of the classes still
-# walked (a step costs about d^2 times the last, so it bounds the next step),
+# The depth selector's one budget: the decimal digits of the exact critical
+# classes (a step costs about d^2 times the last, so it bounds the next step),
 # plus d per depth, which bounds M' <= d^D and a walk of small classes (a cycle
 # through the target with gain near d^p needs about p d ln(2F/epsilon) depths).
+# A replay that spans many depths checks it as it goes.
 _PORTRAIT_DIGIT_CAP = 100_000
+
+_WALK_PRIME = (1 << 61) - 1     # screens the critical walk; any prime is correct
 
 
 def _form_at(cs, x: list[int], y: list[int], p: list[int]) -> list[int]:
@@ -280,52 +284,11 @@ def _form_at(cs, x: list[int], y: list[int], p: list[int]) -> list[int]:
     return trim(acc)
 
 
-def _class_norm(p: list[int], x: list[int], y: list[int]) -> list[int]:
-    """N(z) = Res_t(P, z Y - X) up to sign, for monic P, X reduced mod P
-    (deg X < deg P) and a constant Y (the walk asks only for polynomial
-    maps, where Y is one): the integer polynomial prod (Y z - X(theta)) over
-    the roots theta of P, whose roots are the class's points X/Y.  It is the
-    characteristic polynomial z^n + c_1 z^(n-1) + ... + c_n of X in Z[t]/(P)
-    at Y z, with k c_k = -(T_1 c_(k-1) + ... + T_k c_0) from the traces
-    T_j = Tr(X^j) = sum_i (X^j mod P)_i Tr(t^i) by Newton's identities."""
-    n = len(p) - 1
-    sums = [n]      # Tr(t^k), the power sums of the roots of P
-    for k in range(1, n):
-        sums.append(-k * p[n - k] - sum(p[n - i] * sums[k - i] for i in range(1, k)))
-    traces, c, power = [], [1], x
-    for k in range(1, n + 1):
-        traces.append(sum(u * s for u, s in zip(power, sums)))
-        c.append(-sum(u * v for u, v in zip(traces, reversed(c))) // k)
-        if k < n:
-            power = _mul(power, x, p)
-    y = y[0] if y else 0
-    return trim([c[n - j] * y**j for j in range(n + 1)])
-
-
-def _escape_radius(f: RationalMap, target: Fraction) -> Fraction | None:
-    """R with |z| > R => |f(z)| > |z| > R >= |target|, for a polynomial map
-    f = (a_0 + ... + a_d x^d)/c: R = max(1, |target|, (|a_0| + ... +
-    |a_(d-1)| + |c|)/|a_d|); None for a map that is not a polynomial."""
-    if not f.is_polynomial:
-        return None
-    a, c = f.forms[0], f.forms[1][0]
-    return max(Fraction(1), abs(target),
-               Fraction(sum(map(abs, a[:-1])) + abs(c), abs(a[-1])))
-
-
-def _beyond(norm: list[int], radius: Fraction) -> bool:
-    # |n_0| > sum_k |n_k| R^k: no root of N in the closed disc |z| <= R
-    u, v = radius.numerator, radius.denominator
-    k = len(norm) - 1
-    return bool(norm) and abs(norm[0]) * v**k > sum(
-        abs(c) * u**i * v**(k - i) for i, c in enumerate(norm) if i)
-
-
 def _critical_walk(f: RationalMap, target: Fraction):
     """Yield (M'_D, bits) for D = 1, 2, ...: the largest ramification index
-    over the fiber f^-D(target), and the total bit length of the
-    coordinates of the critical classes still walked at depth D (0 once
-    every class has settled).
+    over the fiber f^-D(target), and the total bit length of the exact
+    coordinates of the critical classes, as of the depth each was last
+    decided at.
 
     Ramification indices multiply along orbits and only critical points
     have e > 1 (Silverman, The Arithmetic of Dynamical Systems), so M'_D is
@@ -338,20 +301,15 @@ def _critical_walk(f: RationalMap, target: Fraction):
     Della Dora, Dicrescenzo and Duval 1985), so no factorization and no
     polynomial of degree d^D is needed.
 
-    A class that can never meet the target again is dropped, which leaves
-    every M'_D as it was:
-
-    - cycle: its point equals, exactly (X Y' - X' Y = 0 mod P), its point
-      at a checkpoint, with no hit since.  Checkpoints are taken 1, 2, 4,
-      8, ... steps after the class was made or last split (Brent, BIT 20,
-      1980); meeting a critical class as a whole keeps them;
-    - escape, for a polynomial map f = (a_0 + ... + a_d x^d)/c: with
-      R = max(1, |target|, (|a_0| + ... + |a_(d-1)| + |c|)/|a_d|),
-      |a_d| |z| > sum_(k<d) |a_k| + |c| gives |f(z)| > |z| for |z| > R, so
-      an orbit past R never returns to the target.  Every point of the
-      class is past R when its norm N(z) = Res_t(P(t), z Y(t) - X(t))
-      has |n_0| > sum_(k>=1) |n_k| R^k; for a class of degree 1 that is
-      |X| > R |Y|.
+    Each depth steps a copy of the pair modulo one prime q.  If the hit
+    form v X - u Y (target u/v) is a unit modulo (P, q), Res(P, v X - u Y)
+    is nonzero and no root of P meets the target: the class waits.
+    Otherwise its exact pair is replayed from the depth it was last decided
+    at, split against the critical classes at every depth and tested for a
+    hit at the last one only, and each piece restarts its copy mod q.
+    While q divides no step's content, the copy is the exact pair times a
+    unit; a content that q divides makes it 0, which is replayed too, so q
+    costs time but never decides M'.
 
     >>> walk = _critical_walk(RationalMap([-1, 0, 1]), Fraction(0))
     >>> [m for m, _ in (next(walk) for _ in range(6))]     # x^2 - 1 at 0
@@ -360,53 +318,67 @@ def _critical_walk(f: RationalMap, target: Fraction):
     a, b = f.forms
     wronskian = _sub(_mul(_derivative(a), b), _mul(a, _derivative(b)))
     critical = [(q, k + 1) for q, k in _yun(wronskian)]
-    classes = []    # (P, X, Y, product of e, steps since made or split, checkpoint)
+    classes = []    # (P, X, Y, product of e): exact at the last decided depth
     for q, e in critical:
         # monic, so that reducing mod P never scales X and Y apart
         n, lc = len(q) - 1, q[-1]
         monic = [c * lc ** (n - 1 - i) for i, c in enumerate(q[:-1])] + [1]
-        classes.append((monic, _reduce([0, 1], monic), [lc], e, 0, None))
+        classes.append((monic, _reduce([0, 1], monic), [lc], e))
     e_inf = 2 * f.degree - len(wronskian)      # 2d - 1 - deg W
     if e_inf > 1:
         critical.append(((1, 0), e_inf))        # the form Y vanishes at infinity
-        classes.append(([0, 1], [1], [], e_inf, 0, None))
-    hit_form = (-target.numerator, target.denominator)     # v X - u Y for u/v
-    radius = _escape_radius(f, target)
-    best = 1
-    while True:
-        stepped = []
-        for p, x, y, prod, age, mark in classes:
-            # the step (X, Y) -> (F(X, Y), G(X, Y)) / content, all in Z[t]/(P)
-            x, y = _form_at(a, x, y, p), _form_at(b, x, y, p)
-            g = math.gcd(*x, *y)
-            if g > 1:
-                x, y = [c // g for c in x], [c // g for c in y]
-            if len(primitive_gcd(p, _form_at(hit_form, x, y, p))) > 1:
-                best, mark = max(best, prod), None    # a checkpoint before a hit proves nothing
-            elif mark and not _sub(_mul(x, mark[1], p), _mul(mark[0], y, p)):
+        classes.append(([0, 1], [1], [], e_inf))
+    u, v = target.numerator, target.denominator
+    hit_form, prime = (-u, v), _WALK_PRIME      # v X - u Y
+
+    def mod(r):
+        return trim([c % prime for c in r])
+
+    def restart(pieces):
+        # each class with its pair mod q and the depths it has waited since
+        return [(p, x, y, prod, mod(x), mod(y), 0) for p, x, y, prod in pieces]
+
+    walked, best = restart(classes), 1
+    for depth in count(1):
+        kept = []
+        for p, x, y, prod, xq, yq, lag in walked:
+            xq, yq = mod(_form_at(a, xq, yq, p)), mod(_form_at(b, xq, yq, p))
+            if _unit_mod([v * s - u * w for s, w in zip_longest(xq, yq, fillvalue=0)],
+                         p, prime):
+                kept.append((p, x, y, prod, xq, yq, lag + 1))
                 continue
-            age += 1
-            if age & (age - 1) == 0:
-                mark = (x, y)
-            if radius is not None and _beyond(_class_norm(p, x, y), radius):
-                continue
-            rest, pieces = p, []
-            for q, e in critical:
-                h = primitive_gcd(rest, _form_at(q, x, y, p))     # rest divides P
-                if len(h) > 1:
-                    # a primitive factor of the monic P has lc +-1 (Gauss): h is monic
-                    h = h if h[-1] > 0 else [-c for c in h]
-                    rest = exact_div(rest, h)
-                    pieces.append((h, prod * e))
-            if len(rest) > 1:
-                pieces.append((rest, prod))
-            if len(pieces) == 1:    # met as a whole: P is unchanged
-                stepped.append((p, x, y, pieces[0][1], age, mark))
-                continue
-            stepped.extend((h, _reduce(x[:], h), _reduce(y[:], h), e, 0, None)
-                           for h, e in pieces)
-        classes = stepped
-        yield best, sum(c.bit_length() for _, x, y, *_ in classes for c in x + y)
+            degree, pieces = len(p) - 1, [(p, x, y, prod)]
+            for left in range(lag, -1, -1):     # exact steps after this one
+                stepped = []
+                for p, x, y, prod in pieces:
+                    # (X, Y) -> (F(X, Y), G(X, Y)) / content, all in Z[t]/(P)
+                    x, y = _form_at(a, x, y, p), _form_at(b, x, y, p)
+                    g = math.gcd(*x, *y)
+                    if g > 1:
+                        x, y = [c // g for c in x], [c // g for c in y]
+                    if not left and len(primitive_gcd(p, _form_at(hit_form, x, y, p))) > 1:
+                        best = max(best, prod)
+                    rest = p
+                    for q, e in critical:
+                        h = primitive_gcd(rest, _form_at(q, x, y, p))     # rest divides P
+                        if len(h) > 1:
+                            # a primitive factor of the monic P has lc +-1 (Gauss): h is monic
+                            h = h if h[-1] > 0 else [-c for c in h]
+                            rest = exact_div(rest, h)
+                            stepped.append((h, _reduce(x[:], h), _reduce(y[:], h), prod * e))
+                    if len(rest) > 1:
+                        stepped.append((rest, _reduce(x, rest), _reduce(y, rest), prod))
+                pieces = stepped
+                digits = int(sum(c.bit_length() for _, x, y, _ in pieces
+                                 for c in x + y) * _LOG10_2) + 1
+                if digits > _PORTRAIT_DIGIT_CAP:
+                    raise BudgetExceededError(
+                        f"replaying a critical class of degree {degree} exactly, its "
+                        f"coordinates reached {digits} digits at depth {depth - left} "
+                        f"(cap {_PORTRAIT_DIGIT_CAP})", digits=digits, steps=depth - left)
+            kept.extend(restart(pieces))
+        walked = kept
+        yield best, sum(c.bit_length() for _, x, y, *_ in walked for c in x + y)
 
 
 def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
@@ -424,15 +396,15 @@ def choose_depth(f: RationalMap, g: RationalMap, a, b, alpha, beta,
     the selector converge and are rejected up front.
 
     The search stops at that D, or with :class:`BudgetExceededError` when
-    the digits of the critical classes still walked, plus d per depth, pass
-    a cap.  It needs no depth bound, as M'_D/d^D -> 0 for a target that is
-    not exceptional: a critical point meets a chain x, ..., f^(D-1)(x) into
-    the target at most once unless it lies on a cycle through the target,
-    so the classes the walk drops (cycles that miss it, at a Brent
-    checkpoint, and escapes) leave M' bounded; a cycle through it of period
-    p gains at most E = prod e < d^p per period, since by Riemann-Hurwitz
-    at most two points are totally ramified and a cycle of them would make
-    the target exceptional (Silverman, GTM 241).
+    the digits of the exact critical classes, plus d per depth, pass a cap,
+    or when one exact replay passes it.  It needs no depth bound, as
+    M'_D/d^D -> 0 for a target that is not exceptional: a critical point
+    meets a chain x, ..., f^(D-1)(x) into the target at most once unless it
+    lies on a cycle through the target, so the points off such cycles leave
+    M' bounded; a cycle through it of period p gains at most E = prod e <
+    d^p per period, since by Riemann-Hurwitz at most two points are totally
+    ramified and a cycle of them would make the target exceptional
+    (Silverman, GTM 241).
     """
     if f.degree != g.degree or f.degree < 2:
         raise HypothesisViolationError("need equal degrees >= 2")

@@ -20,7 +20,8 @@ sequence ends at its first constant, whose sign is the gcd.  The walk's
 classes are monic, as are many gcd divisors, and the remainder by a monic P
 replaces each top term t^n by -(p_0 + ... + p_(n-1) t^(n-1)), all in Z,
 with no power of lc.  :func:`_mul` reduces its product mod such a P, so
-arithmetic in Z[t]/(P) keeps every list shorter than P.
+arithmetic in Z[t]/(P) keeps every list shorter than P.  :func:`_unit_mod`
+is the one computation modulo a prime: Euclid's algorithm in F_q[t].
 """
 
 from __future__ import annotations
@@ -147,6 +148,28 @@ def _reduce(r: list[int], p: list[int]) -> list[int]:
             for i in range(n):
                 r[k + i] -= top * p[i]
     return trim(r)
+
+
+def _unit_mod(h: list[int], p: list[int], q: int) -> bool:
+    """Whether h is a unit modulo (p, q), for a monic p and a prime q: gcd(p,
+    h) = 1 in F_q[t], by Euclid's algorithm.  Then Res(p, h) is nonzero mod
+    q, so nonzero (Collins, JACM 18, 1971), and h vanishes at no root of p.
+
+    >>> _unit_mod([1, 1], [-1, 0, 1], 7), _unit_mod([1, 1], [1, 0, 1], 7)
+    (False, True)
+    """
+    b = trim([c % q for c in h])
+    if len(b) < 2:
+        return bool(b)
+    a = [c % q for c in p]
+    while len(b) > 1:
+        inv, body = pow(b[-1], -1, q), b[:-1]
+        for k in range(len(a) - len(b), -1, -1):
+            top = a.pop() * inv % q
+            if top:
+                a[k:] = [(x - top * c) % q for x, c in zip(a[k:], body)]
+        a, b = b, trim(a)
+    return bool(b)
 
 
 def _mul(a: list[int], b: list[int], p: list[int] | None = None) -> list[int]:

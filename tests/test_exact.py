@@ -531,3 +531,9 @@ def test_int_to_str_from_gmp_matches_division():
     for n in values:
         assert int_to_str(n) == _digits_by_division(n)
         assert int_to_str(-n) == "-" + _digits_by_division(n)
+
+
+def test_log_abs_of_zero_and_the_least_prime():
+    with pytest.raises(DomainError, match="log"):
+        log_abs(0)
+    assert next_prime(1) == next_prime(-5) == 2

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, zip_longest
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import _gmp, experiments, heights, maps
+from orbitgcd import _gmp, experiments, heights, maps, polys
 from orbitgcd.classify import is_exceptional
 from orbitgcd.errors import (BudgetExceededError, DomainError,
                              HypothesisViolationError)
@@ -255,19 +256,21 @@ def test_choose_depth_m_prime_at_depth_one():
     assert cert.depth == 1 and cert.m_prime == 1
 
 
-def test_choose_depth_budget_error_at_the_digit_cap():
-    # (x^3 + 2)/x, (x^3 - 1)/x: rational maps whose critical classes neither
-    # cycle nor escape by a polynomial's radius, so the portraits pass the
-    # digit cap, the selector's one budget
+def test_choose_depth_budget_error_at_the_digit_cap(monkeypatch):
+    # x^2 - 1/2 at alpha = f^8(0): the critical class {0} first meets the
+    # target at depth 8, so the walk replays it exactly from depth 0, and its
+    # coordinates double in digits per step.  Under a cap of 30 digits the
+    # replay stops at depth 7, before the walk yields depth 8; the selector's
+    # own check (1 digit plus 2 per depth) would pass up to depth 14
+    monkeypatch.setattr(experiments, "_PORTRAIT_DIGIT_CAP", 30)
+    f = RationalMap([Fraction(-1, 2), 0, 1])
+    alpha = naive_orbit(f, 0, 8)[-1]
     with pytest.raises(BudgetExceededError) as info:
-        choose_depth(RationalMap([2, 0, 0, 1], [0, 1]), RationalMap([-1, 0, 0, 1], [0, 1]),
-                     1, 2, 1, 1, 1e-12)
+        choose_depth(f, f, 1, 2, alpha, alpha, 1e-12)
     err = info.value
-    assert err.steps >= 1 and err.digits > experiments._PORTRAIT_DIGIT_CAP
-    message = str(err)
-    assert f"no depth up to {err.steps} " in message and "M' = 1" in message
-    assert message.endswith(f"with 3 digits per depth, reached {err.digits} digits "
-                            f"(cap {experiments._PORTRAIT_DIGIT_CAP})")
+    assert err.steps == 7 and err.digits > 30
+    assert str(err) == (f"replaying a critical class of degree 1 exactly, its coordinates "
+                        f"reached {err.digits} digits at depth 7 (cap 30)")
 
 
 def test_choose_depth_budget_error_on_a_slow_cycle_through_the_target():
@@ -315,6 +318,43 @@ def test_choose_depth_answers_past_depth_16(f, g, a, b, target, epsilon, expecte
     # Fraction oracle, with M' read from the walk
     before, at = oracle_lhs(f, g, a, b, target, target, cert.depth)
     assert before >= Fraction(epsilon) / 2 > at == cert.lhs
+
+
+# x^16 - 3x^15 - x^14 - 3x^13 + x^12 - 2x^11 + 3x^10 + 2x^9 - x^8 + 2x^6 - 3x^5
+# + 3x^4 + 3x^3 + x^2: at 1, two roots of its large critical class stay
+# bounded, and its exact coordinates pass 3 * 10^5 bits by depth 3
+DEG16 = RationalMap([0, 0, 1, 3, 3, -3, 2, 0, -1, 2, 3, -2, 1, -3, -1, -3, 1])
+
+
+@pytest.mark.parametrize("f, g, epsilon, expected, ref_depth", [
+    (RationalMap([-3, 0, 1], [0, 2]), RationalMap([2, 0, 1], [0, 1]), 1e-6, (25, 1), 6),
+    (RationalMap([Fraction(-1, 2), 0, 1]), X2P1, 1e-6, (26, 2), 6),
+    (RationalMap([2, 0, 0, 1], [0, 1]), RationalMap([-1, 0, 0, 1], [0, 1]), 1e-12,
+     (28, 1), 4),
+    (DEG16, DEG16, 1e-4, (5, 1), 1),
+], ids=["rational-1e-6", "half-1e-6", "rational-cubic-1e-12", "degree-16-1e-4"])
+def test_choose_depth_answers_classes_that_never_settle(f, g, epsilon, expected, ref_depth):
+    # (x^2 - 3)/2x, (x^2 + 2)/x; x^2 - 1/2, x^2 + 1; (x^3 + 2)/x, (x^3 - 1)/x;
+    # and DEG16 twice, from 1 and 2 at target 1: each pair has a critical
+    # class that neither cycles nor escapes by a polynomial's radius, and
+    # whose exact coordinates grow about d-fold in bits per depth.  Screened
+    # modulo a prime, such a class is never replayed, and each pair answers
+    # in milliseconds
+    start = time.perf_counter()
+    cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
+    assert time.perf_counter() - start < 1.0
+    assert (cert.depth, cert.m_prime) == expected and cert.replay()
+    before, at = oracle_lhs(f, g, 1, 2, 1, 1, cert.depth)
+    assert before >= Fraction(epsilon) / 2 > at == cert.lhs
+    for h in (f, g):
+        assert_walks_agree(h, 1, depth=ref_depth)
+
+
+def test_input_checks_of_the_series_and_the_selector():
+    with pytest.raises(DomainError, match="n_max"):
+        GcdSeriesConfig(X2, X2, 3, 2, 1, 1, n_max=0)
+    with pytest.raises(HypothesisViolationError, match="equal degrees"):
+        choose_depth(X2, RationalMap([1, 0, 0, 1]), 3, 2, 1, 1, 0.1)
 
 
 @pytest.mark.parametrize("epsilon", [0, -1.0, math.inf, math.nan])
@@ -386,9 +426,9 @@ def test_choose_depth_ramified_fiber_m_prime():
 def test_choose_depth_pinned_through_the_tower(f, g, epsilon, expected):
     # x^3 + 1, x^3 + x - 1 and (x^2 - 3)/2x, (x^2 + 2)/x; a = 1, b = 2,
     # alpha = beta = 1: fibers of degree 729 and 512, which a mod-p
-    # multiplicity tower could only bound from above.  The rational pair has
-    # no drop rule, so at 1e-3 its walk carries a class of degree 2 with a
-    # non-constant Y through 16 depths
+    # multiplicity tower could only bound from above.  At 1e-3 the walk of
+    # the rational pair screens a class of degree 2 with a non-constant Y
+    # through 16 depths
     cert = choose_depth(f, g, 1, 2, 1, 1, epsilon)
     assert (cert.depth, cert.m_prime) == expected
     assert cert.replay()
@@ -555,7 +595,7 @@ def test_critical_walk_matches_sympy_sqf_list(num, den, alpha, depth):
     assert walk_m_primes(f, alpha, depth) == expected
 
 
-# --- settling critical classes: the walk against a walk that drops none ---
+# --- the screened walk against a walk that is exact at every depth ---
 
 
 def form_at(cs, x, y):
@@ -615,8 +655,8 @@ def ref_squarefree(f):
 
 
 def reference_critical_walk(f, target):
-    """The critical walk without its drop rules: every class is walked at
-    every depth.  Yields M'_D and the portrait's bit length.  Its classes
+    """The critical walk without its screen: every class is walked exactly
+    at every depth.  Yields M'_D and the portrait's bit length.  Its classes
     are monic, so their remainders, quotients and gcds are integral; all are
     its own, over Q, and share no division with the code under test."""
     a, b = f.forms
@@ -705,50 +745,70 @@ def test_settling_walk_matches_the_reference_rational(num, den, alpha):
 
 
 @pytest.mark.parametrize("f", [X2P1, X2M1, RationalMap([1, 0, 0, 1]),
-                               RationalMap([-1, 1, 0, 1]), RationalMap([-3, 0, 1], [0, 2])])
+                               RationalMap([-1, 1, 0, 1]), RationalMap([-3, 0, 1], [0, 2]),
+                               DEG16])
 def test_critical_walk_settles_the_benchmark_maps(f):
-    # at target 1: x^2 + 1 and x^3 + 1 escape after hitting it, x^2 - 1 and
-    # (x^2 - 3)/2x end in cycles, the classes of x^3 + x - 1 escape
+    # at target 1 no critical class of these maps meets the target after
+    # depth 1, so the walk holds each exact pair as of depth 0 or 1, and the
+    # bits it yields stay put over 40 depths (the exact walk of DEG16 holds
+    # 330,670 bits at depth 3)
     walk = _critical_walk(f, Fraction(1))
-    bits = [next(walk)[1] for _ in range(12)]
-    assert bits[0] > 0 and bits[3:] == [0] * 9
+    bits = [next(walk)[1] for _ in range(40)]
+    assert bits == [bits[0]] * 40 and 0 < bits[0] < 16
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-5, 5), min_size=3, max_size=4).filter(lambda a: a[-1]),
-       st.integers(1, 5), st.fractions(-3, 3, max_denominator=3),
-       st.fractions(0, 1, max_denominator=8).filter(bool),
-       st.sampled_from([(1, 0), (-1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5))]))
-def test_escape_radius_pushes_every_point_outward(a, c, alpha, excess, unit):
-    # |f(z)| > |z| at z = (R + excess) u for a unit u of Q(i): |F(z)| > |c| |z|
-    f = RationalMap(a, [c])
-    num, (den, *_) = f.forms
-    r = experiments._escape_radius(f, alpha) + excess
-    assert r > abs(alpha)
-    z = (r * unit[0], r * unit[1])
-    w = (0, 0)
-    for coeff in reversed(num):     # Horner's rule in Q(i)
-        w = (w[0] * z[0] - w[1] * z[1] + coeff, w[0] * z[1] + w[1] * z[0])
-    assert w[0] ** 2 + w[1] ** 2 > (den * r) ** 2
+@pytest.mark.parametrize("prime", [3, 5, 7])
+@settings(max_examples=15, deadline=None)
+@given(case=unicritical_targets())
+def test_unlucky_primes_never_decide_the_unicritical_walk(prime, case):
+    # a flag replays an escaping class exactly: the reference stops at 2^14 bits
+    assert_flagged_walks_agree(prime, *case, max_bits=1 << 14)
 
 
-def test_class_norm_is_the_resultant():
-    # Y is a constant, the only kind the walk passes (polynomial maps)
-    sympy = pytest.importorskip("sympy")
-    t, z = sympy.symbols("t z")
-    rng = random.Random(28)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        p = [rng.randint(-5, 5) for _ in range(n)] + [1]
-        x, y = [rng.randint(-9, 9) for _ in range(n)], [rng.randint(-9, 9)]
-        expected = sympy.Poly(sympy.resultant(
-            sympy.Poly(list(reversed(p)), t).as_expr(),
-            z * sympy.Poly(list(reversed(y)), t).as_expr()
-            - sympy.Poly(list(reversed(x)), t).as_expr(), t), z)
-        norm = [int(c) for c in reversed(expected.all_coeffs())]
-        assert experiments._class_norm(p, trim(x), trim(y)) in (norm, [-c for c in norm])
-    # the class at infinity of a polynomial map has Y = 0: N is the constant X
-    assert experiments._class_norm([0, 1], [5], []) in ([5], [-5])
+@pytest.mark.parametrize("prime", [3, 5, 7])
+@settings(max_examples=15, deadline=None)
+@given(st.lists(SMALL, min_size=3, max_size=4), st.lists(SMALL, min_size=1, max_size=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=2))
+def test_unlucky_primes_never_decide_the_rational_walk(prime, num, den, alpha):
+    try:
+        f = RationalMap(num, den)
+    except DomainError:
+        assume(False)
+    assume(f.degree in (2, 3) and not is_exceptional(f, alpha))
+    assert_flagged_walks_agree(prime, f, alpha, max_bits=1 << 14)
+
+
+def assert_flagged_walks_agree(prime, f, alpha, depth=12, max_bits=math.inf):
+    """The walk screened by a small prime, which flags classes that miss the
+    target too, against the reference: each flag is replayed exactly, so
+    M'_D agrees at every depth, and at a depth that flags every class the
+    walk holds the reference's exact portrait, bit for bit."""
+    flags = []
+
+    def unit_mod(h, p, q):
+        unit = polys._unit_mod(h, p, q)
+        flags.append(not unit)
+        return unit
+    alpha = Fraction(alpha)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_WALK_PRIME", prime)
+        patch.setattr(experiments, "_unit_mod", unit_mod)
+        walks = zip(_critical_walk(f, alpha), reference_critical_walk(f, alpha))
+        for D in range(1, depth + 1):
+            seen = len(flags)
+            (m, bits), (m_ref, bits_ref) = next(walks)
+            assert m == m_ref, (f, alpha, D)
+            if all(flags[seen:]):
+                assert bits == bits_ref, (f, alpha, D)
+            if bits_ref > max_bits:
+                break
+    return flags
+
+
+def test_an_unlucky_prime_flags_every_depth_and_counts_no_hit():
+    # (x^2 - 3)/2x at 1 modulo 3: each depth flags the critical class +-i sqrt 3,
+    # a fixed point that never meets 1, and each flag replays to M' = 1
+    assert assert_flagged_walks_agree(3, RationalMap([-3, 0, 1], [0, 2]), 1) == [True] * 12
 
 
 def test_large_index_set_examples():

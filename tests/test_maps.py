@@ -695,3 +695,11 @@ def test_map_resultant_matches_sympy(f):
 def test_map_resultant_matches_sympy_on_composed_maps(f):
     assert map_resultant(f) == det_fraction(_sylvester_rows(*f.forms))
     assert map_resultant(f) == sympy_resultant(f)
+
+
+def test_iterate_and_self_compose_reject_counts_below_their_least():
+    f = RationalMap([0, 0, 1])
+    with pytest.raises(DomainError, match="iteration count"):
+        iterate(f, 2, -1)
+    with pytest.raises(DomainError, match="composition depth"):
+        self_compose(f, 0)

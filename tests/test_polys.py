@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from orbitgcd.errors import DomainError
 from orbitgcd.linalg import det_fraction
-from orbitgcd.polys import (Polynomial, _derivative, _mul, _pseudo_divmod, _reduce, _yun,
-                            exact_div, max_multiplicity, multiplicity_at, poly_gcd, primitive,
-                            primitive_gcd, radical, resultant, squarefree_decomposition,
-                            trim)
+from orbitgcd.polys import (Polynomial, _derivative, _mul, _pseudo_divmod, _reduce, _unit_mod,
+                            _yun, exact_div, max_multiplicity, multiplicity_at, poly_gcd,
+                            primitive, primitive_gcd, radical, resultant,
+                            squarefree_decomposition, trim)
 
 # --- plain coefficient-list arithmetic (ascending), the tests' own oracle ---
 
@@ -394,3 +394,21 @@ def test_mul_with_length_one_operands_and_mod_a_monic_p(a, b, p):
         product = sympy.Poly(list(reversed(mul(a, b))), x, domain="ZZ")
         assert sympy.Poly(list(reversed(r or [0])), x, domain="ZZ") == product.rem(
             sympy.Poly(list(reversed(p)), x, domain="ZZ"))
+
+
+def test_zero_inputs_of_gcd_and_squarefree_decomposition():
+    zero = Polynomial([])
+    assert poly_gcd(zero, zero) == zero
+    with pytest.raises(DomainError):
+        squarefree_decomposition(zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.integers(-9, 9), max_size=5), st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]))
+def test_unit_mod_is_a_resultant_prime_to_q(low, h, q):
+    # p monic of degree >= 1, so Res(p, h) mod q is Res(p mod q, h mod q): it
+    # is nonzero exactly when gcd(p, h) = 1 in F_q[t]
+    p, h = low + [1], trim(h)
+    res = resultant(p, h)[0] if len(h) > 1 else (h[0] ** len(low) if h else 0)
+    assert _unit_mod(h, p, q) == (res % q != 0)

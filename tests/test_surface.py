@@ -149,3 +149,18 @@ def test_ample_witness_reports_minimizing_case():
     assert report.witness["value"] == 0
     ok = is_ample_lemmaAG(BlowupSurface(0), 1)
     assert ok.ample and ok.witness["value"] > 0
+
+
+def test_surface_input_checks():
+    with pytest.raises(DomainError, match="blown-up points"):
+        BlowupSurface(-1)
+    s2 = BlowupSurface(2)
+    with pytest.raises(DomainError, match="denominator"):
+        perturbed_ample(s2, 0)
+    with pytest.raises(DomainError, match="N must be"):
+        is_ample_lemmaAG(s2, 0)
+    for i in (-1, 2):
+        with pytest.raises(DomainError, match="out of range"):
+            exceptional_class(s2, i)
+    with pytest.raises(DomainError, match="one multiplicity"):
+        strict_transform_class(s2, 1, 1, [1])
