@@ -1,7 +1,16 @@
-"""The system GMP library, bound through ``ctypes`` for three operations
+"""The system GMP library, bound through ``ctypes`` for four operations
 on big non-negative ints: the product (GMP's FFT multiplication, where
 CPython stays with Karatsuba), the gcd (GMP's subquadratic half-gcd,
-where CPython's ``math.gcd`` is quadratic) and the decimal string.
+where CPython's ``math.gcd`` is quadratic), the division with remainder
+(``mpz_tdiv_qr``, subquadratic, where CPython's long division costs the
+product of the quotient's and the divisor's lengths) and the decimal
+string.
+
+Each operand goes in as one ``int.to_bytes`` of little-endian 64-bit
+words, imported whole by ``mpz_import``, and each result comes back as
+the same words, exported into a zeroed ctypes buffer that
+``int.from_bytes`` reads directly: one copy each way, and word-sized
+moves inside GMP.
 
 Nothing here is imported at package import beyond this module: ``ctypes``
 and the library load on the first call, exactly once, under a lock.  Each
@@ -60,6 +69,7 @@ def _bind():
                                      size_t, c_int, size_t, mpz]),
         "gcd": (None, [mpz, mpz, mpz]),
         "mul": (None, [mpz, mpz, mpz]),
+        "tdiv_qr": (None, [mpz, mpz, mpz, mpz]),
         "sizeinbase": (size_t, [mpz, c_int]),
         "get_str": (ctypes.c_void_p, [ctypes.c_char_p, c_int, mpz]),
     }
@@ -102,16 +112,16 @@ class _Mpzs:
 
 
 def _set(gmp, z, n: int) -> None:
-    # n >= 0, little-endian bytes, least significant first
-    data = n.to_bytes((n.bit_length() + 7) // 8, "little")
-    gmp.import_(z, len(data), -1, 1, 0, 0, data)
+    # n >= 0 as little-endian 64-bit words, least significant first
+    words = (n.bit_length() + 63) >> 6
+    gmp.import_(z, words, -1, 8, -1, 0, n.to_bytes(8 * words, "little"))
 
 
 def _get(gmp, z) -> int:
-    # exactly the bytes of z (one zero byte for z = 0); no count needed
-    buf = gmp.buffer((gmp.sizeinbase(z, 2) + 7) // 8)
-    gmp.export(buf, None, -1, 1, 0, 0, z)
-    return int.from_bytes(buf.raw, "little")
+    # the same words, read from the zeroed buffer itself; z = 0 writes none
+    buf = gmp.buffer(8 * ((gmp.sizeinbase(z, 2) + 63) >> 6))
+    gmp.export(buf, None, -1, 8, -1, 0, z)
+    return int.from_bytes(buf, "little")
 
 
 def mul(x: int, y: int) -> int | None:
@@ -140,6 +150,22 @@ def gcd(x: int, y: int) -> int | None:
         _set(gmp, b, y)
         gmp.gcd(g, a, b)
         return _get(gmp, g)
+
+
+def divmod(x: int, y: int) -> tuple[int, int] | None:
+    """(x // y, x % y) of two non-negative ints by GMP's truncating
+    division, which floors on them, or None without libgmp.  y = 0 raises
+    ``ZeroDivisionError`` here, where GMP would trap."""
+    if y == 0:
+        raise ZeroDivisionError("division by zero")
+    gmp = _load()
+    if gmp is None:
+        return None
+    with _Mpzs(gmp, 4) as (a, b, q, r):
+        _set(gmp, a, x)
+        _set(gmp, b, y)
+        gmp.tdiv_qr(q, r, a, b)
+        return _get(gmp, q), _get(gmp, r)
 
 
 def decimal(n: int) -> str | None:

@@ -27,7 +27,7 @@ from itertools import count, islice
 
 from .bivariate import BivariatePolynomial, homogeneous_powers
 from .errors import BudgetExceededError, DomainError, IndeterminateError
-from .exact import _iroot, next_prime
+from .exact import _iroot, int_divmod, next_prime
 from .heights import _orbit_scan, canonical_height
 from .linalg import kernel_modp, rational_reconstruct
 from .maps import (DEFAULT_DEGREE_BUDGET, DEFAULT_ORBIT_DIGIT_BUDGET, INFINITY, ProjPoint,
@@ -133,9 +133,10 @@ def mult_indep(a, b) -> bool:
         k = max(1, int(math.log(xn) / math.log(yn)))
         while yn ** k > xn:
             k -= 1
-        while yn ** (k + 1) <= xn:
+        # yn^(k+1) >= 2^((k+1)(bits - 1)), so a power past xn's bits is not formed
+        while (k + 1) * (yn.bit_length() - 1) < xn.bit_length() and yn ** (k + 1) <= xn:
             k += 1
-        (qn, rn), (qd, rd) = divmod(xn, yn ** k), divmod(xd, yd ** k)
+        (qn, rn), (qd, rd) = int_divmod(xn, yn ** k), int_divmod(xd, yd ** k)
         if rn or rd:
             return True      # were x = c^i and y = c^j, y^k = c^(jk) would divide x
         # x / y^k and y generate what x and y do, and 1 makes both powers of y;

@@ -24,11 +24,11 @@ a log of an integer or a rational sum of such logs, taken in plain ints in
 units of 2^-prec, the fixed point heights compute in, and returned as an
 exact :class:`Real`, a Fraction m / 2^k that ``float()`` rounds once.
 
-Products and gcds that can reach orbit size go through :func:`int_mul`
-and :func:`int_gcd`, which hand operands of at least 2^14 bits to the
-system GMP (``_gmp``, bound through ctypes on first use) and keep ``*``
-and ``math.gcd`` below that size or where no libgmp loads; the value is
-the same either way.
+Products, gcds and divisions that can reach orbit size go through
+:func:`int_mul`, :func:`int_gcd` and :func:`int_divmod`, which hand
+operands of at least 2^14 bits to the system GMP (``_gmp``, bound through
+ctypes on first use) and keep ``*``, ``math.gcd`` and ``divmod`` below
+that size or where no libgmp loads; the value is the same either way.
 """
 
 from __future__ import annotations
@@ -59,12 +59,16 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
         3317044064679887385961981)
 
 
-# Both operands need this many bits before a gcd or a product goes to GMP.
-# math.gcd is quadratic (Lehmer) and CPython multiplies by Karatsuba; GMP,
-# ctypes calls and int copies included, overtakes both near 6,000 bits and
-# at 2^14 bits takes 0.31 against 0.63 ms per gcd, 0.06 against 0.15 ms per
-# square and 0.08 against 0.21 ms per product; at 10^6 bits it squares in
-# 6.4 against 99 ms (2-core Xeon VM, Python 3.11, GMP 6.2)
+# Both operands need this many bits before a gcd, a product or a division
+# goes to GMP.  math.gcd is quadratic (Lehmer) and CPython multiplies by
+# Karatsuba; GMP, ctypes calls and int copies included, overtakes both near
+# 6,000 bits and at 2^14 bits takes 0.31 against 0.63 ms per gcd, 0.06
+# against 0.15 ms per square and 0.08 against 0.21 ms per product; at 10^6
+# bits it squares in 6.4 against 99 ms (2-core Xeon VM, Python 3.11, GMP
+# 6.2).  CPython's division costs the product of the quotient's and the
+# divisor's lengths: by a 2^14-bit divisor GMP divides a 2^15-bit int in
+# 0.09 against 0.48 ms, and loses only on quotients of a few words, by at
+# most 0.06 ms up to 2^17 bits
 _GMP_BITS = 1 << 14
 
 
@@ -97,6 +101,27 @@ def int_mul(x: int, y: int) -> int:
         if p is not None:
             return -p if (x < 0) != (y < 0) else p
     return x * y
+
+
+def int_divmod(x: int, y: int) -> tuple[int, int]:
+    """divmod(x, y) of two ints, always equal to ``divmod(x, y)``, floor
+    and signs included: by the system GMP when both have at least 2^14
+    bits and libgmp loads, by ``divmod`` otherwise.
+
+    >>> int_divmod(-7, 2)
+    (-4, 1)
+    """
+    if min(x.bit_length(), y.bit_length()) >= _GMP_BITS:
+        qr = _gmp.divmod(abs(x), abs(y))
+        if qr is not None:
+            q, r = qr
+            # |x| = q |y| + r truncates; floor rounds a mixed-sign quotient down
+            if (x < 0) != (y < 0):
+                q = -q
+                if r:
+                    q, r = q - 1, abs(y) - r
+            return q, -r if y < 0 else r
+    return divmod(x, y)
 
 
 def small_primes(limit: int) -> list[int]:
@@ -203,9 +228,10 @@ def is_prime(n: int) -> bool:
     Sorenson and Webster, Math. Comp. 86, 2017), those k bases decide n:
     1 base below 2047, 4 below 3215031751, ..., 12 below psi_12 =
     318665857834031151167461, 13 (2..41) below psi_13 =
-    3317044064679887385961981.  At or above psi_13 the 13 bases are
-    followed by a strong Lucas test with Selfridge's parameters (Baillie
-    and Wagstaff, Math. Comp. 35, 1980), which has no known counterexample.
+    3317044064679887385961981.  At or above psi_13 it is BPSW: Miller-Rabin
+    to base 2, then a strong Lucas test with Selfridge's parameters (Baillie
+    and Wagstaff, Math. Comp. 35, 1980), which has no known counterexample;
+    further bases would prove nothing there.
 
     >>> is_prime(2**89 - 1), is_prime(318665857834031151167461)
     (True, False)
@@ -215,9 +241,9 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if any(_mr_witness(a, n) for a in _MR_BASES[:bisect_right(_PSI, n) + 1]):
-        return False
-    return n < _PSI[-1] or _strong_lucas_prp(n)
+    if n >= _PSI[-1]:
+        return not _mr_witness(2, n) and _strong_lucas_prp(n)
+    return not any(_mr_witness(a, n) for a in _MR_BASES[:bisect_right(_PSI, n) + 1])
 
 
 def next_prime(n: int) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitgcd import classify
+from orbitgcd import classify, exact
 from orbitgcd.bivariate import BivariatePolynomial
 from orbitgcd.classify import (CHEBYSHEV_CONJUGATE, NOT_SPECIAL,
                                POWER_CONJUGATE, CurveRelation, chebyshev_polynomial,
@@ -266,6 +266,23 @@ def test_mult_indep_answers_for_40_digit_primes():
     # to 39, and the remainder of 7^40 - 1 by 7^39 makes the pair independent
     assert int(math.log(7**40 - 1) / math.log(7)) == 40
     assert mult_indep(7**40 - 1, 7) is True
+
+
+def test_mult_indep_of_million_bit_powers_divides_through_gmp(monkeypatch):
+    # the Euclid steps divide 2.66-million-bit numerators; the answers are
+    # those of plain divmod, with or without libgmp
+    calls = []
+    real = exact._gmp.divmod
+    monkeypatch.setattr(exact._gmp, "divmod", lambda x, y: calls.append(1) or real(x, y))
+    x, y = P40**20000, P40**13000
+    assert mult_indep(x, y) is False
+    assert mult_indep(y, x) is False
+    assert mult_indep(x, y * P41) is True
+    assert mult_indep(x * P41**3, y * P41**2) is True
+    assert calls or exact._gmp._load() is None
+    monkeypatch.setattr(exact._gmp, "_load", lambda: None)
+    x, y = P40**2000, P40**1300
+    assert mult_indep(x, y) is False and mult_indep(x * P41**3, y * P41**2) is True
 
 
 def test_special_form_examples():
@@ -806,6 +823,14 @@ def test_screen_prime_memo_returns_the_seed_stream():
         # ask out of order: each index replays the stream, not the calls made
         for i in (4, 0, 5, 2, 1, 3):
             assert classify._screen_prime(seed, i) == want[i]
+
+
+def test_screen_primes_are_the_primes_after_the_draws():
+    # BPSW confirms each 182-bit prime; sympy's nextprime is the reference
+    sympy = pytest.importorskip("sympy")
+    for seed in range(50):
+        draw = random.Random(seed).randrange(1 << 181, 1 << 182)
+        assert classify._screen_prime(seed, 0) == sympy.nextprime(draw), seed
 
 
 def test_repeated_probes_search_primes_only_on_the_first_call(monkeypatch):

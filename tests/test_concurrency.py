@@ -1,7 +1,7 @@
 """Heights, logs, genericity probes, depth certificates, the GMP-backed
-product, gcd and decimal conversion, and CLI parsing with the shared
-parsers computed in several threads at once equal the serial results
-exactly."""
+product, gcd, division and decimal conversion, and CLI parsing with the
+shared parsers computed in several threads at once equal the serial
+results exactly."""
 
 import argparse
 import math
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from orbitgcd import _gmp, classify, cli, exact, heights, maps
 from orbitgcd.classify import probe_genericity
-from orbitgcd.exact import _GMP_BITS, factor, int_gcd, int_mul, log_abs
+from orbitgcd.exact import _GMP_BITS, factor, int_divmod, int_gcd, int_mul, log_abs
 from orbitgcd.experiments import choose_depth
 from orbitgcd.heights import canonical_height, hgcd
 from orbitgcd.maps import RationalMap
@@ -192,11 +192,13 @@ def test_threads_running_gmp_gcds_and_decimals_at_once():
 
 
 def test_threads_running_gmp_products_and_gcds_at_once():
-    # orbit-sized squares and products, and the gcds of the products
+    # orbit-sized squares and products, the gcds of the products, and the
+    # floor divisions of each square, one off, by the negated other operand
     pairs = _big_pairs()
     products = [x * y for x, y in pairs]
     squares = [x * x for x, _ in pairs]
     gcds = [math.gcd(p, q) for p, q in zip(products, squares)]
+    quotients = [divmod(q - 1, -y) for q, (_, y) in zip(squares, pairs)]
     mismatches = []
 
     def worker(k):
@@ -207,6 +209,8 @@ def test_threads_running_gmp_products_and_gcds_at_once():
                     mismatches.append(("mul", k, r, i))
                 if int_gcd(p, q) != gcds[i]:
                     mismatches.append(("gcd", k, r, i))
+                if int_divmod(q - 1, -y) != quotients[i]:
+                    mismatches.append(("divmod", k, r, i))
 
     _run_threads(worker, THREADS)
     assert mismatches == []

@@ -17,8 +17,8 @@ import orbitgcd
 from orbitgcd import _gmp, exact
 from orbitgcd.errors import DomainError, PartialFactorizationError
 from orbitgcd.exact import (_GMP_BITS, LogValue, Place, Real, factor,
-                            int_gcd, int_mul, is_prime, log_abs, log_fixed,
-                            next_prime, v_plus, valuation)
+                            int_divmod, int_gcd, int_mul, is_prime, log_abs,
+                            log_fixed, next_prime, v_plus, valuation)
 from orbitgcd.serialize import _digits_by_division, int_to_str
 
 
@@ -339,13 +339,31 @@ def test_is_prime_matches_sympy_at_and_above_psi13():
     cases += [rng.randrange(1 << (b - 1), 1 << b) | 1 for b in range(82, 201, 6)
               for _ in range(4)]
     cases += [sympy.nextprime(rng.randrange(1 << (b - 1), 1 << b)) for b in range(82, 201, 9)]
+    cases += [rng.randrange(exact._PSI[-1], 1 << 400) | 1 for _ in range(60)]
+    # semiprimes of two primes near 2^45, so near 2^90
+    near = [sympy.nextprime(rng.getrandbits(45) | 1 << 44) for _ in range(40)]
+    cases += [p * q for p, q in zip(near[::2], near[1::2])]
     for n in cases:
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_at_and_above_psi13_is_base_2_then_lucas(monkeypatch):
+    bases, lucas = [], []
+    witness, strong_lucas = exact._mr_witness, exact._strong_lucas_prp
+    monkeypatch.setattr(exact, "_mr_witness", lambda a, n: bases.append(a) or witness(a, n))
+    monkeypatch.setattr(exact, "_strong_lucas_prp", lambda n: lucas.append(n) or strong_lucas(n))
+    assert is_prime(2**89 - 1) and not is_prime(exact._PSI[-1])
+    assert bases == [2, 2] and lucas == [2**89 - 1, exact._PSI[-1]]
+    # below psi_13 the bases decide alone: psi_12 falls to the thirteenth
+    bases.clear()
+    lucas.clear()
+    assert not is_prime(exact._PSI[11])
+    assert bases == list(exact._MR_BASES) and lucas == []
+
+
 def test_is_prime_rejects_every_psi():
     # psi_k passes Miller-Rabin to the first k prime bases; psi_13 passes
-    # all 13 and falls only to the strong Lucas test
+    # base 2 and falls only to the strong Lucas test
     assert not any(is_prime(psi) for psi in exact._PSI)
     assert factor(exact._PSI[11]).factors == ((399165290221, 1), (798330580441, 1))
 
@@ -521,6 +539,98 @@ def test_int_gcd_without_libgmp_is_math_gcd(monkeypatch):
     monkeypatch.setattr(_gmp, "_load", lambda: None)
     assert _gmp.gcd(HUGE, HUGE) is None and _gmp.decimal(HUGE) is None
     assert int_gcd(HUGE * 2, -HUGE * 3) == HUGE
+
+
+@st.composite
+def divmod_operands(draw):
+    # either sign; half the dividends are a multiple of the divisor, or one off
+    x, y = (draw(st.sampled_from([1, -1])) * sized(draw) for _ in range(2))
+    if draw(st.booleans()):
+        x = x * y + draw(st.sampled_from([-1, 0, 1]))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(divmod_operands())
+@example((0, HUGE))
+@example((HUGE, HUGE))
+@example((-HUGE, HUGE))
+@example((HUGE * 7 + 1, -HUGE))
+@example((-HUGE * 7 - 1, -HUGE))
+@example((-HUGE * 7, HUGE))
+@example((2**T, 2**T - 1))
+def test_int_divmod_equals_divmod_across_the_threshold(pair):
+    x, y = pair
+    if y == 0:
+        with pytest.raises(ZeroDivisionError):
+            int_divmod(x, y)
+    else:
+        assert int_divmod(x, y) == divmod(x, y)
+
+
+def test_int_divmod_uses_gmp_only_at_orbit_size(monkeypatch):
+    calls = []
+    real = _gmp.divmod
+    monkeypatch.setattr(_gmp, "divmod", lambda x, y: calls.append((x, y)) or real(x, y))
+    small = 2**(T - 3) * 3               # T - 1 bits
+    assert int_divmod(HUGE, small) == divmod(HUGE, small)
+    assert int_divmod(-small, HUGE) == (-1, HUGE - small)
+    with pytest.raises(ZeroDivisionError):
+        int_divmod(HUGE, 0)
+    assert calls == []
+    assert int_divmod(-HUGE * 5 - 2, HUGE) == (-6, HUGE - 2)
+    assert int_divmod(HUGE * 5 + 2, -HUGE) == (-6, 2 - HUGE)
+    assert calls == [(HUGE * 5 + 2, HUGE)] * 2
+    # GMP traps a zero divisor, so the binding refuses it first
+    with pytest.raises(ZeroDivisionError):
+        _gmp.divmod(HUGE, 0)
+
+
+def test_int_divmod_without_libgmp_is_divmod(monkeypatch):
+    monkeypatch.setattr(_gmp, "_load", lambda: None)
+    assert _gmp.divmod(HUGE, HUGE) is None
+    assert int_divmod(-HUGE * 5 - 2, HUGE) == (-6, HUGE - 2)
+
+
+# bit lengths on both sides of a 64-bit word and of the GMP threshold
+EDGE_BITS = (0, 1, 63, 64, 65, 127, 128, T - 1, T)
+needs_gmp = pytest.mark.skipif(_gmp._load() is None, reason="no libgmp loads")
+
+
+def with_bits(bits: int, rng: random.Random) -> int:
+    return rng.getrandbits(bits) | (1 << bits >> 1)
+
+
+def assert_gmp_matches_python(x: int, y: int) -> None:
+    assert _gmp.mul(x, y) == x * y
+    assert _gmp.mul(x, x) == x * x      # y is x: one import, squared
+    assert _gmp.gcd(x, y) == math.gcd(x, y)
+    assert _gmp.decimal(x) == _digits_by_division(x)
+    if y:
+        assert _gmp.divmod(x, y) == divmod(x, y)
+        assert _gmp.divmod(x * y + y - 1, y) == (x, y - 1)
+
+
+@needs_gmp
+def test_gmp_calls_round_trip_at_word_boundaries():
+    rng = random.Random(64)
+    for xb in EDGE_BITS:
+        for yb in EDGE_BITS:
+            for x, y in (((1 << xb) - 1, (1 << yb) - 1), (1 << xb, 1 << yb),
+                         (with_bits(xb, rng), with_bits(yb, rng))):
+                assert_gmp_matches_python(x, y)
+                assert_gmp_matches_python(y, x)
+    assert _gmp.mul(2**64 - 1, 2**64 + 1) == 2**128 - 1
+
+
+@needs_gmp
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1 << 18), st.integers(0, 1 << 18), st.integers(0, 2**32))
+def test_gmp_calls_round_trip_at_random_sizes(xb, yb, seed):
+    rng = random.Random(seed)
+    x, y = with_bits(xb, rng), with_bits(yb, rng)
+    assert_gmp_matches_python(x, y)
+    assert_gmp_matches_python(y, x)
 
 
 def test_int_to_str_from_gmp_matches_division():
